@@ -26,21 +26,13 @@ from .covering import (
     CubeCapExceeded,
     build_covering,
     check_disjoint_and_coverage,
-    profile_demo,
-    profile_flat,
     tail_integrability,
     verify_counting_bounds,
     weights_from_beta,
 )
 from .decomp import decompose, random_mean_zero, space_from_covering, verify_decomposition
-from .hardy import HardyProblem, hardy_report, make_problem
-from .inequalities import (
-    KINDS,
-    f_linear,
-    inequality_ratio,
-    parameter_sweep,
-    worker_count,
-)
+from .hardy import HardyProblem, hardy_report, make_problem, optimize_theta
+from .inequalities import KINDS, f_linear, inequality_ratio, parameter_sweep, u_shear
 from .tree import RootedTree, TreeError, chain_tree, random_tree, star_tree
 
 EXIT_OK = 0
@@ -53,7 +45,10 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)     # mkstemp creates 0600; match open()
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -77,17 +72,13 @@ def write_csv(path: str, rows: list[dict]) -> None:
 
 
 def _config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    cfg["workers"] = worker_count(cfg.get("workers"))
-    return cfg
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _profile(args):
-    if args.phi == "demo":
-        return profile_demo()
-    if args.phi == "flat":
-        return profile_flat()
-    raise TreeError(f"unknown profile {args.phi!r}: choose from {sorted(PROFILES)}")
+    if args.phi not in PROFILES:
+        raise CoveringError(f"unknown profile {args.phi!r}: choose from {sorted(PROFILES)}")
+    return PROFILES[args.phi]()
 
 
 def _load_json(path: str) -> dict:
@@ -137,7 +128,11 @@ def cmd_hardy(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
+    profile = _profile(args)
+    if args.alpha is not None and args.alpha != profile.alpha:
+        raise CoveringError(f"--alpha {args.alpha:g} does not match the {args.phi} "
+                            f"profile's alpha = {profile.alpha:g}")
+    cov = build_covering(profile, args.depth, cube_cap=args.cap)
     struct = check_disjoint_and_coverage(cov)
     bounds = verify_counting_bounds(cov)
     tail = tail_integrability(cov, args.beta, args.p)
@@ -164,7 +159,6 @@ def cmd_decompose(args) -> int:
     space = space_from_covering(cov, beta=args.beta)
     g = random_mean_zero(space, np.random.default_rng(args.seed))
     result = decompose(g, problem)
-    from .hardy import optimize_theta
     bound = optimize_theta(problem, theta_max=args.theta_max).suff_bound
     report = verify_decomposition(result, bound)
     payload = {"decomposition": result.to_json(), "verification": report.to_json()}
@@ -174,13 +168,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_ineq(args) -> int:
     cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
-    f = f_linear()
+    f = u_shear(cov.n) if args.kind == "korn" else f_linear()
     cfg = _config(args)
     if args.beta_grid:
         grid = [float(b) for b in args.beta_grid.split(",")]
         rows = parameter_sweep(args.kind, f, cov, grid, args.p,
                                samples=args.samples, seed=args.seed,
-                               s=args.s, tau=args.tau, workers=args.workers)
+                               s=args.s, tau=args.tau)
         payload = {"sweep": [r.to_json() for r in rows]}
         write_report(os.path.join(args.out, "ineq.json"), payload, cfg)
         write_csv(os.path.join(args.out, "sweep.csv"),
@@ -191,8 +185,7 @@ def cmd_ineq(args) -> int:
                     "growing": r.growing} for r in rows])
         return EXIT_OK
     rep = inequality_ratio(args.kind, f, cov, args.beta, args.p, s=args.s,
-                           tau=args.tau, samples=args.samples, seed=args.seed,
-                           workers=args.workers)
+                           tau=args.tau, samples=args.samples, seed=args.seed)
     write_report(os.path.join(args.out, "ineq.json"), rep.to_json(), cfg)
     if args.format == "csv":
         write_csv(os.path.join(args.out, "ineq.csv"),
@@ -209,11 +202,11 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hardy-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples=False):
+    phi_help = "profile: " + " | ".join(PROFILES)
+
+    def common(sp):
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=None,
-                        help="fallback: HARDY_LAB_WORKERS")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("tree", help="generate or load a tree")
@@ -233,9 +226,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_hardy)
 
     sp = sub.add_parser("covering", help="build a cube covering and verify it")
-    sp.add_argument("--phi", default="demo", help="profile: demo | flat")
+    sp.add_argument("--phi", default="demo", help=phi_help)
     sp.add_argument("--alpha", type=float, default=None,
-                    help="informational; profiles carry their own alpha")
+                    help="must match the profile's own alpha")
     sp.add_argument("--depth", type=int, default=6)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--p", type=float, default=2.0)
@@ -244,7 +237,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_covering)
 
     sp = sub.add_parser("decompose", help="decompose a random mean-zero function")
-    sp.add_argument("--phi", default="demo")
+    sp.add_argument("--phi", default="demo", help=phi_help)
     sp.add_argument("--depth", type=int, default=5)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--p", type=float, default=2.0)
@@ -255,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ineq", help="inequality ratio checkers and sweeps")
     sp.add_argument("--kind", choices=KINDS, default="improved_poincare")
-    sp.add_argument("--phi", default="demo")
+    sp.add_argument("--phi", default="demo", help=phi_help)
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--beta-grid", default=None, help="comma-separated betas")

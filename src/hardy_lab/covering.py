@@ -178,6 +178,15 @@ def _min_phi_decision(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
 
 # -- the covering -------------------------------------------------------------
 
+def _cell_key(vertical, horizontal, N: int):
+    """k N^d + sum_r i_r N^r: one integer per grid cell of a size class
+    with N cells across (ints or int64 arrays alike)."""
+    key = vertical
+    for i in reversed(horizontal):
+        key = key * N + i
+    return key
+
+
 @dataclass
 class CubeCovering:
     profile: HolderProfile
@@ -189,6 +198,7 @@ class CubeCovering:
     depth_max: int
     inconclusive: int = 0                   # containment tests resolved conservatively
     _dg: np.ndarray | None = field(default=None, repr=False)
+    _index: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -232,26 +242,71 @@ class CubeCovering:
 
     # -- point location (half-open boxes [lo, hi) for determinism) ----------
 
-    def _in_base(self, t: int, xp) -> bool:
-        return all(float(lo) <= x < float(hi) for (lo, hi), x in zip(self.base[t], xp))
+    def _locate_index(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per size class: horizontal and vertical grid lines, sorted cell keys
+        and the vertex id of each key; built on first use and cached.
 
-    def locate(self, x) -> int:
-        """Vertex whose cube contains x, or -1 outside the truncated region."""
-        xp, xn = x[:-1], x[-1]
-        t = self.tree.root
-        if not self._in_base(t, xp) or xn < float(self.vert[t][0]):
-            return -1
-        while True:
-            if xn < float(self.vert[t][1]):
-                return t
-            nxt = -1
-            for c in self.tree.children[t]:
-                if self._in_base(c, xp):
-                    nxt = c
-                    break
-            if nxt < 0:
-                return -1
-            t = nxt
+        A cube of class j (edge h = l 2^-j) occupies the grid cell with
+        horizontal indices (lo_r + l/2)/h and vertical index lo_n/h, all exact
+        integers. The grid lines are the floats of the exact lines, so
+        searchsorted(side="right") - 1 reproduces the half-open test
+        float(lo) <= x < float(hi) of every cube bit for bit.
+        """
+        if self._index is None:
+            L = self.profile.ell
+            by_class: dict[int, list[int]] = {}
+            for t, j in enumerate(self.size_class):
+                by_class.setdefault(j, []).append(t)
+            index = []
+            for j, ids in sorted(by_class.items()):
+                h = L / 2 ** j
+                N = 2 ** j
+                keys = []
+                kmax = 0
+                for t in ids:
+                    cell = [(lo + L / 2) / h for lo, _ in self.base[t]] + [self.vert[t][0] / h]
+                    assert all(x.denominator == 1 and x >= 0 for x in cell) \
+                        and all(x < N for x in cell[:-1]), f"cube {t} is off its class grid"
+                    *horizontal, k = map(int, cell)
+                    kmax = max(kmax, k)
+                    keys.append(_cell_key(k, horizontal, N))
+                assert (kmax + 1) * N ** (self.n - 1) <= np.iinfo(np.int64).max, \
+                    "cell keys overflow int64"
+                keys = np.array(keys, dtype=np.int64)
+                order = np.argsort(keys)
+                hgrid = np.array([float(-L / 2 + i * h) for i in range(N + 1)])
+                vgrid = np.array([float(k * h) for k in range(kmax + 2)])
+                index.append((hgrid, vgrid, keys[order],
+                              np.array(ids, dtype=np.int64)[order]))
+            self._index = index
+        return self._index
+
+    def locate(self, x):
+        """Vertex whose cube contains x, or -1 outside the truncated region.
+
+        A point of shape (n,) gives an int; points of shape (m, n) give an
+        int64 array. Cubes are the half-open float boxes [float(lo), float(hi)).
+        """
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim == 1:
+            return int(self.locate(pts[None, :])[0])
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise ValueError(f"points must have shape (m, {self.n})")
+        out = np.full(len(pts), -1, dtype=np.int64)
+        for hgrid, vgrid, keys, ids in self._locate_index():
+            N = len(hgrid) - 1
+            k = np.searchsorted(vgrid, pts[:, -1], side="right") - 1
+            ok = (k >= 0) & (k < len(vgrid) - 1)
+            horizontal = []
+            for r in range(self.n - 1):
+                i = np.searchsorted(hgrid, pts[:, r], side="right") - 1
+                ok &= (i >= 0) & (i < N)
+                horizontal.append(i)
+            key = np.where(ok, _cell_key(k, horizontal, N), -1)
+            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = ok & (keys[pos] == key)
+            out[hit] = ids[pos[hit]]
+        return out
 
     # -- exports -------------------------------------------------------------
 

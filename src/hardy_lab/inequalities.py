@@ -4,8 +4,8 @@ domain: improved Poincare, fractional Poincare, and Korn.
 These measure lhs/rhs ratios for concrete functions; the inequalities hold
 with finite constants, so the checkers report trends, never proofs. Quadrature is
 stratified Monte Carlo over the covering cells with per-cell counter-based
-seeding: results are deterministic given (seed, sample count, worker count),
-and every report carries a two-run spread obtained from an independent seed.
+seeding: results are deterministic given (seed, sample count), and every
+report carries a two-run spread obtained from an independent seed.
 
 Distance to the boundary defaults to the per-cell edge surrogate d = l_t
 (constant on each cube), the same essentially-constant equivalence the
@@ -16,8 +16,6 @@ covering machinery relies on; exact graph distance is available as the
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -25,13 +23,6 @@ import numpy as np
 
 from .covering import CubeCovering
 from .decomp import CellFunction, DecompositionError, weighted_q_norm_q
-
-
-def worker_count(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("HARDY_LAB_WORKERS")
-    return max(1, int(env)) if env else 1
 
 
 # -- test functions ------------------------------------------------------------
@@ -173,9 +164,11 @@ def _cell_box(cov: CubeCovering, t: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(lo), np.array(hi)
 
 
-def _d_values(cov: CubeCovering, t: int, pts: np.ndarray, mode: str) -> np.ndarray:
+def _d_values(cov: CubeCovering, edge, pts: np.ndarray, mode: str) -> np.ndarray:
+    """d at pts: the cell edge surrogate (one float, or one per point), or the
+    distance to the graph."""
     if mode == "cell":
-        return np.full(len(pts), float(cov.edge(t)))
+        return np.full(len(pts), edge, dtype=float)
     if mode == "graph":
         return cov.graph_distance(pts)
     raise ValueError(f"unknown distance mode {mode!r}")
@@ -193,13 +186,14 @@ class RatioReport:
     seed: int
     flags: tuple[str, ...] = ()
     params: dict = field(default_factory=dict)
+    rejected_frac: float | None = None      # fractional: pairs with y outside
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lhs": self.lhs, "rhs": self.rhs,
                 "ratio": self.ratio, "sample_count": self.sample_count,
                 "spread": self.spread, "low_confidence": self.low_confidence,
                 "seed": self.seed, "flags": list(self.flags),
-                "params": self.params}
+                "params": self.params, "rejected_frac": self.rejected_frac}
 
 
 def _ratio_with_flags(lhs: float, rhs: float) -> tuple[float, tuple[str, ...]]:
@@ -210,16 +204,8 @@ def _ratio_with_flags(lhs: float, rhs: float) -> tuple[float, tuple[str, ...]]:
     return lhs / rhs, ()
 
 
-def _map_cells(work, cells, workers: int):
-    if workers <= 1:
-        return [work(t) for t in cells]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(work, cells))
-
-
 def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
-               p: float, samples: int, seed: int, d_mode: str,
-               workers: int) -> tuple[float, float]:
+               p: float, samples: int, seed: int, d_mode: str) -> tuple[float, float]:
     """One quadrature pass for the improved Poincare or Korn ratio.
 
     The weighted-mean projection (scalar constant / antisymmetric matrix)
@@ -239,7 +225,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
         lo, hi = _cell_box(cov, t)
         pts = lo + _cell_rng(seed, t).random((m, n)) * (hi - lo)
         w = vols[t] / m
-        d = _d_values(cov, t, pts, d_mode)
+        d = _d_values(cov, float(cov.edge(t)), pts, d_mode)
         dbp = d ** (beta * p)
         if kind == "improved_poincare":
             fv = f.value(pts)
@@ -250,7 +236,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
         eps = 0.5 * (J + np.swapaxes(J, 1, 2))
         return (w, dbp, J, eta, eps, d)
 
-    data = [r for r in _map_cells(work, cells, workers) if r is not None]
+    data = [r for r in map(work, cells) if r is not None]
     denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
     if kind == "improved_poincare":
         num = math.fsum(r[0] * float(np.sum(r[1] * r[2])) for r in data)
@@ -275,72 +261,73 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
     return lhs ** (1.0 / p), rhs ** (1.0 / p)
 
 
-def _sphere(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    v = rng.standard_normal((m, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 _SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
                     s: float, tau: float, samples: int, seed: int,
-                    d_mode: str, workers: int) -> tuple[float, float]:
+                    d_mode: str) -> tuple[float, float, float]:
     """Stratified pair sampling for the fractional seminorm.
 
     x is stratified by cell; the offset radius is drawn from the power law
     r ~ R u^{1/kappa} with kappa = p(1-s), which cancels the |x-y| kernel
     singularity; the tau-ball restriction enters through R = tau d(x) and
     pairs leaving the truncated domain are rejected with weight zero.
+
+    Each cell draws x, u and the direction from its own stream; the pairs of
+    all cells are then located and evaluated in one pass, and the sums are
+    taken per cell. Returns lhs, rhs and the fraction of rejected pairs.
     """
     alpha = cov.profile.alpha
     n = cov.n
     kappa = p * (1.0 - s)
-    cells = list(range(cov.tree.n))
-    vols = np.array([float(cov.q_volume(t)) for t in cells])
-    counts = _allocate(max(samples, len(cells)), vols)
+    ncell = cov.tree.n
+    vols = np.array([float(cov.q_volume(t)) for t in range(ncell)])
+    edges = np.array([float(cov.edge(t)) for t in range(ncell)])
+    counts = _allocate(max(samples, ncell), vols)
+    cells = np.flatnonzero(counts)
     surf = _SPHERE_AREA[n]
     expo = (s + beta - alpha + 1.0) * p
-
-    def work(t):
+    pts, u, g = [], [], []
+    for t in cells.tolist():
         m = int(counts[t])
-        if m == 0:
-            return None
         rng = _cell_rng(seed, t)
         lo, hi = _cell_box(cov, t)
-        pts = lo + rng.random((m, n)) * (hi - lo)
-        w = vols[t] / m
-        dx = _d_values(cov, t, pts, d_mode)
-        R = tau * dx
-        r = R * rng.random(m) ** (1.0 / kappa)
-        y = pts + r[:, None] * _sphere(rng, m, n)
-        dy = np.empty(m)
-        inside = np.empty(m, dtype=bool)
-        for i in range(m):
-            c = cov.locate(y[i])
-            inside[i] = c >= 0
-            dy[i] = float(cov.edge(c)) if (c >= 0 and d_mode == "cell") else 0.0
-        if d_mode == "graph" and inside.any():
-            dy[inside] = cov.graph_distance(y[inside])
-        fv = f.value(pts)
-        contrib = np.zeros(m)
-        ok = inside & (r > 0)
-        if ok.any():
-            delta = np.minimum(dx[ok], dy[ok])
-            diff = np.abs(fv[ok] - f.value(y[ok])) ** p
-            kern = diff / r[ok] ** (n + s * p) * delta ** expo
-            dens = kappa * r[ok] ** (kappa - 1.0) / R[ok] ** kappa
-            contrib[ok] = kern * surf * r[ok] ** (n - 1) / dens
-        dbp = dx ** (beta * p)
-        return (w, dbp, fv, float(np.sum(contrib)))
+        pts.append(lo + rng.random((m, n)) * (hi - lo))
+        u.append(rng.random(m))
+        g.append(rng.standard_normal((m, n)))
+    pts, u, g = (np.concatenate(a) for a in (pts, u, g))
 
-    data = [r for r in _map_cells(work, cells, workers) if r is not None]
-    denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
-    num = math.fsum(r[0] * float(np.sum(r[1] * r[2])) for r in data)
-    c = num / denom
-    lhs = math.fsum(r[0] * float(np.sum(np.abs(r[2] - c) ** p * r[1])) for r in data)
-    rhs = math.fsum(r[0] * r[3] for r in data)
-    return lhs ** (1.0 / p), rhs ** (1.0 / p)
+    dx = _d_values(cov, np.repeat(edges[cells], counts[cells]), pts, d_mode)
+    R = tau * dx
+    r = R * u ** (1.0 / kappa)
+    y = pts + r[:, None] * (g / np.linalg.norm(g, axis=1, keepdims=True))
+    c = cov.locate(y)
+    inside = c >= 0
+    dy = np.zeros(len(y))
+    dy[inside] = _d_values(cov, edges[c[inside]], y[inside], d_mode)
+    fv = f.value(pts)
+    contrib = np.zeros(len(y))
+    ok = inside & (r > 0)
+    if ok.any():
+        delta = np.minimum(dx[ok], dy[ok])
+        diff = np.abs(fv[ok] - f.value(y[ok])) ** p
+        kern = diff / r[ok] ** (n + s * p) * delta ** expo
+        dens = kappa * r[ok] ** (kappa - 1.0) / R[ok] ** kappa
+        contrib[ok] = kern * surf * r[ok] ** (n - 1) / dens
+    dbp = dx ** (beta * p)
+
+    w = vols[cells] / counts[cells]
+    splits = np.cumsum(counts[cells])[:-1]
+
+    def cell_fsum(v: np.ndarray) -> float:
+        return math.fsum(wt * float(np.sum(part)) for wt, part in zip(w, np.split(v, splits)))
+
+    denom = cell_fsum(dbp)
+    mean = cell_fsum(dbp * fv) / denom
+    lhs = cell_fsum(np.abs(fv - mean) ** p * dbp)
+    rhs = cell_fsum(contrib)
+    return lhs ** (1.0 / p), rhs ** (1.0 / p), float(np.mean(~inside))
 
 
 KINDS = ("improved_poincare", "fractional_poincare", "korn")
@@ -349,8 +336,7 @@ KINDS = ("improved_poincare", "fractional_poincare", "korn")
 def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
                      beta: float, p: float, s: float | None = None,
                      tau: float | None = None, samples: int = 10 ** 5,
-                     seed: int = 0, workers: int | None = None,
-                     d_mode: str = "cell") -> RatioReport:
+                     seed: int = 0, d_mode: str = "cell") -> RatioReport:
     """Measured lhs/rhs for one inequality, with a two-seed spread."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -361,16 +347,14 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         raise ValueError("korn needs a vector field")
     if kind != "korn" and f.vector:
         raise ValueError(f"{kind} needs a scalar function")
-    nw = worker_count(workers)
 
-    def run(sd: int) -> tuple[float, float]:
+    def run(sd: int) -> tuple[float, float, float | None]:
         if kind == "fractional_poincare":
-            return _fractional_run(f, covering, beta, p, s, tau, samples, sd,
-                                   d_mode, nw)
-        return _local_run(kind, f, covering, beta, p, samples, sd, d_mode, nw)
+            return _fractional_run(f, covering, beta, p, s, tau, samples, sd, d_mode)
+        return (*_local_run(kind, f, covering, beta, p, samples, sd, d_mode), None)
 
-    lhs, rhs = run(seed)
-    lhs2, rhs2 = run(seed + 1)
+    lhs, rhs, rejected = run(seed)
+    lhs2, rhs2, _ = run(seed + 1)
     ratio, flags = _ratio_with_flags(lhs, rhs)
     ratio2, _ = _ratio_with_flags(lhs2, rhs2)
     if ratio == ratio2 == 0.0 or (math.isinf(ratio) and math.isinf(ratio2)):
@@ -379,10 +363,9 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         mid = 0.5 * (ratio + ratio2)
         spread = abs(ratio - ratio2) / mid if mid > 0 and math.isfinite(mid) else math.inf
     params = {"beta": beta, "p": p, "s": s, "tau": tau, "d_mode": d_mode,
-              "alpha": covering.profile.alpha, "function": f.name,
-              "workers": nw}
+              "alpha": covering.profile.alpha, "function": f.name}
     return RatioReport(kind, lhs, rhs, ratio, samples, spread,
-                       spread > 0.10, seed, flags, params)
+                       spread > 0.10, seed, flags, params, rejected)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 
 import pytest
 
@@ -59,6 +60,44 @@ def test_covering_reports_and_csv(tmp_path):
     with open(os.path.join(out, "levels.csv")) as fh:
         header = fh.readline().strip().split(",")
     assert header == ["size_class", "edge", "count", "volume"]
+
+
+def test_covering_rough_profile(tmp_path):
+    out = str(tmp_path)
+    assert main(["covering", "--phi", "rough", "--depth", "3", "--out", out]) == 0
+    doc = read(os.path.join(out, "covering.json"))["report"]
+    assert doc["covering"]["profile"] == "rough"
+    assert doc["structure"]["disjoint"]
+    assert doc["structure"]["coverage_exact"]
+
+
+def test_covering_alpha_must_match_profile(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["covering", "--phi", "demo", "--alpha", "0.3", "--depth", "2",
+                 "--out", out]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert main(["covering", "--phi", "nope", "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "covering.json"))
+
+
+def test_report_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["tree", "--chain", "2", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "tree.json").st_mode & 0o777 == 0o644
+
+
+def test_readme_examples_run(tmp_path):
+    # every `hardy-lab ...` line of the README, in order, with runs/ in tmp_path
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = [ln.split("#")[0].strip() for ln in fh if ln.startswith("hardy-lab ")]
+    assert len(lines) >= 6
+    for line in lines:
+        argv = shlex.split(line.replace("runs/", f"{tmp_path}/runs/"))[1:]
+        assert main(argv) == 0, line
 
 
 def test_covering_matches_golden_file(tmp_path):
@@ -138,5 +177,4 @@ def test_reports_embed_config_and_version(tmp_path):
     assert main(["tree", "--star", "3", "--out", out]) == 0
     doc = read(os.path.join(out, "tree.json"))
     assert doc["config"]["star"] == 3
-    assert "workers" in doc["config"]
     assert doc["version"].count(".") == 2

@@ -202,6 +202,59 @@ def test_locate(demo_cov6):
     assert demo_cov6.locate(np.array([0.9, 0.5])) == -1
 
 
+def tree_walk_locate(cov, x) -> int:
+    """The former CubeCovering.locate, kept as the reference: walk down from
+    the root into the child whose half-open float base holds x'."""
+    def in_base(t):
+        return all(float(lo) <= v < float(hi) for (lo, hi), v in zip(cov.base[t], x[:-1]))
+
+    t = cov.tree.root
+    if not in_base(t) or x[-1] < float(cov.vert[t][0]):
+        return -1
+    while x[-1] >= float(cov.vert[t][1]):
+        t = next((c for c in cov.tree.children[t] if in_base(c)), -1)
+        if t < 0:
+            return -1
+    return t
+
+
+def _demo3_profile():
+    def phi3(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 + np.sqrt(np.linalg.norm(x, axis=-1)) / 2.0
+
+    return hl.HolderProfile(alpha=0.5, k_phi=0.5, ell=Fraction(1),
+                            phi=phi3, n=3, name="demo3")
+
+
+@pytest.mark.parametrize("which", ["demo", "rough", "flat3", "demo3"])
+def test_locate_matches_tree_walk(which, demo_cov6):
+    if which == "demo":
+        cov = demo_cov6
+    else:
+        profile = {"rough": hl.profile_rough, "demo3": _demo3_profile,
+                   "flat3": lambda: hl.profile_flat(2.0, n=3)}[which]()
+        cov = hl.build_covering(profile, depth_max=6 if which == "rough" else 3)
+        assert cov._index is None           # the index is built on first use
+    rng = np.random.default_rng(17)
+    n, m = cov.n, 20_000
+    # uniform points over a box reaching past the strip, below 0 and above phi
+    pts = np.column_stack([rng.uniform(-0.7, 0.7, (m, n - 1)), rng.uniform(-0.2, 3.2, m)])
+    # corners, face points and centres of random cubes lie on grid lines
+    for k, t in enumerate(rng.integers(0, cov.tree.n, 5000)):
+        lo = np.array([float(a) for a, _ in cov.base[t]] + [float(cov.vert[t][0])])
+        hi = np.array([float(b) for _, b in cov.base[t]] + [float(cov.vert[t][1])])
+        pts[k] = np.choose(rng.integers(0, 3, n), [lo, hi, (lo + hi) / 2])
+    pts[-3:] = np.array([np.nan, np.inf, -np.inf])[:, None]
+    got = cov.locate(pts)
+    assert got.dtype == np.int64
+    assert got.tolist() == [tree_walk_locate(cov, x) for x in pts]
+    assert 0.2 < np.mean(got >= 0) < 0.8
+    assert cov.locate(pts[0]) == got[0] and isinstance(cov.locate(pts[0]), int)
+    with pytest.raises(ValueError, match="shape"):
+        cov.locate(pts[:, :-1])
+
+
 def test_covering_json_fractions(demo_cov6):
     doc = demo_cov6.to_json()
     cube = doc["cubes"][1]
@@ -220,13 +273,7 @@ def test_three_dimensional_covering():
 
 
 def test_three_dimensional_holder_covering():
-    def phi3(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 + np.sqrt(np.linalg.norm(x, axis=-1)) / 2.0
-
-    prof = hl.HolderProfile(alpha=0.5, k_phi=0.5, ell=Fraction(1),
-                            phi=phi3, n=3, name="demo3")
-    cov = hl.build_covering(prof, depth_max=3)
+    cov = hl.build_covering(_demo3_profile(), depth_max=3)
     rep = check_disjoint_and_coverage(cov)
     assert rep["disjoint"] and rep["coverage_exact"]
     assert cov.cube_count > 4 ** 3

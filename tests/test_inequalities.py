@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,8 @@ import pytest
 
 import hardy_lab as hl
 from hardy_lab.decomp import CellFunction, DecompositionError, space_from_covering
-from hardy_lab.inequalities import worker_count
 
-
-def test_worker_env_fallback(monkeypatch):
-    monkeypatch.delenv("HARDY_LAB_WORKERS", raising=False)
-    assert worker_count(None) == 1
-    monkeypatch.setenv("HARDY_LAB_WORKERS", "3")
-    assert worker_count(None) == 3
-    assert worker_count(2) == 2
+from test_covering import tree_walk_locate
 
 
 # -- test function catalog --------------------------------------------------------
@@ -78,13 +72,39 @@ def test_ratio_reproduced_within_recorded_spread(flat_cov0):
     assert not rep.low_confidence
 
 
-def test_determinism_across_workers(demo_cov6):
-    f = hl.f_linear()
-    a = hl.inequality_ratio("improved_poincare", f, demo_cov6, 0.0, 2.0,
-                            samples=20_000, seed=4, workers=1)
-    b = hl.inequality_ratio("improved_poincare", f, demo_cov6, 0.0, 2.0,
-                            samples=20_000, seed=4, workers=4)
-    assert a.lhs == b.lhs and a.rhs == b.rhs
+# (kind, function, beta, keyword arguments, lhs, rhs) on demo_cov6 at p = 2,
+# as computed by the per-cell sampler that located each pair by a tree walk
+PINNED = [
+    ("fractional_poincare", hl.f_linear, 0.0,
+     dict(s=0.5, tau=0.5, samples=10 ** 5, seed=1),
+     0.43462343403944315, 1.1049646312020638),
+    ("fractional_poincare", hl.f_bilinear, -0.2,
+     dict(s=0.4, tau=0.9, samples=20_000, seed=7),
+     0.8816948258782631, 0.9779718441434285),
+    ("improved_poincare", hl.f_bilinear, 0.0, dict(samples=20_000, seed=4),
+     0.58080043989088, 1.2628969719325163),
+    ("korn", hl.u_shear, 0.0, dict(samples=20_000, seed=0),
+     2.9738841458317324, 9.218376629409157),
+]
+
+
+@pytest.mark.parametrize("kind,make,beta,kw,lhs,rhs", PINNED,
+                         ids=[f"{c[0]}-{c[1].__name__}" for c in PINNED])
+def test_ratios_bit_identical_to_pinned(demo_cov6, kind, make, beta, kw, lhs, rhs):
+    rep = hl.inequality_ratio(kind, make(), demo_cov6, beta, 2.0, **kw)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+def test_fractional_vectorised_matches_tree_walk(demo_cov6):
+    # the same sampler with point location done one pair at a time by the
+    # reference tree walk gives the same bits
+    walk = dataclasses.replace(demo_cov6)
+    walk.locate = lambda y: np.array([tree_walk_locate(walk, x) for x in y])
+    f = hl.f_bilinear()
+    kw = dict(s=0.5, tau=0.7, samples=20_000, seed=4)
+    a = hl.inequality_ratio("fractional_poincare", f, demo_cov6, 0.1, 2.0, **kw)
+    b = hl.inequality_ratio("fractional_poincare", f, walk, 0.1, 2.0, **kw)
+    assert (a.lhs, a.rhs, a.rejected_frac) == (b.lhs, b.rhs, b.rejected_frac)
 
 
 # -- Korn ---------------------------------------------------------------------------
@@ -125,6 +145,29 @@ def test_fractional_finite_and_reproducible(demo_cov6):
                              s=0.5, tau=0.5, samples=20_000, seed=5)
     assert math.isfinite(r1.ratio) and r1.ratio > 0
     assert r1.lhs == r2.lhs and r1.rhs == r2.rhs
+
+
+def test_fractional_rejected_fraction_unit_square(flat_cov0):
+    # d = 1 and tau = 1/2 on the unit square: r is uniform on [0, 1/2] when
+    # kappa = p (1 - s) = 1, and a step of length r leaves the square with
+    # probability (4 r - r^2) / pi, so on average 11 / (12 pi)
+    rep = hl.inequality_ratio("fractional_poincare", hl.f_linear(), flat_cov0,
+                              0.0, 2.0, s=0.5, tau=0.5, samples=20_000, seed=13)
+    assert rep.rejected_frac == pytest.approx(11 / (12 * math.pi), abs=0.01)
+    assert rep.to_json()["rejected_frac"] == rep.rejected_frac
+    local = hl.inequality_ratio("improved_poincare", hl.f_linear(), flat_cov0,
+                                0.0, 2.0, samples=1000, seed=13)
+    assert local.rejected_frac is None
+
+
+def test_fractional_graph_distance_mode_smoke(demo_cov6):
+    # exact graph distance for d(x) and d(y): small, deterministic, and equal
+    # to the value the per-cell sampler gave
+    rep = hl.inequality_ratio("fractional_poincare", hl.f_linear(), demo_cov6,
+                              0.0, 2.0, s=0.5, tau=0.5, samples=300, seed=13,
+                              d_mode="graph")
+    assert (rep.lhs, rep.rhs) == (0.407637972735449, 1.8826830690203658)
+    assert 0.0 < rep.rejected_frac < 1.0
 
 
 def test_fractional_tau_restricts_pairs(demo_cov6):
