@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -215,6 +216,24 @@ class CubeCovering:
             raise ValueError("the root has no connector slab")
         return self.q_volume(t) / 2
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """float(edge(t)) for every vertex t; read-only, built on first use."""
+        return self._class_floats(lambda e: e)
+
+    @cached_property
+    def volume_array(self) -> np.ndarray:
+        """float(q_volume(t)) for every vertex t; read-only, built on first use."""
+        return self._class_floats(lambda e: e ** self.n)
+
+    def _class_floats(self, of_edge: Callable[[Fraction], Fraction]) -> np.ndarray:
+        # one exact value per size class, rounded to float once
+        table = {j: float(of_edge(self.profile.ell * Fraction(1, 2 ** j)))
+                 for j in set(self.size_class)}
+        out = np.array([table[j] for j in self.size_class])
+        out.flags.writeable = False
+        return out
+
     def u_volume(self, t: int) -> Fraction:
         if t == self.tree.root:
             return self.q_volume(t)
@@ -393,7 +412,7 @@ class CubeCovering:
         """Fitted range of d_G(center of Q_t) / edge over all cubes."""
         if self._dg is None:
             self._dg = self.graph_distance(self.centers())
-        ratios = self._dg / np.array([float(self.edge(t)) for t in range(self.tree.n)])
+        ratios = self._dg / self.edge_array
         return float(ratios.min()), float(ratios.max()), ratios
 
 
@@ -639,8 +658,8 @@ def weights_from_beta(cov: CubeCovering, beta: float, p: float,
     if gamma is None:
         gamma = beta + alpha - 1.0
     gs = list(cov.tree.gamma_star)
-    edges = np.array([float(cov.edge(t)) for t in gs])
-    vols = np.array([float(cov.b_volume(t)) for t in gs])
+    edges = cov.edge_array[gs]
+    vols = cov.volume_array[gs] / 2         # |B_t| = |Q_t| / 2
     flag = "beta_ok" if beta * p > -alpha else "beta_violates_cond"
     return assemble_uv(cov.tree, vols, edges ** gamma, edges ** beta, p,
                        flags=(flag,))

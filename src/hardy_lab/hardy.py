@@ -17,7 +17,12 @@ quantities are computed here:
             where alpha_A is the minimal lp mass of b >= 0 whose u-weighted
             path sums equal 1 at every vertex of A; B <= C <= 4B
   c_exact   the lp operator norm of M[s,t] = v_s / u_t on pairs t <= s,
-            via nonlinear power iteration with multistarts
+            via nonlinear power iteration with multistarts; M is applied
+            matrix-free, M x = v prefix(x/u) and M'y = shadow(v y)/u
+
+The path-prefix and shadow sums behind all of these run on the tree's
+level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
+O(|Gamma*|) per pass, with no dense matrix and no size cap.
 
 All sups break ties to the lowest vertex id / lexicographically first
 antichain, so reports are reproducible bit-for-bit.
@@ -34,6 +39,7 @@ from .tree import (
     Antichain,
     AntichainCapExceeded,
     RootedTree,
+    TreeKernel,
     enumerate_antichains,
 )
 
@@ -118,24 +124,33 @@ def assemble_uv(tree: RootedTree, volumes, nu, omega, p: float,
 
 
 # -- shared accumulators ------------------------------------------------------
+#
+# All path and shadow sums go through the tree's level-vectorised kernel,
+# which works in BFS order over Gamma*; these wrappers read and write
+# full-length arrays in vertex id order.
 
 def _path_prefix_sums(tree: RootedTree, w: np.ndarray) -> np.ndarray:
-    """N[t] = sum of w over path(t); N[root] = 0. Top-down single pass."""
+    """N[t] = sum of w over path(t); N[root] = 0."""
+    K = tree.kernel
     N = np.zeros(tree.n)
-    for t in tree.topo:
-        if t != tree.root:
-            N[t] = N[tree.parent[t]] + w[t]
+    N[K.order] = K.prefix(w[K.order])
     return N
 
+
 def _shadow_sums(tree: RootedTree, w: np.ndarray) -> np.ndarray:
-    """M[t] = sum of w over the shadow of t (t included), bottom-up."""
+    """M[t] = sum of w over the shadow of t (t included); M[root] is the total."""
+    K = tree.kernel
+    S = K.shadow(w[K.order])
     M = np.zeros(tree.n)
-    for t in reversed(tree.topo):
-        acc = w[t]
-        for c in tree.children[t]:
-            acc += M[c]
-        M[t] = acc
+    M[K.order] = S
+    M[tree.root] = w[tree.root] + S[:K.top].sum()
     return M
+
+
+def _bfs_weights(problem: HardyProblem) -> tuple[np.ndarray, np.ndarray]:
+    """u and v over Gamma*, in the kernel's BFS order."""
+    order = problem.tree.kernel.order
+    return problem.u[order], problem.v[order]
 
 
 def _diverging(levels: list[float]) -> bool:
@@ -155,9 +170,11 @@ class SupResult:
 
 
 def _sup_over_gamma_star(tree: RootedTree, vals: np.ndarray) -> tuple[float, int]:
-    gs = np.array(tree.gamma_star)
-    i = int(np.argmax(vals[gs]))      # argmax returns the first (lowest id)
-    return float(vals[gs][i]), int(gs[i])
+    """Max of vals (BFS order over Gamma*) and the lowest id attaining it."""
+    by_id = np.empty(tree.kernel.m)
+    by_id[tree.kernel.rank] = vals
+    i = int(np.argmax(by_id))         # argmax returns the first (lowest id)
+    return float(by_id[i]), tree.gamma_star[i]
 
 
 def _level_array(tree: RootedTree, levels) -> np.ndarray:
@@ -167,6 +184,30 @@ def _level_array(tree: RootedTree, levels) -> np.ndarray:
     if lv.shape != (tree.n,):
         raise ValueError("levels must assign one integer per vertex")
     return lv
+
+
+_PROFILE_BLOCK = 1 << 22     # array entries per block of truncation levels
+
+
+def _level_profile(tree: RootedTree, levels, front: np.ndarray, base: np.ndarray,
+                   p: float) -> list[float]:
+    """P_k = max over Gamma* vertices t of level <= k of
+    front_t (shadow sum of base over level <= k)_t^{1/p}, for k = 1..max level.
+
+    front and base are in BFS order; the truncations are the columns of
+    one kernel call, taken in blocks to bound the memory.
+    """
+    lv_all = _level_array(tree, levels)
+    lv = lv_all[tree.kernel.order]
+    ks = np.arange(1, int(lv_all.max()) + 1)
+    step = max(1, _PROFILE_BLOCK // max(len(lv), 1))
+    profile: list[float] = []
+    for i in range(0, len(ks), step):
+        inside = lv[:, None] <= ks[i:i + step]
+        S = tree.kernel.shadow(np.where(inside, base[:, None], 0.0))
+        vals = np.where(inside, front[:, None] * S ** (1.0 / p), -np.inf)
+        profile.extend(float(x) for x in vals.max(axis=0))
+    return profile
 
 
 def a_chain(problem: HardyProblem, with_levels: bool = True,
@@ -179,23 +220,11 @@ def a_chain(problem: HardyProblem, with_levels: bool = True,
     raise the diverging flag.
     """
     tree, q, p = problem.tree, problem.q, problem.p
-    w_u = np.zeros(tree.n)
-    w_v = np.zeros(tree.n)
-    gs = list(tree.gamma_star)
-    w_u[gs] = problem.u[gs] ** (-q)
-    w_v[gs] = problem.v[gs] ** p
-    N = _path_prefix_sums(tree, w_u)
-    M = _shadow_sums(tree, w_v)
-    vals = np.zeros(tree.n)
-    vals[gs] = N[gs] ** (1.0 / q) * M[gs] ** (1.0 / p)
-    value, arg = _sup_over_gamma_star(tree, vals)
-    profile: list[float] = []
-    if with_levels:
-        lv = _level_array(tree, levels)
-        for k in range(1, int(lv.max()) + 1):
-            Mk = _shadow_sums(tree, np.where(lv <= k, w_v, 0.0))
-            sel = [t for t in gs if lv[t] <= k]
-            profile.append(float(np.max(N[sel] ** (1.0 / q) * Mk[sel] ** (1.0 / p))))
+    u, v = _bfs_weights(problem)
+    front = tree.kernel.prefix(u ** (-q)) ** (1.0 / q)
+    vp = v ** p
+    value, arg = _sup_over_gamma_star(tree, front * tree.kernel.shadow(vp) ** (1.0 / p))
+    profile = _level_profile(tree, levels, front, vp, p) if with_levels else []
     return SupResult(value, arg, _diverging(profile), tuple(profile))
 
 
@@ -204,31 +233,31 @@ def a_tree(problem: HardyProblem, theta: float, with_levels: bool = True,
     """The theta-parameterized sufficient-condition supremum.
 
     N is accumulated top-down along paths, the weighted shadow sums
-    bottom-up, one pass each. Level profiles as in a_chain.
+    bottom-up, one kernel pass each. Level profiles as in a_chain.
     """
     if not theta > 1.0:
         raise ValueError(f"theta must exceed 1, got {theta}")
     tree, q, p = problem.tree, problem.q, problem.p
-    gs = list(tree.gamma_star)
-    w_u = np.zeros(tree.n)
-    w_u[gs] = problem.u[gs] ** (-q)
-    N = _path_prefix_sums(tree, w_u)
-    expo = (p / q) * (1.0 - 1.0 / theta)
-    base = np.zeros(tree.n)
-    base[gs] = problem.v[gs] ** p * N[gs] ** expo
-    T = _shadow_sums(tree, base)
-    vals = np.zeros(tree.n)
-    vals[gs] = N[gs] ** (1.0 / (theta * q)) * T[gs] ** (1.0 / p)
+    u, v = _bfs_weights(problem)
+    N = tree.kernel.prefix(u ** (-q))
+    vals, front, base = _a_tree_terms(tree.kernel, N, v ** p, theta, q, p)
     value, arg = _sup_over_gamma_star(tree, vals)
-    profile: list[float] = []
-    if with_levels:
-        lv = _level_array(tree, levels)
-        for k in range(1, int(lv.max()) + 1):
-            Tk = _shadow_sums(tree, np.where(lv <= k, base, 0.0))
-            sel = [t for t in gs if lv[t] <= k]
-            profile.append(float(np.max(
-                N[sel] ** (1.0 / (theta * q)) * Tk[sel] ** (1.0 / p))))
+    profile = _level_profile(tree, levels, front, base, p) if with_levels else []
     return SupResult(value, arg, _diverging(profile), tuple(profile))
+
+
+def _a_tree_terms(kernel: TreeKernel, N: np.ndarray, vp: np.ndarray, theta: float,
+                  q: float, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a_tree's per-vertex values N^{1/(theta q)} T^{1/p}, with
+    T = shadow(v^p N^{(p/q)(1 - 1/theta)}); returns (values, front, base).
+
+    N = prefix(u^-q) and vp = v^p do not depend on theta, so the theta
+    search computes them once and passes them in.
+    """
+    expo = (p / q) * (1.0 - 1.0 / theta)
+    base = vp * N ** expo
+    front = N ** (1.0 / (theta * q))
+    return front * kernel.shadow(base) ** (1.0 / p), front, base
 
 
 @dataclass(frozen=True)
@@ -249,12 +278,18 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0,
     A log grid over (1, theta_max] guards against local minima; the best
     bracket is then refined by golden section to the requested relative
     width. The bound g(theta*) always dominates the exact constant.
+    Each g(theta) costs one kernel shadow pass: the path sums are hoisted.
     """
-    q = problem.q
+    q, p = problem.q, problem.p
+    kernel = problem.tree.kernel
+    u, v = _bfs_weights(problem)
+    N = kernel.prefix(u ** (-q))
+    vp = v ** p
 
     def g(theta: float) -> float:
-        return (theta / (theta - 1.0)) ** (1.0 / q) * \
-            a_tree(problem, theta, with_levels=False).value
+        # equals (theta/(theta-1))^{1/q} a_tree(problem, theta).value exactly
+        vals = _a_tree_terms(kernel, N, vp, theta, q, p)[0]
+        return (theta / (theta - 1.0)) ** (1.0 / q) * float(np.max(vals))
 
     thetas = [theta_max ** (i / grid_points) for i in range(1, grid_points + 1)]
     vals = [g(t) for t in thetas]
@@ -299,36 +334,56 @@ def _lp_norm(x: np.ndarray, p: float, axis=0) -> np.ndarray:
 @dataclass(frozen=True)
 class ExactConstant:
     value: float
-    maximizer: np.ndarray       # Gamma*-ordered, unit lp norm, nonnegative
+    maximizer: np.ndarray       # Gamma* id order, unit lp norm, nonnegative
     form: str
     iterations: int
     residual: float             # p=2 certificate ||M'Mx - c^2 x|| / c^2; nan otherwise
 
 
-def hardy_matrix(problem: HardyProblem) -> np.ndarray:
-    """M[s, t] = v_s / u_t on pairs t <= s, rows/cols in Gamma* order."""
-    tree = problem.tree
-    gs = list(tree.gamma_star)
-    m = len(gs)
-    M = np.zeros((m, m))
-    for i, s in enumerate(gs):
-        anc = tree.ancestor_masks[s]
-        for j, t in enumerate(gs):
-            if anc >> t & 1:
-                M[i, j] = problem.v[s] / problem.u[t]
-    return M
+class HardyOperator:
+    """M[s, t] = v_s / u_t on pairs t <= s, rows and columns in Gamma* id
+    order, applied without forming M:
+
+        M x = v * prefix(x / u),    M' y = shadow(v * y) / u,
+
+    one kernel pass, O(|Gamma*|), per column. Both take (m,) or (m, k).
+    """
+
+    def __init__(self, problem: HardyProblem):
+        self.kernel = problem.tree.kernel
+        self.size = self.kernel.m
+        self._u, self._v = _bfs_weights(problem)
+
+    def _weights(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if X.ndim == 1:
+            return self._u, self._v
+        return self._u[:, None], self._v[:, None]
+
+    def matvec(self, X: np.ndarray) -> np.ndarray:
+        K = self.kernel
+        u, v = self._weights(X)
+        out = np.empty(X.shape)
+        out[K.rank] = v * K.prefix(X[K.rank] / u)
+        return out
+
+    def rmatvec(self, Y: np.ndarray) -> np.ndarray:
+        K = self.kernel
+        u, v = self._weights(Y)
+        out = np.empty(Y.shape)
+        out[K.rank] = K.shadow(v * Y[K.rank]) / u
+        return out
 
 
-def _pnorm_power(A: np.ndarray, p: float, rtol: float, maxiter: int,
+def _pnorm_power(matvec, rmatvec, m: int, p: float, rtol: float, maxiter: int,
                  n_random_starts: int, seed: int) -> tuple[float, np.ndarray, int, float]:
-    """lp -> lp operator norm of the nonnegative matrix A.
+    """lp -> lp operator norm of a nonnegative m x m operator A, given as
+    matvec (X -> A X) and rmatvec (Y -> A' Y) on (m, k) blocks.
 
     Iterates F <- Phi_q(A' Phi_p(A F)) column-wise over a deterministic
     all-ones start plus random nonnegative multistarts. For p = 2 the
     top singular pair is certified by the eigen-residual; for general p
     the stop rule is the relative change of the Rayleigh-type ratio.
     """
-    m = A.shape[1]
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
     X = np.concatenate([np.ones((m, 1)),
@@ -339,9 +394,9 @@ def _pnorm_power(A: np.ndarray, p: float, rtol: float, maxiter: int,
     active = np.ones(X.shape[1], dtype=bool)
     while it < maxiter and active.any():
         it += 1
-        Y = A @ X[:, active]
+        Y = matvec(X[:, active])
         r = _lp_norm(Y, p, axis=0)
-        Z = A.T @ _phi(Y, p)
+        Z = rmatvec(_phi(Y, p))
         Xn = _phi(Z, q)
         norms = _lp_norm(Xn, p, axis=0)
         norms[norms == 0] = 1.0
@@ -362,32 +417,29 @@ def _pnorm_power(A: np.ndarray, p: float, rtol: float, maxiter: int,
     x /= _lp_norm(x, p)
     resid = float("nan")
     if p == 2.0:
-        z = A.T @ (A @ x)
+        z = rmatvec(matvec(x))
         c2 = float(ratios[k]) ** 2
         resid = float(np.linalg.norm(z - c2 * x) / c2)
     return float(ratios[k]), x, it, resid
 
 
 def exact_constant(problem: HardyProblem, form: str = "primal",
-                   dense_cap: int = 5000, rtol: float = 1e-10,
-                   maxiter: int = 100_000, n_random_starts: int = 8,
-                   seed: int = 0) -> ExactConstant:
+                   rtol: float = 1e-10, maxiter: int = 100_000,
+                   n_random_starts: int = 8, seed: int = 0) -> ExactConstant:
     """Best constant C of the Hardy inequality (primal and dual agree).
 
     primal: lp -> lp norm of M;  dual: lq -> lq norm of M transposed.
+    M is applied matrix-free (HardyOperator), so there is no size cap.
     """
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be primal or dual, got {form!r}")
-    m = len(problem.tree.gamma_star)
-    if m > dense_cap:
-        raise ValueError(f"|Gamma*| = {m} exceeds the dense-matrix cap {dense_cap}")
-    M = hardy_matrix(problem)
+    M = HardyOperator(problem)
     if form == "primal":
-        value, x, it, resid = _pnorm_power(M, problem.p, rtol, maxiter,
-                                           n_random_starts, seed)
+        value, x, it, resid = _pnorm_power(M.matvec, M.rmatvec, M.size, problem.p,
+                                           rtol, maxiter, n_random_starts, seed)
     else:
-        value, x, it, resid = _pnorm_power(M.T, problem.q, rtol, maxiter,
-                                           n_random_starts, seed)
+        value, x, it, resid = _pnorm_power(M.rmatvec, M.matvec, M.size, problem.q,
+                                           rtol, maxiter, n_random_starts, seed)
     return ExactConstant(value, x, form, it, resid)
 
 
@@ -597,13 +649,12 @@ class HardyReport:
 
 
 def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
-                 b_cap: int = 10 ** 6, dense_cap: int = 5000,
-                 seed: int = 0) -> HardyReport:
+                 b_cap: int = 10 ** 6, seed: int = 0) -> HardyReport:
     """Compute all four constants plus the internal consistency checks."""
     ac = a_chain(problem)
     th = optimize_theta(problem, theta_max=theta_max)
-    primal = exact_constant(problem, "primal", dense_cap=dense_cap, seed=seed)
-    dual = exact_constant(problem, "dual", dense_cap=dense_cap, seed=seed)
+    primal = exact_constant(problem, "primal", seed=seed)
+    dual = exact_constant(problem, "dual", seed=seed)
     b = ehp_B(problem, cap=b_cap)
     flags = list(problem.flags)
     if ac.diverging:

@@ -180,7 +180,7 @@ class RatioReport:
     lhs: float
     rhs: float
     ratio: float
-    sample_count: int
+    sample_count: int                       # points drawn per pass: max(samples, cells)
     spread: float
     low_confidence: bool
     seed: int
@@ -215,7 +215,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
     alpha = cov.profile.alpha
     n = cov.n
     cells = list(range(cov.tree.n))
-    vols = np.array([float(cov.q_volume(t)) for t in cells])
+    vols = cov.volume_array
     counts = _allocate(max(samples, len(cells)), vols)
 
     def work(t):
@@ -225,7 +225,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
         lo, hi = _cell_box(cov, t)
         pts = lo + _cell_rng(seed, t).random((m, n)) * (hi - lo)
         w = vols[t] / m
-        d = _d_values(cov, float(cov.edge(t)), pts, d_mode)
+        d = _d_values(cov, cov.edge_array[t], pts, d_mode)
         dbp = d ** (beta * p)
         if kind == "improved_poincare":
             fv = f.value(pts)
@@ -282,8 +282,7 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     n = cov.n
     kappa = p * (1.0 - s)
     ncell = cov.tree.n
-    vols = np.array([float(cov.q_volume(t)) for t in range(ncell)])
-    edges = np.array([float(cov.edge(t)) for t in range(ncell)])
+    vols, edges = cov.volume_array, cov.edge_array
     counts = _allocate(max(samples, ncell), vols)
     cells = np.flatnonzero(counts)
     surf = _SPHERE_AREA[n]
@@ -364,7 +363,8 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         spread = abs(ratio - ratio2) / mid if mid > 0 and math.isfinite(mid) else math.inf
     params = {"beta": beta, "p": p, "s": s, "tau": tau, "d_mode": d_mode,
               "alpha": covering.profile.alpha, "function": f.name}
-    return RatioReport(kind, lhs, rhs, ratio, samples, spread,
+    drawn = max(samples, covering.tree.n)   # both samplers draw >= 1 point per cell
+    return RatioReport(kind, lhs, rhs, ratio, drawn, spread,
                        spread > 0.10, seed, flags, params, rejected)
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 class TreeError(ValueError):
     """Malformed tree input: cycles, duplicate parents, id gaps."""
@@ -123,6 +125,11 @@ class RootedTree:
         return tuple(m)
 
     @cached_property
+    def kernel(self) -> "TreeKernel":
+        """Level-vectorised path-prefix and shadow sums over Gamma*."""
+        return TreeKernel(self)
+
+    @cached_property
     def gamma_star(self) -> tuple[int, ...]:
         return tuple(t for t in range(self.n) if t != self.root)
 
@@ -190,6 +197,53 @@ class RootedTree:
     @staticmethod
     def from_json(obj: dict) -> "RootedTree":
         return build_tree([(c, p) for c, p in obj["parents"]])
+
+
+class TreeKernel:
+    """Path-prefix and shadow sums over Gamma*, one numpy step per depth level.
+
+    Arrays are indexed by BFS position: position i holds vertex order[i],
+    which is entry rank[i] of the sorted Gamma*. The root is left out. Each
+    depth level is a contiguous slice in which the children of one parent
+    are contiguous too. Both sums take an array of shape (m,) or (m, k),
+    m = |Gamma*|, and act on every column.
+    """
+
+    def __init__(self, tree: RootedTree):
+        order = np.array(tree.topo[1:], dtype=np.int64)
+        m = len(order)
+        position = np.full(tree.n, -1, dtype=np.int64)
+        position[order] = np.arange(m)
+        parent = position[np.array(tree.parent, dtype=np.int64)[order]]
+        depth = np.array(tree.depth, dtype=np.int64)[order]
+        # depth level d >= 1 is the slice [bounds[d-1], bounds[d])
+        bounds = np.searchsorted(depth, np.arange(1, int(depth.max(initial=1)) + 2))
+        # per level below the first: slice, parent of each vertex, and the
+        # first-child offsets and parents of its runs of siblings
+        levels = []
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            par = parent[a:b]
+            first = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
+            levels.append((int(a), int(b), par, first, par[first]))
+        self.order = order
+        self.rank = order - (order > tree.root)   # index in sorted Gamma*
+        self.m = m
+        self.top = int(bounds[1])                 # the root's children are [0, top)
+        self.levels = tuple(levels)
+
+    def prefix(self, W: np.ndarray) -> np.ndarray:
+        """N[i] = sum of W over the path from the root's child to vertex i."""
+        N = np.array(W, dtype=float)
+        for a, b, par, _, _ in self.levels:
+            N[a:b] += N[par]
+        return N
+
+    def shadow(self, W: np.ndarray) -> np.ndarray:
+        """S[i] = sum of W over the shadow of vertex i (i included)."""
+        S = np.array(W, dtype=float)
+        for a, b, _, first, up in reversed(self.levels):
+            S[up] += np.add.reduceat(S[a:b], first, axis=0)
+        return S
 
 
 def build_tree(parent_list: Iterable[tuple[int, int]]) -> RootedTree:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardy_lab as hl
-from hardy_lab.hardy import hardy_matrix
+from hardy_lab.hardy import HardyOperator, _a_tree_terms, _bfs_weights
 
 from conftest import random_problem
+from oracles import hardy_matrix
 
 GOLDEN = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)   # top singular value of [[1,0],[1,1]]
 
@@ -94,6 +95,27 @@ def test_optimize_theta_single_child_monotone():
 def test_theta_grid_value_two_chain():
     g2 = math.sqrt(2) * hl.a_tree(two_chain(), 2.0).value
     assert g2 == pytest.approx(2.19737, abs=1e-5)
+
+
+def test_optimize_theta_g_equals_a_tree_exactly():
+    # the theta search hoists the path sums out of g(theta); its values must
+    # still be (theta/(theta-1))^{1/q} a_tree(theta) to the last bit
+    rng = np.random.default_rng(7)
+    for p in (1.5, 2.0, 3.0):
+        for _ in range(4):
+            pr = random_problem(rng, max_vertices=30, p=p)
+            q = pr.q
+            res = hl.optimize_theta(pr)
+            th = res.theta_star
+            at = hl.a_tree(pr, th).value
+            assert res.a_tree_value == at
+            assert res.suff_bound == (th / (th - 1.0)) ** (1.0 / q) * at
+            kernel = pr.tree.kernel
+            u, v = _bfs_weights(pr)
+            N = kernel.prefix(u ** (-q))
+            for theta in (1.01, th, 7.5, 64.0):
+                vals = _a_tree_terms(kernel, N, v ** p, theta, q, p)[0]
+                assert float(np.max(vals)) == hl.a_tree(pr, theta).value
 
 
 def test_suff_bound_dominates_exact_constant():
@@ -200,9 +222,57 @@ def test_scaling_invariance():
     assert hl.exact_constant(vonly).value == pytest.approx(lam * c, rel=1e-9)
 
 
-def test_exact_constant_dense_cap():
-    with pytest.raises(ValueError, match="cap"):
-        hl.exact_constant(two_chain(), dense_cap=1)
+def _shuffled_problem(rng, n, p):
+    """Random tree whose ids are shuffled, so that id order, BFS order and
+    the root's position all differ."""
+    parent = hl.random_tree(n, rng).parent
+    perm = rng.permutation(n)              # old id -> new id
+    new_parent = [0] * n
+    for t, par in enumerate(parent):
+        new_parent[perm[t]] = -1 if par == -1 else int(perm[par])
+    tree = hl.RootedTree(new_parent)
+    u, v = np.exp(rng.uniform(-2.0, 2.0, (2, n - 1)))
+    return hl.make_problem(tree, u, v, p)
+
+
+def test_operator_matches_dense_matrix():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 17, 40):
+        pr = _shuffled_problem(rng, n, 2.0)
+        M = hardy_matrix(pr)
+        op = HardyOperator(pr)
+        for shape in ((n - 1,), (n - 1, 3)):
+            X = rng.standard_normal(shape)
+            np.testing.assert_allclose(op.matvec(X), M @ X, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(op.rmatvec(X), M.T @ X, rtol=1e-13, atol=1e-13)
+
+
+def test_exact_constant_maximizer_in_id_order():
+    rng = np.random.default_rng(32)
+    for p in (1.5, 2.0, 3.0):
+        pr = _shuffled_problem(rng, 25, p)
+        assert pr.tree.root != 0 and list(pr.tree.kernel.order) != sorted(pr.tree.kernel.order)
+        M = hardy_matrix(pr)
+        primal = hl.exact_constant(pr, "primal")
+        x = primal.maximizer
+        assert np.sum(x ** p) == pytest.approx(1.0, rel=1e-12)
+        assert np.sum((M @ x) ** p) ** (1 / p) == pytest.approx(primal.value, rel=1e-9)
+        dual = hl.exact_constant(pr, "dual")
+        y, q = dual.maximizer, pr.q
+        assert np.sum((M.T @ y) ** q) ** (1 / q) == pytest.approx(dual.value, rel=1e-9)
+
+
+def test_exact_constant_large_m_rough_cov10(rough_cov10):
+    # 22751 cubes: far past what a dense m x m matrix could hold comfortably
+    pr = hl.weights_from_beta(rough_cov10, -0.3, 2.0)
+    assert len(pr.tree.gamma_star) > 5000
+    primal = hl.exact_constant(pr, "primal")
+    dual = hl.exact_constant(pr, "dual")
+    ac = hl.a_chain(pr, with_levels=False).value
+    suff = hl.optimize_theta(pr).suff_bound
+    assert ac <= primal.value <= suff
+    assert dual.value == pytest.approx(primal.value, rel=1e-6)
+    assert primal.residual <= 1e-8 and dual.residual <= 1e-8
 
 
 def test_exact_constant_multistart_seed_stable():

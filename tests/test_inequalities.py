@@ -170,6 +170,19 @@ def test_fractional_graph_distance_mode_smoke(demo_cov6):
     assert 0.0 < rep.rejected_frac < 1.0
 
 
+def test_sample_count_reports_points_drawn(demo_cov6):
+    # both samplers draw at least one point in each of the 305 cells
+    assert demo_cov6.tree.n == 305
+    for kind, extra in (("fractional_poincare", {"s": 0.5, "tau": 0.5}),
+                        ("improved_poincare", {})):
+        rep = hl.inequality_ratio(kind, hl.f_linear(), demo_cov6, 0.0, 2.0,
+                                  samples=300, seed=13, **extra)
+        assert rep.sample_count == 305
+    rep = hl.inequality_ratio("improved_poincare", hl.f_linear(), demo_cov6, 0.0, 2.0,
+                              samples=400, seed=13)
+    assert rep.sample_count == 400
+
+
 def test_fractional_tau_restricts_pairs(demo_cov6):
     # shrinking tau shrinks the admissible pair set, hence the seminorm
     f = hl.f_bilinear()

@@ -12,6 +12,9 @@ from hardy_lab.tree import (
     enumerate_antichains,
     induced_subtree,
 )
+from hardy_lab.hardy import _path_prefix_sums, _shadow_sums
+
+from oracles import path_prefix_sums, shadow_sums
 
 
 def test_build_smallest():
@@ -168,3 +171,37 @@ def test_yielded_antichains_induce_valid_cuts(tup):
 def test_json_roundtrip():
     t = hl.random_tree(17, np.random.default_rng(0))
     assert hl.RootedTree.from_json(t.to_json()) == t
+
+
+# -- the level-vectorised kernel against the per-vertex loops ----------------------
+
+def _kernel_trees(demo_cov6):
+    rng = np.random.default_rng(41)
+    trees = [hl.random_tree(int(n), rng) for n in (2, 5, 30, 300)]
+    trees += [hl.chain_tree(1), hl.chain_tree(50), hl.star_tree(1), hl.star_tree(40)]
+    trees.append(hl.RootedTree([2, 2, -1, 0, 0, 1]))      # root is not vertex 0
+    trees.append(demo_cov6.tree)
+    return trees
+
+
+def test_kernel_matches_per_vertex_loops(demo_cov6):
+    rng = np.random.default_rng(42)
+    for tree in _kernel_trees(demo_cov6):
+        K = tree.kernel
+        gs = list(tree.gamma_star)
+        for k in (None, 3):
+            w = np.zeros((tree.n,) if k is None else (tree.n, k))
+            w[gs] = rng.uniform(0.1, 10.0, w[gs].shape)
+            cols = [w] if k is None else list(w.T)
+            want_N = np.stack([path_prefix_sums(tree, c) for c in cols], axis=-1)
+            want_S = np.stack([shadow_sums(tree, c) for c in cols], axis=-1)
+            got_N = K.prefix(w[K.order]).reshape(K.m, -1)
+            got_S = K.shadow(w[K.order]).reshape(K.m, -1)
+            np.testing.assert_allclose(got_N, want_N[K.order], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(got_S, want_S[K.order], rtol=1e-13, atol=0)
+        # the id-order wrappers in hardy, root total included
+        w1 = w[:, 0]
+        np.testing.assert_allclose(_path_prefix_sums(tree, w1), path_prefix_sums(tree, w1),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(_shadow_sums(tree, w1), shadow_sums(tree, w1),
+                                   rtol=1e-13, atol=0)

@@ -25,10 +25,10 @@ from hardy_lab.decomp import (
     split_pair,
     verify_decomposition,
 )
-from hardy_lab.hardy import hardy_matrix
 from hardy_lab.tree import RootedTree
 
 from conftest import random_problem, session_elapsed
+from oracles import hardy_matrix
 
 CORPUS_SEED = 20260809
 THETA_GRID = [64.0 ** (i / 64) for i in range(1, 65)]
