@@ -130,15 +130,23 @@ def profile_rough(scales: int = 14, amplitude: float = 0.5,
     |phi(x)-phi(y)| <= amplitude * 4.7 * h^{1/2}.
     """
     base = 2.05
+    factors = [(2.0 ** m, 2.0 ** (-m / 2)) for m in range(scales + 1)]
 
     def phi(x):
         x = np.asarray(x, dtype=float)
         r = x[..., 0] if x.ndim > 1 else x
         acc = np.zeros_like(r)
-        for m in range(scales + 1):
-            y = 2.0 ** m * r
-            acc += 2.0 ** (-m / 2) * np.abs(y - np.round(y))
-        return base + amplitude * acc
+        y = np.empty_like(r)
+        dist = np.empty_like(r)
+        for scale, weight in factors:
+            np.multiply(r, scale, out=y)
+            np.subtract(y, np.rint(y, out=dist), out=dist)
+            np.abs(dist, out=dist)
+            dist *= weight
+            acc += dist
+        acc *= amplitude
+        acc += base
+        return acc
 
     top = base + amplitude * 0.5 / (1.0 - 2.0 ** -0.5)
     if not top < 3.0:
@@ -152,29 +160,69 @@ PROFILES = {"demo": profile_demo, "flat": profile_flat, "rough": profile_rough}
 
 # -- containment test ---------------------------------------------------------
 
-def _min_phi_decision(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
-                      threshold: float, max_points: int = 1 << 14):
-    """Decide whether phi >= threshold on the open box (lo, hi).
+PHI_CHUNK = 1 << 14         # grid points per profile.phi call
 
-    Adaptive midpoint grids: a sample strictly below the threshold is a
-    witness against containment; otherwise the Holder modulus of the grid
-    spacing turns the sampled minimum into a certificate. Returns True,
-    False, or None when the budget runs out with the margin unresolved.
+
+def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
+                       threshold: np.ndarray, max_points: int = 1 << 14) -> list:
+    """Decide whether phi >= threshold[b] on each open box (lo[b], hi[b]).
+
+    Adaptive midpoint grids, m = 4, 8, ... points per axis while m^d <=
+    max_points, each round on the boxes still undecided: a sample strictly
+    below the threshold is a witness against containment; otherwise the
+    Holder modulus of the grid spacing turns the sampled minimum into a
+    certificate. Returns, per box, True, False, or None when the budget runs
+    out with the margin unresolved. Every box gets exactly the grid points,
+    minimum and certificate of a test run on that box alone.
     """
-    d = len(lo)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    threshold = np.asarray(threshold, dtype=float)
+    d = lo.shape[1]
+    decision = [None] * len(lo)
+    todo = np.arange(len(lo))
     m = 4
-    while m ** d <= max_points:
-        axes = [lo[k] + (np.arange(m) + 0.5) * (hi[k] - lo[k]) / m for k in range(d)]
-        pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
-        vals = np.asarray(profile.phi(pts), dtype=float)
-        vmin = float(vals.min())
-        if vmin < threshold:
-            return False
-        h = 0.5 * math.sqrt(sum(((hi[k] - lo[k]) / m) ** 2 for k in range(d)))
-        if vmin - profile.k_phi * h ** profile.alpha >= threshold:
-            return True
+    while len(todo) and m ** d <= max_points:
+        blo, bhi, thr = lo[todo], hi[todo], threshold[todo]
+        vmin = _grid_min(profile, blo, bhi, m)
+        below = vmin < thr
+        sq = 0
+        for k in range(d):
+            sq = sq + ((bhi[:, k] - blo[:, k]) / m) ** 2
+        h = 0.5 * np.sqrt(sq)
+        # the modulus K h^alpha with h^alpha as a Python float power
+        modulus = np.array([profile.k_phi * x ** profile.alpha for x in h.tolist()])
+        sure = ~below & (vmin - modulus >= thr)
+        for b in todo[below].tolist():
+            decision[b] = False
+        for b in todo[sure].tolist():
+            decision[b] = True
+        todo = todo[~below & ~sure]
         m *= 2
-    return None
+    return decision
+
+
+def _grid_min(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """Minimum of phi over the m^d midpoint grid of each box (lo[b], hi[b])."""
+    nb, d = lo.shape
+    per = m ** d
+    offsets = np.arange(m) + 0.5
+    out = np.empty(nb)
+    step = max(1, PHI_CHUNK // per)
+    for a in range(0, nb, step):
+        blo, bhi = lo[a:a + step], hi[a:a + step]
+        pts = np.empty((len(blo),) + (m,) * d + (d,))
+        for k in range(d):
+            shape = [len(blo)] + [1] * d
+            shape[k + 1] = m
+            axis = blo[:, k, None] + offsets * (bhi[:, k] - blo[:, k])[:, None] / m
+            pts[..., k] = axis.reshape(shape)
+        pts = pts.reshape(-1, d)
+        vals = np.concatenate([
+            np.asarray(profile.phi(pts[s:s + PHI_CHUNK]), dtype=float).ravel()
+            for s in range(0, len(pts), PHI_CHUNK)])
+        out[a:a + len(blo)] = vals.reshape(len(blo), per).min(axis=1)
+    return out
 
 
 # -- the covering -------------------------------------------------------------
@@ -358,13 +406,13 @@ class CubeCovering:
     def level_rows(self) -> list[dict]:
         """Per-size-class profile rows (plot-ready)."""
         rows = []
-        for j in sorted(self.class_counts()):
-            ids = [t for t in range(self.tree.n) if self.size_class[t] == j]
+        for j, count in sorted(self.class_counts().items()):
+            edge = self.profile.ell * Fraction(1, 2 ** j)
             rows.append({
                 "size_class": j,
                 "edge": float(self.profile.ell) * 2.0 ** (-j),
-                "count": len(ids),
-                "volume": float(sum(self.q_volume(t) for t in ids)),
+                "count": count,
+                "volume": float(count * edge ** self.n),
             })
         return rows
 
@@ -425,7 +473,11 @@ def build_covering(profile: HolderProfile, depth_max: int,
     containment test and would have to subdivide. Chains of same-size cubes
     keep extending, so the tree depth typically exceeds depth_max.
 
-    An inconclusive containment test subdivides (it can only refine the
+    The containment tests of a whole BFS level are decided together
+    (`_min_phi_decisions`): the midpoint grids of the level's undecided test
+    boxes go through phi in batches of at most PHI_CHUNK points, and each
+    box gets the decision a test on that box alone would give. An
+    inconclusive containment test subdivides (it can only refine the
     covering, never coarsen it) and is counted in the report.
     """
     if profile.n not in (2, 3):
@@ -445,23 +497,26 @@ def build_covering(profile: HolderProfile, depth_max: int,
     vert = [vert0]
     inconclusive = 0
 
+    edges = [L / 2 ** j for j in range(depth_max + 1)]
+    strip = 1.5 * float(L)
     frontier = [0]
     lv = 0
     while frontier:
         lv += 1
+        # the test boxes of the whole level, decided together
+        lo = np.array([[float(a) for a, _ in base[t]] for t in frontier])
+        hi = np.array([[float(b) for _, b in base[t]] for t in frontier])
+        c = (lo + hi) / 2.0
+        he = 1.5 * np.array([float(edges[size_class[t]]) for t in frontier])[:, None]
+        decisions = _min_phi_decisions(
+            profile,
+            np.maximum(c - he, -strip),
+            np.minimum(c + he, strip),
+            [float(vert[t][1] + 2 * edges[size_class[t]]) for t in frontier])
         nxt: list[int] = []
-        for t in frontier:
-            e = L / 2 ** size_class[t]
+        for t, decision in zip(frontier, decisions):
+            e = edges[size_class[t]]
             x2 = vert[t][1]
-            lo = np.array([float(a) for a, _ in base[t]])
-            hi = np.array([float(b) for _, b in base[t]])
-            c = (lo + hi) / 2.0
-            he = 1.5 * float(e)
-            decision = _min_phi_decision(
-                profile,
-                np.maximum(c - he, -1.5 * float(L)),
-                np.minimum(c + he, 1.5 * float(L)),
-                float(x2 + 2 * e))
             if decision is None:
                 inconclusive += 1
                 decision = False
@@ -570,50 +625,60 @@ def counting_profiles(cov: CubeCovering, t: int) -> tuple[dict[int, int], dict[i
 
 
 def _fit_constants(cov: CubeCovering, class_cap: int) -> dict[str, float]:
-    """Smallest C1, C2, C3 over cubes of size class <= class_cap."""
+    """Smallest C1, C2, C3 over cubes of size class <= class_cap.
+
+    Child edges never grow, so the cubes of class <= class_cap form a rooted
+    subtree: per size class, path counts are one kernel prefix and shadow
+    counts one kernel shadow of that class's indicator over the subtree, and
+    shadow volumes one more shadow. A correctly rounded product or quotient
+    with a positive factor is monotone, so each constant is the largest
+    count (or volume) among the cubes of a class, scaled by its factor,
+    maximised over the classes.
+    """
     alpha = cov.profile.alpha
     nn = cov.n
     K = cov.profile.k_phi
     tree = cov.tree
+    kern = tree.kernel
     nclass = max(cov.size_class) + 1
     Lf = float(cov.profile.ell)
+    r0 = cov.size_class[tree.root]
+
+    cls = np.asarray(cov.size_class)[kern.order]          # BFS positions of Gamma*
+    keep = cls <= class_cap
+    # the kept cubes followed by the root, grouped by class for per-class maxima
+    kcls = np.append(cls[keep], r0)
+    classes = np.flatnonzero(np.bincount(kcls)).tolist()
+    groups = [(k, kcls == k) for k in classes]
+
+    def class_max(kept, at_root):
+        values = np.append(kept, at_root)
+        return [(k, float(values[mask].max())) for k, mask in groups]
 
     c1 = 0.0
-    pcounts: list[np.ndarray | None] = [None] * tree.n
-    for t in tree.topo:
-        if cov.size_class[t] > class_cap:
-            continue
-        base = (pcounts[tree.parent[t]].copy() if t != tree.root
-                else np.zeros(nclass, dtype=np.int64))
-        base[cov.size_class[t]] += 1
-        pcounts[t] = base
-        for i in range(nclass):
-            if base[i]:
-                c1 = max(c1, base[i] / 2.0 ** (i * (1.0 - alpha)))
-    pcounts = None
-
     c2 = 0.0
-    wcounts: list[np.ndarray | None] = [None] * tree.n
-    wvol: list[Fraction] = [Fraction(0)] * tree.n
+    for i in classes:
+        mine = (cls == i) & keep
+        own = float(i == r0)                    # the root's own count in class i
+        most = max(kern.prefix(mine)[keep].max(initial=0.0) + own, own)
+        c1 = max(c1, most / 2.0 ** (i * (1.0 - alpha)))
+        for k, top in class_max(kern.shadow(mine)[keep], np.count_nonzero(mine) + own):
+            if top:
+                c2 = max(c2, top * 2.0 ** (k * (nn - 1) + i * (alpha - nn)))
+
+    # shadow volumes in units of the least half-cube volume w: |Q_t| is
+    # 2^{(J - j) n + 1} units, an exact power of two in a float
+    J = nclass - 1
+    w = cov.profile.ell ** nn / 2 ** (J * nn + 1)
+    unit = [2.0 ** ((J - j) * nn + 1) for j in range(nclass)]
+    units = np.array(unit)[cls] * keep
+    total = units.sum() + unit[r0]
+    if total >= 2.0 ** 53:
+        raise CoveringError("shadow volumes exceed 2^53 units: float sums would round")
+    # |B_t| = |Q_t| / 2 joins the shadow of every non-root t
     c3 = 0.0
-    for t in reversed(tree.topo):
-        if cov.size_class[t] > class_cap:
-            continue
-        acc = np.zeros(nclass, dtype=np.int64)
-        vol = cov.q_volume(t)
-        for c in tree.children[t]:
-            if cov.size_class[c] <= class_cap:
-                acc += wcounts[c]
-                vol += wvol[c]
-                wcounts[c] = None
-        acc[cov.size_class[t]] += 1
-        wcounts[t] = acc
-        wvol[t] = vol
-        k = cov.size_class[t]
-        for i in range(nclass):
-            if acc[i]:
-                c2 = max(c2, acc[i] * 2.0 ** (k * (nn - 1) + i * (alpha - nn)))
-        shadow_vol = float(vol + (cov.b_volume(t) if t != tree.root else 0))
+    for k, vol in class_max((kern.shadow(units) + units / 2)[keep], total):
+        shadow_vol = float(int(vol) * w)
         et = Lf * 2.0 ** (-k)
         c3 = max(c3, shadow_vol / (et ** (nn - 1 + alpha) * (K + et ** (1 - alpha))))
     return {"c1": float(c1), "c2": float(c2), "c3": float(c3)}
@@ -679,14 +744,16 @@ class TailReport:
 def tail_integrability(cov: CubeCovering, beta: float, p: float,
                        window: int = 5) -> TailReport:
     """Per-size-class partial sums of v^p = |B_t| edge^{beta p}."""
+    count = np.bincount(np.asarray(cov.size_class)[list(cov.tree.gamma_star)])
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for t in cov.tree.gamma_star:
-        e = float(cov.edge(t))
-        s = float(cov.b_volume(t)) * e ** (beta * p)
-        j = cov.size_class[t]
-        sums[j] = sums.get(j, 0.0) + s
-        counts[j] = counts.get(j, 0) + 1
+    for j in np.flatnonzero(count).tolist():
+        e = cov.profile.ell * Fraction(1, 2 ** j)
+        # every vertex of class j adds the same term; cumsum adds them one by
+        # one, in the order of a per-vertex loop
+        term = float(e ** cov.n / 2) * float(e) ** (beta * p)
+        sums[j] = float(np.cumsum(np.full(count[j], term))[-1])
+        counts[j] = int(count[j])
     rows = []
     cum = 0.0
     prev = None

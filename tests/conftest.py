@@ -23,6 +23,11 @@ def demo_cov8(demo_cov10):
 
 
 @pytest.fixture(scope="session")
+def rough_cov8():
+    return hl.build_covering(hl.profile_rough(), depth_max=8)
+
+
+@pytest.fixture(scope="session")
 def rough_cov10():
     # the lacunary profile saturates the per-class cube counting, so the
     # beta p = -alpha threshold is sharp on it (22751 cubes)

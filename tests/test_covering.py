@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -6,7 +7,17 @@ import numpy as np
 import pytest
 
 import hardy_lab as hl
-from hardy_lab.covering import CoveringError, CubeCapExceeded, check_disjoint_and_coverage
+from hardy_lab import covering
+from hardy_lab.covering import (
+    CoveringError,
+    CubeCapExceeded,
+    CubeCovering,
+    _fit_constants,
+    _min_phi_decisions,
+    check_disjoint_and_coverage,
+)
+
+from oracles import fit_constants, level_rows, min_phi_decision, rough_phi, tail_sums
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -232,9 +243,7 @@ def test_locate_matches_tree_walk(which, demo_cov6):
     if which == "demo":
         cov = demo_cov6
     else:
-        profile = {"rough": hl.profile_rough, "demo3": _demo3_profile,
-                   "flat3": lambda: hl.profile_flat(2.0, n=3)}[which]()
-        cov = hl.build_covering(profile, depth_max=6 if which == "rough" else 3)
+        cov = hl.build_covering(_profile(which), depth_max=6 if which == "rough" else 3)
         assert cov._index is None           # the index is built on first use
     rng = np.random.default_rng(17)
     n, m = cov.n, 20_000
@@ -290,3 +299,151 @@ def test_child_edges_never_grow(demo_cov6):
         assert demo_cov6.edge(t) in (demo_cov6.edge(p), demo_cov6.edge(p) / 2)
         # children sit exactly on the parent's top face
         assert demo_cov6.vert[t][0] == demo_cov6.vert[p][1]
+
+
+# -- batched containment decisions against the per-cube test --------------------
+
+def _profile(which):
+    return {"demo": hl.profile_demo, "rough": hl.profile_rough, "demo3": _demo3_profile,
+            "flat3": lambda: hl.profile_flat(2.0, n=3)}[which]()
+
+
+def _per_cube(profile, lo, hi, threshold, max_points=1 << 14):
+    return [min_phi_decision(profile, a, b, float(t), max_points)
+            for a, b, t in zip(lo, hi, threshold)]
+
+
+@pytest.mark.parametrize("which", ["demo", "rough", "demo3"])
+def test_batched_decision_matches_per_cube_oracle(which):
+    profile = _profile(which)
+    d = profile.n - 1
+    rng = np.random.default_rng(5)
+    nb = 400
+    c = rng.uniform(-1.5, 1.5, (nb, d))
+    half = 2.0 ** rng.uniform(-9, 0, (nb, 1))
+    lo, hi = np.maximum(c - half, -1.5), np.minimum(c + half, 1.5)
+    # thresholds around the centre value, within a few Holder moduli of the
+    # box: some are witnessed, some certified and some left open
+    spread = profile.k_phi * (2 * half[:, 0]) ** profile.alpha
+    thr = np.asarray(profile.phi(c)) - spread * rng.uniform(-0.5, 2.0, nb)
+    got = _min_phi_decisions(profile, lo, hi, thr, max_points=64)
+    assert got == _per_cube(profile, lo, hi, thr, max_points=64)
+    assert {True, False, None} <= set(got)
+    if d == 1:
+        # boxes with more grid points than one phi call takes
+        got = _min_phi_decisions(profile, lo[:12], hi[:12], thr[:12], max_points=1 << 16)
+        assert got == _per_cube(profile, lo[:12], hi[:12], thr[:12], max_points=1 << 16)
+
+
+def test_batched_decision_ties():
+    # phi == 2 and K = 0: a threshold of exactly 2 is certified (no sample
+    # lies strictly below it), the next float up is witnessed against
+    profile = hl.profile_flat(2.0)
+    lo, hi = np.array([[-0.5], [0.0]]), np.array([[0.5], [0.25]])
+    thr = [2.0, np.nextafter(2.0, 3.0)]
+    assert _min_phi_decisions(profile, lo, hi, thr) == [True, False]
+    assert _per_cube(profile, lo, hi, thr) == [True, False]
+
+
+@pytest.mark.parametrize("which,depth", [("demo", 8), ("rough", 8), ("demo3", 3), ("flat3", 3)])
+def test_covering_matches_per_cube_build(which, depth, request, monkeypatch):
+    if which in ("demo", "rough"):
+        batched = request.getfixturevalue(f"{which}_cov{depth}")
+    else:
+        batched = hl.build_covering(_profile(which), depth_max=depth)
+    monkeypatch.setattr(covering, "_min_phi_decisions", _per_cube)
+    per_cube = hl.build_covering(_profile(which), depth_max=depth)
+    assert per_cube.to_json() == batched.to_json()
+
+
+ROUGH8_SHA256 = "e6eef900e467f0e27e172f62a4e7bf6b24eb456090ca0efac312fa05f92a8507"
+
+
+def test_rough_depth8_covering_pinned(rough_cov8):
+    assert rough_cov8.cube_count == 3165
+    assert rough_cov8.inconclusive == 114
+    doc = json.dumps(rough_cov8.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == ROUGH8_SHA256
+
+
+def test_rough_phi_matches_term_by_term_form():
+    rng = np.random.default_rng(3)
+    # random points plus dyadic ones, where 2^m x lands on rounding ties
+    x = np.concatenate([rng.uniform(-1.5, 1.5, 1 << 16), np.arange(-3072, 3073) / 2048])
+    phi = hl.profile_rough().phi
+    assert np.array_equal(phi(x), rough_phi(x))
+    assert np.array_equal(phi(x[:, None]), rough_phi(x[:, None]))
+    pts = np.column_stack([x, x[::-1]])
+    assert np.array_equal(hl.profile_rough(n=3).phi(pts), rough_phi(pts))
+
+
+# -- per-class sums against the per-vertex loops ---------------------------------
+
+@pytest.mark.parametrize("which", ["demo_cov6", "demo_cov8", "rough_cov8", "flat3", "demo3"])
+def test_fit_constants_match_per_vertex_loop(which, request):
+    if which.endswith("3"):
+        cov = hl.build_covering(_profile(which), depth_max=3)
+    else:
+        cov = request.getfixturevalue(which)
+    for cap in sorted({0, max(cov.depth_max - 2, 0), cov.depth_max}):
+        assert _fit_constants(cov, cap) == fit_constants(cov, cap)
+
+
+def test_tail_and_level_rows_match_per_vertex_sums(demo_cov8, rough_cov8):
+    for cov in (demo_cov8, rough_cov8):
+        assert cov.level_rows() == level_rows(cov)
+        for beta, p in ((-0.2, 2.0), (-0.3, 2.0), (0.7, 3.0)):
+            rows = hl.tail_integrability(cov, beta, p).rows
+            sums, counts = tail_sums(cov, beta, p)
+            assert [r["size_class"] for r in rows] == sorted(sums)
+            assert [r["sum"] for r in rows] == [sums[j] for j in sorted(sums)]
+            assert [r["count"] for r in rows] == [counts[j] for j in sorted(sums)]
+
+
+# -- the structural check catches broken coverings ------------------------------
+
+def _covering_of(cov, ids, extra=()):
+    """The cubes `ids` of cov, renumbered in order, plus `extra` cubes given
+    as (parent id in cov, size class, base, vertical)."""
+    new = {t: i for i, t in enumerate(ids)}
+    parent = [new[cov.tree.parent[t]] if t != cov.tree.root else -1 for t in ids]
+    size_class = [cov.size_class[t] for t in ids]
+    base = [cov.base[t] for t in ids]
+    vert = [cov.vert[t] for t in ids]
+    level = [cov.level[t] for t in ids]
+    for p, j, b, v in extra:
+        parent.append(new[p])
+        size_class.append(j)
+        base.append(b)
+        vert.append(v)
+        level.append(cov.level[p] + 1)
+    return CubeCovering(cov.profile, hl.RootedTree(parent), tuple(level), tuple(size_class),
+                        tuple(base), tuple(vert), cov.depth_max)
+
+
+def test_disjoint_and_coverage_catch_broken_coverings():
+    cov = hl.build_covering(hl.profile_demo(), depth_max=4)
+    tree = cov.tree
+    everything = list(range(tree.n))
+    rep = check_disjoint_and_coverage(_covering_of(cov, everything))
+    assert rep["disjoint"] and rep["coverage_exact"]
+    # a leaf whose parent split, so the parent stays an inner cube without it
+    leaf = next(t for t in reversed(tree.leaves) if len(tree.children[tree.parent[t]]) > 1)
+    p, j = tree.parent[leaf], cov.size_class[leaf]
+    lo, hi = cov.vert[leaf]
+
+    duplicated = _covering_of(cov, everything, [(p, j, cov.base[leaf], (lo, hi))])
+    assert not check_disjoint_and_coverage(duplicated)["disjoint"]
+
+    # a second cube reaching half an edge down into the leaf
+    shift = (hi - lo) / 2
+    overlapping = _covering_of(cov, everything, [(leaf, j, cov.base[leaf], (hi - shift, hi + shift))])
+    assert not check_disjoint_and_coverage(overlapping)["disjoint"]
+
+    dropped = check_disjoint_and_coverage(_covering_of(cov, [t for t in everything if t != leaf]))
+    assert dropped["disjoint"]
+    assert not dropped["coverage_exact"]
+    # the leaf's column (edge x top) leaves the column integral, its cube
+    # (edge x edge) the volume total
+    e = cov.edge(leaf)
+    assert dropped["covered_volume"] - dropped["column_volume"] == (hi - e) * e
