@@ -5,19 +5,17 @@ __version__ = "0.1.0"
 
 from .tree import (  # noqa: F401
     Antichain,
-    AntichainCapExceeded,
     RootedTree,
     TreeError,
     build_tree,
     chain_tree,
-    enumerate_antichains,
-    induced_subtree,
     random_tree,
     star_tree,
 )
 from .hardy import (  # noqa: F401
     HardyProblem,
     HardyReport,
+    HullCapExceeded,
     a_chain,
     a_tree,
     alpha_K,

@@ -31,7 +31,13 @@ from .covering import (
     weights_from_beta,
 )
 from .decomp import decompose, random_mean_zero, space_from_covering, verify_decomposition
-from .hardy import HardyProblem, hardy_report, make_problem, optimize_theta
+from .hardy import (
+    HardyProblem,
+    HullCapExceeded,
+    hardy_report,
+    make_problem,
+    optimize_theta,
+)
 from .inequalities import KINDS, f_linear, inequality_ratio, parameter_sweep, u_shear
 from .tree import RootedTree, TreeError, chain_tree, random_tree, star_tree
 
@@ -221,7 +227,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True, help="problem or tree JSON")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--theta-max", type=float, default=64.0)
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    sp.add_argument("--cap", type=int, default=None,
+                    help="most hull points ehp_B may evaluate (default: no limit)")
     common(sp)
     sp.set_defaults(func=cmd_hardy)
 
@@ -266,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CubeCapExceeded as exc:
+    except (CubeCapExceeded, HullCapExceeded) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (TreeError, CoveringError, ValueError, OSError, KeyError,

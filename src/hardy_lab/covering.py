@@ -78,15 +78,33 @@ class HolderProfile:
         vals = np.asarray(self.phi(pts), dtype=float)
         if np.any(vals < 2 * L - tol) or np.any(vals >= 3 * L):
             raise CoveringError("phi must satisfy 2l <= phi < 3l on the strip")
-        diff = np.abs(vals[:, None] - vals[None, :])
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        np.fill_diagonal(dist, 1.0)
-        np.fill_diagonal(diff, 0.0)
-        quot = diff / dist ** self.alpha
-        worst = float(quot.max())
+        worst = _holder_quotient_max(pts, vals, self.alpha)
         if worst > self.k_phi * (1 + 1e-6) + tol:
             raise CoveringError(
                 f"sampled Holder quotient {worst:.6g} exceeds K={self.k_phi}")
+
+
+_QUOTIENT_ROWS = 64     # grid points per row block of the Holder quotient sweep
+
+
+def _holder_quotient_max(pts: np.ndarray, vals: np.ndarray, alpha: float) -> float:
+    """max over pairs i != j of |vals_i - vals_j| / |pts_i - pts_j|^alpha.
+
+    Swept in blocks of _QUOTIENT_ROWS rows against the points from the
+    block's first row on, so memory stays O(rows x points). The quotient is
+    symmetric bit for bit (negating a difference is exact), so the upper
+    triangle gives the all-pairs maximum exactly.
+    """
+    block_max = []
+    for a in range(0, len(vals), _QUOTIENT_ROWS):
+        b = min(a + _QUOTIENT_ROWS, len(vals))
+        diff = np.abs(vals[a:b, None] - vals[None, a:])
+        dist = np.linalg.norm(pts[a:b, None, :] - pts[None, a:, :], axis=-1)
+        rows = np.arange(b - a)
+        dist[rows, rows] = 1.0
+        diff[rows, rows] = 0.0
+        block_max.append((diff / dist ** alpha).max())
+    return float(np.max(block_max))
 
 
 def profile_flat(height: float = 2.0, ell=1, n: int = 2) -> HolderProfile:

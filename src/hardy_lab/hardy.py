@@ -15,7 +15,9 @@ quantities are computed here:
             upper bound is (theta/(theta-1))^{1/q} * a_tree(theta)
   b_ehp     sup over cut antichains A of ||v||_{lp(shadows of A)} / alpha_A,
             where alpha_A is the minimal lp mass of b >= 0 whose u-weighted
-            path sums equal 1 at every vertex of A; B <= C <= 4B
+            path sums equal 1 at every vertex of A; B <= C <= 4B. Computed
+            exactly by an upper-hull DP over the tree, at most
+            |Gamma*| + sum of depths hull points, with no enumeration
   c_exact   the lp operator norm of M[s,t] = v_s / u_t on pairs t <= s,
             via nonlinear power iteration with multistarts; M is applied
             matrix-free, M x = v prefix(x/u) and M'y = shadow(v y)/u
@@ -24,8 +26,11 @@ The path-prefix and shadow sums behind all of these run on the tree's
 level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
 O(|Gamma*|) per pass, with no dense matrix and no size cap.
 
-All sups break ties to the lowest vertex id / lexicographically first
-antichain, so reports are reproducible bit-for-bit.
+Vertex sups break ties to the lowest vertex id. B's antichain is read off
+the first hull vertex after the origin at the root. Sibling hulls merge in
+child-id order and, at every vertex, points collinear on a hull edge are
+dropped, so a tie between antichains on one hull edge goes to its far end
+(the larger mass). Reports are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,13 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import (
-    Antichain,
-    AntichainCapExceeded,
-    RootedTree,
-    TreeKernel,
-    enumerate_antichains,
-)
+from .tree import Antichain, RootedTree, TreeKernel
 
 GROWTH_FACTOR = 1.05   # per-level growth that marks a quantity "diverging"
 GROWTH_LEVELS = 5
@@ -449,41 +448,29 @@ def exact_constant(problem: HardyProblem, form: str = "primal",
 class AlphaResult:
     alpha: float
     b: np.ndarray               # full-length, zeros off the support
-    method: str                 # "closed-form" or "tree-recursion"
 
 
-def alpha_K(problem: HardyProblem, boundary, kkt_tol: float = 1e-8) -> AlphaResult:
+def alpha_K(problem: HardyProblem, boundary) -> AlphaResult:
     """Minimal lp mass of b >= 0 with unit u-weighted path sums at `boundary`.
 
     Restricting to b >= 0 supported on the union of the boundary paths is
-    lossless because the constraints involve |b_s|. For p = 2 the
-    equality-constrained closed form b = G'(GG')^{-1} 1 is used when
-    componentwise >= -1e-12 (which the hierarchical Gram structure makes
-    automatic in practice); in general the program decomposes exactly
-    along the path tree, see _alpha_tree_recursion.
+    lossless because the constraints involve |b_s|; the program then
+    decomposes exactly along the path tree, see _alpha_tree_recursion.
     """
     tree = problem.tree
     bnd = Antichain.of(tree, boundary).vertices
     support = sorted({s for t in bnd for s in tree.paths[t]})
-
-    if problem.p == 2.0:
-        col = {s: j for j, s in enumerate(support)}
-        G = np.zeros((len(bnd), len(support)))
-        for i, t in enumerate(bnd):
-            for s in tree.paths[t]:
-                G[i, col[s]] = 1.0 / problem.u[s]
-        gram = G @ G.T
-        x = np.linalg.solve(gram, np.ones(len(bnd)))
-        b = G.T @ x
-        if b.min() >= -1e-12:
-            b = np.maximum(b, 0.0)
-            full = np.zeros(tree.n)
-            full[support] = b
-            return AlphaResult(float(np.linalg.norm(b)), full, "closed-form")
-
     full = _alpha_tree_recursion(problem, bnd, support)
     alpha = float(np.sum(full[support] ** problem.p) ** (1.0 / problem.p))
-    return AlphaResult(alpha, full, "tree-recursion")
+    return AlphaResult(alpha, full)
+
+
+def _parallel(a: float, b: float, p: float) -> float:
+    """(a^{-r} + b^{-r})^{-1/r} with r = 1/(p-1), the lp analogue of
+    resistors in parallel; written over the smaller argument so no power
+    overflows, and 0 when either argument is 0."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    return lo * (1.0 + (lo / hi) ** (1.0 / (p - 1.0))) ** (1.0 - p)
 
 
 def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
@@ -497,10 +484,10 @@ def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
 
         kappa_s = ( u_s^{-q} + K^{-1/(p-1)} )^{-(p-1)},
 
-    the lp analogue of resistors in parallel. Unwinding the optimal budget
-    split top-down yields b >= 0 satisfying every constraint exactly.
+    the parallel sum of u_s^p and K. Unwinding the optimal budget split
+    top-down yields b >= 0 satisfying every constraint exactly.
     """
-    tree, p, q = problem.tree, problem.p, problem.q
+    tree, p = problem.tree, problem.p
     boundary = set(bnd)
     in_k = set(support)
     kappa: dict[int, float] = {}
@@ -511,7 +498,7 @@ def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
             kappa[s] = problem.u[s] ** p
             continue
         total = sum(kappa[c] for c in tree.children[s] if c in in_k)
-        kappa[s] = (problem.u[s] ** -q + total ** (-1.0 / (p - 1.0))) ** (1.0 - p)
+        kappa[s] = _parallel(problem.u[s] ** p, total, p)
 
     b = np.zeros(tree.n)
     budget: dict[int, float] = {c: 1.0 for c in tree.children[tree.root]
@@ -533,43 +520,117 @@ def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
     return b
 
 
+class HullCapExceeded(RuntimeError):
+    """ehp_B evaluated more hull points than the configured cap."""
+
+    def __init__(self, cap: int, count: int):
+        super().__init__(f"EHP hull points exceed cap={cap} ({count} evaluated)")
+        self.cap = cap
+        self.count = count
+
+
 @dataclass(frozen=True)
 class EhpResult:
     value: float
-    arg: tuple[int, ...]        # cut antichain achieving the sup
-    partial: bool               # True when the enumeration hit the cap
-    count: int                  # antichains actually evaluated
+    arg: tuple[int, ...]        # cut antichain attaining the sup
+    count: int                  # hull points evaluated
 
 
-def ehp_B(problem: HardyProblem, cap: int = 10 ** 6) -> EhpResult:
-    """sup over cut antichains A of ||v||_{lp(union of shadows)} / alpha_A.
+def _upper_hull(ks: list[float], ns: list[float]) -> list[int]:
+    """Indices of the strict upper convex hull of points sorted by ks.
 
-    Shadows of distinct antichain vertices are disjoint, so the numerator
-    accumulates incrementally along the enumeration. When the enumeration
-    exceeds `cap` the best value so far is returned flagged partial (a
-    certified lower bound).
+    Points collinear with their hull neighbours are dropped, so of several
+    points on one hull edge only its two ends survive.
+    """
+    hull: list[int] = []
+    for j in range(len(ks)):
+        kj, nj = ks[j], ns[j]
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (ks[a] - ks[o]) * (nj - ns[o]) < (ns[a] - ns[o]) * (kj - ks[o]):
+                break
+            hull.pop()
+        hull.append(j)
+    return hull
+
+
+def ehp_B(problem: HardyProblem, cap: int | None = None) -> EhpResult:
+    """B = sup over cut antichains A of ||v||_{lp(union of shadows)} / alpha_A,
+    computed exactly by an upper-hull dynamic program over the tree.
+
+    An antichain A below a vertex s carries the pair (kappa, N): N is the
+    sum of shadow(v^p) over A, and kappa the minimal lp mass (alpha^p) of
+    its cut seen from s. The options at s are the empty antichain (0, 0),
+    A = {s} with (u_s^p, shadow(v^p)_s), and unions of the children's
+    options, with kappa_s = parallel(u_s^p, K) for K the sum of the
+    children's kappa (see _alpha_tree_recursion). That map is concave and
+    increasing, so every objective seen from above s is convex in
+    (kappa, N) and increasing in N, and its maximum sits on the upper
+    convex hull of the options. The hull at s is therefore the upper hull
+    of the children's hulls' slope-merged Minkowski sum, mapped by
+    parallel(u_s^p, .), plus the point of {s}; it has at most
+    |subtree(s)| + 1 points. At the root, B^p = max N/K over the Minkowski
+    sum of the root children's hulls: the first edge of its hull.
+
+    Ties: sibling hull edges merge in child-id order, and points collinear
+    on a hull edge are dropped, so a tie on one edge goes to its far end
+    (the larger mass). `count` is the number of hull points evaluated;
+    HullCapExceeded is raised once it passes `cap`.
     """
     tree, p = problem.tree, problem.p
-    w_v = np.zeros(tree.n)
     gs = list(tree.gamma_star)
-    w_v[gs] = problem.v[gs] ** p
-    Svp = _shadow_sums(tree, w_v)
+    w = np.zeros(tree.n)
+    w[gs] = problem.v[gs] ** p
+    shadow = _shadow_sums(tree, w).tolist()
+    up = np.zeros(tree.n)
+    up[gs] = problem.u[gs] ** p
+    up = up.tolist()
 
-    best = -math.inf
-    arg: tuple[int, ...] = ()
+    hull_k: list = [None] * tree.n      # hull points of each vertex
+    hull_n: list = [None] * tree.n
+    source: list = [None] * tree.n      # candidate index of each hull point
+    merged: list = [None] * tree.n      # child id of each merged edge, in order
     count = 0
-    partial = False
-    try:
-        for A in enumerate_antichains(tree, cap=cap):
-            count += 1
-            num = sum(Svp[t] for t in A) ** (1.0 / p)
-            alpha = alpha_K(problem, A).alpha
-            ratio = num / alpha
-            if ratio > best:
-                best, arg = ratio, A
-    except AntichainCapExceeded:
-        partial = True
-    return EhpResult(float(best), arg, partial, count)
+    for s in reversed(tree.topo):
+        edges = []
+        for c in tree.children[s]:
+            kc, nc = hull_k[c], hull_n[c]
+            for i in range(1, len(kc)):
+                dk, dn = kc[i] - kc[i - 1], nc[i] - nc[i - 1]
+                edges.append((dn / dk, dk, dn, c))
+            hull_k[c] = hull_n[c] = None
+        edges.sort(key=lambda e: e[0], reverse=True)     # stable
+        ks, ns = [0.0], [0.0]
+        for _, dk, dn, _ in edges:
+            ks.append(ks[-1] + dk)
+            ns.append(ns[-1] + dn)
+        if s != tree.root:
+            ks = [_parallel(up[s], k, p) for k in ks]
+            ks.append(up[s])
+            ns.append(shadow[s])
+        count += len(ks) - 1
+        if cap is not None and count > cap:
+            raise HullCapExceeded(cap, count)
+        hull = _upper_hull(ks, ns)
+        hull_k[s] = [ks[j] for j in hull]
+        hull_n[s] = [ns[j] for j in hull]
+        source[s] = hull
+        merged[s] = [e[3] for e in edges]
+
+    # the hull from the origin is concave, so N/K peaks at its first edge
+    best_k, best_n = hull_k[tree.root][1], hull_n[tree.root][1]
+    arg = []
+    stack = [(tree.root, source[tree.root][1])]
+    while stack:
+        s, j = stack.pop()
+        if j > len(merged[s]):                  # the singleton {s}
+            arg.append(s)
+            continue
+        taken: dict[int, int] = {}
+        for c in merged[s][:j]:
+            taken[c] = taken.get(c, 0) + 1
+        stack.extend((c, source[c][i]) for c, i in taken.items())
+    return EhpResult(float((best_n / best_k) ** (1.0 / p)), tuple(sorted(arg)), count)
 
 
 # -- chain equivalence --------------------------------------------------------
@@ -620,9 +681,9 @@ class HardyReport:
     a_tree: float
     theta_star: float
     suff_bound: float
-    b_ehp: float | None
+    b_ehp: float
     b_arg: tuple[int, ...]
-    b_count: int
+    b_count: int                # hull points ehp_B evaluated
     c_exact: float
     c_dual: float
     maximizer: list[float]
@@ -649,8 +710,12 @@ class HardyReport:
 
 
 def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
-                 b_cap: int = 10 ** 6, seed: int = 0) -> HardyReport:
-    """Compute all four constants plus the internal consistency checks."""
+                 b_cap: int | None = None, seed: int = 0) -> HardyReport:
+    """Compute all four constants plus the internal consistency checks.
+
+    b_cap optionally bounds the hull points ehp_B may evaluate
+    (HullCapExceeded past it).
+    """
     ac = a_chain(problem)
     th = optimize_theta(problem, theta_max=theta_max)
     primal = exact_constant(problem, "primal", seed=seed)
@@ -663,24 +728,20 @@ def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
         # candidate for the open necessity question: finite C with the
         # tree condition growing at the optimized theta
         flags.append("a_tree_diverging_at_theta_star")
-    if b.partial:
-        flags.append("partial_B")
     c = primal.value
     checks = {
         "duality": abs(primal.value - dual.value) <= 1e-6 * max(primal.value, 1e-300),
         "sufficiency": c <= th.suff_bound * (1.0 + 1e-9),
         "a_chain_le_c": ac.value <= c * (1.0 + 1e-9),
+        "a_chain_le_b": ac.value <= b.value * (1.0 + 1e-9),
+        "sandwich": (b.value <= c * (1.0 + 1e-6)
+                     and c <= 4.0 * b.value * (1.0 + 1e-6)),
     }
-    b_val: float | None = b.value
-    if not b.partial:
-        checks["a_chain_le_b"] = ac.value <= b.value * (1.0 + 1e-9)
-        checks["sandwich"] = (b.value <= c * (1.0 + 1e-6)
-                              and c <= 4.0 * b.value * (1.0 + 1e-6))
     return HardyReport(
         problem=problem,
         a_chain=ac.value, a_chain_arg=ac.arg,
         a_tree=th.a_tree_value, theta_star=th.theta_star, suff_bound=th.suff_bound,
-        b_ehp=b_val, b_arg=b.arg, b_count=b.count,
+        b_ehp=b.value, b_arg=b.arg, b_count=b.count,
         c_exact=c, c_dual=dual.value,
         maximizer=[float(x) for x in primal.maximizer],
         flags=tuple(flags), checks=checks,

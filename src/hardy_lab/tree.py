@@ -8,8 +8,8 @@ Conventions used throughout the package:
   * path(t)   = vertices strictly below the root down to t (t included)
   * shadow(t) = {s in Gamma* : s >= t} (t included)
 
-Children lists are kept sorted by id so every traversal, enumeration and
-arg-sup tie-break is reproducible bit-for-bit.
+Children lists are kept sorted by id so every traversal and arg-sup
+tie-break is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,22 +17,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 
 class TreeError(ValueError):
     """Malformed tree input: cycles, duplicate parents, id gaps."""
-
-
-class AntichainCapExceeded(RuntimeError):
-    """Antichain enumeration passed the configured cap."""
-
-    def __init__(self, cap: int, count: int):
-        super().__init__(f"antichain count exceeds cap={cap} ({count} yielded so far)")
-        self.cap = cap
-        self.count = count
 
 
 class RootedTree:
@@ -106,25 +97,6 @@ class RootedTree:
         return tuple(p)
 
     @cached_property
-    def ancestor_masks(self) -> tuple[int, ...]:
-        """Bitmask of {s : s <= t} including t itself (root included)."""
-        m = [0] * self.n
-        for t in self.topo:
-            m[t] = (m[self.parent[t]] if t != self.root else 0) | (1 << t)
-        return tuple(m)
-
-    @cached_property
-    def descendant_masks(self) -> tuple[int, ...]:
-        """Bitmask of {s : s >= t} including t itself."""
-        m = [0] * self.n
-        for t in reversed(self.topo):
-            acc = 1 << t
-            for c in self.children[t]:
-                acc |= m[c]
-            m[t] = acc
-        return tuple(m)
-
-    @cached_property
     def kernel(self) -> "TreeKernel":
         """Level-vectorised path-prefix and shadow sums over Gamma*."""
         return TreeKernel(self)
@@ -160,20 +132,28 @@ class RootedTree:
         self._check_vertex(t)
         if t == self.root:
             return sorted(self.gamma_star)
-        mask = self.descendant_masks[t]
-        return [s for s in range(self.n) if mask >> s & 1]
+        out = [t]
+        for s in out:
+            out.extend(self.children[s])
+        return sorted(out)
 
     def lca(self, s: int, t: int) -> int:
-        common = self.ancestor_masks[s] & self.ancestor_masks[t]
-        best = self.root
-        for v in range(self.n):
-            if common >> v & 1 and self.depth[v] > self.depth[best]:
-                best = v
-        return best
+        """Deepest common ancestor of s and t (the root when they share no other)."""
+        depth = self.depth
+        while depth[s] > depth[t]:
+            s = self.parent[s]
+        while depth[t] > depth[s]:
+            t = self.parent[t]
+        while s != t:
+            s, t = self.parent[s], self.parent[t]
+        return s
 
     def precedes(self, s: int, t: int) -> bool:
         """s <= t in the tree order."""
-        return bool(self.ancestor_masks[t] >> s & 1)
+        depth = self.depth
+        while depth[t] > depth[s]:
+            t = self.parent[t]
+        return t == s
 
     def _check_vertex(self, t: int) -> None:
         if not 0 <= t < self.n:
@@ -283,10 +263,13 @@ class Antichain:
             tree._check_vertex(v)
             if v == tree.root:
                 raise TreeError("the root cannot belong to an antichain")
-        for i, s in enumerate(vs):
-            for t in vs[i + 1:]:
-                if tree.precedes(s, t) or tree.precedes(t, s):
+        chosen = set(vs)
+        for t in vs:
+            s = tree.parent[t]
+            while s != tree.root:
+                if s in chosen:
                     raise TreeError(f"vertices {s} and {t} are comparable")
+                s = tree.parent[s]
         return Antichain(tuple(vs))
 
     def __iter__(self):
@@ -294,46 +277,6 @@ class Antichain:
 
     def __len__(self):
         return len(self.vertices)
-
-
-def enumerate_antichains(tree: RootedTree, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield every nonempty antichain of Gamma* as a sorted tuple.
-
-    Deterministic lexicographic order (so the first yield of any value ties
-    the arg-sup downstream). Raises AntichainCapExceeded as soon as more
-    than `cap` antichains have been produced; the count so far is attached.
-    """
-    n = tree.n
-    root = tree.root
-    incomp = [(tree.ancestor_masks[t] | tree.descendant_masks[t]) & ~(1 << root)
-              for t in range(n)]
-    count = 0
-
-    def rec(start: int, mask: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        nonlocal count
-        for t in range(start, n):
-            if t == root or incomp[t] & mask:
-                continue
-            count += 1
-            if cap is not None and count > cap:
-                raise AntichainCapExceeded(cap, count - 1)
-            nxt = chosen + (t,)
-            yield nxt
-            yield from rec(t + 1, mask | incomp[t], nxt)
-
-    yield from rec(0, 0, ())
-
-
-def induced_subtree(tree: RootedTree, antichain: Iterable[int]) -> tuple[set[int], set[int]]:
-    """(K, boundary) induced by an antichain: K is the root plus the union
-    of the paths to the antichain vertices, whose <=-maximal vertices are
-    exactly the antichain."""
-    vs = sorted(set(antichain))
-    K = {tree.root}
-    for t in vs:
-        K.update(tree.paths[t])
-    boundary = {t for t in K if not any(c in K for c in tree.children[t])}
-    return K, boundary
 
 
 # -- generators used by the CLI and the test corpus -------------------------

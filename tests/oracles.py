@@ -1,9 +1,12 @@
 """Per-vertex reference implementations that the library replaced.
 
 The library computes path-prefix and shadow sums with a level-vectorised
-kernel, applies the Hardy operator matrix-free, decides cube containment for
-a whole covering level at once and fits the counting constants per size
-class; the loops, the dense matrix and the per-cube test below are the
+kernel, applies the Hardy operator matrix-free, computes the EHP constant B
+with an upper-hull tree DP, solves every alpha_K program by the tree
+recursion, decides cube containment for a whole covering level at once,
+fits the counting constants per size class and sweeps the sampled Holder
+quotient in row blocks; the loops, the dense matrices, the antichain
+enumeration, the Gram solve and the per-cube test below are the
 straightforward forms they are checked against.
 """
 
@@ -12,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+import hardy_lab as hl
+
 
 def hardy_matrix(problem) -> np.ndarray:
     """M[s, t] = v_s / u_t on pairs t <= s, rows/cols in Gamma* order."""
@@ -19,12 +24,107 @@ def hardy_matrix(problem) -> np.ndarray:
     gs = list(tree.gamma_star)
     m = len(gs)
     M = np.zeros((m, m))
+    col = {t: j for j, t in enumerate(gs)}
     for i, s in enumerate(gs):
-        anc = tree.ancestor_masks[s]
-        for j, t in enumerate(gs):
-            if anc >> t & 1:
-                M[i, j] = problem.v[s] / problem.u[t]
+        for t in tree.paths[s]:
+            M[i, col[t]] = problem.v[s] / problem.u[t]
     return M
+
+
+class AntichainCapExceeded(RuntimeError):
+    """Antichain enumeration passed the configured cap."""
+
+    def __init__(self, cap: int, count: int):
+        super().__init__(f"antichain count exceeds cap={cap} ({count} yielded so far)")
+        self.cap = cap
+        self.count = count
+
+
+def enumerate_antichains(tree, cap=None):
+    """Yield every nonempty antichain of Gamma* as a sorted tuple, in
+    lexicographic order. Raises AntichainCapExceeded as soon as more than
+    `cap` antichains have been produced; the count so far is attached."""
+    n, root = tree.n, tree.root
+    below = [1 << t for t in range(n)]          # {s : s >= t}
+    for t in reversed(tree.topo):
+        for c in tree.children[t]:
+            below[t] |= below[c]
+    above = [0] * n                             # {s : s <= t}, root included
+    for t in tree.topo:
+        above[t] = (above[tree.parent[t]] if t != root else 0) | (1 << t)
+    incomp = [(above[t] | below[t]) & ~(1 << root) for t in range(n)]
+    count = 0
+
+    def rec(start, mask, chosen):
+        nonlocal count
+        for t in range(start, n):
+            if t == root or (1 << t) & mask:
+                continue
+            count += 1
+            if cap is not None and count > cap:
+                raise AntichainCapExceeded(cap, count - 1)
+            nxt = chosen + (t,)
+            yield nxt
+            yield from rec(t + 1, mask | incomp[t], nxt)
+
+    yield from rec(0, 0, ())
+
+
+def induced_subtree(tree, antichain):
+    """(K, boundary) induced by an antichain: K is the root plus the union
+    of the paths to the antichain vertices, whose <=-maximal vertices are
+    exactly the antichain."""
+    K = {tree.root}
+    for t in set(antichain):
+        K.update(tree.paths[t])
+    boundary = {t for t in K if not any(c in K for c in tree.children[t])}
+    return K, boundary
+
+
+def ehp_enumerated(problem, cap=None):
+    """B by enumeration: the max of (sum of shadow(v^p) over A)^{1/p} / alpha_A
+    over every antichain A, first maximum in lexicographic order.
+    Returns (value, arg)."""
+    tree, p = problem.tree, problem.p
+    w = np.zeros(tree.n)
+    gs = list(tree.gamma_star)
+    w[gs] = problem.v[gs] ** p
+    svp = shadow_sums(tree, w)
+    best, arg = -math.inf, ()
+    for A in enumerate_antichains(tree, cap=cap):
+        ratio = sum(svp[t] for t in A) ** (1.0 / p) / hl.alpha_K(problem, A).alpha
+        if ratio > best:
+            best, arg = ratio, A
+    return best, arg
+
+
+def alpha_gram(problem, boundary):
+    """The p = 2 closed form b = G'(GG')^{-1} 1 of the alpha_K program, with
+    G[i, s] = 1/u_s on the path of the i-th boundary vertex. It is the
+    minimiser when b >= 0, which the hierarchical Gram structure makes
+    automatic. Returns (alpha, b) with b full-length."""
+    tree = problem.tree
+    bnd = sorted(boundary)
+    support = sorted({s for t in bnd for s in tree.paths[t]})
+    col = {s: j for j, s in enumerate(support)}
+    G = np.zeros((len(bnd), len(support)))
+    for i, t in enumerate(bnd):
+        for s in tree.paths[t]:
+            G[i, col[s]] = 1.0 / problem.u[s]
+    b = G.T @ np.linalg.solve(G @ G.T, np.ones(len(bnd)))
+    full = np.zeros(tree.n)
+    full[support] = b
+    return float(np.linalg.norm(b)), full
+
+
+def holder_quotient_max(pts, vals, alpha):
+    """max over pairs i != j of |vals_i - vals_j| / |pts_i - pts_j|^alpha,
+    from all-pairs matrices."""
+    diff = np.abs(vals[:, None] - vals[None, :])
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    np.fill_diagonal(dist, 1.0)
+    np.fill_diagonal(diff, 0.0)
+    return float((diff / dist ** alpha).max())
 
 
 def path_prefix_sums(tree, w: np.ndarray) -> np.ndarray:

@@ -41,6 +41,17 @@ def test_hardy_on_bare_tree_uses_unit_weights(tmp_path):
         assert rep[key] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_hardy_cap_exceeded_exits_3(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["tree", "--star", "8", "--out", out]) == 0
+    tree = os.path.join(out, "tree.json")
+    assert main(["hardy", "--input", tree, "--cap", "10", "--out", out]) == 3
+    assert "hull points" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "hardy.json"))
+    assert main(["hardy", "--input", tree, "--cap", "16", "--out", out]) == 0
+    assert read(os.path.join(out, "hardy.json"))["report"]["b_count"] == 16
+
+
 def test_random_tree_seeded(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["tree", "--random", "12", "--seed", "5", "--out", a]) == 0

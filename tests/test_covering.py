@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +14,19 @@ from hardy_lab.covering import (
     CubeCapExceeded,
     CubeCovering,
     _fit_constants,
+    _holder_quotient_max,
     _min_phi_decisions,
     check_disjoint_and_coverage,
 )
 
-from oracles import fit_constants, level_rows, min_phi_decision, rough_phi, tail_sums
+from oracles import (
+    fit_constants,
+    holder_quotient_max,
+    level_rows,
+    min_phi_decision,
+    rough_phi,
+    tail_sums,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -191,6 +200,30 @@ def test_profile_validation_rejects_wrong_holder_constant():
                             phi=hl.profile_demo().phi, n=2)
     with pytest.raises(CoveringError, match="quotient"):
         prof.validate()
+
+
+def test_holder_quotient_sweep_matches_all_pairs():
+    rng = np.random.default_rng(5)
+    cases = []
+    for prof in (hl.profile_demo(n=3), hl.profile_rough(), hl.profile_flat(2.0, n=3)):
+        d = prof.n - 1
+        axes = [np.linspace(-1.5, 1.5, 20)] * d
+        pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+        cases.append((pts, prof.phi(pts), prof.alpha))
+    pts = rng.uniform(-1.5, 1.5, (203, 2))
+    cases.append((pts, rng.standard_normal(203), 0.5))
+    for pts, vals, alpha in cases:
+        assert _holder_quotient_max(pts, vals, alpha) == holder_quotient_max(pts, vals, alpha)
+
+
+def test_profile_validation_memory():
+    tracemalloc.start()
+    try:
+        hl.profile_flat(2.0, n=3).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_admissibility_interval(demo_cov6):

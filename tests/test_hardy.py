@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ import hardy_lab as hl
 from hardy_lab.hardy import HardyOperator, _a_tree_terms, _bfs_weights
 
 from conftest import random_problem
-from oracles import hardy_matrix
+from oracles import (
+    alpha_gram,
+    ehp_enumerated,
+    enumerate_antichains,
+    hardy_matrix,
+    shadow_sums,
+)
 
 GOLDEN = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)   # top singular value of [[1,0],[1,1]]
 
@@ -273,6 +280,9 @@ def test_exact_constant_large_m_rough_cov10(rough_cov10):
     assert ac <= primal.value <= suff
     assert dual.value == pytest.approx(primal.value, rel=1e-6)
     assert primal.residual <= 1e-8 and dual.residual <= 1e-8
+    b = hl.ehp_B(pr).value
+    assert ac <= b * (1 + 1e-9)
+    assert b <= primal.value * (1 + 1e-6) and primal.value <= 4 * b * (1 + 1e-6)
 
 
 def test_exact_constant_multistart_seed_stable():
@@ -304,23 +314,21 @@ def test_alpha_general_p_oracle():
     pr = two_chain(p=3.0)
     r = hl.alpha_K(pr, [2])
     assert r.alpha == pytest.approx(0.25 ** (1 / 3), rel=1e-12)
-    assert r.method == "tree-recursion"
     assert r.b[1] == pytest.approx(0.5) and r.b[2] == pytest.approx(0.5)
 
 
 def test_alpha_recursion_matches_closed_form_at_p2():
-    # two independent routes: the Gram closed form vs the tree recursion
+    # two independent routes: the tree recursion vs the Gram closed form
     rng = np.random.default_rng(16)
-    from hardy_lab.hardy import _alpha_tree_recursion
     checked = 0
     for _ in range(10):
         pr = random_problem(rng, max_vertices=14)
-        for anti in list(hl.enumerate_antichains(pr.tree, cap=200))[:25]:
-            ref = hl.alpha_K(pr, anti)
-            assert ref.method == "closed-form"
-            support = sorted({s for t in anti for s in pr.tree.paths[t]})
-            b = _alpha_tree_recursion(pr, tuple(anti), support)
-            assert np.linalg.norm(b) == pytest.approx(ref.alpha, rel=1e-10)
+        for anti in itertools.islice(enumerate_antichains(pr.tree), 25):
+            ref_alpha, ref_b = alpha_gram(pr, anti)
+            assert ref_b.min() >= -1e-12        # feasible, so the minimiser
+            r = hl.alpha_K(pr, anti)
+            assert r.alpha == pytest.approx(ref_alpha, rel=1e-10)
+            np.testing.assert_allclose(r.b, ref_b, rtol=1e-9, atol=1e-12)
             checked += 1
     assert checked > 100
 
@@ -330,7 +338,7 @@ def test_alpha_constraints_satisfied_exactly():
     for p in (1.3, 2.0, 4.0):
         for _ in range(10):
             pr = random_problem(rng, max_vertices=12, p=p)
-            anti = max(hl.enumerate_antichains(pr.tree, cap=None), key=len)
+            anti = max(enumerate_antichains(pr.tree), key=len)
             r = hl.alpha_K(pr, anti)
             assert np.all(r.b >= 0)
             for t in anti:
@@ -348,10 +356,42 @@ def test_ehp_hand_values():
     assert hl.ehp_B(star()).value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_ehp_partial_flag():
+def test_ehp_cap_bounds_hull_points():
     pr = hl.make_problem(hl.star_tree(8), np.ones(8), np.ones(8), 2.0)
-    r = hl.ehp_B(pr, cap=20)
-    assert r.partial and r.count == 20 and r.value > 0
+    full = hl.ehp_B(pr)
+    assert full.count == 16         # one point per leaf, eight merged at the root
+    assert hl.ehp_B(pr, cap=full.count) == full
+    with pytest.raises(hl.HullCapExceeded) as exc:
+        hl.ehp_B(pr, cap=10)
+    assert exc.value.cap == 10 and exc.value.count > 10
+    with pytest.raises(hl.HullCapExceeded):
+        hl.hardy_report(pr, b_cap=10)
+    assert hl.hardy_report(pr).b_count == full.count
+
+
+def test_ehp_matches_enumeration_oracle():
+    # the hull DP against the supremum over every antichain, on 300 random
+    # trees; every seventh carries all-ones weights, so ties abound
+    rng = np.random.default_rng(33)
+    ps = (1.05, 1.3, 2.0, 3.5, 8.0)
+    for i in range(300):
+        n = int(rng.integers(2, 15))
+        tree = hl.random_tree(n, rng)
+        if i % 7 == 0:
+            u = v = np.ones(n - 1)
+        else:
+            u, v = np.exp(rng.uniform(-2.0, 2.0, (2, n - 1)))
+        pr = hl.make_problem(tree, u, v, ps[i % len(ps)])
+        got = hl.ehp_B(pr)
+        want, _ = ehp_enumerated(pr)
+        assert got.value == pytest.approx(want, rel=1e-12)
+        assert got.count <= n + sum(tree.depth)
+        # the returned antichain attains the value
+        w = np.zeros(n)
+        w[list(tree.gamma_star)] = pr.v[list(tree.gamma_star)] ** pr.p
+        svp = shadow_sums(tree, w)
+        num = sum(svp[t] for t in got.arg) ** (1.0 / pr.p)
+        assert num / hl.alpha_K(pr, got.arg).alpha == pytest.approx(got.value, rel=1e-12)
 
 
 def test_sandwich_small_random():
@@ -367,7 +407,6 @@ def test_sandwich_small_random():
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_sandwich_general_p(p):
-    # exercises the tree-recursion alpha path on every enumerated antichain
     rng = np.random.default_rng(18)
     for _ in range(10):
         pr = random_problem(rng, max_vertices=10, p=p)

@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 import numpy as np
 
 import hardy_lab as hl
-from hardy_lab.tree import (
-    Antichain,
-    AntichainCapExceeded,
-    TreeError,
-    enumerate_antichains,
-    induced_subtree,
-)
+from hardy_lab.tree import Antichain, TreeError
 from hardy_lab.hardy import _path_prefix_sums, _shadow_sums
 
-from oracles import path_prefix_sums, shadow_sums
+from oracles import (
+    AntichainCapExceeded,
+    enumerate_antichains,
+    induced_subtree,
+    path_prefix_sums,
+    shadow_sums,
+)
 
 
 def test_build_smallest():
@@ -74,12 +74,38 @@ def test_antichain_validation():
     with pytest.raises(TreeError):
         Antichain.of(t, [0])           # root
     assert Antichain.of(t, [2]).vertices == (2,)
+    b = hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)])
+    assert Antichain.of(b, [4, 3, 2]).vertices == (2, 3, 4)
+    with pytest.raises(TreeError):
+        Antichain.of(b, [2, 4, 1])     # 1 lies above 4
+
+
+def _brute_above(t, v):
+    """Every s with s <= v, the root included, from path(v)."""
+    return {t.root} | set(t.paths[v])
+
+
+@given(st.integers(2, 40), st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_precedes_and_lca_match_paths(n, seed):
+    t = hl.random_tree(n, np.random.default_rng(seed))
+    for s in range(n):
+        for v in range(n):
+            assert t.precedes(s, v) == (s in _brute_above(t, v))
+            common = _brute_above(t, s) & _brute_above(t, v)
+            assert t.lca(s, v) == max(common, key=lambda x: t.depth[x])
 
 
 def test_enumeration_hand_cases():
     assert list(enumerate_antichains(hl.chain_tree(2))) == [(1,), (2,)]
     assert list(enumerate_antichains(hl.star_tree(2))) == [(1,), (1, 2), (2,)]
     assert list(enumerate_antichains(hl.build_tree([(1, 0)]))) == [(1,)]
+
+
+def test_enumeration_siblings_below_a_non_root_vertex():
+    # 2 and 3 share the non-root ancestor 1 and are incomparable
+    t = hl.RootedTree([-1, 0, 1, 1])
+    assert list(enumerate_antichains(t)) == [(1,), (2,), (2, 3), (3,)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -105,6 +131,14 @@ def test_enumeration_no_duplicates_and_sorted():
     assert out == sorted(out)
     for a in out:
         Antichain.of(t, a)             # each yield is a valid antichain
+    # and nothing is missed: every subset of Gamma* that is an antichain
+    gs = t.gamma_star
+    subsets = 0
+    for mask in range(1, 1 << len(gs)):
+        vs = [v for i, v in enumerate(gs) if mask >> i & 1]
+        if all(not t.precedes(a, b) for a in vs for b in vs if a != b):
+            subsets += 1
+    assert subsets == len(out)
 
 
 def test_induced_subtree_membership():

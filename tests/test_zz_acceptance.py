@@ -86,23 +86,24 @@ def test_criterion_02_sufficiency(corpus_constants):
                  f"{violations} violations over 150 problems x 64 thetas")
 
 
-def test_criterion_03_sandwich():
+def test_criterion_03_sandwich(demo_cov6):
     t0 = time.monotonic()
     rng = np.random.default_rng(CORPUS_SEED + 3)
     ok = True
-    for _ in range(50):
-        pr = random_problem(rng, max_vertices=14, p=2.0)
-        b = hl.ehp_B(pr)
-        assert not b.partial
+    problems = [random_problem(rng, max_vertices=14, p=2.0) for _ in range(50)]
+    problems.append(hl.weights_from_beta(demo_cov6, 0.0, 2.0))
+    for pr in problems:
+        b = hl.ehp_B(pr).value
         c = hl.exact_constant(pr).value
         ac = hl.a_chain(pr, with_levels=False).value
-        ok &= b.value <= c * (1 + 1e-6)
-        ok &= c <= 4.0 * b.value * (1 + 1e-6)
-        ok &= ac <= b.value * (1 + 1e-9)
+        ok &= b <= c * (1 + 1e-6)
+        ok &= c <= 4.0 * b * (1 + 1e-6)
+        ok &= ac <= b * (1 + 1e-9)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 120.0
     assert _line(3, "sandwich B <= C <= 4B and A_chain <= B", ok,
-                 f"50 trees, {elapsed:.1f}s")
+                 f"50 trees and the demo depth-6 covering (C/B {c / b:.3f}), "
+                 f"{elapsed:.1f}s")
 
 
 def test_criterion_04_chain_equivalence():
