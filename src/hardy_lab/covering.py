@@ -8,9 +8,10 @@ Cubes are built level by level moving up: the root cube is
 fits under the graph, one same-size child is stacked on top; otherwise the
 top face carries 2^{n-1} half-size children.
 
-Every coordinate is an exact dyadic rational multiple of l (stored as a
-Fraction), so disjointness and coverage checks are exact, and the whole
-construction is reproducible bit-for-bit across platforms.
+Every cube is a dyadic cell of its size class j (edge h_j = l 2^-j), stored
+as integer grid indices (i, k) for the box [-l/2 + i h_j, -l/2 + (i + 1) h_j)
+x [k h_j, (k + 1) h_j), so disjointness and coverage checks are exact, the
+export is exact Fractions and the construction is bit-for-bit reproducible.
 
 Each cube Q_t = Q_t' x (x1, x2) is extended downward by half of itself to
 U_t = Q_t' x (x1 - e/2, x2); the added slab B_t = Q_t' x (x1 - e/2, x1) lies
@@ -21,9 +22,9 @@ non-root t; the covering only needs this ratio bounded.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -76,6 +77,8 @@ class HolderProfile:
         axes = [np.linspace(-1.5 * L * (1 - 1e-9), 1.5 * L * (1 - 1e-9), grid)] * d
         pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
         vals = np.asarray(self.phi(pts), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise CoveringError("phi must be finite on the strip")
         if np.any(vals < 2 * L - tol) or np.any(vals >= 3 * L):
             raise CoveringError("phi must satisfy 2l <= phi < 3l on the strip")
         worst = _holder_quotient_max(pts, vals, self.alpha)
@@ -245,6 +248,33 @@ def _grid_min(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray, m: int) ->
 
 # -- the covering -------------------------------------------------------------
 
+def _dyadic_floats(ell, m, j) -> np.ndarray:
+    """float(l m / 2^(j+1)) elementwise for integers m and size classes j.
+
+    With l = a/b this is the float64 quotient (a m) / (b 2^(j+1)): both
+    products are exact below 2^53 and IEEE division rounds correctly, so it
+    equals float(Fraction) bit for bit. Past 2^53 CoveringError is raised.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    top = int(j.max(initial=0)) + 1
+    if ell.numerator * int(np.abs(m).max(initial=1)) >= 2 ** 53 \
+            or ell.denominator << top >= 2 ** 53:
+        raise CoveringError(f"l = {ell} at size class {top - 1}: dyadic coordinates "
+                            "need integers past 2^53 and would round")
+    return (m * ell.numerator).astype(float) / np.ldexp(float(ell.denominator), j + 1)
+
+
+def _cube_points(ell, cell: np.ndarray, j, halves) -> np.ndarray:
+    """Float coordinates of the point lo + halves * h_j / 2 of each cube,
+    for rows of grid cells `cell` of size classes `j` (halves = 0: lower
+    corner, 1: center, 2: upper corner)."""
+    j = np.asarray(j, dtype=np.int64)[:, None]
+    m = 2 * cell + halves
+    m[:, :-1] -= 1 << j             # the horizontal origin -l/2 is 2^j half-edges
+    return _dyadic_floats(ell, m, j)
+
+
 def _cell_key(vertical, horizontal, N: int):
     """k N^d + sum_r i_r N^r: one integer per grid cell of a size class
     with N cells across (ints or int64 arrays alike)."""
@@ -254,18 +284,23 @@ def _cell_key(vertical, horizontal, N: int):
     return key
 
 
-@dataclass
+@dataclass(eq=False)
 class CubeCovering:
     profile: HolderProfile
     tree: RootedTree
     level: tuple[int, ...]
-    size_class: tuple[int, ...]             # edge = l * 2^-j
-    base: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-    vert: tuple[tuple[Fraction, Fraction], ...]
+    size_class: tuple[int, ...]             # edge h_j = l * 2^-j
+    cell: np.ndarray                        # (cubes, n) int64 grid indices in units of h_j
     depth_max: int
     inconclusive: int = 0                   # containment tests resolved conservatively
-    _dg: np.ndarray | None = field(default=None, repr=False)
-    _index: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.cell = np.array(self.cell, dtype=np.int64)
+        width = 1 << np.asarray(self.size_class, dtype=np.int64)[:, None]
+        if self.cell.shape != (self.tree.n, self.n) or np.any(self.cell < 0) \
+                or np.any(self.cell[:, :-1] >= width):
+            raise ValueError("cell must hold one grid cell of its class per cube, inside the strip")
+        self.cell.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -300,6 +335,14 @@ class CubeCovering:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float lower and upper corners of every cube, (cubes, n) each; read-only."""
+        lo_hi = np.stack([_cube_points(self.profile.ell, self.cell, self.size_class, h)
+                          for h in (0, 2)])
+        lo_hi.flags.writeable = False
+        return lo_hi[0], lo_hi[1]
+
     def u_volume(self, t: int) -> Fraction:
         if t == self.tree.root:
             return self.q_volume(t)
@@ -314,57 +357,37 @@ class CubeCovering:
         return self.tree.n
 
     def level_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for lv in self.level:
-            out[lv] = out.get(lv, 0) + 1
-        return out
+        return dict(Counter(self.level))
 
     def class_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for j in self.size_class:
-            out[j] = out.get(j, 0) + 1
-        return out
+        return dict(Counter(self.size_class))
 
     # -- point location (half-open boxes [lo, hi) for determinism) ----------
 
-    def _locate_index(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per size class: horizontal and vertical grid lines, sorted cell keys
-        and the vertex id of each key; built on first use and cached.
+    @cached_property
+    def _locate_index(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per size class j: j, the horizontal and vertical grid lines, the
+        sorted cell keys and the vertex id of each key; built on first use.
 
-        A cube of class j (edge h = l 2^-j) occupies the grid cell with
-        horizontal indices (lo_r + l/2)/h and vertical index lo_n/h, all exact
-        integers. The grid lines are the floats of the exact lines, so
+        The grid lines are the floats of the exact lines, so
         searchsorted(side="right") - 1 reproduces the half-open test
         float(lo) <= x < float(hi) of every cube bit for bit.
         """
-        if self._index is None:
-            L = self.profile.ell
-            by_class: dict[int, list[int]] = {}
-            for t, j in enumerate(self.size_class):
-                by_class.setdefault(j, []).append(t)
-            index = []
-            for j, ids in sorted(by_class.items()):
-                h = L / 2 ** j
-                N = 2 ** j
-                keys = []
-                kmax = 0
-                for t in ids:
-                    cell = [(lo + L / 2) / h for lo, _ in self.base[t]] + [self.vert[t][0] / h]
-                    assert all(x.denominator == 1 and x >= 0 for x in cell) \
-                        and all(x < N for x in cell[:-1]), f"cube {t} is off its class grid"
-                    *horizontal, k = map(int, cell)
-                    kmax = max(kmax, k)
-                    keys.append(_cell_key(k, horizontal, N))
-                assert (kmax + 1) * N ** (self.n - 1) <= np.iinfo(np.int64).max, \
-                    "cell keys overflow int64"
-                keys = np.array(keys, dtype=np.int64)
-                order = np.argsort(keys)
-                hgrid = np.array([float(-L / 2 + i * h) for i in range(N + 1)])
-                vgrid = np.array([float(k * h) for k in range(kmax + 2)])
-                index.append((hgrid, vgrid, keys[order],
-                              np.array(ids, dtype=np.int64)[order]))
-            self._index = index
-        return self._index
+        cls = np.asarray(self.size_class)
+        index = []
+        for j in np.unique(cls).tolist():
+            ids = np.flatnonzero(cls == j)
+            cell = self.cell[ids]
+            N = 2 ** j
+            kmax = int(cell[:, -1].max())
+            if (kmax + 1) * N ** (self.n - 1) > np.iinfo(np.int64).max:
+                raise CoveringError(f"cell keys of size class {j} overflow int64")
+            keys = _cell_key(cell[:, -1], list(cell[:, :-1].T), N)
+            order = np.argsort(keys, kind="stable")
+            hgrid = _dyadic_floats(self.profile.ell, 2 * np.arange(N + 1) - N, j)
+            vgrid = _dyadic_floats(self.profile.ell, 2 * np.arange(kmax + 2), j)
+            index.append((j, hgrid, vgrid, keys[order], ids[order]))
+        return index
 
     def locate(self, x):
         """Vertex whose cube contains x, or -1 outside the truncated region.
@@ -378,7 +401,7 @@ class CubeCovering:
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
         out = np.full(len(pts), -1, dtype=np.int64)
-        for hgrid, vgrid, keys, ids in self._locate_index():
+        for _, hgrid, vgrid, keys, ids in self._locate_index:
             N = len(hgrid) - 1
             k = np.searchsorted(vgrid, pts[:, -1], side="right") - 1
             ok = (k >= 0) & (k < len(vgrid) - 1)
@@ -396,19 +419,28 @@ class CubeCovering:
     # -- exports -------------------------------------------------------------
 
     def to_json(self) -> dict:
+        a, b = self.profile.ell.numerator, self.profile.ell.denominator
+
         def fr(x: Fraction):
             return [x.numerator, x.denominator]
+
+        def at(m: int, j: int):         # the coordinate l m / 2^(j+1)
+            return fr(Fraction(a * m, b << (j + 1)))
+
+        edges = {j: self.profile.ell * Fraction(1, 2 ** j) for j in set(self.size_class)}
         cubes = []
-        for t in range(self.tree.n):
+        for t, (j, cell) in enumerate(zip(self.size_class, self.cell.tolist())):
+            *horizontal, k = cell
+            N = 2 ** j
             cubes.append({
                 "id": t,
                 "parent": self.tree.parent[t],
                 "level": self.level[t],
-                "size_class": self.size_class[t],
-                "edge": fr(self.edge(t)),
-                "base": [[fr(lo), fr(hi)] for lo, hi in self.base[t]],
-                "vertical": [fr(self.vert[t][0]), fr(self.vert[t][1])],
-                "volume_b": fr(self.b_volume(t)) if t != self.tree.root else None,
+                "size_class": j,
+                "edge": fr(edges[j]),
+                "base": [[at(2 * i - N, j), at(2 * i + 2 - N, j)] for i in horizontal],
+                "vertical": [at(2 * k, j), at(2 * k + 2, j)],
+                "volume_b": fr(edges[j] ** self.n / 2) if t != self.tree.root else None,
             })
         return {
             "n": self.n,
@@ -467,18 +499,15 @@ class CubeCovering:
         return out
 
     def centers(self) -> np.ndarray:
-        c = np.empty((self.tree.n, self.n))
-        for t in range(self.tree.n):
-            for k, (lo, hi) in enumerate(self.base[t]):
-                c[t, k] = float(lo + hi) / 2.0
-            c[t, -1] = float(self.vert[t][0] + self.vert[t][1]) / 2.0
-        return c
+        return _cube_points(self.profile.ell, self.cell, self.size_class, 1)
+
+    @cached_property
+    def _graph_distances(self) -> np.ndarray:
+        return self.graph_distance(self.centers())
 
     def admissibility_interval(self) -> tuple[float, float, np.ndarray]:
         """Fitted range of d_G(center of Q_t) / edge over all cubes."""
-        if self._dg is None:
-            self._dg = self.graph_distance(self.centers())
-        ratios = self._dg / self.edge_array
+        ratios = self._graph_distances / self.edge_array
         return float(ratios.min()), float(ratios.max()), ratios
 
 
@@ -497,6 +526,10 @@ def build_covering(profile: HolderProfile, depth_max: int,
     box gets the decision a test on that box alone would give. An
     inconclusive containment test subdivides (it can only refine the
     covering, never coarsen it) and is counted in the report.
+
+    Children come from integer cells: the stacked child of (i, k) is
+    (i, k + 1), the split children (2i + bits, 2(k + 1)) one class down, in
+    the order itertools.product takes the halves of each axis.
     """
     if profile.n not in (2, 3):
         raise CoveringError("only dimensions 2 and 3 are supported")
@@ -504,65 +537,51 @@ def build_covering(profile: HolderProfile, depth_max: int,
         profile.validate()
     L = profile.ell
     d = profile.n - 1
-    half = L / 2
-    base0 = tuple((-half, half) for _ in range(d))
-    vert0 = (Fraction(0), L)
-
-    parent = [-1]
-    level = [0]
-    size_class = [0]
-    base = [base0]
-    vert = [vert0]
-    inconclusive = 0
-
-    edges = [L / 2 ** j for j in range(depth_max + 1)]
     strip = 1.5 * float(L)
-    frontier = [0]
+    bits = (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+
+    ids = np.zeros(1, dtype=np.int64)           # the frontier: vertex ids,
+    cell = np.zeros((1, d + 1), dtype=np.int64)  # grid cells
+    cls = np.zeros(1, dtype=np.int64)           # and size classes
+    parent, level, size_class, cells = [np.array([-1])], [np.array([0])], [cls], [cell]
+    count = 1
+    inconclusive = 0
     lv = 0
-    while frontier:
+    while len(ids):
         lv += 1
         # the test boxes of the whole level, decided together
-        lo = np.array([[float(a) for a, _ in base[t]] for t in frontier])
-        hi = np.array([[float(b) for _, b in base[t]] for t in frontier])
+        lo, hi = (_cube_points(L, cell, cls, h)[:, :-1] for h in (0, 2))
         c = (lo + hi) / 2.0
-        he = 1.5 * np.array([float(edges[size_class[t]]) for t in frontier])[:, None]
+        he = 1.5 * _dyadic_floats(L, 2, cls)[:, None]
         decisions = _min_phi_decisions(
             profile,
             np.maximum(c - he, -strip),
             np.minimum(c + he, strip),
-            [float(vert[t][1] + 2 * edges[size_class[t]]) for t in frontier])
-        nxt: list[int] = []
-        for t, decision in zip(frontier, decisions):
-            e = edges[size_class[t]]
-            x2 = vert[t][1]
-            if decision is None:
-                inconclusive += 1
-                decision = False
-            if decision:
-                children_spec = [(base[t], (x2, x2 + e), size_class[t])]
-            elif size_class[t] < depth_max:
-                h = e / 2
-                splits = [((a, a + h), (a + h, b)) for (a, b) in base[t]]
-                children_spec = [
-                    (tuple(combo), (x2, x2 + h), size_class[t] + 1)
-                    for combo in itertools.product(*splits)
-                ]
-            else:
-                children_spec = []      # branch truncated at the class cap
-            for b, ve, j in children_spec:
-                if len(parent) >= cube_cap:
-                    raise CubeCapExceeded(cube_cap)
-                parent.append(t)
-                level.append(lv)
-                size_class.append(j)
-                base.append(b)
-                vert.append(ve)
-                nxt.append(len(parent) - 1)
-        frontier = nxt
+            _dyadic_floats(L, 2 * (cell[:, -1] + 3), cls))
+        inconclusive += decisions.count(None)
+        stacked = np.array([x is True for x in decisions])     # None subdivides
+        split = ~stacked & (cls < depth_max)    # else: truncated at the class cap
+        kids = np.where(stacked, 1, np.where(split, 2 ** d, 0))
+        total = int(kids.sum())
+        if total and count + total > cube_cap:
+            raise CubeCapExceeded(cube_cap)
+        up = np.repeat(np.arange(len(ids)), kids)
+        slot = np.arange(total) - np.repeat(np.cumsum(kids) - kids, kids)
+        s = split[up].astype(np.int64)
+        cell = np.column_stack([(cell[up, :-1] << s[:, None]) + bits[slot],
+                                (cell[up, -1] + 1) << s])
+        cls = cls[up] + s
+        parent.append(ids[up])
+        level.append(np.full(total, lv))
+        size_class.append(cls)
+        cells.append(cell)
+        ids = count + np.arange(total)
+        count += total
 
-    tree = RootedTree(parent)
-    return CubeCovering(profile, tree, tuple(level), tuple(size_class),
-                        tuple(base), tuple(vert), depth_max, inconclusive)
+    tree = RootedTree(np.concatenate(parent).tolist())
+    return CubeCovering(profile, tree, tuple(np.concatenate(level).tolist()),
+                        tuple(np.concatenate(size_class).tolist()),
+                        np.concatenate(cells), depth_max, inconclusive)
 
 
 # -- structural verification ---------------------------------------------------
@@ -570,46 +589,35 @@ def build_covering(profile: HolderProfile, depth_max: int,
 def check_disjoint_and_coverage(cov: CubeCovering) -> dict:
     """Exact disjointness and coverage of the truncated staircase region.
 
-    Disjointness: pairwise open-box intersection on integer-scaled dyadic
-    coordinates. Coverage: the per-cube volume total must equal the column
-    integral of the stack heights read off the truncation leaves; both are
-    exact Fraction sums, so equality is required exactly.
+    Disjointness: dyadic cells are disjoint or nested, so a cube overlaps
+    another exactly when its key repeats in its class or its ancestor cell
+    (cell >> (j - j')) at a coarser class j' is a cube, found by searchsorted
+    in the locate index. Coverage: the per-cube volume total must equal the
+    column integral of the stack heights read off the truncation leaves;
+    both are exact sums over per-class integer counts.
     """
-    n = cov.tree.n
-    scale = 2 ** (max(cov.size_class) + 1)
-    unit = cov.profile.ell / scale
-
-    def ints(t):
-        out = []
-        for lo, hi in cov.base[t]:
-            out.append((int(lo / unit), int(hi / unit)))
-        lo, hi = cov.vert[t]
-        out.append((int(lo / unit), int(hi / unit)))
-        return out
-
-    boxes = np.array([sum((list(iv) for iv in ints(t)), []) for t in range(n)],
-                     dtype=np.int64)
+    index = cov._locate_index
     disjoint = True
-    block = 1024
-    for a in range(0, n, block):
-        sl = slice(a, min(a + block, n))
-        overlap = np.ones((sl.stop - sl.start, n), dtype=bool)
-        for k in range(cov.n):
-            lo = boxes[:, 2 * k]
-            hi = boxes[:, 2 * k + 1]
-            overlap &= (lo[sl, None] < hi[None, :]) & (lo[None, :] < hi[sl, None])
-        overlap[np.arange(sl.stop - sl.start), np.arange(sl.start, sl.stop)] = False
-        if overlap.any():
-            disjoint = False
-            break
+    for j, _, _, keys, ids in index:
+        disjoint &= not np.any(keys[1:] == keys[:-1])
+        for coarse, _, _, ckeys, _ in index:
+            if coarse >= j or not disjoint:
+                break
+            up = cov.cell[ids] >> (j - coarse)
+            key = _cell_key(up[:, -1], list(up[:, :-1].T), 2 ** coarse)
+            pos = np.minimum(np.searchsorted(ckeys, key), len(ckeys) - 1)
+            disjoint &= not np.any(ckeys[pos] == key)
 
-    total = sum(cov.q_volume(t) for t in range(n))
-    columns = Fraction(0)
-    for t in cov.tree.leaves:
-        area = Fraction(1)
-        for lo, hi in cov.base[t]:
-            area *= hi - lo
-        columns += area * cov.vert[t][1]
+    cls = np.asarray(cov.size_class)
+    leaves = np.asarray(cov.tree.leaves)
+    counts = np.bincount(cls)
+    heights = np.zeros(len(counts), dtype=np.int64)   # sum of k + 1 over leaves
+    np.add.at(heights, cls[leaves], cov.cell[leaves, -1] + 1)
+    total = columns = Fraction(0)
+    for j in np.flatnonzero(counts).tolist():
+        volume = (cov.profile.ell * Fraction(1, 2 ** j)) ** cov.n
+        total += int(counts[j]) * volume
+        columns += int(heights[j]) * volume     # a leaf column is (k + 1) cubes high
     return {
         "disjoint": bool(disjoint),
         "covered_volume": total,

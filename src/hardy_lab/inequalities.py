@@ -158,12 +158,6 @@ def _allocate(samples: int, vols: np.ndarray) -> np.ndarray:
 def _cell_rng(seed: int, cell: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, cell)))
 
-def _cell_box(cov: CubeCovering, t: int) -> tuple[np.ndarray, np.ndarray]:
-    lo = [float(a) for a, _ in cov.base[t]] + [float(cov.vert[t][0])]
-    hi = [float(b) for _, b in cov.base[t]] + [float(cov.vert[t][1])]
-    return np.array(lo), np.array(hi)
-
-
 def _d_values(cov: CubeCovering, edge, pts: np.ndarray, mode: str) -> np.ndarray:
     """d at pts: the cell edge surrogate (one float, or one per point), or the
     distance to the graph."""
@@ -222,7 +216,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
         m = int(counts[t])
         if m == 0:
             return None
-        lo, hi = _cell_box(cov, t)
+        lo, hi = cov.corners[0][t], cov.corners[1][t]
         pts = lo + _cell_rng(seed, t).random((m, n)) * (hi - lo)
         w = vols[t] / m
         d = _d_values(cov, cov.edge_array[t], pts, d_mode)
@@ -291,7 +285,7 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     for t in cells.tolist():
         m = int(counts[t])
         rng = _cell_rng(seed, t)
-        lo, hi = _cell_box(cov, t)
+        lo, hi = cov.corners[0][t], cov.corners[1][t]
         pts.append(lo + rng.random((m, n)) * (hi - lo))
         u.append(rng.random(m))
         g.append(rng.standard_normal((m, n)))

@@ -4,12 +4,15 @@ The library computes path-prefix and shadow sums with a level-vectorised
 kernel, applies the Hardy operator matrix-free, computes the EHP constant B
 with an upper-hull tree DP, solves every alpha_K program by the tree
 recursion, decides cube containment for a whole covering level at once,
-fits the counting constants per size class and sweeps the sampled Holder
-quotient in row blocks; the loops, the dense matrices, the antichain
-enumeration, the Gram solve and the per-cube test below are the
-straightforward forms they are checked against.
+fits the counting constants per size class, sweeps the sampled Holder
+quotient in row blocks, stores cubes as integer dyadic cells and checks
+their disjointness by cell-key lookups; the loops, the dense matrices, the
+antichain enumeration, the Gram solve, the per-cube test, the Fraction
+covering build and the pairwise box scan below are the straightforward
+forms they are checked against.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -255,3 +258,152 @@ def level_rows(cov) -> list:
             "volume": float(sum(cov.q_volume(t) for t in ids)),
         })
     return rows
+
+
+class FractionCovering:
+    """The former covering build: one per-cube containment test and one child
+    at a time, every coordinate an exact Fraction, with the former export,
+    centers and root-to-leaf point location."""
+
+    def __init__(self, profile, depth_max: int):
+        L = profile.ell
+        half = L / 2
+        self.profile, self.depth_max = profile, depth_max
+        self.parent, self.level, self.size_class = [-1], [0], [0]
+        self.base = [tuple((-half, half) for _ in range(profile.n - 1))]
+        self.vert = [(Fraction(0), L)]
+        self.inconclusive = 0
+        edges = [L / 2 ** j for j in range(depth_max + 1)]
+        strip = 1.5 * float(L)
+        frontier = [0]
+        lv = 0
+        while frontier:
+            lv += 1
+            nxt = []
+            for t in frontier:
+                j = self.size_class[t]
+                e = edges[j]
+                lo, hi = self.box(t)
+                c = (lo[:-1] + hi[:-1]) / 2.0
+                he = 1.5 * float(e)
+                decision = min_phi_decision(profile, np.maximum(c - he, -strip),
+                                            np.minimum(c + he, strip),
+                                            float(self.vert[t][1] + 2 * e))
+                x2 = self.vert[t][1]
+                if decision is None:
+                    self.inconclusive += 1
+                    decision = False
+                if decision:
+                    children = [(self.base[t], (x2, x2 + e), j)]
+                elif j < depth_max:
+                    h = e / 2
+                    splits = [((a, a + h), (a + h, b)) for (a, b) in self.base[t]]
+                    children = [(tuple(combo), (x2, x2 + h), j + 1)
+                                for combo in itertools.product(*splits)]
+                else:
+                    children = []
+                for b, v, k in children:
+                    self.parent.append(t)
+                    self.level.append(lv)
+                    self.size_class.append(k)
+                    self.base.append(b)
+                    self.vert.append(v)
+                    nxt.append(len(self.parent) - 1)
+            frontier = nxt
+        self.children = [[] for _ in self.parent]
+        for t, p in enumerate(self.parent[1:], 1):
+            self.children[p].append(t)
+
+    def box(self, t):
+        """Float lower and upper corners of cube t."""
+        lo = [float(a) for a, _ in self.base[t]] + [float(self.vert[t][0])]
+        hi = [float(b) for _, b in self.base[t]] + [float(self.vert[t][1])]
+        return np.array(lo), np.array(hi)
+
+    def to_json(self) -> dict:
+        def fr(x):
+            return [x.numerator, x.denominator]
+        L, n = self.profile.ell, self.profile.n
+        cubes = []
+        for t in range(len(self.parent)):
+            edge = L * Fraction(1, 2 ** self.size_class[t])
+            cubes.append({
+                "id": t,
+                "parent": self.parent[t],
+                "level": self.level[t],
+                "size_class": self.size_class[t],
+                "edge": fr(edge),
+                "base": [[fr(lo), fr(hi)] for lo, hi in self.base[t]],
+                "vertical": [fr(self.vert[t][0]), fr(self.vert[t][1])],
+                "volume_b": fr(edge ** n / 2) if t else None,
+            })
+        return {"n": n, "alpha": self.profile.alpha, "k_phi": self.profile.k_phi,
+                "ell": fr(L), "profile": self.profile.name,
+                "depth_max": self.depth_max, "inconclusive": self.inconclusive,
+                "cubes": cubes}
+
+    def centers(self) -> np.ndarray:
+        c = np.empty((len(self.parent), self.profile.n))
+        for t in range(len(self.parent)):
+            for k, (lo, hi) in enumerate(self.base[t]):
+                c[t, k] = float(lo + hi) / 2.0
+            c[t, -1] = float(self.vert[t][0] + self.vert[t][1]) / 2.0
+        return c
+
+    def locate(self, x) -> int:
+        """Walk down from the root into the child whose half-open float base
+        holds x'; -1 outside the truncated region."""
+        def in_base(t):
+            return all(float(lo) <= v < float(hi) for (lo, hi), v in zip(self.base[t], x[:-1]))
+
+        t = 0
+        if not in_base(t) or x[-1] < float(self.vert[t][0]):
+            return -1
+        while x[-1] >= float(self.vert[t][1]):
+            t = next((c for c in self.children[t] if in_base(c)), -1)
+            if t < 0:
+                return -1
+        return t
+
+
+def disjoint_and_coverage(doc: dict) -> dict:
+    """The former structure check on an exported covering (`to_json()`):
+    pairwise open-box intersection on integer-scaled exact coordinates in
+    row blocks, O(n^2), and per-cube exact Fraction volume sums."""
+    cubes = doc["cubes"]
+    n = len(cubes)
+    nn = doc["n"]
+    ell = Fraction(*doc["ell"])
+    unit = ell / 2 ** (max(c["size_class"] for c in cubes) + 1)
+    boxes = np.array([[int(Fraction(*x) / unit) for lo, hi in c["base"] + [c["vertical"]]
+                       for x in (lo, hi)] for c in cubes], dtype=np.int64)
+    disjoint = True
+    block = 1024
+    for a in range(0, n, block):
+        sl = slice(a, min(a + block, n))
+        overlap = np.ones((sl.stop - sl.start, n), dtype=bool)
+        for k in range(nn):
+            lo = boxes[:, 2 * k]
+            hi = boxes[:, 2 * k + 1]
+            overlap &= (lo[sl, None] < hi[None, :]) & (lo[None, :] < hi[sl, None])
+        overlap[np.arange(sl.stop - sl.start), np.arange(sl.start, sl.stop)] = False
+        if overlap.any():
+            disjoint = False
+            break
+
+    inner = {c["parent"] for c in cubes}
+    total = sum((ell * Fraction(1, 2 ** c["size_class"])) ** nn for c in cubes)
+    columns = Fraction(0)
+    for c in cubes:
+        if c["id"] in inner:
+            continue
+        area = Fraction(1)
+        for lo, hi in c["base"]:
+            area *= Fraction(*hi) - Fraction(*lo)
+        columns += area * Fraction(*c["vertical"][1])
+    return {
+        "disjoint": bool(disjoint),
+        "covered_volume": total,
+        "column_volume": columns,
+        "coverage_exact": total == columns,
+    }

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import hardy_lab as hl
-from hardy_lab import covering
 from hardy_lab.covering import (
     CoveringError,
     CubeCapExceeded,
@@ -20,6 +19,8 @@ from hardy_lab.covering import (
 )
 
 from oracles import (
+    FractionCovering,
+    disjoint_and_coverage,
     fit_constants,
     holder_quotient_max,
     level_rows,
@@ -33,16 +34,17 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def test_flat_root_and_first_level():
     cov = hl.build_covering(hl.profile_flat(2.0), depth_max=2)
-    half = Fraction(1, 2)
-    assert cov.base[0] == ((-half, half),)
-    assert cov.vert[0] == (Fraction(0), Fraction(1))
+    cubes = cov.to_json()["cubes"]
+    assert cov.cell[0].tolist() == [0, 0]
+    assert cubes[0]["base"] == [[[-1, 2], [1, 2]]]
+    assert cubes[0]["vertical"] == [[0, 1], [1, 1]]
     # the level-0 test cube spans heights (0, 3), never inside the domain:
     # two half-size children on the top face
     kids = cov.tree.children[0]
     assert len(kids) == 2
-    assert [cov.base[t] for t in kids] == [((-half, Fraction(0)),),
-                                           ((Fraction(0), half),)]
-    assert all(cov.vert[t] == (Fraction(1), Fraction(3, 2)) for t in kids)
+    assert cov.cell[list(kids)].tolist() == [[0, 2], [1, 2]]
+    assert [cubes[t]["base"] for t in kids] == [[[[-1, 2], [0, 1]]], [[[0, 1], [1, 2]]]]
+    assert all(cubes[t]["vertical"] == [[1, 1], [3, 2]] for t in kids)
 
 
 def test_flat_always_halves():
@@ -77,10 +79,11 @@ def test_disjoint_and_coverage_exact(demo_cov6):
 
 
 def test_dyadic_coordinates(demo_cov6):
+    assert demo_cov6.cell.dtype == np.int64 and not demo_cov6.cell.flags.writeable
+    cubes = demo_cov6.to_json()["cubes"]
     for t in range(0, demo_cov6.tree.n, 17):
-        for lo, hi in demo_cov6.base[t] + (demo_cov6.vert[t],):
-            for x in (lo, hi):
-                d = Fraction(x).denominator
+        for lo, hi in cubes[t]["base"] + [cubes[t]["vertical"]]:
+            for _, d in (lo, hi):
                 assert d & (d - 1) == 0        # power of two
 
 
@@ -188,11 +191,33 @@ def test_cube_cap():
         hl.build_covering(hl.profile_demo(), depth_max=8, cube_cap=100)
 
 
+@pytest.mark.parametrize("which,depth", [("demo", 6), ("rough", 8)])
+def test_cube_cap_boundary(which, depth, request):
+    # the cap bounds the cube count: a covering with exactly cube_cap cubes
+    # builds, one cube fewer raises
+    count = request.getfixturevalue(f"{which}_cov{depth}").cube_count
+    assert hl.build_covering(_profile(which), depth, cube_cap=count).cube_count == count
+    with pytest.raises(CubeCapExceeded):
+        hl.build_covering(_profile(which), depth, cube_cap=count - 1)
+
+
 def test_profile_validation_rejects_bad_range():
     bad = hl.HolderProfile(alpha=1.0, k_phi=0.0, ell=Fraction(1),
                            phi=lambda x: np.full(len(x), 5.0), n=2)
     with pytest.raises(CoveringError):
         hl.build_covering(bad, depth_max=1)
+
+
+@pytest.mark.parametrize("phi", [
+    lambda x: np.full(len(x), np.nan),
+    lambda x: np.where(np.arange(len(x)) == 7, np.nan, 2.5),      # one grid point
+])
+def test_profile_validation_rejects_non_finite_phi(phi):
+    prof = hl.HolderProfile(alpha=1.0, k_phi=0.0, ell=Fraction(1), phi=phi, n=2)
+    with pytest.raises(CoveringError, match="finite"):
+        prof.validate()
+    with pytest.raises(CoveringError, match="finite"):
+        hl.build_covering(prof, depth_max=3)
 
 
 def test_profile_validation_rejects_wrong_holder_constant():
@@ -234,32 +259,14 @@ def test_admissibility_interval(demo_cov6):
 
 def test_locate(demo_cov6):
     rng = np.random.default_rng(2)
+    lows, highs = demo_cov6.corners
     for _ in range(50):
         t = int(rng.integers(0, demo_cov6.tree.n))
-        lo = np.array([float(a) for a, _ in demo_cov6.base[t]]
-                      + [float(demo_cov6.vert[t][0])])
-        hi = np.array([float(b) for _, b in demo_cov6.base[t]]
-                      + [float(demo_cov6.vert[t][1])])
+        lo, hi = lows[t], highs[t]
         x = lo + rng.random(2) * (hi - lo)
         assert demo_cov6.locate(x) == t
     assert demo_cov6.locate(np.array([0.0, 50.0])) == -1
     assert demo_cov6.locate(np.array([0.9, 0.5])) == -1
-
-
-def tree_walk_locate(cov, x) -> int:
-    """The former CubeCovering.locate, kept as the reference: walk down from
-    the root into the child whose half-open float base holds x'."""
-    def in_base(t):
-        return all(float(lo) <= v < float(hi) for (lo, hi), v in zip(cov.base[t], x[:-1]))
-
-    t = cov.tree.root
-    if not in_base(t) or x[-1] < float(cov.vert[t][0]):
-        return -1
-    while x[-1] >= float(cov.vert[t][1]):
-        t = next((c for c in cov.tree.children[t] if in_base(c)), -1)
-        if t < 0:
-            return -1
-    return t
 
 
 def _demo3_profile():
@@ -273,24 +280,25 @@ def _demo3_profile():
 
 @pytest.mark.parametrize("which", ["demo", "rough", "flat3", "demo3"])
 def test_locate_matches_tree_walk(which, demo_cov6):
+    depth = {"demo": 6, "rough": 6}.get(which, 3)
     if which == "demo":
         cov = demo_cov6
     else:
-        cov = hl.build_covering(_profile(which), depth_max=6 if which == "rough" else 3)
-        assert cov._index is None           # the index is built on first use
+        cov = hl.build_covering(_profile(which), depth_max=depth)
+        assert "_locate_index" not in vars(cov)     # the index is built on first use
+    oracle = FractionCovering(_profile(which), depth)
     rng = np.random.default_rng(17)
     n, m = cov.n, 20_000
     # uniform points over a box reaching past the strip, below 0 and above phi
     pts = np.column_stack([rng.uniform(-0.7, 0.7, (m, n - 1)), rng.uniform(-0.2, 3.2, m)])
     # corners, face points and centres of random cubes lie on grid lines
     for k, t in enumerate(rng.integers(0, cov.tree.n, 5000)):
-        lo = np.array([float(a) for a, _ in cov.base[t]] + [float(cov.vert[t][0])])
-        hi = np.array([float(b) for _, b in cov.base[t]] + [float(cov.vert[t][1])])
+        lo, hi = oracle.box(t)
         pts[k] = np.choose(rng.integers(0, 3, n), [lo, hi, (lo + hi) / 2])
     pts[-3:] = np.array([np.nan, np.inf, -np.inf])[:, None]
     got = cov.locate(pts)
     assert got.dtype == np.int64
-    assert got.tolist() == [tree_walk_locate(cov, x) for x in pts]
+    assert got.tolist() == [oracle.locate(x) for x in pts]
     assert 0.2 < np.mean(got >= 0) < 0.8
     assert cov.locate(pts[0]) == got[0] and isinstance(cov.locate(pts[0]), int)
     with pytest.raises(ValueError, match="shape"):
@@ -330,8 +338,9 @@ def test_child_edges_never_grow(demo_cov6):
     for t in demo_cov6.tree.gamma_star:
         p = demo_cov6.tree.parent[t]
         assert demo_cov6.edge(t) in (demo_cov6.edge(p), demo_cov6.edge(p) / 2)
-        # children sit exactly on the parent's top face
-        assert demo_cov6.vert[t][0] == demo_cov6.vert[p][1]
+        # children sit exactly on the parent's top face: k_t h_t = (k_p + 1) h_p
+        jt, jp = demo_cov6.size_class[t], demo_cov6.size_class[p]
+        assert demo_cov6.cell[t, -1] << jp == (demo_cov6.cell[p, -1] + 1) << jt
 
 
 # -- batched containment decisions against the per-cube test --------------------
@@ -379,14 +388,50 @@ def test_batched_decision_ties():
 
 
 @pytest.mark.parametrize("which,depth", [("demo", 8), ("rough", 8), ("demo3", 3), ("flat3", 3)])
-def test_covering_matches_per_cube_build(which, depth, request, monkeypatch):
+def test_covering_matches_per_cube_build(which, depth, request):
     if which in ("demo", "rough"):
         batched = request.getfixturevalue(f"{which}_cov{depth}")
     else:
         batched = hl.build_covering(_profile(which), depth_max=depth)
-    monkeypatch.setattr(covering, "_min_phi_decisions", _per_cube)
-    per_cube = hl.build_covering(_profile(which), depth_max=depth)
-    assert per_cube.to_json() == batched.to_json()
+    assert FractionCovering(_profile(which), depth).to_json() == batched.to_json()
+
+
+@pytest.mark.parametrize("profile,depth", [
+    (hl.profile_flat(0.7, ell=Fraction(1, 3)), 4),
+    (hl.profile_flat(6.5, ell=3), 4),
+    (hl.profile_flat(0.7, ell=Fraction(1, 3), n=3), 3),
+    (hl.profile_flat(6.5, ell=3, n=3), 3),
+    (_demo3_profile(), 3),
+], ids=["flat_third", "flat_three", "flat3_third", "flat3_three", "demo3"])
+def test_integer_cells_match_fraction_oracle(profile, depth):
+    # the floats of the integer cells against float(Fraction) at l != 1
+    cov = hl.build_covering(profile, depth)
+    oracle = FractionCovering(profile, depth)
+    doc = oracle.to_json()
+    assert cov.to_json() == doc
+    assert check_disjoint_and_coverage(cov) == disjoint_and_coverage(doc)
+    assert cov.centers().tobytes() == oracle.centers().tobytes()
+    lows, highs = cov.corners
+    for t in range(cov.tree.n):
+        lo, hi = oracle.box(t)
+        assert lows[t].tobytes() == lo.tobytes() and highs[t].tobytes() == hi.tobytes()
+    rng = np.random.default_rng(11)
+    L = float(profile.ell)
+    pts = np.column_stack([rng.uniform(-0.7 * L, 0.7 * L, (3000, cov.n - 1)),
+                           rng.uniform(-0.2 * L, 3.2 * L, 3000)])
+    pick = np.where(rng.integers(0, 2, (cov.tree.n, cov.n)) == 1, lows, highs)
+    pts = np.concatenate([pts, pick, lows, highs, cov.centers()])
+    assert cov.locate(pts).tolist() == [oracle.locate(x) for x in pts]
+
+
+@pytest.mark.parametrize("ell", [Fraction(2 ** 60 + 1, 2 ** 60), Fraction(1, 2 ** 53 + 1),
+                                 Fraction(1, 3 ** 31)])
+def test_dyadic_floats_refuse_past_2_53(ell):
+    # l = a/b with a huge numerator or denominator: a m or b 2^(j+1) would
+    # leave the exact float64 integers, so the coordinates are refused
+    profile = hl.profile_flat(2.5 * float(ell), ell=ell)
+    with pytest.raises(CoveringError, match="2\\^53"):
+        hl.build_covering(profile, 8)
 
 
 ROUGH8_SHA256 = "e6eef900e467f0e27e172f62a4e7bf6b24eb456090ca0efac312fa05f92a8507"
@@ -437,21 +482,19 @@ def test_tail_and_level_rows_match_per_vertex_sums(demo_cov8, rough_cov8):
 
 def _covering_of(cov, ids, extra=()):
     """The cubes `ids` of cov, renumbered in order, plus `extra` cubes given
-    as (parent id in cov, size class, base, vertical)."""
+    as (parent id in cov, size class, grid cell)."""
     new = {t: i for i, t in enumerate(ids)}
     parent = [new[cov.tree.parent[t]] if t != cov.tree.root else -1 for t in ids]
     size_class = [cov.size_class[t] for t in ids]
-    base = [cov.base[t] for t in ids]
-    vert = [cov.vert[t] for t in ids]
+    cells = [cov.cell[t] for t in ids]
     level = [cov.level[t] for t in ids]
-    for p, j, b, v in extra:
+    for p, j, cell in extra:
         parent.append(new[p])
         size_class.append(j)
-        base.append(b)
-        vert.append(v)
+        cells.append(cell)
         level.append(cov.level[p] + 1)
     return CubeCovering(cov.profile, hl.RootedTree(parent), tuple(level), tuple(size_class),
-                        tuple(base), tuple(vert), cov.depth_max)
+                        np.array(cells), cov.depth_max)
 
 
 def test_disjoint_and_coverage_catch_broken_coverings():
@@ -463,15 +506,13 @@ def test_disjoint_and_coverage_catch_broken_coverings():
     # a leaf whose parent split, so the parent stays an inner cube without it
     leaf = next(t for t in reversed(tree.leaves) if len(tree.children[tree.parent[t]]) > 1)
     p, j = tree.parent[leaf], cov.size_class[leaf]
-    lo, hi = cov.vert[leaf]
 
-    duplicated = _covering_of(cov, everything, [(p, j, cov.base[leaf], (lo, hi))])
+    duplicated = _covering_of(cov, everything, [(p, j, cov.cell[leaf])])
     assert not check_disjoint_and_coverage(duplicated)["disjoint"]
 
-    # a second cube reaching half an edge down into the leaf
-    shift = (hi - lo) / 2
-    overlapping = _covering_of(cov, everything, [(leaf, j, cov.base[leaf], (hi - shift, hi + shift))])
-    assert not check_disjoint_and_coverage(overlapping)["disjoint"]
+    # a class j + 1 cell nested in the upper half of the leaf
+    nested = _covering_of(cov, everything, [(leaf, j + 1, 2 * cov.cell[leaf] + [1, 1])])
+    assert not check_disjoint_and_coverage(nested)["disjoint"]
 
     dropped = check_disjoint_and_coverage(_covering_of(cov, [t for t in everything if t != leaf]))
     assert dropped["disjoint"]
@@ -479,4 +520,39 @@ def test_disjoint_and_coverage_catch_broken_coverings():
     # the leaf's column (edge x top) leaves the column integral, its cube
     # (edge x edge) the volume total
     e = cov.edge(leaf)
+    hi = (int(cov.cell[leaf, -1]) + 1) * e
     assert dropped["covered_volume"] - dropped["column_volume"] == (hi - e) * e
+
+
+@pytest.mark.parametrize("which,depth", [("demo", 4), ("rough", 6)])
+def test_disjointness_matches_pairwise_scan_on_mutations(which, depth):
+    cov = hl.build_covering(_profile(which), depth_max=depth)
+    tree = cov.tree
+    rng = np.random.default_rng(23)
+    everything = list(range(tree.n))
+    leaves = [t for t in tree.leaves if t != tree.root]
+    for trial in range(12):
+        picks = rng.choice(tree.n, size=1 + trial % 3, replace=False).tolist()
+        if trial % 3 == 0:          # duplicated cubes
+            mutated = _covering_of(cov, everything, [
+                (t, cov.size_class[t], cov.cell[t]) for t in picks])
+        elif trial % 3 == 1:        # smaller cells nested in existing cubes
+            extra = []
+            for t in picks:
+                s = int(rng.integers(1, 4))
+                offset = rng.integers(0, 2 ** s, cov.n)
+                extra.append((t, cov.size_class[t] + s, (cov.cell[t] << s) + offset))
+            mutated = _covering_of(cov, everything, extra)
+        else:                       # dropped leaves
+            gone = set(rng.choice(leaves, size=1 + trial % 4, replace=False).tolist())
+            mutated = _covering_of(cov, [t for t in everything if t not in gone])
+        got = check_disjoint_and_coverage(mutated)
+        assert got == disjoint_and_coverage(mutated.to_json())
+        assert got["disjoint"] == (trial % 3 == 2)
+
+
+def test_structure_check_on_rough_depth10(rough_cov10):
+    # 22751 cubes; the volumes are those the pairwise scan reported
+    assert check_disjoint_and_coverage(rough_cov10) == {
+        "disjoint": True, "covered_volume": Fraction(641171, 262144),
+        "column_volume": Fraction(641171, 262144), "coverage_exact": True}

@@ -7,7 +7,7 @@ import pytest
 import hardy_lab as hl
 from hardy_lab.decomp import CellFunction, DecompositionError, space_from_covering
 
-from test_covering import tree_walk_locate
+from oracles import FractionCovering
 
 
 # -- test function catalog --------------------------------------------------------
@@ -99,7 +99,8 @@ def test_fractional_vectorised_matches_tree_walk(demo_cov6):
     # the same sampler with point location done one pair at a time by the
     # reference tree walk gives the same bits
     walk = dataclasses.replace(demo_cov6)
-    walk.locate = lambda y: np.array([tree_walk_locate(walk, x) for x in y])
+    oracle = FractionCovering(hl.profile_demo(), 6)
+    walk.locate = lambda y: np.array([oracle.locate(x) for x in y])
     f = hl.f_bilinear()
     kw = dict(s=0.5, tau=0.7, samples=20_000, seed=4)
     a = hl.inequality_ratio("fractional_poincare", f, demo_cov6, 0.1, 2.0, **kw)
