@@ -430,36 +430,30 @@ def density_split(F: CellFunction, beta: float, p: float,
     tree = space.tree
     dbp = space.ell ** (beta * p)
     omega = space.ell ** beta
-    vols = space.volumes()
+    vols = space.vol
     denom = float(dbp @ vols)
     Fv = F.as_array()
     psi = float((Fv * vols).sum()) / denom
     h = Fv - psi * dbp
 
-    depth = np.array([tree.depth[f.connector if f.connector is not None else f.owner]
-                      for f in space.fragments])
+    depth = np.asarray(tree.depth)[np.where(space.connector >= 0, space.connector, space.owner)]
     max_depth = int(depth.max())
 
     def tail_norm(D):
         out = depth > D
         return float(np.sum(np.abs(h[out]) ** q * omega[out] ** (-q) * vols[out])) ** (1 / q)
 
-    D = None
-    for cand in range(max_depth + 1):
-        if tail_norm(cand) < epsilon:
-            D = cand
-            break
+    D = next((d for d in range(max_depth + 1) if tail_norm(d) < epsilon), None)
     if D is None:
         raise DecompositionError(
             "epsilon too small: the inner region would exceed the truncation")
     inner = depth <= D
-    ball = space.owner_frags[tree.root][0]
+    ball = int(np.flatnonzero(space.owner == tree.root)[0])
     tail_int = float(np.sum(h[~inner] * vols[~inner]))
     g = np.where(inner, h, 0.0)
     g[ball] += dbp[ball] / (dbp[ball] * vols[ball]) * tail_int
-    gf = CellFunction(space, tuple(float(x) for x in g))
-    lhs = weighted_q_norm_q(gf.values, space, omega, q) ** (1 / q)
-    full = g + psi * dbp
-    rhs = weighted_q_norm_q(tuple(full), space, omega, q) ** (1 / q)
+    lhs = weighted_q_norm_q(g, space, omega, q) ** (1 / q)
+    rhs = weighted_q_norm_q(g + psi * dbp, space, omega, q) ** (1 / q)
+    gf = CellFunction(space, tuple(g.tolist()))
     return DensityReport(gf, psi, D, tail_norm(D), lhs, rhs,
                          lhs <= 2.0 * rhs * (1 + 1e-12))

@@ -6,10 +6,11 @@ with an upper-hull tree DP, solves every alpha_K program by the tree
 recursion, decides cube containment for a whole covering level at once,
 fits the counting constants per size class, sweeps the sampled Holder
 quotient in row blocks, stores cubes as integer dyadic cells and checks
-their disjointness by cell-key lookups; the loops, the dense matrices, the
-antichain enumeration, the Gram solve, the per-cube test, the Fraction
-covering build and the pairwise box scan below are the straightforward
-forms they are checked against.
+their disjointness by cell-key lookups, and runs the decomposition on one
+(vertex, fragment) pair index of the U_t sets; the loops, the dense
+matrices, the antichain enumeration, the Gram solve, the per-cube test,
+the Fraction covering build, the pairwise box scan and the per-vertex
+decomposition below are the straightforward forms they are checked against.
 """
 
 import itertools
@@ -407,3 +408,130 @@ def disjoint_and_coverage(doc: dict) -> dict:
         "column_volume": columns,
         "coverage_exact": total == columns,
     }
+
+
+# -- the decomposition, per vertex ---------------------------------------------------
+
+def covering_fragments(cov) -> list:
+    """Core cells by per-vertex exact Fraction volumes, then the slabs."""
+    tree = cov.tree
+    frags = [hl.Fragment(cov.q_volume(t) - sum((cov.b_volume(c) for c in tree.children[t]),
+                                               Fraction(0)), owner=t)
+             for t in range(tree.n)]
+    frags += [hl.Fragment(cov.b_volume(s), owner=tree.parent[s], connector=s)
+              for s in tree.gamma_star]
+    return frags
+
+
+def fragment_maps(space) -> tuple[dict, dict]:
+    """owner -> its fragments, and connector vertex -> its slab."""
+    owner_frags = {t: [] for t in range(space.tree.n)}
+    bfrag = {}
+    for i, f in enumerate(space.fragments):
+        owner_frags[f.owner].append(i)
+        if f.connector is not None:
+            bfrag[f.connector] = i
+    return owner_frags, bfrag
+
+
+def u_frags(space, t: int) -> tuple:
+    owner_frags, bfrag = fragment_maps(space)
+    ids = set(owner_frags[t])
+    if t != space.tree.root:
+        ids.add(bfrag[t])
+    for c in space.tree.children[t]:
+        ids.add(bfrag[c])
+    return tuple(sorted(ids))
+
+
+def overlap_bound(space) -> int:
+    count = np.zeros(len(space.fragments), dtype=int)
+    for t in range(space.tree.n):
+        for i in u_frags(space, t):
+            count[i] += 1
+    return int(count.max())
+
+
+def decompose(g, q: float) -> dict:
+    """The bottom-up fsum recursion for S and the per-vertex assembly of
+    each part g_t = f_t + sum_children h_s - h_t, with sequential norms."""
+    space = g.space
+    tree = space.tree
+    owner_frags, bfrag = fragment_maps(space)
+    fint = {t: math.fsum(float(g.values[i]) * float(space.fragments[i].volume)
+                         for i in owner_frags[t])
+            for t in range(tree.n)}
+    S = {}
+    for t in reversed(tree.topo):
+        S[t] = fint[t] + math.fsum(S[c] for c in tree.children[t])
+    parts = {}
+    for t in range(tree.n):
+        vals = {}
+        for i in owner_frags[t]:
+            if g.values[i]:
+                vals[i] = float(g.values[i])
+        for c in tree.children[t]:
+            i = bfrag[c]
+            h = S[c] / float(space.fragments[i].volume)
+            if h:
+                vals[i] = vals.get(i, 0.0) + h
+        if t != tree.root:
+            i = bfrag[t]
+            h = S[t] / float(space.fragments[i].volume)
+            if h:
+                vals[i] = vals.get(i, 0.0) - h
+        parts[t] = vals
+    lhs = 0.0
+    for t in range(tree.n):
+        for i, v in parts[t].items():
+            lhs += abs(v) ** q * float(space.nu[i]) ** (-q) * float(space.fragments[i].volume)
+    rhs = 0.0
+    for v, f, w in zip(g.values, space.fragments, space.omega):
+        if v:
+            rhs += abs(float(v)) ** q * float(w) ** (-q) * float(f.volume)
+    return {"parts": parts, "S": S, "lhs": lhs, "rhs": rhs}
+
+
+def predicted_constant(space, q: float, hardy_constant: float) -> tuple[float, dict]:
+    """Per-vertex sup of omega over U_t and exact |U_t| / |B_t|."""
+    _, bfrag = fragment_maps(space)
+    p = q / (q - 1.0)
+    emb = float(np.max(space.omega / space.nu))
+    worst = 0.0
+    ratio_ub = 0.0
+    for t in space.tree.gamma_star:
+        ufr = u_frags(space, t)
+        sup_omega = max(float(space.omega[i]) for i in ufr)
+        omega_t = float(space.omega[bfrag[t]])
+        uvol = sum((space.fragments[i].volume for i in ufr), Fraction(0))
+        r = float(uvol / space.fragments[bfrag[t]].volume)
+        ratio_ub = max(ratio_ub, r)
+        worst = max(worst, (sup_omega / omega_t) ** q * r ** (q / p))
+    N = overlap_bound(space)
+    c_pred = 2.0 ** (q - 1.0) * emb ** q + 2.0 ** q * hardy_constant ** q * worst * N
+    return c_pred, {"embedding": emb, "admissibility_term": worst,
+                    "overlap": N, "ub_ratio": ratio_ub, "hardy": hardy_constant}
+
+
+def verify_decomposition(result, sum_tol: float = 1e-12, mean_tol: float = 1e-10) -> dict:
+    """The support, sum and mean checks as per-vertex loops; raises
+    AssertionError where the library raises DecompositionError."""
+    space = result.space
+    g = np.array([float(v) for v in result.g_values])
+    gmax = float(np.max(np.abs(g)))
+    total = np.zeros(len(space.fragments))
+    for t, part in result.parts.items():
+        allowed = set(u_frags(space, t))
+        for i, v in part.items():
+            assert i in allowed, f"part supported outside U_t (vertex {t})"
+            total[i] += v
+    err = float(np.max(np.abs(total - g)))
+    assert err <= sum_tol * max(gmax, 1e-300), "sum of parts deviates from g"
+    g1 = math.fsum(abs(float(v)) * float(f.volume)
+                   for v, f in zip(result.g_values, space.fragments))
+    bound = mean_tol * max(g1, 1e-300)
+    means = [math.fsum(v * float(space.fragments[i].volume) for i, v in part.items())
+             for part in result.parts.values()]
+    assert max(map(abs, means)) <= bound, "part mean exceeds budget"
+    return {"sum_error": err / max(gmax, 1e-300), "max_part_mean": max(map(abs, means)),
+            "mean_bound": bound}

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hardy_lab as hl
+import oracles
 from hardy_lab.decomp import (
     CellFunction,
     CellSpace,
@@ -149,7 +152,7 @@ def test_decompose_leaf_supported():
     cov = hl.build_covering(hl.profile_flat(2.0), depth_max=3)
     sp = space_from_covering(cov, beta=0.0)
     leaf = cov.tree.leaves[0]
-    frag = sp.owner_frags[leaf][0]
+    frag = int(np.flatnonzero(sp.owner == leaf)[0])
     vals = [0.0] * len(sp.fragments)
     vals[frag] = 1.0
     # balance inside the same core cell is impossible with one fragment;
@@ -218,25 +221,33 @@ def test_ratio_growth_across_depths_bounded():
     assert worst[8] <= 4.0 * worst[4]
 
 
-def test_decompose_on_random_abstract_spaces():
+def _random_abstract_space(rng) -> CellSpace:
     # random trees with connectors placed either inside the parent's core
-    # (cube style) or inside the vertex's own core (toy style): the engine
-    # must satisfy the three identities on any valid covering shape
+    # (cube style) or inside the vertex's own core (toy style)
+    n = int(rng.integers(2, 11))
+    tree = hl.random_tree(n, rng)
+    frags = []
+    for t in range(n):
+        frags.append(Fragment(
+            Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))), t))
+    for s in tree.gamma_star:
+        owner = tree.parent[s] if rng.random() < 0.5 else s
+        frags.append(Fragment(
+            Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))),
+            owner, connector=s))
+    return CellSpace(tree, tuple(frags))
+
+
+def _random_abstract_cases():
     rng = np.random.default_rng(31)
     for _ in range(25):
-        n = int(rng.integers(2, 11))
-        tree = hl.random_tree(n, rng)
-        frags = []
-        for t in range(n):
-            frags.append(Fragment(
-                Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))), t))
-        for s in tree.gamma_star:
-            owner = tree.parent[s] if rng.random() < 0.5 else s
-            frags.append(Fragment(
-                Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))),
-                owner, connector=s))
-        sp = CellSpace(tree, tuple(frags))
-        g = random_mean_zero(sp, rng)
+        sp = _random_abstract_space(rng)
+        yield sp, random_mean_zero(sp, rng)
+
+
+def test_decompose_on_random_abstract_spaces():
+    # the engine must satisfy the three identities on any valid covering shape
+    for sp, g in _random_abstract_cases():
         res = decompose(g, q=2.0)
         total = np.zeros(len(sp.fragments))
         gmax = max(abs(v) for v in g.values)
@@ -255,7 +266,170 @@ def test_verify_raises_on_tampered_parts(demo_cov6):
     g = random_mean_zero(sp, np.random.default_rng(10))
     res = decompose(g, q=2.0)
     t = next(iter(res.parts))
-    frag = sp.owner_frags[t][0]
+    frag = int(np.flatnonzero(sp.owner == t)[0])
     res.parts[t][frag] += 0.5
     with pytest.raises(DecompositionError):
         verify_decomposition(res, 2.0)
+
+
+# -- input checks ------------------------------------------------------------------
+
+def test_decompose_rejects_non_finite_values():
+    sp = toy_two_cell_space()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DecompositionError, match="not finite on fragment 1"):
+            decompose(CellFunction(sp, (1.0, bad, -1.0)), q=2.0)
+
+
+@pytest.mark.parametrize("q", [float("nan"), 0.5, 1.0, float("inf"), -2.0])
+def test_decompose_rejects_q_outside_one_to_infinity(q):
+    sp = toy_two_cell_space()
+    with pytest.raises(DecompositionError, match="q must lie in"):
+        decompose(CellFunction(sp, (1.0, -1.0, -1.0)), q=q)
+
+
+def _toy_result():
+    return decompose(CellFunction(toy_two_cell_space(), (1.0, -1.0, -1.0)), q=2.0)
+
+
+def test_verify_fails_on_nan():
+    res = _toy_result()
+    res.ratio = float("nan")
+    with pytest.raises(DecompositionError, match="predicted bound"):
+        verify_decomposition(res, 1.05)
+    with pytest.raises(DecompositionError, match="predicted bound"):
+        verify_decomposition(_toy_result(), float("nan"))
+    res = _toy_result()
+    res.parts[0][0] = float("nan")
+    with pytest.raises(DecompositionError, match="sum of parts"):
+        verify_decomposition(res, 1.05)
+    res = _toy_result()
+    res.g_values = (1.0, float("nan"), -1.0)
+    with pytest.raises(DecompositionError, match="sum of parts"):
+        verify_decomposition(res, 1.05)
+
+
+def test_estimate_ok_and_the_raise_use_one_comparison():
+    res = _toy_result()
+    c_pred, _ = predicted_constant(res.space, 2.0, 1.05)
+    res.ratio = c_pred * (1.0 + 1e-10)          # inside the round-off slack
+    rep = verify_decomposition(res, 1.05)
+    assert rep.estimate_ok and rep.to_json()["estimate_ok"] is True
+    res.ratio = c_pred * (1.0 + 1e-8)
+    with pytest.raises(DecompositionError, match="predicted bound"):
+        verify_decomposition(res, 1.05)
+
+
+_VALID = (Fragment(Fraction(1), 0),
+          Fragment(Fraction(1), 1, connector=1),
+          Fragment(Fraction(1), 2, connector=2))
+
+
+@pytest.mark.parametrize("changed, message", [
+    ({0: Fragment(Fraction(1), 3)}, r"fragment 0: owner 3 is not a vertex"),
+    ({0: Fragment(Fraction(1), -1)}, r"fragment 0: owner -1 is not a vertex"),
+    ({0: Fragment(Fraction(1), 0, connector=0)},
+     r"fragment 0: connector 0 is not a non-root vertex"),
+    ({2: Fragment(Fraction(1), 2, connector=5)},
+     r"fragment 2: connector 5 is not a non-root vertex"),
+    ({2: Fragment(Fraction(1), 2, connector=-1)},
+     r"fragment 2: connector -1 is not a non-root vertex"),
+    ({0: Fragment(Fraction(-1, 8), 0)}, r"fragment 0: negative volume"),
+    ({2: Fragment(Fraction(1), 2, connector=1)}, r"duplicate connector fragment \(vertex 1\)"),
+    ({2: Fragment(Fraction(1), 2)}, r"missing connector fragment \(vertex 2\)"),
+    ({1: Fragment(Fraction(0), 1, connector=1)},
+     r"connector must have positive volume \(vertex 1\)"),
+], ids=["owner_high", "owner_negative", "connector_on_root", "connector_high",
+        "connector_negative", "negative_volume", "duplicate_connector",
+        "missing_connector", "empty_connector"])
+def test_cell_space_rejects_invalid_fragments(changed, message):
+    frags = [changed.get(i, f) for i, f in enumerate(_VALID)]
+    with pytest.raises(DecompositionError, match=message):
+        CellSpace(RootedTree([-1, 0, 1]), frags)
+
+
+# -- agreement with the per-vertex oracles ------------------------------------------
+
+def _agreement_cases(name, demo_cov6):
+    """(space, g, q) triples: three coverings, or the 25 random abstract spaces."""
+    if name == "abstract":
+        return [(sp, g, 2.0) for sp, g in _random_abstract_cases()]
+    cov, beta, q = {
+        "demo6": (demo_cov6, 0.0, 2.0),
+        "rough6": (hl.build_covering(hl.profile_rough(), depth_max=6), -0.2, 3.0),
+        "demo3d3": (hl.build_covering(hl.profile_demo(n=3), depth_max=3), 0.0, 1.5),
+    }[name]
+    sp = space_from_covering(cov, beta=beta)
+    assert list(sp.fragments) == oracles.covering_fragments(cov)
+    return [(sp, random_mean_zero(sp, np.random.default_rng(12)), q)]
+
+
+@pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3", "abstract"])
+def test_decomposition_matches_per_vertex_oracle(name, demo_cov6):
+    for sp, g, q in _agreement_cases(name, demo_cov6):
+        gv = g.as_array()
+        gmax = float(np.max(np.abs(gv)))
+        g1 = float(np.abs(gv) @ sp.vol)
+        res = decompose(g, q=q)
+        ref = oracles.decompose(g, q)
+        assert res.parts.keys() == ref["parts"].keys()
+        for t, part in res.parts.items():
+            assert part.keys() == ref["parts"][t].keys()
+            for i, v in part.items():
+                # h_s = S_s / |B_s| scales the round-off of S by ||g||_1 / |B_s|;
+                # the abstract spaces have slabs down to 1/16 of a unit cell
+                scale = max(gmax, g1 / sp.vol[i]) if name == "abstract" else gmax
+                assert abs(v - ref["parts"][t][i]) <= 1e-15 * scale
+        for t in range(sp.tree.n):
+            assert abs(res.shadow_integrals[t] - ref["S"][t]) <= 1e-15 * g1
+            assert sp.u_frags(t) == oracles.u_frags(sp, t)
+        assert res.lhs_norm == pytest.approx(ref["lhs"], rel=1e-14)
+        assert res.rhs_norm == pytest.approx(ref["rhs"], rel=1e-14)
+        assert sp.overlap_bound == oracles.overlap_bound(sp)
+
+        c_pred, comp = predicted_constant(sp, q, 3.0)
+        c_ref, comp_ref = oracles.predicted_constant(sp, q, 3.0)
+        assert comp["overlap"] == comp_ref["overlap"]
+        assert comp["ub_ratio"] == comp_ref["ub_ratio"]
+        for key in ("embedding", "admissibility_term", "hardy"):
+            assert comp[key] == pytest.approx(comp_ref[key], rel=1e-14)
+        assert c_pred == pytest.approx(c_ref, rel=1e-14)
+
+        rep = verify_decomposition(res, 3.0)
+        rep_ref = oracles.verify_decomposition(res)
+        assert rep.mean_bound == pytest.approx(rep_ref["mean_bound"], rel=1e-14)
+        assert rep.sum_error <= 1e-12 and rep_ref["sum_error"] <= 1e-12
+
+
+def test_verify_rejects_values_outside_u_t(demo_cov6):
+    sp = space_from_covering(demo_cov6, beta=0.0)
+    res = decompose(random_mean_zero(sp, np.random.default_rng(11)), q=2.0)
+    t = sp.tree.leaves[0]
+    outside = next(i for i in range(len(sp.fragments)) if i not in sp.u_frags(t))
+    res.parts[t][outside] = 1e-3
+    with pytest.raises(DecompositionError, match=f"outside U_t \\(vertex {t}\\)"):
+        verify_decomposition(res, 2.0)
+    with pytest.raises(AssertionError, match="outside U_t"):
+        oracles.verify_decomposition(res)
+    # a fragment id past the end must not alias the pair key of the next vertex
+    res = decompose(random_mean_zero(sp, np.random.default_rng(11)), q=2.0)
+    m = len(sp.fragments)
+    res.parts[0][m + sp.u_frags(1)[0]] = 0.0
+    with pytest.raises(DecompositionError, match="outside U_t"):
+        verify_decomposition(res, 2.0)
+
+
+# -- the decomposition report, pinned -----------------------------------------------
+
+DEMO6_DECOMPOSITION_SHA256 = "84ba1f5efe7830dd7c2eaacd718dc3dd7d913c0c2cbed141e1c4ae54d536e9af"
+
+
+def test_demo_depth6_decomposition_pinned(demo_cov6):
+    # the library path of `hardy-lab decompose --phi demo --depth 6 --seed 7`
+    problem = hl.weights_from_beta(demo_cov6, 0.0, 2.0)
+    space = space_from_covering(demo_cov6, beta=0.0)
+    result = decompose(random_mean_zero(space, np.random.default_rng(7)), problem)
+    report = verify_decomposition(result, hl.optimize_theta(problem).suff_bound)
+    doc = json.dumps({"decomposition": result.to_json(), "verification": report.to_json()},
+                     sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == DEMO6_DECOMPOSITION_SHA256
