@@ -255,6 +255,13 @@ def _dyadic_floats(ell, m, j) -> np.ndarray:
     products are exact below 2^53 and IEEE division rounds correctly, so it
     equals float(Fraction) bit for bit. Past 2^53 CoveringError is raised.
     """
+    m, j = _dyadic_ints(ell, m, j)
+    return (m * ell.numerator).astype(float) / np.ldexp(float(ell.denominator), j + 1)
+
+
+def _dyadic_ints(ell, m, j) -> tuple[np.ndarray, np.ndarray]:
+    """m and j as int64 arrays, once a m and b 2^(j+1) (l = a/b) are known
+    to stay below 2^53; CoveringError otherwise."""
     m = np.asarray(m, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     top = int(j.max(initial=0)) + 1
@@ -262,17 +269,24 @@ def _dyadic_floats(ell, m, j) -> np.ndarray:
             or ell.denominator << top >= 2 ** 53:
         raise CoveringError(f"l = {ell} at size class {top - 1}: dyadic coordinates "
                             "need integers past 2^53 and would round")
-    return (m * ell.numerator).astype(float) / np.ldexp(float(ell.denominator), j + 1)
+    return m, j
 
 
-def _cube_points(ell, cell: np.ndarray, j, halves) -> np.ndarray:
-    """Float coordinates of the point lo + halves * h_j / 2 of each cube,
-    for rows of grid cells `cell` of size classes `j` (halves = 0: lower
-    corner, 1: center, 2: upper corner)."""
+def _cube_halves(cell: np.ndarray, j, halves) -> np.ndarray:
+    """The integers m with lo + halves * h_j / 2 = l m / 2^(j+1) for each
+    cube, for rows of grid cells `cell` of size classes `j` (halves = 0:
+    lower corner, 1: center, 2: upper corner)."""
     j = np.asarray(j, dtype=np.int64)[:, None]
     m = 2 * cell + halves
     m[:, :-1] -= 1 << j             # the horizontal origin -l/2 is 2^j half-edges
-    return _dyadic_floats(ell, m, j)
+    return m
+
+
+def _cube_points(ell, cell: np.ndarray, j, halves) -> np.ndarray:
+    """Float coordinates of the point lo + halves * h_j / 2 of each cube
+    (see _cube_halves)."""
+    return _dyadic_floats(ell, _cube_halves(cell, j, halves),
+                          np.asarray(j, dtype=np.int64)[:, None])
 
 
 def _cell_key(vertical, horizontal, N: int):
@@ -419,29 +433,36 @@ class CubeCovering:
     # -- exports -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        a, b = self.profile.ell.numerator, self.profile.ell.denominator
+        ell = self.profile.ell
 
         def fr(x: Fraction):
             return [x.numerator, x.denominator]
 
-        def at(m: int, j: int):         # the coordinate l m / 2^(j+1)
-            return fr(Fraction(a * m, b << (j + 1)))
+        # every face coordinate l m / 2^(j+1) in lowest terms: cubes x axes x
+        # (lower, upper) x (numerator, denominator)
+        m, j = _dyadic_ints(ell, np.stack([_cube_halves(self.cell, self.size_class, h)
+                                           for h in (0, 2)], axis=-1),
+                            self.size_class)
+        num = m * ell.numerator
+        den = np.left_shift(ell.denominator, j + 1)[:, None, None]
+        g = np.gcd(num, den)
+        faces = np.stack([num // g, den // g], axis=-1).tolist()
 
-        edges = {j: self.profile.ell * Fraction(1, 2 ** j) for j in set(self.size_class)}
-        cubes = []
-        for t, (j, cell) in enumerate(zip(self.size_class, self.cell.tolist())):
-            *horizontal, k = cell
-            N = 2 ** j
-            cubes.append({
-                "id": t,
-                "parent": self.tree.parent[t],
-                "level": self.level[t],
-                "size_class": j,
-                "edge": fr(edges[j]),
-                "base": [[at(2 * i - N, j), at(2 * i + 2 - N, j)] for i in horizontal],
-                "vertical": [at(2 * k, j), at(2 * k + 2, j)],
-                "volume_b": fr(edges[j] ** self.n / 2) if t != self.tree.root else None,
-            })
+        edges = {c: ell * Fraction(1, 2 ** c) for c in set(self.size_class)}
+        edge = {c: fr(e) for c, e in edges.items()}
+        volume_b = {c: fr(e ** self.n / 2) for c, e in edges.items()}
+        root = self.tree.root
+        cubes = [{
+            "id": t,
+            "parent": parent,
+            "level": level,
+            "size_class": c,
+            "edge": list(edge[c]),
+            "base": axes[:-1],
+            "vertical": axes[-1],
+            "volume_b": list(volume_b[c]) if t != root else None,
+        } for t, (parent, level, c, axes) in enumerate(
+            zip(self.tree.parent, self.level, self.size_class, faces))]
         return {
             "n": self.n,
             "alpha": self.profile.alpha,

@@ -205,54 +205,78 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
     The weighted-mean projection (scalar constant / antisymmetric matrix)
     is computed on the same nodes as the norms, so the side condition holds
     exactly on the discrete measure.
+
+    Cells are drawn and reduced one at a time in id order. Everything but
+    the lhs needs only its own cell, so each cell keeps just the inputs of
+    the lhs, (w, d^{beta p}, f) or (w, d^{beta p}, J), until the mean is
+    known; math.fsum rounds exactly, so the order of the per-cell terms
+    does not matter.
     """
     alpha = cov.profile.alpha
     n = cov.n
-    cells = list(range(cov.tree.n))
     vols = cov.volume_array
-    counts = _allocate(max(samples, len(cells)), vols)
-
-    def work(t):
+    counts = _allocate(max(samples, cov.tree.n), vols)
+    lows, highs = cov.corners
+    poincare = kind == "improved_poincare"
+    kept, denom_terms, num_terms, rhs_terms = [], [], [], []
+    A = np.zeros((n, n))
+    # Temporaries are updated in place where that applies the same operation
+    # to the same values (so the same bits): fewer large blocks for the
+    # allocator to hand back and fault in again.
+    for t in np.flatnonzero(counts).tolist():
         m = int(counts[t])
-        if m == 0:
-            return None
-        lo, hi = cov.corners[0][t], cov.corners[1][t]
-        pts = lo + _cell_rng(seed, t).random((m, n)) * (hi - lo)
+        lo, hi = lows[t], highs[t]
+        pts = _cell_rng(seed, t).random((m, n))
+        pts *= hi - lo
+        pts += lo
         w = vols[t] / m
         d = _d_values(cov, cov.edge_array[t], pts, d_mode)
         dbp = d ** (beta * p)
-        if kind == "improved_poincare":
+        denom_terms.append(w * float(np.sum(dbp)))
+        if poincare:
             fv = f.value(pts)
-            gv = np.linalg.norm(f.gradient(pts), axis=1)
-            return (w, dbp, fv, gv, d)
+            r = np.linalg.norm(f.gradient(pts), axis=1)
+            del pts
+            num_terms.append(w * float(np.sum(dbp * fv)))
+            r **= p
+            r *= d ** ((beta + alpha) * p)
+            rhs_terms.append(w * float(np.sum(r)))
+            kept.append((w, dbp, fv))
+            continue
+        # korn: the weighted-mean antisymmetric part of the Jacobian is removed
         J = f.jacobian(pts)
-        eta = 0.5 * (J - np.swapaxes(J, 1, 2))
-        eps = 0.5 * (J + np.swapaxes(J, 1, 2))
-        return (w, dbp, J, eta, eps, d)
-
-    data = [r for r in map(work, cells) if r is not None]
-    denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
-    if kind == "improved_poincare":
-        num = math.fsum(r[0] * float(np.sum(r[1] * r[2])) for r in data)
-        c = num / denom
-        lhs = math.fsum(r[0] * float(np.sum(np.abs(r[2] - c) ** p * r[1]))
-                        for r in data)
-        rhs = math.fsum(r[0] * float(np.sum(r[3] ** p * r[4] ** ((beta + alpha) * p)))
-                        for r in data)
-        return lhs ** (1.0 / p), rhs ** (1.0 / p)
-    # korn: remove the weighted-mean antisymmetric part of the Jacobian
-    A = np.zeros((n, n))
-    for r in data:
-        A += r[0] * np.einsum("i,ijk->jk", r[1], r[3])
-    A /= denom
-    lhs = math.fsum(
-        r[0] * float(np.sum(np.linalg.norm(r[2] - A, axis=(1, 2)) ** p * r[1]))
-        for r in data)
-    rhs = math.fsum(
-        r[0] * float(np.sum(np.linalg.norm(r[4], axis=(1, 2)) ** p
-                            * r[5] ** ((beta + alpha - 1.0) * p)))
-        for r in data)
-    return lhs ** (1.0 / p), rhs ** (1.0 / p)
+        del pts
+        part = J - np.swapaxes(J, 1, 2)
+        part *= 0.5                                 # eta
+        A += w * np.einsum("i,ijk->jk", dbp, part)
+        np.add(J, np.swapaxes(J, 1, 2), out=part)
+        part *= 0.5                                 # eps
+        r = np.linalg.norm(part, axis=(1, 2))
+        del part
+        r **= p
+        r *= d ** ((beta + alpha - 1.0) * p)
+        rhs_terms.append(w * float(np.sum(r)))
+        kept.append((w, dbp, J))
+    denom = math.fsum(denom_terms)
+    if poincare:
+        c = math.fsum(num_terms) / denom
+    else:
+        A /= denom
+    # last cell first, each dropped once its term is taken, so the largest
+    # cell, the root, meets the lhs temporaries alone
+    lhs_terms = []
+    while kept:
+        w, dbp, v = kept.pop()
+        if poincare:
+            r = v - c
+            np.abs(r, out=r)
+        else:
+            r = np.linalg.norm(v - A, axis=(1, 2))
+        r **= p
+        r *= dbp
+        lhs_terms.append(w * float(np.sum(r)))
+    lhs = math.fsum(lhs_terms)
+    return lhs ** (1.0 / p), math.fsum(rhs_terms) ** (1.0 / p)
 
 
 _SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -330,7 +354,10 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
                      beta: float, p: float, s: float | None = None,
                      tau: float | None = None, samples: int = 10 ** 5,
                      seed: int = 0, d_mode: str = "cell") -> RatioReport:
-    """Measured lhs/rhs for one inequality, with a two-seed spread."""
+    """Measured lhs/rhs for one inequality, with a two-seed spread.
+
+    ValueError before any drawing unless p is finite with p >= 1, beta is
+    finite and samples >= 1."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if kind == "fractional_poincare":
@@ -340,6 +367,12 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         raise ValueError("korn needs a vector field")
     if kind != "korn" and f.vector:
         raise ValueError(f"{kind} needs a scalar function")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
     def run(sd: int) -> tuple[float, float, float | None]:
         if kind == "fractional_poincare":
@@ -382,14 +415,15 @@ def parameter_sweep(kind: str, f: TestFunction, covering: CubeCovering,
                     samples: int = 10 ** 5, seed: int = 0,
                     **kw) -> list[SweepRow]:
     """One RatioReport per beta, run at two sample sizes; growth between the
-    sizes near/below beta = -alpha/p is the blow-up diagnostic."""
+    sizes near/below beta = -alpha/p is the blow-up diagnostic. The full
+    size runs first, so a bad input raises before its row draws a sample."""
     alpha = covering.profile.alpha
     rows = []
     for beta in beta_grid:
-        small = inequality_ratio(kind, f, covering, beta, p,
-                                 samples=max(samples // 4, 1), seed=seed, **kw)
         big = inequality_ratio(kind, f, covering, beta, p,
                                samples=samples, seed=seed, **kw)
+        small = inequality_ratio(kind, f, covering, beta, p,
+                                 samples=max(samples // 4, 1), seed=seed, **kw)
         growing = (math.isfinite(small.ratio) and small.ratio > 0
                    and (not math.isfinite(big.ratio)
                         or big.ratio > 1.25 * small.ratio))

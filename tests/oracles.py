@@ -6,11 +6,13 @@ with an upper-hull tree DP, solves every alpha_K program by the tree
 recursion, decides cube containment for a whole covering level at once,
 fits the counting constants per size class, sweeps the sampled Holder
 quotient in row blocks, stores cubes as integer dyadic cells and checks
-their disjointness by cell-key lookups, and runs the decomposition on one
-(vertex, fragment) pair index of the U_t sets; the loops, the dense
-matrices, the antichain enumeration, the Gram solve, the per-cube test,
-the Fraction covering build, the pairwise box scan and the per-vertex
-decomposition below are the straightforward forms they are checked against.
+their disjointness by cell-key lookups, runs the decomposition on one
+(vertex, fragment) pair index of the U_t sets, and reduces each Monte Carlo
+cell as soon as it is drawn; the loops, the dense matrices, the antichain
+enumeration, the Gram solve, the per-cube test, the Fraction covering
+build, the pairwise box scan, the per-vertex decomposition and the
+all-cells-kept sampler below are the straightforward forms they are
+checked against.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 import hardy_lab as hl
+from hardy_lab.inequalities import _allocate, _cell_rng, _d_values
 
 
 def hardy_matrix(problem) -> np.ndarray:
@@ -535,3 +538,55 @@ def verify_decomposition(result, sum_tol: float = 1e-12, mean_tol: float = 1e-10
     assert max(map(abs, means)) <= bound, "part mean exceeds budget"
     return {"sum_error": err / max(gmax, 1e-300), "max_part_mean": max(map(abs, means)),
             "mean_bound": bound}
+
+
+def local_run(kind, f, cov, beta, p, samples, seed, d_mode):
+    """The improved Poincare / Korn quadrature pass with every cell's
+    arrays kept until the end: draw all cells, then take each sum over the
+    kept data."""
+    alpha = cov.profile.alpha
+    n = cov.n
+    cells = list(range(cov.tree.n))
+    vols = cov.volume_array
+    counts = _allocate(max(samples, len(cells)), vols)
+
+    def work(t):
+        m = int(counts[t])
+        if m == 0:
+            return None
+        lo, hi = cov.corners[0][t], cov.corners[1][t]
+        pts = lo + _cell_rng(seed, t).random((m, n)) * (hi - lo)
+        w = vols[t] / m
+        d = _d_values(cov, cov.edge_array[t], pts, d_mode)
+        dbp = d ** (beta * p)
+        if kind == "improved_poincare":
+            fv = f.value(pts)
+            gv = np.linalg.norm(f.gradient(pts), axis=1)
+            return (w, dbp, fv, gv, d)
+        J = f.jacobian(pts)
+        eta = 0.5 * (J - np.swapaxes(J, 1, 2))
+        eps = 0.5 * (J + np.swapaxes(J, 1, 2))
+        return (w, dbp, J, eta, eps, d)
+
+    data = [r for r in map(work, cells) if r is not None]
+    denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
+    if kind == "improved_poincare":
+        num = math.fsum(r[0] * float(np.sum(r[1] * r[2])) for r in data)
+        c = num / denom
+        lhs = math.fsum(r[0] * float(np.sum(np.abs(r[2] - c) ** p * r[1]))
+                        for r in data)
+        rhs = math.fsum(r[0] * float(np.sum(r[3] ** p * r[4] ** ((beta + alpha) * p)))
+                        for r in data)
+        return lhs ** (1.0 / p), rhs ** (1.0 / p)
+    A = np.zeros((n, n))
+    for r in data:
+        A += r[0] * np.einsum("i,ijk->jk", r[1], r[3])
+    A /= denom
+    lhs = math.fsum(
+        r[0] * float(np.sum(np.linalg.norm(r[2] - A, axis=(1, 2)) ** p * r[1]))
+        for r in data)
+    rhs = math.fsum(
+        r[0] * float(np.sum(np.linalg.norm(r[4], axis=(1, 2)) ** p
+                            * r[5] ** ((beta + alpha - 1.0) * p)))
+        for r in data)
+    return lhs ** (1.0 / p), rhs ** (1.0 / p)

@@ -177,6 +177,14 @@ def test_exit_code_bad_input(tmp_path):
     assert main(["tree", "--out", out]) == 2
 
 
+def test_ineq_bad_p_exits_2(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["ineq", "--p", "0", "--depth", "3", "--samples", "1000",
+                 "--out", out]) == 2
+    assert "p must be finite and >= 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "ineq.json"))
+
+
 def test_exit_code_resource_cap(tmp_path):
     out = str(tmp_path)
     assert main(["covering", "--phi", "demo", "--depth", "8", "--cap", "50",

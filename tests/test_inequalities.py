@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hardy_lab as hl
+import hardy_lab.inequalities as ineq
 from hardy_lab.decomp import CellFunction, DecompositionError, space_from_covering
 
-from oracles import FractionCovering
+from oracles import FractionCovering, local_run
 
 
 # -- test function catalog --------------------------------------------------------
@@ -106,6 +108,111 @@ def test_fractional_vectorised_matches_tree_walk(demo_cov6):
     a = hl.inequality_ratio("fractional_poincare", f, demo_cov6, 0.1, 2.0, **kw)
     b = hl.inequality_ratio("fractional_poincare", f, walk, 0.1, 2.0, **kw)
     assert (a.lhs, a.rhs, a.rejected_frac) == (b.lhs, b.rhs, b.rejected_frac)
+
+
+# -- the streamed local sampler against the all-cells-kept one -------------------------
+
+@pytest.fixture(scope="module")
+def local_coverings(demo_cov6):
+    return {"demo6": demo_cov6,
+            "rough6": hl.build_covering(hl.profile_rough(), depth_max=6),
+            "demo3d3": hl.build_covering(hl.profile_demo(n=3), depth_max=3)}
+
+
+LOCAL_FUNCTIONS = {"poincare-bilinear": ("improved_poincare", lambda n: hl.f_bilinear()),
+                   "korn-shear": ("korn", hl.u_shear),
+                   "korn-rotation": ("korn", hl.u_rigid_rotation)}
+
+
+@pytest.mark.parametrize("beta,p", [(0.0, 2.0), (0.3, 3.0), (-0.2, 1.5)])
+@pytest.mark.parametrize("d_mode", ["cell", "graph"])
+@pytest.mark.parametrize("function", LOCAL_FUNCTIONS)
+@pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
+def test_local_run_matches_all_cells_kept(local_coverings, name, function, d_mode,
+                                          beta, p):
+    cov = local_coverings[name]
+    if d_mode == "graph":
+        # the exact graph distance searches a grid per point, seconds per pass
+        # on the 3-D covering; the vertical gap to the graph is a per-point d
+        # through the same code path (the exact one is checked below)
+        phi = cov.profile.phi
+        cov = dataclasses.replace(cov)
+        cov.graph_distance = lambda x: phi(x[:, :-1]) - x[:, -1]
+    kind, make = LOCAL_FUNCTIONS[function]
+    f = make(cov.n)
+    rep = hl.inequality_ratio(kind, f, cov, beta, p, samples=3000, seed=3, d_mode=d_mode)
+    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3, d_mode)
+
+
+def test_local_run_matches_all_cells_kept_exact_graph_distance(demo_cov6):
+    f = hl.u_shear()
+    rep = hl.inequality_ratio("korn", f, demo_cov6, -0.2, 2.0, samples=2000, seed=5,
+                              d_mode="graph")
+    assert (rep.lhs, rep.rhs) == local_run("korn", f, demo_cov6, -0.2, 2.0, 2000, 5,
+                                           "graph")
+
+
+def test_korn_sampler_memory(demo_cov6):
+    # each cell is reduced as it is drawn and keeps only (w, d^{beta p}, J)
+    # for the mean projection; keeping every cell's arrays peaked at 27.9 MB
+    f = hl.u_shear()
+    tracemalloc.start()
+    try:
+        hl.inequality_ratio("korn", f, demo_cov6, 0.0, 2.0, samples=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2 ** 20
+
+
+# -- input validation ------------------------------------------------------------------
+
+BAD_INPUTS = {
+    "p-zero": ("improved_poincare", dict(p=0.0)),
+    "p-negative": ("improved_poincare", dict(p=-1.0)),
+    "p-below-one": ("korn", dict(p=0.5)),
+    "p-nan": ("improved_poincare", dict(p=math.nan)),
+    "p-inf": ("korn", dict(p=math.inf)),
+    "beta-nan": ("improved_poincare", dict(beta=math.nan)),
+    "beta-inf-fractional": ("fractional_poincare", dict(beta=math.inf)),
+    "samples-negative": ("improved_poincare", dict(samples=-5)),
+    "samples-zero": ("korn", dict(samples=0)),
+}
+
+
+@pytest.fixture
+def no_drawing(monkeypatch):
+    def refuse(seed, cell):
+        raise AssertionError("a sample stream was opened")
+    monkeypatch.setattr(ineq, "_cell_rng", refuse)
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_inputs_raise_before_drawing(demo_cov6, no_drawing, case):
+    kind, bad = BAD_INPUTS[case]
+    f = hl.u_shear() if kind == "korn" else hl.f_linear()
+    args = dict(beta=0.0, p=2.0, samples=1000, seed=0)
+    if kind == "fractional_poincare":
+        args.update(s=0.5, tau=0.5)
+    args.update(bad)
+    with pytest.raises(ValueError):
+        hl.inequality_ratio(kind, f, demo_cov6, **args)
+
+
+@pytest.mark.parametrize("case", ["p-zero", "beta-nan", "samples-zero"])
+def test_sweep_bad_inputs_raise_before_drawing(demo_cov6, no_drawing, case):
+    _, bad = BAD_INPUTS[case]
+    args = dict(p=2.0, samples=1000)
+    args.update((k, v) for k, v in bad.items() if k != "beta")
+    grid = [bad.get("beta", 0.0)]
+    with pytest.raises(ValueError):
+        hl.parameter_sweep("improved_poincare", hl.f_linear(), demo_cov6, grid, **args)
+
+
+def test_p_one_accepted(demo_cov6):
+    rep = hl.inequality_ratio("improved_poincare", hl.f_bilinear(), demo_cov6, 0.0, 1.0,
+                              samples=2000, seed=2)
+    assert math.isfinite(rep.ratio) and rep.ratio > 0
 
 
 # -- Korn ---------------------------------------------------------------------------
