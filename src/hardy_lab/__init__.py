@@ -44,7 +44,6 @@ from .decomp import (  # noqa: F401
     CellFunction,
     CellSpace,
     DecompositionError,
-    Fragment,
     decompose,
     random_mean_zero,
     space_from_covering,

@@ -320,8 +320,14 @@ class CubeCovering:
     def n(self) -> int:
         return self.profile.n
 
+    @cached_property
+    def class_edge(self) -> tuple[Fraction, ...]:
+        """The exact edge l * 2^-j of size class j, for j = 0 .. max class."""
+        ell = self.profile.ell
+        return tuple(ell * Fraction(1, 2 ** j) for j in range(max(self.size_class) + 1))
+
     def edge(self, t: int) -> Fraction:
-        return self.profile.ell * Fraction(1, 2 ** self.size_class[t])
+        return self.class_edge[self.size_class[t]]
 
     def q_volume(self, t: int) -> Fraction:
         return self.edge(t) ** self.n
@@ -343,9 +349,8 @@ class CubeCovering:
 
     def _class_floats(self, of_edge: Callable[[Fraction], Fraction]) -> np.ndarray:
         # one exact value per size class, rounded to float once
-        table = {j: float(of_edge(self.profile.ell * Fraction(1, 2 ** j)))
-                 for j in set(self.size_class)}
-        out = np.array([table[j] for j in self.size_class])
+        table = np.array([float(of_edge(e)) for e in self.class_edge])
+        out = table[np.asarray(self.size_class)]
         out.flags.writeable = False
         return out
 
@@ -356,15 +361,6 @@ class CubeCovering:
                           for h in (0, 2)])
         lo_hi.flags.writeable = False
         return lo_hi[0], lo_hi[1]
-
-    def u_volume(self, t: int) -> Fraction:
-        if t == self.tree.root:
-            return self.q_volume(t)
-        return self.q_volume(t) * Fraction(3, 2)
-
-    def ub_ratio(self, t: int) -> Fraction:
-        """|U_t| / |B_t|; identical (= 3) for every non-root vertex."""
-        return self.u_volume(t) / self.b_volume(t)
 
     @property
     def cube_count(self) -> int:
@@ -448,9 +444,8 @@ class CubeCovering:
         g = np.gcd(num, den)
         faces = np.stack([num // g, den // g], axis=-1).tolist()
 
-        edges = {c: ell * Fraction(1, 2 ** c) for c in set(self.size_class)}
-        edge = {c: fr(e) for c, e in edges.items()}
-        volume_b = {c: fr(e ** self.n / 2) for c, e in edges.items()}
+        edge = [fr(e) for e in self.class_edge]
+        volume_b = [fr(e ** self.n / 2) for e in self.class_edge]
         root = self.tree.root
         cubes = [{
             "id": t,
@@ -478,7 +473,7 @@ class CubeCovering:
         """Per-size-class profile rows (plot-ready)."""
         rows = []
         for j, count in sorted(self.class_counts().items()):
-            edge = self.profile.ell * Fraction(1, 2 ** j)
+            edge = self.class_edge[j]
             rows.append({
                 "size_class": j,
                 "edge": float(self.profile.ell) * 2.0 ** (-j),
@@ -503,19 +498,20 @@ class CubeCovering:
             base_grid = min(base_grid, 257)
         axes = [np.linspace(-1.5 * L, 1.5 * L, base_grid)] * d
         grid = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+        base = np.asarray(self.profile.phi(grid), dtype=float)   # shared by every point
         out = np.empty(len(pts))
         for i, x in enumerate(pts):
-            g = grid
+            g, gv = grid, base
             h = 3.0 * L / (base_grid - 1)      # current sample spacing
-            for _ in range(refine + 1):
-                gv = np.asarray(self.profile.phi(g), dtype=float)
+            for r in range(refine + 1):
+                if r:
+                    local = [np.clip(np.linspace(b - h, b + h, 33),
+                                     -1.5 * L, 1.5 * L) for b in g[k]]
+                    g = np.stack([a.ravel() for a in np.meshgrid(*local)], axis=-1)
+                    gv = np.asarray(self.profile.phi(g), dtype=float)
+                    h /= 16.0
                 d2 = np.sum((g - x[:-1]) ** 2, axis=1) + (gv - x[-1]) ** 2
                 k = int(np.argmin(d2))
-                best = g[k]
-                local = [np.clip(np.linspace(b - h, b + h, 33),
-                                 -1.5 * L, 1.5 * L) for b in best]
-                g = np.stack([a.ravel() for a in np.meshgrid(*local)], axis=-1)
-                h /= 16.0
             out[i] = math.sqrt(float(d2[k]))
         return out
 
@@ -636,7 +632,7 @@ def check_disjoint_and_coverage(cov: CubeCovering) -> dict:
     np.add.at(heights, cls[leaves], cov.cell[leaves, -1] + 1)
     total = columns = Fraction(0)
     for j in np.flatnonzero(counts).tolist():
-        volume = (cov.profile.ell * Fraction(1, 2 ** j)) ** cov.n
+        volume = cov.class_edge[j] ** cov.n
         total += int(counts[j]) * volume
         columns += int(heights[j]) * volume     # a leaf column is (k + 1) cubes high
     return {
@@ -795,7 +791,7 @@ def tail_integrability(cov: CubeCovering, beta: float, p: float,
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for j in np.flatnonzero(count).tolist():
-        e = cov.profile.ell * Fraction(1, 2 ** j)
+        e = cov.class_edge[j]
         # every vertex of class j adds the same term; cumsum adds them one by
         # one, in the order of a per-vertex loop
         term = float(e ** cov.n / 2) * float(e) ** (beta * p)

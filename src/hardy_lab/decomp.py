@@ -6,12 +6,14 @@ vertex s has a connector fragment B_s sitting inside the parent's cube, so
 
     U_t = (fragments owned by t)  U  B_t  U  {B_c : c a child of t}.
 
-A CellSpace keeps its fragments as arrays and one sorted array of the
-(vertex, fragment) pairs of every U_t; set integrals, overlaps and part
-values are bincount and gather steps over it. Volumes are exact rationals
-(one Fraction per distinct core shape of a covering) rounded to float once;
-values, integrals and norms are floats, so the decomposition identities
-hold to round-off. split_pair stays exact in Fractions.
+A CellSpace is three columns over the fragments (volume, owner vertex,
+connector vertex or -1) plus one sorted array of the (vertex, fragment)
+pairs of every U_t; set integrals, overlaps and part values are bincount
+and gather steps over it. Volumes are exact rationals (one Fraction per
+distinct core shape of a covering) or floats, rounded to float once; values,
+integrals and norms are floats, so the decomposition identities hold to
+round-off. split_pair stays exact in Fractions. A decomposition result is
+three aligned arrays (vertex, fragment, value) over the kept U_t pairs.
 
 The construction: f_t = g restricted to the cells owned by t, the shadow
 integrals S_t (f-integrals at and below t) come from the tree kernel,
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -45,41 +47,50 @@ class DecompositionError(RuntimeError):
         self.vertex = vertex
 
 
-@dataclass(frozen=True)
-class Fragment:
-    volume: Fraction
-    owner: int                    # vertex whose core cell contains the fragment
-    connector: int | None = None  # s when the fragment is the slab B_s
-
-
 def _first(mask: np.ndarray) -> int | None:
     hit = np.flatnonzero(mask)
     return int(hit[0]) if len(hit) else None
 
 
+def _weight(name: str, values, m: int) -> np.ndarray:
+    """One positive, finite weight per fragment (ones when not given)."""
+    if values is None:
+        return np.ones(m)
+    w = np.asarray(values, dtype=float)
+    if w.shape != (m,):
+        raise DecompositionError(f"{name} must hold one value per fragment, "
+                                 f"got shape {w.shape} for {m} fragments")
+    if (i := _first(~(np.isfinite(w) & (w > 0)))) is not None:
+        raise DecompositionError(f"{name} must be positive and finite: {w[i]} on fragment {i}")
+    return w
+
+
 class CellSpace:
     """A tree covering flattened to disjoint fragments with weight values.
 
-    Per fragment `owner`, `connector` (-1 for none) and float `vol`; per
-    vertex `bfrag`, its slab (-1 at the root). The sorted pairs `pair_key` =
-    vertex * m + fragment list each fragment with its owner and each slab
-    B_s with s and with parent(s): every U_t."""
+    Per fragment the exact `volume` (as given), its float `vol`, the
+    `owner` vertex whose core cell contains it and the `connector` s when
+    it is the slab B_s (-1 for none); per vertex `bfrag`, its slab (-1 at
+    the root). The sorted pairs `pair_key` = vertex * m + fragment list each
+    fragment with its owner and each slab B_s with s and with parent(s):
+    every U_t. The weights ell, nu, omega hold one positive value per
+    fragment (all ones by default)."""
 
-    def __init__(self, tree: RootedTree, fragments: Iterable[Fragment],
+    def __init__(self, tree: RootedTree, volume: Iterable, owner, connector,
                  ell=None, nu=None, omega=None, meta: dict | None = None):
         self.tree = tree
-        self.fragments = tuple(fragments)
-        n, m = tree.n, len(self.fragments)
-        self.ell = np.ones(m) if ell is None else np.asarray(ell, dtype=float)
-        self.nu = np.ones(m) if nu is None else np.asarray(nu, dtype=float)
-        self.omega = np.ones(m) if omega is None else np.asarray(omega, dtype=float)
+        self.volume = tuple(volume)
+        n, m = tree.n, len(self.volume)
+        owner = np.array(owner, dtype=np.int64)       # copies: the index is built from them
+        conn = np.array(connector, dtype=np.int64)
+        if owner.shape != (m,) or conn.shape != (m,):
+            raise DecompositionError("one owner and one connector per fragment required")
+        self.ell, self.nu, self.omega = (_weight(name, w, m) for name, w in
+                                         (("ell", ell), ("nu", nu), ("omega", omega)))
         self.meta = dict(meta or {})
 
-        owner = np.array([f.owner for f in self.fragments], dtype=np.int64)
-        has = np.array([f.connector is not None for f in self.fragments], dtype=bool)
-        conn = np.array([-1 if f.connector is None else f.connector for f in self.fragments],
-                        dtype=np.int64)
-        vol = np.array([f.volume for f in self.fragments], dtype=float)
+        has = conn != -1
+        vol = np.array(self.volume, dtype=float)
         if (i := _first((owner < 0) | (owner >= n))) is not None:
             raise DecompositionError(f"fragment {i}: owner {owner[i]} is not a vertex")
         if (i := _first(has & ((conn < 0) | (conn >= n) | (conn == tree.root)))) is not None:
@@ -87,6 +98,8 @@ class CellSpace:
                 f"fragment {i}: connector {conn[i]} is not a non-root vertex")
         if (i := _first(vol < 0)) is not None:
             raise DecompositionError(f"fragment {i}: negative volume")
+        if (i := _first(~np.isfinite(vol))) is not None:
+            raise DecompositionError(f"fragment {i}: volume is not finite")
         slab = np.flatnonzero(has)
         s = conn[slab]
         count = np.bincount(s, minlength=n)
@@ -115,9 +128,6 @@ class CellSpace:
     def overlap_bound(self) -> int:
         return int(np.bincount(self.pair_frag, minlength=1).max())
 
-    def volumes(self) -> np.ndarray:
-        return self.vol
-
 
 def space_from_covering(cov: CubeCovering, beta: float | None = None,
                         gamma: float | None = None) -> CellSpace:
@@ -129,9 +139,7 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None,
     cls = np.asarray(cov.size_class, dtype=np.int64)
     gs = np.asarray(tree.gamma_star, dtype=np.int64)
     up = np.asarray(tree.parent, dtype=np.int64)[gs]
-
-    def edge(j):
-        return cov.profile.ell * Fraction(1, 2 ** j)
+    edge = cov.class_edge
 
     # a core's volume |Q_t| - sum_c |Q_c| / 2 depends only on its class and
     # on how many children it has at each class offset: one Fraction per shape
@@ -140,14 +148,15 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None,
     np.add.at(kids, (col, up), 1)
     dims = (int(cls.max()) + 1, *(kids.max(axis=1) + 1).tolist())
     shapes, kind = np.unique(np.ravel_multi_index((cls, *kids), dims), return_inverse=True)
-    core = [edge(j) ** d - sum((k * edge(j + o) ** d for k, o in zip(row, offsets.tolist())),
-                               Fraction(0)) / 2
+    core = [edge[j] ** d - sum((k * edge[j + o] ** d for k, o in zip(row, offsets.tolist())
+                                if k), Fraction(0)) / 2
             for j, *row in zip(*(a.tolist() for a in np.unravel_index(shapes, dims)))]
     if (t := _first(np.isin(kind, [k for k, v in enumerate(core) if v <= 0]))) is not None:
         raise DecompositionError("core cell has nonpositive volume", t)
-    slab = {j: edge(j) ** d / 2 for j in set(cls[gs].tolist())}
-    frags = [*map(Fragment, map(core.__getitem__, kind.tolist()), range(tree.n)),
-             *map(Fragment, map(slab.__getitem__, cls[gs].tolist()), up.tolist(), gs.tolist())]
+    slab = [edge[j] ** d / 2 for j in range(len(edge))]
+    volume = [*map(core.__getitem__, kind.tolist()), *map(slab.__getitem__, cls[gs].tolist())]
+    owner = np.concatenate([np.arange(tree.n), up])
+    connector = np.concatenate([np.full(tree.n, -1), gs])
     ell_arr = np.concatenate([cov.edge_array, cov.edge_array[gs]])
     alpha = cov.profile.alpha
     if beta is None:
@@ -157,19 +166,14 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None,
             gamma = beta + alpha - 1.0
         nu = ell_arr ** gamma
         omega = ell_arr ** beta
-    return CellSpace(tree, frags, ell=ell_arr, nu=nu, omega=omega,
+    return CellSpace(tree, volume, owner, connector, ell=ell_arr, nu=nu, omega=omega,
                      meta={"alpha": alpha, "beta": beta, "gamma": gamma})
 
 
 def toy_two_cell_space() -> CellSpace:
     """The 1-D covering of (0, 2): cores (0,1) and (1,2), connector (1, 5/4)."""
-    tree = RootedTree([-1, 0])
-    frags = (
-        Fragment(Fraction(1), owner=0),
-        Fragment(Fraction(1, 4), owner=1, connector=1),
-        Fragment(Fraction(3, 4), owner=1),
-    )
-    return CellSpace(tree, frags)
+    return CellSpace(RootedTree([-1, 0]), (Fraction(1), Fraction(1, 4), Fraction(3, 4)),
+                     owner=(0, 1, 1), connector=(-1, 1, -1))
 
 
 @dataclass
@@ -184,15 +188,15 @@ class CellFunction:
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) != len(self.space.fragments):
+        if len(self.values) != len(self.space.volume):
             raise DecompositionError("one value per fragment required")
         self.values = tuple(self.values)
 
     def integral(self):
-        return sum(v * f.volume for v, f in zip(self.values, self.space.fragments))
+        return sum(v * w for v, w in zip(self.values, self.space.volume))
 
     def abs_integral(self):
-        return sum(abs(v) * f.volume for v, f in zip(self.values, self.space.fragments))
+        return sum(abs(v) * w for v, w in zip(self.values, self.space.volume))
 
     def is_mean_zero(self, rel: float = 1e-12) -> bool:
         scale = self.abs_integral()
@@ -206,16 +210,17 @@ class CellFunction:
 
 
 def random_mean_zero(space: CellSpace, rng) -> CellFunction:
-    vals = rng.standard_normal(len(space.fragments))
+    vals = rng.standard_normal(len(space.vol))
     vals -= float(vals @ space.vol) / float(space.vol.sum())
     return CellFunction(space, tuple(vals.tolist()))
 
 
-def weighted_q_norm_q(values, space: CellSpace, weights: np.ndarray, q: float) -> float:
-    """sum |f|^q * weights^{-q} * vol (the q-th power of the weighted norm)."""
+def weighted_q_norm_q(values, weights: np.ndarray, vol: np.ndarray, q: float) -> float:
+    """sum |f|^q * weights^{-q} * vol over the nonzero values (the q-th
+    power of the weighted norm); all three aligned, e.g. per fragment."""
     v = np.abs(np.array(values, dtype=float))
     nz = v != 0
-    return math.fsum(v[nz] ** q * weights[nz] ** (-q) * space.vol[nz])
+    return math.fsum(v[nz] ** q * weights[nz] ** (-q) * vol[nz])
 
 
 # -- pairwise splitting --------------------------------------------------------
@@ -241,7 +246,7 @@ def split_pair(f: CellFunction, A: Iterable[int], B: Iterable[int],
     A = frozenset(A)
     B = frozenset(B)
     both = A & B
-    vol_overlap = sum((space.fragments[i].volume for i in both), Fraction(0))
+    vol_overlap = sum((space.volume[i] for i in both), Fraction(0))
     if vol_overlap <= 0:
         raise DecompositionError("the overlap A n B must have positive measure")
     outside = [i for i, v in enumerate(f.values) if v and i not in A and i not in B]
@@ -251,16 +256,15 @@ def split_pair(f: CellFunction, A: Iterable[int], B: Iterable[int],
     scale = f.abs_integral()
     if scale and abs(total) > 1e-12 * scale:
         raise DecompositionError("f must have vanishing mean on A u B")
-    int_a = sum(f.values[i] * space.fragments[i].volume for i in A)
+    int_a = sum(f.values[i] * space.volume[i] for i in A)
     corr = int_a / vol_overlap
 
     va = [v - corr if i in both else v if i in A else 0 for i, v in enumerate(f.values)]
     vb = [corr if i in both else v if i in B else 0 for i, v in enumerate(f.values)]
     fa = CellFunction(space, tuple(va))
     fb = CellFunction(space, tuple(vb))
-    nf = weighted_q_norm_q(f.values, space, space.omega, q) ** (1.0 / q)
-    na = weighted_q_norm_q(va, space, space.omega, q) ** (1.0 / q)
-    nb = weighted_q_norm_q(vb, space, space.omega, q) ** (1.0 / q)
+    nf, na, nb = (weighted_q_norm_q(v, space.omega, space.vol, q) ** (1.0 / q)
+                  for v in (f.values, va, vb))
     c = (na + nb) / nf if nf else 0.0
     return fa, fb, SplitReport(vol_overlap, c, fa.integral(), fb.integral())
 
@@ -271,7 +275,9 @@ def split_pair(f: CellFunction, A: Iterable[int], B: Iterable[int],
 class DecompositionResult:
     space: CellSpace
     q: float
-    parts: dict[int, dict[int, float]]       # vertex -> {fragment: value}
+    vertex: np.ndarray                       # the kept U_t pairs in pair_key order:
+    frag: np.ndarray                         # g_t is value[k] on fragment frag[k] where
+    value: np.ndarray                        # vertex[k] == t, and 0 elsewhere
     shadow_integrals: np.ndarray             # S_t by vertex; the root's is int g
     lhs_norm: float                          # sum_t ||g_t||^q in the nu weight
     rhs_norm: float                          # ||g||^q in the omega weight
@@ -280,10 +286,12 @@ class DecompositionResult:
     g_values: tuple
 
     def to_json(self) -> dict:
+        # "parts": vertex -> {fragment: value}, every vertex present
+        count = np.bincount(self.vertex, minlength=self.space.tree.n).tolist()
+        pairs = zip(map(str, self.frag.tolist()), self.value.tolist())
         return {
             "q": self.q,
-            "parts": {str(t): {str(i): v for i, v in sorted(p.items())}
-                      for t, p in sorted(self.parts.items())},
+            "parts": {str(t): dict(islice(pairs, c)) for t, c in enumerate(count)},
             "lhs_norm": self.lhs_norm,
             "rhs_norm": self.rhs_norm,
             "ratio": self.ratio,
@@ -332,17 +340,13 @@ def decompose(g: CellFunction, problem: HardyProblem | None = None,
                      np.where(np.asarray(tree.parent)[c] == pv, hp, 0.0))
     keep = (gterm != 0) | (hterm != 0)
     vertex, frag, value = pv[keep], pf[keep], (gterm + hterm)[keep]
-    cut = np.searchsorted(vertex, np.arange(tree.n + 1)).tolist()
-    frags, values = frag.tolist(), value.tolist()
-    parts = {t: dict(zip(frags[a:b], values[a:b]))
-             for t, (a, b) in enumerate(zip(cut, cut[1:]))}
 
-    lhs = math.fsum(np.abs(value) ** q * space.nu[frag] ** (-q) * space.vol[frag])
-    rhs = weighted_q_norm_q(gv, space, space.omega, q)
+    lhs = weighted_q_norm_q(value, space.nu[frag], space.vol[frag], q)
+    rhs = weighted_q_norm_q(gv, space.omega, space.vol, q)
     if not rhs:
         flags.append("zero_ratio")
-    return DecompositionResult(space, q, parts, S, lhs, rhs, lhs / rhs if rhs else 0.0,
-                               tuple(flags), g.values)
+    return DecompositionResult(space, q, vertex, frag, value, S, lhs, rhs,
+                               lhs / rhs if rhs else 0.0, tuple(flags), g.values)
 
 
 @dataclass(frozen=True)
@@ -414,17 +418,19 @@ def verify_decomposition(result: DecompositionResult,
     test is written so that a NaN fails it.
     """
     space = result.space
-    n, m = space.tree.n, len(space.fragments)
+    n, m = space.tree.n, len(space.vol)
     g = np.array(result.g_values, dtype=float)
     gmax = max(float(np.max(np.abs(g), initial=0.0)), 1e-300)
 
-    parts = result.parts
-    vertex = np.repeat(np.array(list(parts), dtype=np.int64), list(map(len, parts.values())))
-    frag = np.fromiter(chain.from_iterable(parts.values()), np.int64, len(vertex))
-    value = np.fromiter(chain.from_iterable(map(dict.values, parts.values())),
-                        float, len(vertex))
-    inside = ((vertex >= 0) & (vertex < n) & (frag >= 0) & (frag < m)
-              & np.isin(vertex * m + frag, space.pair_key))
+    vertex = np.asarray(result.vertex, dtype=np.int64)
+    frag = np.asarray(result.frag, dtype=np.int64)
+    value = np.asarray(result.value, dtype=float)
+    if not vertex.ndim == 1 or not vertex.shape == frag.shape == value.shape:
+        raise DecompositionError("vertex, frag and value must be aligned 1-D arrays")
+    key = vertex * m + frag                  # pair_key is sorted: one binary search
+    found = space.pair_key[np.minimum(np.searchsorted(space.pair_key, key),
+                                      len(space.pair_key) - 1)] == key
+    inside = (vertex >= 0) & (vertex < n) & (frag >= 0) & (frag < m) & found
     if (k := _first(~inside)) is not None:
         raise DecompositionError("part supported outside U_t", int(vertex[k]))
 

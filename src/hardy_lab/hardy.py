@@ -125,16 +125,8 @@ def assemble_uv(tree: RootedTree, volumes, nu, omega, p: float,
 # -- shared accumulators ------------------------------------------------------
 #
 # All path and shadow sums go through the tree's level-vectorised kernel,
-# which works in BFS order over Gamma*; these wrappers read and write
+# which works in BFS order over Gamma*; _shadow_sums reads and writes
 # full-length arrays in vertex id order.
-
-def _path_prefix_sums(tree: RootedTree, w: np.ndarray) -> np.ndarray:
-    """N[t] = sum of w over path(t); N[root] = 0."""
-    K = tree.kernel
-    N = np.zeros(tree.n)
-    N[K.order] = K.prefix(w[K.order])
-    return N
-
 
 def _shadow_sums(tree: RootedTree, w: np.ndarray) -> np.ndarray:
     """M[t] = sum of w over the shadow of t (t included); M[root] is the total."""

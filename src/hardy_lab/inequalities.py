@@ -486,8 +486,8 @@ def density_split(F: CellFunction, beta: float, p: float,
     tail_int = float(np.sum(h[~inner] * vols[~inner]))
     g = np.where(inner, h, 0.0)
     g[ball] += dbp[ball] / (dbp[ball] * vols[ball]) * tail_int
-    lhs = weighted_q_norm_q(g, space, omega, q) ** (1 / q)
-    rhs = weighted_q_norm_q(g + psi * dbp, space, omega, q) ** (1 / q)
+    lhs = weighted_q_norm_q(g, omega, vols, q) ** (1 / q)
+    rhs = weighted_q_norm_q(g + psi * dbp, omega, vols, q) ** (1 / q)
     gf = CellFunction(space, tuple(g.tolist()))
     return DensityReport(gf, psi, D, tail_norm(D), lhs, rhs,
                          lhs <= 2.0 * rhs * (1 + 1e-12))

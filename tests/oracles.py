@@ -415,25 +415,26 @@ def disjoint_and_coverage(doc: dict) -> dict:
 
 # -- the decomposition, per vertex ---------------------------------------------------
 
-def covering_fragments(cov) -> list:
-    """Core cells by per-vertex exact Fraction volumes, then the slabs."""
+def covering_fragments(cov) -> tuple[list, list, list]:
+    """(volume, owner, connector) columns: core cells by per-vertex exact
+    Fraction volumes, then the slabs; connector -1 for none."""
     tree = cov.tree
-    frags = [hl.Fragment(cov.q_volume(t) - sum((cov.b_volume(c) for c in tree.children[t]),
-                                               Fraction(0)), owner=t)
-             for t in range(tree.n)]
-    frags += [hl.Fragment(cov.b_volume(s), owner=tree.parent[s], connector=s)
-              for s in tree.gamma_star]
-    return frags
+    volume = [cov.q_volume(t) - sum((cov.b_volume(c) for c in tree.children[t]), Fraction(0))
+              for t in range(tree.n)]
+    volume += [cov.b_volume(s) for s in tree.gamma_star]
+    owner = list(range(tree.n)) + [tree.parent[s] for s in tree.gamma_star]
+    connector = [-1] * tree.n + list(tree.gamma_star)
+    return volume, owner, connector
 
 
 def fragment_maps(space) -> tuple[dict, dict]:
     """owner -> its fragments, and connector vertex -> its slab."""
     owner_frags = {t: [] for t in range(space.tree.n)}
     bfrag = {}
-    for i, f in enumerate(space.fragments):
-        owner_frags[f.owner].append(i)
-        if f.connector is not None:
-            bfrag[f.connector] = i
+    for i, (t, s) in enumerate(zip(space.owner.tolist(), space.connector.tolist())):
+        owner_frags[t].append(i)
+        if s != -1:
+            bfrag[s] = i
     return owner_frags, bfrag
 
 
@@ -448,7 +449,7 @@ def u_frags(space, t: int) -> tuple:
 
 
 def overlap_bound(space) -> int:
-    count = np.zeros(len(space.fragments), dtype=int)
+    count = np.zeros(len(space.volume), dtype=int)
     for t in range(space.tree.n):
         for i in u_frags(space, t):
             count[i] += 1
@@ -461,7 +462,7 @@ def decompose(g, q: float) -> dict:
     space = g.space
     tree = space.tree
     owner_frags, bfrag = fragment_maps(space)
-    fint = {t: math.fsum(float(g.values[i]) * float(space.fragments[i].volume)
+    fint = {t: math.fsum(float(g.values[i]) * float(space.volume[i])
                          for i in owner_frags[t])
             for t in range(tree.n)}
     S = {}
@@ -475,23 +476,23 @@ def decompose(g, q: float) -> dict:
                 vals[i] = float(g.values[i])
         for c in tree.children[t]:
             i = bfrag[c]
-            h = S[c] / float(space.fragments[i].volume)
+            h = S[c] / float(space.volume[i])
             if h:
                 vals[i] = vals.get(i, 0.0) + h
         if t != tree.root:
             i = bfrag[t]
-            h = S[t] / float(space.fragments[i].volume)
+            h = S[t] / float(space.volume[i])
             if h:
                 vals[i] = vals.get(i, 0.0) - h
         parts[t] = vals
     lhs = 0.0
     for t in range(tree.n):
         for i, v in parts[t].items():
-            lhs += abs(v) ** q * float(space.nu[i]) ** (-q) * float(space.fragments[i].volume)
+            lhs += abs(v) ** q * float(space.nu[i]) ** (-q) * float(space.volume[i])
     rhs = 0.0
-    for v, f, w in zip(g.values, space.fragments, space.omega):
+    for v, vol, w in zip(g.values, space.volume, space.omega):
         if v:
-            rhs += abs(float(v)) ** q * float(w) ** (-q) * float(f.volume)
+            rhs += abs(float(v)) ** q * float(w) ** (-q) * float(vol)
     return {"parts": parts, "S": S, "lhs": lhs, "rhs": rhs}
 
 
@@ -506,8 +507,8 @@ def predicted_constant(space, q: float, hardy_constant: float) -> tuple[float, d
         ufr = u_frags(space, t)
         sup_omega = max(float(space.omega[i]) for i in ufr)
         omega_t = float(space.omega[bfrag[t]])
-        uvol = sum((space.fragments[i].volume for i in ufr), Fraction(0))
-        r = float(uvol / space.fragments[bfrag[t]].volume)
+        uvol = sum((space.volume[i] for i in ufr), Fraction(0))
+        r = float(uvol / space.volume[bfrag[t]])
         ratio_ub = max(ratio_ub, r)
         worst = max(worst, (sup_omega / omega_t) ** q * r ** (q / p))
     N = overlap_bound(space)
@@ -516,25 +517,33 @@ def predicted_constant(space, q: float, hardy_constant: float) -> tuple[float, d
                     "overlap": N, "ub_ratio": ratio_ub, "hardy": hardy_constant}
 
 
+def parts(result) -> dict:
+    """vertex -> {fragment: value} for every vertex, from the result arrays."""
+    out = {t: {} for t in range(result.space.tree.n)}
+    for t, i, v in zip(result.vertex.tolist(), result.frag.tolist(), result.value.tolist()):
+        out[t][i] = out[t].get(i, 0.0) + v
+    return out
+
+
 def verify_decomposition(result, sum_tol: float = 1e-12, mean_tol: float = 1e-10) -> dict:
     """The support, sum and mean checks as per-vertex loops; raises
     AssertionError where the library raises DecompositionError."""
     space = result.space
     g = np.array([float(v) for v in result.g_values])
     gmax = float(np.max(np.abs(g)))
-    total = np.zeros(len(space.fragments))
-    for t, part in result.parts.items():
+    total = np.zeros(len(space.volume))
+    for t, part in parts(result).items():
         allowed = set(u_frags(space, t))
         for i, v in part.items():
             assert i in allowed, f"part supported outside U_t (vertex {t})"
             total[i] += v
     err = float(np.max(np.abs(total - g)))
     assert err <= sum_tol * max(gmax, 1e-300), "sum of parts deviates from g"
-    g1 = math.fsum(abs(float(v)) * float(f.volume)
-                   for v, f in zip(result.g_values, space.fragments))
+    g1 = math.fsum(abs(float(v)) * float(vol)
+                   for v, vol in zip(result.g_values, space.volume))
     bound = mean_tol * max(g1, 1e-300)
-    means = [math.fsum(v * float(space.fragments[i].volume) for i, v in part.items())
-             for part in result.parts.values()]
+    means = [math.fsum(v * float(space.volume[i]) for i, v in part.items())
+             for part in parts(result).values()]
     assert max(map(abs, means)) <= bound, "part mean exceeds budget"
     return {"sum_error": err / max(gmax, 1e-300), "max_part_mean": max(map(abs, means)),
             "mean_bound": bound}

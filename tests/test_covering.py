@@ -61,7 +61,6 @@ def test_b_volume_is_half_cube():
     cov = hl.build_covering(hl.profile_demo(), depth_max=3)
     for t in cov.tree.gamma_star:
         assert cov.b_volume(t) == cov.q_volume(t) / 2
-        assert cov.ub_ratio(t) == 3
 
 
 def test_demo_depth3_golden_file():
@@ -317,7 +316,6 @@ def test_three_dimensional_covering():
     assert cov.level_counts() == {m: 4 ** m for m in range(4)}
     rep = check_disjoint_and_coverage(cov)
     assert rep["disjoint"] and rep["coverage_exact"]
-    assert cov.ub_ratio(1) == 3
     pr = hl.weights_from_beta(cov, 0.0, 2.0)
     assert hl.exact_constant(pr).value > 0
 

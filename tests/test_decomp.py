@@ -11,7 +11,6 @@ from hardy_lab.decomp import (
     CellFunction,
     CellSpace,
     DecompositionError,
-    Fragment,
     decompose,
     predicted_constant,
     random_mean_zero,
@@ -25,12 +24,8 @@ from hardy_lab.tree import RootedTree
 
 def three_cells():
     # 1-D unit cells (0,1), (1,2), (2,3) on a chain, all weights 1
-    tree = RootedTree([-1, 0, 1])
-    return CellSpace(tree, (
-        Fragment(Fraction(1), 0),
-        Fragment(Fraction(1), 1, connector=1),
-        Fragment(Fraction(1), 2, connector=2),
-    ))
+    return CellSpace(RootedTree([-1, 0, 1]), (Fraction(1),) * 3,
+                     owner=(0, 1, 2), connector=(-1, 1, 2))
 
 
 # -- split_pair ------------------------------------------------------------------
@@ -58,8 +53,7 @@ def test_split_support_inside_a_only():
     # mean-zero f supported on A \ B would need two cells in A \ B; use a
     # 4-cell space instead
     tree = RootedTree([-1, 0, 1, 2])
-    sp4 = CellSpace(tree, tuple(
-        Fragment(Fraction(1), t, connector=t if t else None) for t in range(4)))
+    sp4 = CellSpace(tree, (Fraction(1),) * 4, owner=range(4), connector=(-1, 1, 2, 3))
     f = CellFunction(sp4, (Fraction(1), Fraction(-1), 0, 0))
     fa, fb, _ = split_pair(f, {0, 1, 2}, {2, 3})
     assert fa.values == f.values
@@ -79,18 +73,17 @@ def test_split_errors():
 def _random_split_case(rng):
     n_cells = int(rng.integers(3, 9))
     tree = RootedTree([-1] + list(range(n_cells - 1)))
-    frags = tuple(Fragment(Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 4))),
-                           t, connector=t if t else None)
-                  for t in range(n_cells))
-    sp = CellSpace(tree, frags)
+    volume = [Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 4)))
+              for _ in range(n_cells)]
+    sp = CellSpace(tree, volume, owner=range(n_cells), connector=[-1, *range(1, n_cells)])
     cut_a = int(rng.integers(1, n_cells - 1))
     cut_b = int(rng.integers(cut_a, n_cells - 1))
     A = set(range(0, cut_b + 1))
     B = set(range(cut_a, n_cells))
     vals = [Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7)))
             for _ in range(n_cells)]
-    total = sum(v * f.volume for v, f in zip(vals, sp.fragments))
-    vals[0] -= total / sp.fragments[0].volume
+    total = sum(v * w for v, w in zip(vals, sp.volume))
+    vals[0] -= total / sp.volume[0]
     return sp, CellFunction(sp, tuple(vals)), A, B
 
 
@@ -100,8 +93,8 @@ def test_split_random_identities_exact():
         sp, f, A, B = _random_split_case(rng)
         fa, fb, _ = split_pair(f, A, B)
         both = A | B
-        assert all(fa.values[i] == 0 for i in range(len(sp.fragments)) if i not in A)
-        assert all(fb.values[i] == 0 for i in range(len(sp.fragments)) if i not in B)
+        assert all(fa.values[i] == 0 for i in range(len(sp.vol)) if i not in A)
+        assert all(fb.values[i] == 0 for i in range(len(sp.vol)) if i not in B)
         assert all(fa.values[i] + fb.values[i] == f.values[i] for i in both)
         assert fa.integral() == 0
         assert fb.integral() == 0
@@ -111,7 +104,7 @@ def test_split_chain_composition_preserves_properties():
     # peel a chain of patches off one by one, as the pairwise argument does
     rng = np.random.default_rng(5)
     sp, f, _, _ = _random_split_case(rng)
-    n = len(sp.fragments)
+    n = len(sp.vol)
     remaining = f
     live = set(range(n))
     for cut in range(n - 1, 1, -1):
@@ -138,8 +131,11 @@ def test_decompose_toy_hand_parts():
     sp = toy_two_cell_space()
     g = CellFunction(sp, (1.0, -1.0, -1.0))
     res = decompose(g, q=2.0)
-    assert res.parts[0] == {0: 1.0, 1: -4.0}
-    assert res.parts[1] == {1: 3.0, 2: -1.0}
+    # g_0 = {0: 1, 1: -4}, g_1 = {1: 3, 2: -1}
+    assert res.vertex.tolist() == [0, 0, 1, 1]
+    assert res.frag.tolist() == [0, 1, 1, 2]
+    assert res.value.tolist() == [1.0, -4.0, 3.0, -1.0]
+    assert res.to_json()["parts"] == {"0": {"0": 1.0, "1": -4.0}, "1": {"1": 3.0, "2": -1.0}}
     assert res.lhs_norm == 8.0
     assert res.rhs_norm == 2.0
     assert res.ratio == 4.0
@@ -153,18 +149,18 @@ def test_decompose_leaf_supported():
     sp = space_from_covering(cov, beta=0.0)
     leaf = cov.tree.leaves[0]
     frag = int(np.flatnonzero(sp.owner == leaf)[0])
-    vals = [0.0] * len(sp.fragments)
+    vals = [0.0] * len(sp.vol)
     vals[frag] = 1.0
     # balance inside the same core cell is impossible with one fragment;
     # use the leaf's connector (inside U_leaf as well)
     b = sp.bfrag[leaf]
-    vals[b] = -float(sp.fragments[frag].volume / sp.fragments[b].volume)
+    vals[b] = -float(sp.volume[frag] / sp.volume[b])
     res = decompose(CellFunction(sp, tuple(vals)), q=2.0)
-    assert set(res.parts[leaf]) <= set(sp.u_frags(leaf))
-    for t in range(cov.tree.n):
-        if t == leaf or t == cov.tree.parent[leaf]:
-            continue
-        assert not res.parts[t]
+    assert set(res.frag[res.vertex == leaf].tolist()) <= set(sp.u_frags(leaf))
+    assert set(res.vertex.tolist()) <= {leaf, cov.tree.parent[leaf]}
+    doc = res.to_json()["parts"]
+    assert len(doc) == cov.tree.n
+    assert all(not doc[str(t)] for t in range(cov.tree.n) if t not in (leaf, cov.tree.parent[leaf]))
 
 
 def test_decompose_rejects_nonzero_mean():
@@ -179,9 +175,8 @@ def test_decompose_linearity(demo_cov6):
     g = random_mean_zero(sp, rng)
     r1 = decompose(g, q=2.0)
     r2 = decompose(g.scaled(2.0), q=2.0)
-    for t in r1.parts:
-        for i, v in r1.parts[t].items():
-            assert r2.parts[t][i] == 2.0 * v
+    assert np.array_equal(r1.vertex, r2.vertex) and np.array_equal(r1.frag, r2.frag)
+    assert np.array_equal(r2.value, 2.0 * r1.value)
 
 
 def test_decompose_exactness_random(demo_cov6):
@@ -226,16 +221,14 @@ def _random_abstract_space(rng) -> CellSpace:
     # (cube style) or inside the vertex's own core (toy style)
     n = int(rng.integers(2, 11))
     tree = hl.random_tree(n, rng)
-    frags = []
+    volume, owner, connector = [], list(range(n)), [-1] * n
     for t in range(n):
-        frags.append(Fragment(
-            Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))), t))
+        volume.append(Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))))
     for s in tree.gamma_star:
-        owner = tree.parent[s] if rng.random() < 0.5 else s
-        frags.append(Fragment(
-            Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))),
-            owner, connector=s))
-    return CellSpace(tree, tuple(frags))
+        owner.append(tree.parent[s] if rng.random() < 0.5 else s)
+        connector.append(s)
+        volume.append(Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))))
+    return CellSpace(tree, volume, owner, connector)
 
 
 def _random_abstract_cases():
@@ -249,12 +242,12 @@ def test_decompose_on_random_abstract_spaces():
     # the engine must satisfy the three identities on any valid covering shape
     for sp, g in _random_abstract_cases():
         res = decompose(g, q=2.0)
-        total = np.zeros(len(sp.fragments))
+        total = np.zeros(len(sp.vol))
         gmax = max(abs(v) for v in g.values)
-        for t, part in res.parts.items():
+        for t, part in oracles.parts(res).items():
             allowed = set(sp.u_frags(t))
             assert set(part) <= allowed
-            mean = sum(v * float(sp.fragments[i].volume) for i, v in part.items())
+            mean = sum(v * float(sp.volume[i]) for i, v in part.items())
             assert abs(mean) <= 1e-10 * float(g.abs_integral())
             for i, v in part.items():
                 total[i] += v
@@ -265,10 +258,13 @@ def test_verify_raises_on_tampered_parts(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=0.0)
     g = random_mean_zero(sp, np.random.default_rng(10))
     res = decompose(g, q=2.0)
-    t = next(iter(res.parts))
-    frag = int(np.flatnonzero(sp.owner == t)[0])
-    res.parts[t][frag] += 0.5
-    with pytest.raises(DecompositionError):
+    k = int(np.flatnonzero(sp.owner[res.frag] == res.vertex)[0])   # a g-term entry
+    res.value[k] += 0.5
+    with pytest.raises(DecompositionError, match="sum of parts"):
+        verify_decomposition(res, 2.0)
+    res = decompose(g, q=2.0)
+    res.value = res.value[:-1]
+    with pytest.raises(DecompositionError, match="aligned"):
         verify_decomposition(res, 2.0)
 
 
@@ -300,7 +296,7 @@ def test_verify_fails_on_nan():
     with pytest.raises(DecompositionError, match="predicted bound"):
         verify_decomposition(_toy_result(), float("nan"))
     res = _toy_result()
-    res.parts[0][0] = float("nan")
+    res.value[0] = float("nan")
     with pytest.raises(DecompositionError, match="sum of parts"):
         verify_decomposition(res, 1.05)
     res = _toy_result()
@@ -320,32 +316,56 @@ def test_estimate_ok_and_the_raise_use_one_comparison():
         verify_decomposition(res, 1.05)
 
 
-_VALID = (Fragment(Fraction(1), 0),
-          Fragment(Fraction(1), 1, connector=1),
-          Fragment(Fraction(1), 2, connector=2))
+_VALID = {"volume": (Fraction(1),) * 3, "owner": (0, 1, 2), "connector": (-1, 1, 2)}
 
 
-@pytest.mark.parametrize("changed, message", [
-    ({0: Fragment(Fraction(1), 3)}, r"fragment 0: owner 3 is not a vertex"),
-    ({0: Fragment(Fraction(1), -1)}, r"fragment 0: owner -1 is not a vertex"),
-    ({0: Fragment(Fraction(1), 0, connector=0)},
-     r"fragment 0: connector 0 is not a non-root vertex"),
-    ({2: Fragment(Fraction(1), 2, connector=5)},
-     r"fragment 2: connector 5 is not a non-root vertex"),
-    ({2: Fragment(Fraction(1), 2, connector=-1)},
-     r"fragment 2: connector -1 is not a non-root vertex"),
-    ({0: Fragment(Fraction(-1, 8), 0)}, r"fragment 0: negative volume"),
-    ({2: Fragment(Fraction(1), 2, connector=1)}, r"duplicate connector fragment \(vertex 1\)"),
-    ({2: Fragment(Fraction(1), 2)}, r"missing connector fragment \(vertex 2\)"),
-    ({1: Fragment(Fraction(0), 1, connector=1)},
-     r"connector must have positive volume \(vertex 1\)"),
+@pytest.mark.parametrize("column, i, value, message", [
+    ("owner", 0, 3, r"fragment 0: owner 3 is not a vertex"),
+    ("owner", 0, -1, r"fragment 0: owner -1 is not a vertex"),
+    ("connector", 0, 0, r"fragment 0: connector 0 is not a non-root vertex"),
+    ("connector", 2, 5, r"fragment 2: connector 5 is not a non-root vertex"),
+    ("connector", 2, -2, r"fragment 2: connector -2 is not a non-root vertex"),
+    ("volume", 0, Fraction(-1, 8), r"fragment 0: negative volume"),
+    ("connector", 2, 1, r"duplicate connector fragment \(vertex 1\)"),
+    ("connector", 2, -1, r"missing connector fragment \(vertex 2\)"),
+    ("volume", 1, Fraction(0), r"connector must have positive volume \(vertex 1\)"),
+    ("volume", 0, float("nan"), r"fragment 0: volume is not finite"),
 ], ids=["owner_high", "owner_negative", "connector_on_root", "connector_high",
         "connector_negative", "negative_volume", "duplicate_connector",
-        "missing_connector", "empty_connector"])
-def test_cell_space_rejects_invalid_fragments(changed, message):
-    frags = [changed.get(i, f) for i, f in enumerate(_VALID)]
+        "missing_connector", "empty_connector", "volume_not_finite"])
+def test_cell_space_rejects_invalid_fragments(column, i, value, message):
+    columns = {k: list(v) for k, v in _VALID.items()}
+    columns[column][i] = value
     with pytest.raises(DecompositionError, match=message):
-        CellSpace(RootedTree([-1, 0, 1]), frags)
+        CellSpace(RootedTree([-1, 0, 1]), **columns)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({"omega": [1.0, 0.0, 1.0]}, r"omega must be positive and finite: 0.0 on fragment 1"),
+    ({"nu": [1.0, -1.0, 1.0]}, r"nu must be positive and finite: -1.0 on fragment 1"),
+    ({"nu": [1.0, 1.0]}, r"nu must hold one value per fragment"),
+    ({"nu": [2.0]}, r"nu must hold one value per fragment"),
+    ({"ell": [1.0, float("inf"), 1.0]}, r"ell must be positive and finite: inf on fragment 1"),
+    ({"omega": [1.0, 1.0, float("nan")]}, r"omega must be positive and finite: nan"),
+], ids=["omega_zero", "nu_negative", "nu_short", "nu_scalar_list", "ell_inf", "omega_nan"])
+def test_cell_space_rejects_invalid_weights(weights, message):
+    sp = toy_two_cell_space()
+    with pytest.raises(DecompositionError, match=message):
+        CellSpace(sp.tree, sp.volume, sp.owner, sp.connector, **weights)
+
+
+def test_cell_space_rejects_misaligned_columns():
+    with pytest.raises(DecompositionError, match="one owner and one connector per fragment"):
+        CellSpace(RootedTree([-1, 0, 1]), _VALID["volume"], (0, 1), _VALID["connector"])
+
+
+def test_cell_space_float_volumes_match_exact():
+    exact = toy_two_cell_space()
+    sp = CellSpace(exact.tree, [float(v) for v in exact.volume], exact.owner, exact.connector)
+    assert np.array_equal(sp.vol, exact.vol) and np.array_equal(sp.pair_key, exact.pair_key)
+    g = (1.0, -1.0, -1.0)
+    assert CellFunction(sp, g).integral() == CellFunction(exact, g).integral() == 0.0
+    assert decompose(CellFunction(sp, g), q=2.0).ratio == 4.0
 
 
 # -- agreement with the per-vertex oracles ------------------------------------------
@@ -360,7 +380,9 @@ def _agreement_cases(name, demo_cov6):
         "demo3d3": (hl.build_covering(hl.profile_demo(n=3), depth_max=3), 0.0, 1.5),
     }[name]
     sp = space_from_covering(cov, beta=beta)
-    assert list(sp.fragments) == oracles.covering_fragments(cov)
+    volume, owner, connector = oracles.covering_fragments(cov)
+    assert sp.volume == tuple(volume)
+    assert sp.owner.tolist() == owner and sp.connector.tolist() == connector
     return [(sp, random_mean_zero(sp, np.random.default_rng(12)), q)]
 
 
@@ -372,8 +394,9 @@ def test_decomposition_matches_per_vertex_oracle(name, demo_cov6):
         g1 = float(np.abs(gv) @ sp.vol)
         res = decompose(g, q=q)
         ref = oracles.decompose(g, q)
-        assert res.parts.keys() == ref["parts"].keys()
-        for t, part in res.parts.items():
+        parts = oracles.parts(res)
+        assert parts.keys() == ref["parts"].keys()
+        for t, part in parts.items():
             assert part.keys() == ref["parts"][t].keys()
             for i, v in part.items():
                 # h_s = S_s / |B_s| scales the round-off of S by ||g||_1 / |B_s|;
@@ -401,20 +424,26 @@ def test_decomposition_matches_per_vertex_oracle(name, demo_cov6):
         assert rep.sum_error <= 1e-12 and rep_ref["sum_error"] <= 1e-12
 
 
+def _append_entry(res, t, i, v):
+    res.vertex = np.append(res.vertex, t)
+    res.frag = np.append(res.frag, i)
+    res.value = np.append(res.value, v)
+
+
 def test_verify_rejects_values_outside_u_t(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=0.0)
     res = decompose(random_mean_zero(sp, np.random.default_rng(11)), q=2.0)
     t = sp.tree.leaves[0]
-    outside = next(i for i in range(len(sp.fragments)) if i not in sp.u_frags(t))
-    res.parts[t][outside] = 1e-3
+    outside = next(i for i in range(len(sp.vol)) if i not in sp.u_frags(t))
+    _append_entry(res, t, outside, 1e-3)
     with pytest.raises(DecompositionError, match=f"outside U_t \\(vertex {t}\\)"):
         verify_decomposition(res, 2.0)
     with pytest.raises(AssertionError, match="outside U_t"):
         oracles.verify_decomposition(res)
     # a fragment id past the end must not alias the pair key of the next vertex
     res = decompose(random_mean_zero(sp, np.random.default_rng(11)), q=2.0)
-    m = len(sp.fragments)
-    res.parts[0][m + sp.u_frags(1)[0]] = 0.0
+    m = len(sp.vol)
+    _append_entry(res, 0, m + sp.u_frags(1)[0], 0.0)
     with pytest.raises(DecompositionError, match="outside U_t"):
         verify_decomposition(res, 2.0)
 
@@ -433,3 +462,17 @@ def test_demo_depth6_decomposition_pinned(demo_cov6):
     doc = json.dumps({"decomposition": result.to_json(), "verification": report.to_json()},
                      sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == DEMO6_DECOMPOSITION_SHA256
+
+
+ROUGH8_DECOMPOSITION_SHA256 = "e242ce27ab4be8398948a59d279aa4c24f7c6c90dd66bdf84173e349a534c874"
+
+
+def test_rough_depth8_decomposition_pinned(rough_cov8):
+    # the library path of `hardy-lab decompose --phi rough --depth 8 --beta -0.2 --seed 7`
+    problem = hl.weights_from_beta(rough_cov8, -0.2, 2.0)
+    space = space_from_covering(rough_cov8, beta=-0.2)
+    result = decompose(random_mean_zero(space, np.random.default_rng(7)), problem)
+    report = verify_decomposition(result, hl.optimize_theta(problem).suff_bound)
+    doc = json.dumps({"decomposition": result.to_json(), "verification": report.to_json()},
+                     sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == ROUGH8_DECOMPOSITION_SHA256

@@ -330,8 +330,8 @@ def test_sweep_threshold_marking(demo_cov6):
 
 def test_density_split_compact_mean_zero(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=-0.2)
-    vals = np.zeros(len(sp.fragments))
-    vols = sp.volumes()
+    vals = np.zeros(len(sp.vol))
+    vols = sp.vol
     vals[0], vals[1] = 1.0, -vols[0] / vols[1]
     rep = hl.density_split(CellFunction(sp, tuple(vals)), -0.2, 2.0, epsilon=1e-9)
     assert rep.psi == 0.0
@@ -349,7 +349,7 @@ def test_density_split_pure_weight(demo_cov6):
 
 def test_density_split_zero(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=-0.2)
-    rep = hl.density_split(CellFunction(sp, (0.0,) * len(sp.fragments)),
+    rep = hl.density_split(CellFunction(sp, (0.0,) * len(sp.vol)),
                            -0.2, 2.0, epsilon=1e-9)
     assert rep.psi == 0.0 and rep.estimate_ok
 
@@ -358,7 +358,7 @@ def test_density_split_random_estimate(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=-0.2)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        F = CellFunction(sp, tuple(rng.standard_normal(len(sp.fragments))))
+        F = CellFunction(sp, tuple(rng.standard_normal(len(sp.vol))))
         rep = hl.density_split(F, -0.2, 2.0, epsilon=1e-2)
         assert rep.estimate_ok
         assert abs(rep.g.integral()) <= 1e-10
@@ -367,14 +367,14 @@ def test_density_split_random_estimate(demo_cov6):
 def test_density_split_epsilon_too_small(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=-0.2)
     rng = np.random.default_rng(12)
-    F = CellFunction(sp, tuple(rng.standard_normal(len(sp.fragments))))
+    F = CellFunction(sp, tuple(rng.standard_normal(len(sp.vol))))
     with pytest.raises(DecompositionError, match="truncation"):
         hl.density_split(F, -0.2, 2.0, epsilon=0.0)
 
 
 def test_density_split_noninteger_weight_rejected(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=-0.3)
-    F = CellFunction(sp, (1.0,) * len(sp.fragments))
+    F = CellFunction(sp, (1.0,) * len(sp.vol))
     with pytest.raises(DecompositionError, match="integrable"):
         hl.density_split(F, -0.3, 2.0, epsilon=1e-3)
 
@@ -395,7 +395,7 @@ def test_cell_function_mean_zero_flag(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=0.0)
     g = random_mean_zero(sp, np.random.default_rng(14))
     assert g.is_mean_zero()
-    assert not CellFunction(sp, (1.0,) * len(sp.fragments)).is_mean_zero()
+    assert not CellFunction(sp, (1.0,) * len(sp.vol)).is_mean_zero()
 
 
 def test_reports_embed_parameters(demo_cov6):

@@ -6,7 +6,7 @@ import numpy as np
 
 import hardy_lab as hl
 from hardy_lab.tree import Antichain, TreeError
-from hardy_lab.hardy import _path_prefix_sums, _shadow_sums
+from hardy_lab.hardy import _shadow_sums
 
 from oracles import (
     AntichainCapExceeded,
@@ -233,9 +233,10 @@ def test_kernel_matches_per_vertex_loops(demo_cov6):
             got_S = K.shadow(w[K.order]).reshape(K.m, -1)
             np.testing.assert_allclose(got_N, want_N[K.order], rtol=1e-13, atol=0)
             np.testing.assert_allclose(got_S, want_S[K.order], rtol=1e-13, atol=0)
-        # the id-order wrappers in hardy, root total included
+        # one column in vertex id order, and the id-order shadow wrapper in
+        # hardy, root total included
         w1 = w[:, 0]
-        np.testing.assert_allclose(_path_prefix_sums(tree, w1), path_prefix_sums(tree, w1),
+        np.testing.assert_allclose(K.prefix(w1[K.order]), path_prefix_sums(tree, w1)[K.order],
                                    rtol=1e-13, atol=0)
         np.testing.assert_allclose(_shadow_sums(tree, w1), shadow_sums(tree, w1),
                                    rtol=1e-13, atol=0)

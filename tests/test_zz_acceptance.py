@@ -18,7 +18,6 @@ import hardy_lab as hl
 from hardy_lab.decomp import (
     CellFunction,
     CellSpace,
-    Fragment,
     decompose,
     random_mean_zero,
     space_from_covering,
@@ -205,8 +204,9 @@ def test_criterion_08_decomposition(demo_cov6):
     # the 1-D toy reproduces the hand-derived parts exactly
     sp = hl.toy_two_cell_space()
     res = decompose(CellFunction(sp, (1.0, -1.0, -1.0)), q=2.0)
-    ok &= res.parts[0] == {0: 1.0, 1: -4.0}
-    ok &= res.parts[1] == {1: 3.0, 2: -1.0}
+    parts = {(t, i): v for t, i, v in zip(res.vertex.tolist(), res.frag.tolist(),
+                                          res.value.tolist())}
+    ok &= parts == {(0, 0): 1.0, (0, 1): -4.0, (1, 1): 3.0, (1, 2): -1.0}
     ok &= (res.lhs_norm, res.rhs_norm, res.ratio) == (8.0, 2.0, 4.0)
     assert _line(8, "decomposition", ok,
                  f"40 runs, worst measured/predicted = {worst_ratio:.3f}")
@@ -214,11 +214,7 @@ def test_criterion_08_decomposition(demo_cov6):
 
 def test_criterion_09_split_pair():
     tree = RootedTree([-1, 0, 1])
-    cells = CellSpace(tree, (
-        Fragment(Fraction(1), 0),
-        Fragment(Fraction(1), 1, connector=1),
-        Fragment(Fraction(1), 2, connector=2),
-    ))
+    cells = CellSpace(tree, (Fraction(1),) * 3, owner=(0, 1, 2), connector=(-1, 1, 2))
     f = CellFunction(cells, (Fraction(1), Fraction(0), Fraction(-1)))
     fa, fb, _ = split_pair(f, {0, 1}, {1, 2})
     ok = fa.values == (Fraction(1), Fraction(-1), 0)
@@ -228,19 +224,17 @@ def test_criterion_09_split_pair():
     for _ in range(100):
         n_cells = int(rng.integers(3, 9))
         t = RootedTree([-1] + list(range(n_cells - 1)))
-        frags = tuple(Fragment(Fraction(int(rng.integers(1, 9)),
-                                        2 ** int(rng.integers(0, 4))),
-                               i, connector=i if i else None)
-                      for i in range(n_cells))
-        sp = CellSpace(t, frags)
+        volume = [Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 4)))
+                  for _ in range(n_cells)]
+        sp = CellSpace(t, volume, owner=range(n_cells), connector=[-1, *range(1, n_cells)])
         cut_a = int(rng.integers(1, n_cells - 1))
         cut_b = int(rng.integers(cut_a, n_cells - 1))
         A = set(range(0, cut_b + 1))
         B = set(range(cut_a, n_cells))
         vals = [Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7)))
                 for _ in range(n_cells)]
-        total = sum(v * fr.volume for v, fr in zip(vals, sp.fragments))
-        vals[0] -= total / sp.fragments[0].volume
+        total = sum(v * w for v, w in zip(vals, sp.volume))
+        vals[0] -= total / sp.volume[0]
         g = CellFunction(sp, tuple(vals))
         ga, gb, _ = split_pair(g, A, B)
         ok &= all(ga.values[i] == 0 for i in range(n_cells) if i not in A)
