@@ -119,8 +119,7 @@ def cmd_hardy(args) -> int:
         tree = RootedTree.from_json(payload)
         ones = [1.0] * len(tree.gamma_star)
         problem = make_problem(tree, ones, ones, args.p)
-    rep = hardy_report(problem, theta_max=args.theta_max, b_cap=args.cap,
-                       seed=args.seed)
+    rep = hardy_report(problem, theta_max=args.theta_max, b_cap=args.cap)
     write_report(os.path.join(args.out, "hardy.json"), rep.to_json(), _config(args))
     if args.format == "csv":
         row = {k: v for k, v in rep.to_json().items()

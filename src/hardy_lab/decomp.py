@@ -77,20 +77,24 @@ class CellSpace:
     fragment (all ones by default)."""
 
     def __init__(self, tree: RootedTree, volume: Iterable, owner, connector,
-                 ell=None, nu=None, omega=None, meta: dict | None = None):
+                 ell=None, nu=None, omega=None, meta: dict | None = None, vol=None):
         self.tree = tree
         self.volume = tuple(volume)
         n, m = tree.n, len(self.volume)
         owner = np.array(owner, dtype=np.int64)       # copies: the index is built from them
         conn = np.array(connector, dtype=np.int64)
+        # `vol`, when given, must be the volumes rounded to float; callers that
+        # hold a few distinct exact volumes round each once and pass it
+        vol = np.array(self.volume if vol is None else vol, dtype=float)
         if owner.shape != (m,) or conn.shape != (m,):
             raise DecompositionError("one owner and one connector per fragment required")
+        if vol.shape != (m,):
+            raise DecompositionError("vol must hold one float per volume")
         self.ell, self.nu, self.omega = (_weight(name, w, m) for name, w in
                                          (("ell", ell), ("nu", nu), ("omega", omega)))
         self.meta = dict(meta or {})
 
         has = conn != -1
-        vol = np.array(self.volume, dtype=float)
         if (i := _first((owner < 0) | (owner >= n))) is not None:
             raise DecompositionError(f"fragment {i}: owner {owner[i]} is not a vertex")
         if (i := _first(has & ((conn < 0) | (conn >= n) | (conn == tree.root)))) is not None:
@@ -155,6 +159,8 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None,
         raise DecompositionError("core cell has nonpositive volume", t)
     slab = [edge[j] ** d / 2 for j in range(len(edge))]
     volume = [*map(core.__getitem__, kind.tolist()), *map(slab.__getitem__, cls[gs].tolist())]
+    vol = np.concatenate([np.array(core, dtype=float)[kind],
+                          np.array(slab, dtype=float)[cls[gs]]])
     owner = np.concatenate([np.arange(tree.n), up])
     connector = np.concatenate([np.full(tree.n, -1), gs])
     ell_arr = np.concatenate([cov.edge_array, cov.edge_array[gs]])
@@ -167,7 +173,7 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None,
         nu = ell_arr ** gamma
         omega = ell_arr ** beta
     return CellSpace(tree, volume, owner, connector, ell=ell_arr, nu=nu, omega=omega,
-                     meta={"alpha": alpha, "beta": beta, "gamma": gamma})
+                     meta={"alpha": alpha, "beta": beta, "gamma": gamma}, vol=vol)
 
 
 def toy_two_cell_space() -> CellSpace:

@@ -19,8 +19,9 @@ quantities are computed here:
             exactly by an upper-hull DP over the tree, at most
             |Gamma*| + sum of depths hull points, with no enumeration
   c_exact   the lp operator norm of M[s,t] = v_s / u_t on pairs t <= s,
-            via nonlinear power iteration with multistarts; M is applied
-            matrix-free, M x = v prefix(x/u) and M'y = shadow(v y)/u
+            by power iteration from all ones, as a bracket: ||M x||_p <= C
+            <= a Collatz-Wielandt bound certified up to rounding (see
+            exact_constant); M x = v prefix(x/u), M'y = shadow(v y)/u
 
 The path-prefix and shadow sums behind all of these run on the tree's
 level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
@@ -313,31 +314,23 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0,
 
 # -- exact constant via nonlinear power iteration -----------------------------
 
-def _phi(x: np.ndarray, r: float) -> np.ndarray:
-    """|x|^{r-1} sign(x)."""
-    return np.sign(x) * np.abs(x) ** (r - 1.0)
-
-
-def _lp_norm(x: np.ndarray, p: float, axis=0) -> np.ndarray:
-    return np.sum(np.abs(x) ** p, axis=axis) ** (1.0 / p)
-
-
 @dataclass(frozen=True)
 class ExactConstant:
-    value: float
+    value: float                # c_lower = ||M x||_p at the unit maximizer x
+    c_upper: float              # Collatz-Wielandt bound, certified up to rounding
     maximizer: np.ndarray       # Gamma* id order, unit lp norm, nonnegative
     form: str
     iterations: int
-    residual: float             # p=2 certificate ||M'Mx - c^2 x|| / c^2; nan otherwise
 
 
 class HardyOperator:
-    """M[s, t] = v_s / u_t on pairs t <= s, rows and columns in Gamma* id
-    order, applied without forming M:
+    """M[s, t] = v_s / u_t on pairs t <= s, applied without forming M:
 
         M x = v * prefix(x / u),    M' y = shadow(v * y) / u,
 
-    one kernel pass, O(|Gamma*|), per column. Both take (m,) or (m, k).
+    one kernel pass, O(|Gamma*|), per column. `apply`/`apply_t` index rows
+    and columns in the kernel's BFS order, `matvec`/`rmatvec` in Gamma* id
+    order. All four take (m,) or (m, k).
     """
 
     def __init__(self, problem: HardyProblem):
@@ -350,88 +343,88 @@ class HardyOperator:
             return self._u, self._v
         return self._u[:, None], self._v[:, None]
 
-    def matvec(self, X: np.ndarray) -> np.ndarray:
-        K = self.kernel
+    def apply(self, X: np.ndarray) -> np.ndarray:
         u, v = self._weights(X)
-        out = np.empty(X.shape)
-        out[K.rank] = v * K.prefix(X[K.rank] / u)
-        return out
+        return v * self.kernel.prefix(X / u)
+
+    def apply_t(self, Y: np.ndarray) -> np.ndarray:
+        u, v = self._weights(Y)
+        return self.kernel.shadow(v * Y) / u
+
+    def matvec(self, X: np.ndarray) -> np.ndarray:
+        return self._by_id(self.apply, X)
 
     def rmatvec(self, Y: np.ndarray) -> np.ndarray:
-        K = self.kernel
-        u, v = self._weights(Y)
-        out = np.empty(Y.shape)
-        out[K.rank] = K.shadow(v * Y[K.rank]) / u
+        return self._by_id(self.apply_t, Y)
+
+    def _by_id(self, bfs_map, X: np.ndarray) -> np.ndarray:
+        rank = self.kernel.rank
+        out = np.empty(X.shape)
+        out[rank] = bfs_map(X[rank])
         return out
 
 
-def _pnorm_power(matvec, rmatvec, m: int, p: float, rtol: float, maxiter: int,
-                 n_random_starts: int, seed: int) -> tuple[float, np.ndarray, int, float]:
-    """lp -> lp operator norm of a nonnegative m x m operator A, given as
-    matvec (X -> A X) and rmatvec (Y -> A' Y) on (m, k) blocks.
-
-    Iterates F <- Phi_q(A' Phi_p(A F)) column-wise over a deterministic
-    all-ones start plus random nonnegative multistarts. For p = 2 the
-    top singular pair is certified by the eigen-residual; for general p
-    the stop rule is the relative change of the Rayleigh-type ratio.
-    """
+def _pnorm_power(apply, apply_t, m: int, p: float, rtol: float,
+                 maxiter: int) -> tuple[float, float, np.ndarray, int]:
+    """(c_lower, c_upper, x, steps) for the lp -> lp norm of a nonnegative
+    m x m operator A (apply: x -> A x, apply_t: y -> A' y), iterated from
+    all ones as exact_constant describes. Every iterate is >= 0, so
+    Phi_r(z) = z^{r-1}, and np.fmax skips the 0/0 entries of F(x)/x."""
     q = p / (p - 1.0)
-    rng = np.random.default_rng(seed)
-    X = np.concatenate([np.ones((m, 1)),
-                        np.abs(rng.standard_normal((m, n_random_starts)))], axis=1)
-    X /= _lp_norm(X, p, axis=0)
-    ratios = np.zeros(X.shape[1])
-    it = 0
-    active = np.ones(X.shape[1], dtype=bool)
-    while it < maxiter and active.any():
-        it += 1
-        Y = matvec(X[:, active])
-        r = _lp_norm(Y, p, axis=0)
-        Z = rmatvec(_phi(Y, p))
-        Xn = _phi(Z, q)
-        norms = _lp_norm(Xn, p, axis=0)
-        norms[norms == 0] = 1.0
-        Xn /= norms
-        prev = ratios[active]
-        done = np.abs(r - prev) <= rtol * np.maximum(r, 1e-300)
-        if p == 2.0:
-            resid = _lp_norm(Z - (r ** 2) * X[:, active], 2.0, axis=0)
-            done &= resid <= 10.0 * rtol * np.maximum(r ** 2, 1e-300)
-        idx = np.flatnonzero(active)
-        ratios[idx] = r
-        X[:, idx] = Xn
-        active[idx[done]] = False
-    if active.any():
-        raise NonConvergenceError(float(ratios.max()), it)
-    k = int(np.argmax(ratios))
-    x = np.abs(X[:, k])
-    x /= _lp_norm(x, p)
-    resid = float("nan")
-    if p == 2.0:
-        z = rmatvec(matvec(x))
-        c2 = float(ratios[k]) ** 2
-        resid = float(np.linalg.norm(z - c2 * x) / c2)
-    return float(ratios[k]), x, it, resid
+    x = np.full(m, float(m) ** (-1.0 / p))
+    lower = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, maxiter + 1):
+            y = apply(x)
+            lower = float(np.sum(y ** p) ** (1.0 / p))
+            fx = apply_t(y ** (p - 1.0)) ** (q - 1.0)
+            upper = float(np.fmax.reduce(fx / x)) ** (1.0 / q)
+            if upper - lower <= rtol * lower:
+                return lower, upper, x, it
+            x = fx / np.sum(fx ** p) ** (1.0 / p)
+    raise NonConvergenceError(lower, maxiter)
 
 
 def exact_constant(problem: HardyProblem, form: str = "primal",
-                   rtol: float = 1e-10, maxiter: int = 100_000,
-                   n_random_starts: int = 8, seed: int = 0) -> ExactConstant:
-    """Best constant C of the Hardy inequality (primal and dual agree).
+                   rtol: float = 1e-10, maxiter: int = 100_000) -> ExactConstant:
+    """Best constant C of the Hardy inequality (primal and dual agree), as a
+    bracket value = c_lower <= C <= c_upper with c_upper - c_lower <= rtol c_lower.
 
     primal: lp -> lp norm of M;  dual: lq -> lq norm of M transposed.
-    M is applied matrix-free (HardyOperator), so there is no size cap.
+    M is applied matrix-free (HardyOperator) in the kernel's BFS order, so
+    there is no size cap; the maximizer is returned in Gamma* id order.
+
+    Lower side: c_lower = ||M x||_p is attained by the unit x returned.
+    Upper side (Collatz-Wielandt): F(x) = Phi_q(M' Phi_p(M x)) is
+    order-preserving and homogeneous of degree one on x >= 0. A maximizer
+    w >= 0 of ||M w||_p / ||w||_p satisfies M' Phi_p(M w) = C^p Phi_p(w) at
+    every entry, zeros included (p > 1: raising a zero entry gains to first
+    order and costs only to order p), so F(w) = C^q w. If F(x) <= mu x
+    with x > 0, then F^k(x) <= mu^k x, and w <= t x gives
+    C^{qk} w = F^k(w) <= t mu^k x for all k, so C^q <= mu. Hence
+    C <= c_upper = (max_i F(x)_i / x_i)^{1/q} for every positive x.
+
+    Zero entries: F(x)_t > 0 whenever t is comparable to a vertex where
+    x > 0, so from all ones every iterate is positive in exact arithmetic.
+    But M is block diagonal over the subtrees of the root's children, and
+    a maximizer vanishes on blocks of smaller norm; there the iterate
+    decays geometrically and can underflow. Entries with x_i = F(x)_i = 0
+    are skipped, and x_i = 0 < F(x)_i gives c_upper = inf (the loop goes
+    on), so the bound is never nan. An entry is skipped only after the
+    iteration has driven it below the least float, and all sums are
+    floating point: c_upper is certified up to rounding.
     """
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be primal or dual, got {form!r}")
     M = HardyOperator(problem)
     if form == "primal":
-        value, x, it, resid = _pnorm_power(M.matvec, M.rmatvec, M.size, problem.p,
-                                           rtol, maxiter, n_random_starts, seed)
+        run = (M.apply, M.apply_t, M.size, problem.p)
     else:
-        value, x, it, resid = _pnorm_power(M.rmatvec, M.matvec, M.size, problem.q,
-                                           rtol, maxiter, n_random_starts, seed)
-    return ExactConstant(value, x, form, it, resid)
+        run = (M.apply_t, M.apply, M.size, problem.q)
+    lower, upper, x, it = _pnorm_power(*run, rtol, maxiter)
+    by_id = np.empty(M.size)
+    by_id[M.kernel.rank] = x
+    return ExactConstant(lower, upper, by_id, form, it)
 
 
 # -- the EHP quantity ---------------------------------------------------------
@@ -451,7 +444,9 @@ def alpha_K(problem: HardyProblem, boundary) -> AlphaResult:
     """
     tree = problem.tree
     bnd = Antichain.of(tree, boundary).vertices
-    support = sorted({s for t in bnd for s in tree.paths[t]})
+    K = tree.kernel
+    # the union of the boundary paths: the vertices whose shadow meets bnd
+    support = np.sort(K.order[K.shadow(np.isin(K.order, bnd)) > 0]).tolist()
     full = _alpha_tree_recursion(problem, bnd, support)
     alpha = float(np.sum(full[support] ** problem.p) ** (1.0 / problem.p))
     return AlphaResult(alpha, full)
@@ -676,7 +671,8 @@ class HardyReport:
     b_ehp: float
     b_arg: tuple[int, ...]
     b_count: int                # hull points ehp_B evaluated
-    c_exact: float
+    c_exact: float              # c_lower of the primal bracket
+    c_upper: float
     c_dual: float
     maximizer: list[float]
     flags: tuple[str, ...] = ()
@@ -694,6 +690,7 @@ class HardyReport:
             "b_arg": list(self.b_arg),
             "b_count": self.b_count,
             "c_exact": self.c_exact,
+            "c_upper": self.c_upper,
             "c_dual": self.c_dual,
             "maximizer": self.maximizer,
             "flags": list(self.flags),
@@ -702,16 +699,18 @@ class HardyReport:
 
 
 def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
-                 b_cap: int | None = None, seed: int = 0) -> HardyReport:
+                 b_cap: int | None = None) -> HardyReport:
     """Compute all four constants plus the internal consistency checks.
 
+    Each check against C uses the side of the primal bracket that proves
+    it: c_upper for upper bounds on C, c_lower for lower bounds.
     b_cap optionally bounds the hull points ehp_B may evaluate
     (HullCapExceeded past it).
     """
     ac = a_chain(problem)
     th = optimize_theta(problem, theta_max=theta_max)
-    primal = exact_constant(problem, "primal", seed=seed)
-    dual = exact_constant(problem, "dual", seed=seed)
+    primal = exact_constant(problem, "primal")
+    dual = exact_constant(problem, "dual")
     b = ehp_B(problem, cap=b_cap)
     flags = list(problem.flags)
     if ac.diverging:
@@ -720,21 +719,21 @@ def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
         # candidate for the open necessity question: finite C with the
         # tree condition growing at the optimized theta
         flags.append("a_tree_diverging_at_theta_star")
-    c = primal.value
+    lo, hi = primal.value, primal.c_upper
     checks = {
-        "duality": abs(primal.value - dual.value) <= 1e-6 * max(primal.value, 1e-300),
-        "sufficiency": c <= th.suff_bound * (1.0 + 1e-9),
-        "a_chain_le_c": ac.value <= c * (1.0 + 1e-9),
+        "duality": abs(lo - dual.value) <= 1e-6 * max(lo, 1e-300),
+        "sufficiency": hi <= th.suff_bound * (1.0 + 1e-9),
+        "a_chain_le_c": ac.value <= lo * (1.0 + 1e-9),
         "a_chain_le_b": ac.value <= b.value * (1.0 + 1e-9),
-        "sandwich": (b.value <= c * (1.0 + 1e-6)
-                     and c <= 4.0 * b.value * (1.0 + 1e-6)),
+        "sandwich": (b.value <= lo * (1.0 + 1e-6)
+                     and hi <= 4.0 * b.value * (1.0 + 1e-6)),
     }
     return HardyReport(
         problem=problem,
         a_chain=ac.value, a_chain_arg=ac.arg,
         a_tree=th.a_tree_value, theta_star=th.theta_star, suff_bound=th.suff_bound,
         b_ehp=b.value, b_arg=b.arg, b_count=b.count,
-        c_exact=c, c_dual=dual.value,
+        c_exact=lo, c_upper=hi, c_dual=dual.value,
         maximizer=[float(x) for x in primal.maximizer],
         flags=tuple(flags), checks=checks,
     )

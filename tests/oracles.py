@@ -1,7 +1,8 @@
 """Per-vertex reference implementations that the library replaced.
 
 The library computes path-prefix and shadow sums with a level-vectorised
-kernel, applies the Hardy operator matrix-free, computes the EHP constant B
+kernel, applies the Hardy operator matrix-free, brackets its norm C from one
+positive start, computes the EHP constant B
 with an upper-hull tree DP, solves every alpha_K program by the tree
 recursion, decides cube containment for a whole covering level at once,
 fits the counting constants per size class, sweeps the sampled Holder
@@ -12,7 +13,8 @@ cell as soon as it is drawn; the loops, the dense matrices, the antichain
 enumeration, the Gram solve, the per-cube test, the Fraction covering
 build, the pairwise box scan, the per-vertex decomposition and the
 all-cells-kept sampler below are the straightforward forms they are
-checked against.
+checked against, as is the multistart power iteration with its
+ratio-change stop rule.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 import hardy_lab as hl
+from hardy_lab.hardy import HardyOperator, NonConvergenceError
 from hardy_lab.inequalities import _allocate, _cell_rng, _d_values
 
 
@@ -36,6 +39,59 @@ def hardy_matrix(problem) -> np.ndarray:
         for t in tree.paths[s]:
             M[i, col[t]] = problem.v[s] / problem.u[t]
     return M
+
+
+def _phi(x, r):
+    """|x|^{r-1} sign(x)."""
+    return np.sign(x) * np.abs(x) ** (r - 1.0)
+
+
+def _lp_norm(x, p, axis=0):
+    return np.sum(np.abs(x) ** p, axis=axis) ** (1.0 / p)
+
+
+def multistart_pnorm(problem, form="primal", rtol=1e-10, maxiter=100_000,
+                     n_random_starts=8, seed=0) -> float:
+    """C by the nonlinear power iteration F <- Phi_q(A' Phi_p(A F)) run
+    column-wise on the all-ones start plus n_random_starts random
+    nonnegative ones (A = M, or M' for the dual form at the exponent q).
+    A column stops once its ratio ||A x||_p changes by at most rtol
+    relative (and, at p = 2, its eigen-residual is below 10 rtol); the
+    best ratio over the columns is returned."""
+    op = HardyOperator(problem)
+    matvec, rmatvec, p = op.matvec, op.rmatvec, problem.p
+    if form == "dual":
+        matvec, rmatvec, p = rmatvec, matvec, problem.q
+    q = p / (p - 1.0)
+    m = op.size
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([np.ones((m, 1)),
+                        np.abs(rng.standard_normal((m, n_random_starts)))], axis=1)
+    X /= _lp_norm(X, p, axis=0)
+    ratios = np.zeros(X.shape[1])
+    it = 0
+    active = np.ones(X.shape[1], dtype=bool)
+    while it < maxiter and active.any():
+        it += 1
+        Y = matvec(X[:, active])
+        r = _lp_norm(Y, p, axis=0)
+        Z = rmatvec(_phi(Y, p))
+        Xn = _phi(Z, q)
+        norms = _lp_norm(Xn, p, axis=0)
+        norms[norms == 0] = 1.0
+        Xn /= norms
+        prev = ratios[active]
+        done = np.abs(r - prev) <= rtol * np.maximum(r, 1e-300)
+        if p == 2.0:
+            resid = _lp_norm(Z - (r ** 2) * X[:, active], 2.0, axis=0)
+            done &= resid <= 10.0 * rtol * np.maximum(r ** 2, 1e-300)
+        idx = np.flatnonzero(active)
+        ratios[idx] = r
+        X[:, idx] = Xn
+        active[idx[done]] = False
+    if active.any():
+        raise NonConvergenceError(float(ratios.max()), it)
+    return float(ratios.max())
 
 
 class AntichainCapExceeded(RuntimeError):

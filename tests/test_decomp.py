@@ -368,6 +368,25 @@ def test_cell_space_float_volumes_match_exact():
     assert decompose(CellFunction(sp, g), q=2.0).ratio == 4.0
 
 
+@pytest.mark.parametrize("name", ["demo_cov6", "rough_cov8", "rough_cov10", "demo3d3"])
+def test_space_from_covering_vol_is_exact_volume_rounded(name, request):
+    # space_from_covering rounds each distinct shape volume once; the column
+    # must equal rounding every exact volume on its own, bit for bit
+    if name == "demo3d3":
+        cov = hl.build_covering(hl.profile_demo(n=3), depth_max=3)
+    else:
+        cov = request.getfixturevalue(name)
+    sp = space_from_covering(cov, beta=0.0)
+    assert sp.vol.dtype == float and not sp.vol.flags.writeable
+    assert np.array_equal(sp.vol, np.array(sp.volume, dtype=float))
+
+
+def test_cell_space_rejects_misaligned_vol():
+    with pytest.raises(DecompositionError, match="vol must hold one float per volume"):
+        CellSpace(RootedTree([-1, 0, 1]), _VALID["volume"], _VALID["owner"],
+                  _VALID["connector"], vol=[1.0])
+
+
 # -- agreement with the per-vertex oracles ------------------------------------------
 
 def _agreement_cases(name, demo_cov6):
