@@ -478,14 +478,15 @@ def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
     boundary = set(bnd)
     in_k = set(support)
     kappa: dict[int, float] = {}
+    total: dict[int, float] = {}        # children's K, reused by the budget split
     for s in reversed(tree.topo):
         if s not in in_k:
             continue
         if s in boundary:
             kappa[s] = problem.u[s] ** p
             continue
-        total = sum(kappa[c] for c in tree.children[s] if c in in_k)
-        kappa[s] = _parallel(problem.u[s] ** p, total, p)
+        total[s] = sum(kappa[c] for c in tree.children[s] if c in in_k)
+        kappa[s] = _parallel(problem.u[s] ** p, total[s], p)
 
     b = np.zeros(tree.n)
     budget: dict[int, float] = {c: 1.0 for c in tree.children[tree.root]
@@ -497,8 +498,7 @@ def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
         if s in boundary:
             b[s] = c * problem.u[s]
             continue
-        total = sum(kappa[ch] for ch in tree.children[s] if ch in in_k)
-        gamma = (problem.u[s] ** p / total) ** (1.0 / (p - 1.0))
+        gamma = (problem.u[s] ** p / total[s]) ** (1.0 / (p - 1.0))
         y = c / (1.0 + gamma)
         b[s] = y * problem.u[s]
         for ch in tree.children[s]:

@@ -158,6 +158,44 @@ def _allocate(samples: int, vols: np.ndarray) -> np.ndarray:
 def _cell_rng(seed: int, cell: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, cell)))
 
+def _sum_squares(cols: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """c_0^2 + ... + c_{count-1}^2 over equal-length columns, added in the
+    order np.add.reduce uses on a contiguous run of count < 16 values, so
+    np.sqrt of it equals np.linalg.norm over those axes bit for bit.
+
+    Below 8 terms numpy adds in sequence; from 8 on it adds the first eight
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest in sequence.
+    cols is consumed one column at a time and squares go into reused
+    buffers, so a generator keeps the transients at a few columns, never
+    count of them.
+    """
+    if not 0 < count < 16:
+        raise ValueError(f"need 1 to 15 columns, got {count}")
+    it = iter(cols)
+
+    def square(out: np.ndarray | None = None) -> np.ndarray:
+        c = next(it)
+        return np.multiply(c, c, out=out)
+
+    s = square()
+    sq = np.empty_like(s)
+    rest = count - 1
+    if count >= 8:
+        s += square(sq)                             # r0 + r1
+        t = square()
+        t += square(sq)                             # r2 + r3
+        s += t
+        t = square(t)
+        t += square(sq)                             # r4 + r5
+        u = square()
+        u += square(sq)                             # r6 + r7
+        t += u
+        s += t
+        rest = count - 8
+    for _ in range(rest):
+        s += square(sq)
+    return s
+
 def _d_values(cov: CubeCovering, edge, pts: np.ndarray, mode: str) -> np.ndarray:
     """d at pts: the cell edge surrogate (one float, or one per point), or the
     distance to the graph."""
@@ -235,8 +273,11 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
         denom_terms.append(w * float(np.sum(dbp)))
         if poincare:
             fv = f.value(pts)
-            r = np.linalg.norm(f.gradient(pts), axis=1)
+            g = f.gradient(pts)
             del pts
+            r = _sum_squares(g.T, n)
+            del g
+            np.sqrt(r, out=r)
             num_terms.append(w * float(np.sum(dbp * fv)))
             r **= p
             r *= d ** ((beta + alpha) * p)
@@ -249,10 +290,10 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
         part = J - np.swapaxes(J, 1, 2)
         part *= 0.5                                 # eta
         A += w * np.einsum("i,ijk->jk", dbp, part)
-        np.add(J, np.swapaxes(J, 1, 2), out=part)
-        part *= 0.5                                 # eps
-        r = np.linalg.norm(part, axis=(1, 2))
         del part
+        eps = ((J[:, j, k] + J[:, k, j]) * 0.5 for j in range(n) for k in range(n))
+        r = _sum_squares(eps, n * n)
+        np.sqrt(r, out=r)
         r **= p
         r *= d ** ((beta + alpha - 1.0) * p)
         rhs_terms.append(w * float(np.sum(r)))
@@ -271,7 +312,9 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
             r = v - c
             np.abs(r, out=r)
         else:
-            r = np.linalg.norm(v - A, axis=(1, 2))
+            r = _sum_squares((v[:, j, k] - A[j, k] for j in range(n) for k in range(n)),
+                             n * n)
+            np.sqrt(r, out=r)
         r **= p
         r *= dbp
         lhs_terms.append(w * float(np.sum(r)))
@@ -318,7 +361,9 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     dx = _d_values(cov, np.repeat(edges[cells], counts[cells]), pts, d_mode)
     R = tau * dx
     r = R * u ** (1.0 / kappa)
-    y = pts + r[:, None] * (g / np.linalg.norm(g, axis=1, keepdims=True))
+    gn = _sum_squares(g.T, n)
+    np.sqrt(gn, out=gn)
+    y = pts + r[:, None] * (g / gn[:, None])
     c = cov.locate(y)
     inside = c >= 0
     dy = np.zeros(len(y))
@@ -348,6 +393,7 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
 
 
 KINDS = ("improved_poincare", "fractional_poincare", "korn")
+D_MODES = ("cell", "graph")
 
 
 def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
@@ -357,7 +403,7 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
     """Measured lhs/rhs for one inequality, with a two-seed spread.
 
     ValueError before any drawing unless p is finite with p >= 1, beta is
-    finite and samples >= 1."""
+    finite, samples >= 1 and d_mode is one of D_MODES."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if kind == "fractional_poincare":
@@ -373,6 +419,8 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         raise ValueError(f"beta must be finite, got {beta}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if d_mode not in D_MODES:
+        raise ValueError(f"d_mode must be one of {D_MODES}, got {d_mode!r}")
 
     def run(sd: int) -> tuple[float, float, float | None]:
         if kind == "fractional_poincare":

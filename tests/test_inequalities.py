@@ -165,6 +165,20 @@ def test_korn_sampler_memory(demo_cov6):
     assert peak < 18 * 2 ** 20
 
 
+@pytest.mark.parametrize("m", [1, 7, 10 ** 5])
+@pytest.mark.parametrize("shape,axis", [((2,), 1), ((3,), 1),
+                                        ((2, 2), (1, 2)), ((3, 3), (1, 2))])
+def test_sum_squares_matches_numpy_norm(shape, axis, m):
+    # magnitudes over e^{+-20} and exact zeros make the sum order show in the
+    # bits; a numpy whose add.reduce orders a short run differently fails here
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((m, *shape)) * np.exp(rng.uniform(-20.0, 20.0, (m, *shape)))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    cols = x.reshape(m, -1).T
+    got = np.sqrt(ineq._sum_squares(cols, len(cols)))
+    np.testing.assert_array_equal(got, np.linalg.norm(x, axis=axis))
+
+
 # -- input validation ------------------------------------------------------------------
 
 BAD_INPUTS = {
@@ -177,6 +191,8 @@ BAD_INPUTS = {
     "beta-inf-fractional": ("fractional_poincare", dict(beta=math.inf)),
     "samples-negative": ("improved_poincare", dict(samples=-5)),
     "samples-zero": ("korn", dict(samples=0)),
+    "d_mode-unknown": ("improved_poincare", dict(d_mode="bogus")),
+    "d_mode-unknown-fractional": ("fractional_poincare", dict(d_mode="bogus")),
 }
 
 
