@@ -18,6 +18,11 @@ U_t = Q_t' x (x1 - e/2, x2); the added slab B_t = Q_t' x (x1 - e/2, x1) lies
 inside the parent cube, giving the tree covering {U_t} with connectors {B_t}.
 Note |U_t| = (3/2)|Q_t| and |B_t| = |Q_t|/2, so |U_t|/|B_t| = 3 for every
 non-root t; the covering only needs this ratio bounded.
+
+Fixed values: profiles are validated on a 48-point grid per axis to 1e-9;
+counting-bound fits at depth_max and depth_max - 2 are stable within 10 %;
+tail sums read the ratios of the last 5 size classes; graph distances search
+a 2049-point grid per axis (257 on a 2-D base) and refine it 3 times.
 """
 
 from __future__ import annotations
@@ -70,19 +75,19 @@ class HolderProfile:
         if self.ell <= 0:
             raise ValueError("the base scale must be positive")
 
-    def validate(self, grid: int = 48, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check 2l <= phi < 3l and the sampled Holder quotient on a grid."""
         L = float(self.ell)
         d = self.n - 1
-        axes = [np.linspace(-1.5 * L * (1 - 1e-9), 1.5 * L * (1 - 1e-9), grid)] * d
+        axes = [np.linspace(-1.5 * L * (1 - 1e-9), 1.5 * L * (1 - 1e-9), 48)] * d
         pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
         vals = np.asarray(self.phi(pts), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise CoveringError("phi must be finite on the strip")
-        if np.any(vals < 2 * L - tol) or np.any(vals >= 3 * L):
+        if np.any(vals < 2 * L - 1e-9) or np.any(vals >= 3 * L):
             raise CoveringError("phi must satisfy 2l <= phi < 3l on the strip")
         worst = _holder_quotient_max(pts, vals, self.alpha)
-        if worst > self.k_phi * (1 + 1e-6) + tol:
+        if worst > self.k_phi * (1 + 1e-6) + 1e-9:
             raise CoveringError(
                 f"sampled Holder quotient {worst:.6g} exceeds K={self.k_phi}")
 
@@ -185,22 +190,23 @@ PHI_CHUNK = 1 << 14         # grid points per profile.phi call
 
 
 def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
-                       threshold: np.ndarray, max_points: int = 1 << 14) -> list:
+                       threshold: np.ndarray, max_points: int = 1 << 14) -> tuple:
     """Decide whether phi >= threshold[b] on each open box (lo[b], hi[b]).
 
     Adaptive midpoint grids, m = 4, 8, ... points per axis while m^d <=
     max_points, each round on the boxes still undecided: a sample strictly
     below the threshold is a witness against containment; otherwise the
     Holder modulus of the grid spacing turns the sampled minimum into a
-    certificate. Returns, per box, True, False, or None when the budget runs
-    out with the margin unresolved. Every box gets exactly the grid points,
-    minimum and certificate of a test run on that box alone.
+    certificate. Returns boolean arrays (contained, unresolved: the budget
+    ran out with the margin open); a box in neither was witnessed against.
+    Every box gets exactly the grid points, minimum and certificate of a
+    test run on that box alone.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     threshold = np.asarray(threshold, dtype=float)
     d = lo.shape[1]
-    decision = [None] * len(lo)
+    contained = np.zeros(len(lo), dtype=bool)
     todo = np.arange(len(lo))
     m = 4
     while len(todo) and m ** d <= max_points:
@@ -214,13 +220,12 @@ def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
         # the modulus K h^alpha with h^alpha as a Python float power
         modulus = np.array([profile.k_phi * x ** profile.alpha for x in h.tolist()])
         sure = ~below & (vmin - modulus >= thr)
-        for b in todo[below].tolist():
-            decision[b] = False
-        for b in todo[sure].tolist():
-            decision[b] = True
+        contained[todo[sure]] = True
         todo = todo[~below & ~sure]
         m *= 2
-    return decision
+    unresolved = np.zeros(len(lo), dtype=bool)
+    unresolved[todo] = True
+    return contained, unresolved
 
 
 def _grid_min(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
@@ -484,8 +489,7 @@ class CubeCovering:
 
     # -- distance diagnostics -------------------------------------------------
 
-    def graph_distance(self, points: np.ndarray, base_grid: int = 2049,
-                       refine: int = 3) -> np.ndarray:
+    def graph_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance to the graph of phi by projected search on refining grids.
 
         The Holder modulus bounds the error by the final grid spacing, which
@@ -494,8 +498,7 @@ class CubeCovering:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         L = float(self.profile.ell)
         d = self.n - 1
-        if d == 2:
-            base_grid = min(base_grid, 257)
+        base_grid = 257 if d == 2 else 2049
         axes = [np.linspace(-1.5 * L, 1.5 * L, base_grid)] * d
         grid = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
         base = np.asarray(self.profile.phi(grid), dtype=float)   # shared by every point
@@ -503,7 +506,7 @@ class CubeCovering:
         for i, x in enumerate(pts):
             g, gv = grid, base
             h = 3.0 * L / (base_grid - 1)      # current sample spacing
-            for r in range(refine + 1):
+            for r in range(4):                  # the base grid, then 3 refinements
                 if r:
                     local = [np.clip(np.linspace(b - h, b + h, 33),
                                      -1.5 * L, 1.5 * L) for b in g[k]]
@@ -529,7 +532,7 @@ class CubeCovering:
 
 
 def build_covering(profile: HolderProfile, depth_max: int,
-                   cube_cap: int = 10 ** 6, validate: bool = True) -> CubeCovering:
+                   cube_cap: int = 10 ** 6) -> CubeCovering:
     """Breadth-first cube construction, truncated at dyadic depth `depth_max`.
 
     The truncation is by size class (edge = l * 2^-j, j <= depth_max): a
@@ -550,8 +553,7 @@ def build_covering(profile: HolderProfile, depth_max: int,
     """
     if profile.n not in (2, 3):
         raise CoveringError("only dimensions 2 and 3 are supported")
-    if validate:
-        profile.validate()
+    profile.validate()
     L = profile.ell
     d = profile.n - 1
     strip = 1.5 * float(L)
@@ -570,13 +572,12 @@ def build_covering(profile: HolderProfile, depth_max: int,
         lo, hi = (_cube_points(L, cell, cls, h)[:, :-1] for h in (0, 2))
         c = (lo + hi) / 2.0
         he = 1.5 * _dyadic_floats(L, 2, cls)[:, None]
-        decisions = _min_phi_decisions(
+        stacked, unresolved = _min_phi_decisions(       # unresolved subdivides
             profile,
             np.maximum(c - he, -strip),
             np.minimum(c + he, strip),
             _dyadic_floats(L, 2 * (cell[:, -1] + 3), cls))
-        inconclusive += decisions.count(None)
-        stacked = np.array([x is True for x in decisions])     # None subdivides
+        inconclusive += int(np.count_nonzero(unresolved))
         split = ~stacked & (cls < depth_max)    # else: truncated at the class cap
         kids = np.where(stacked, 1, np.where(split, 2 ** d, 0))
         total = int(kids.sum())
@@ -740,7 +741,7 @@ class BoundsReport:
                 "shallow": self.shallow, "stable": self.stable}
 
 
-def verify_counting_bounds(cov: CubeCovering, stability_tol: float = 0.10) -> BoundsReport:
+def verify_counting_bounds(cov: CubeCovering) -> BoundsReport:
     """Fit the smallest constants in the path/shadow/volume bounds.
 
     Instability between depth_max and depth_max - 2 is reported, not fatal.
@@ -748,7 +749,7 @@ def verify_counting_bounds(cov: CubeCovering, stability_tol: float = 0.10) -> Bo
     deep = _fit_constants(cov, cov.depth_max)
     shallow = _fit_constants(cov, max(cov.depth_max - 2, 0))
     stable = {k: bool(shallow[k] > 0
-                      and abs(deep[k] / shallow[k] - 1.0) <= stability_tol)
+                      and abs(deep[k] / shallow[k] - 1.0) <= 0.10)
               for k in deep}
     return BoundsReport(deep["c1"], deep["c2"], deep["c3"], shallow, stable)
 
@@ -784,8 +785,7 @@ class TailReport:
                 "decay": self.decay}
 
 
-def tail_integrability(cov: CubeCovering, beta: float, p: float,
-                       window: int = 5) -> TailReport:
+def tail_integrability(cov: CubeCovering, beta: float, p: float) -> TailReport:
     """Per-size-class partial sums of v^p = |B_t| edge^{beta p}."""
     count = np.bincount(np.asarray(cov.size_class)[list(cov.tree.gamma_star)])
     sums: dict[int, float] = {}
@@ -806,7 +806,7 @@ def tail_integrability(cov: CubeCovering, beta: float, p: float,
         rows.append({"size_class": j, "count": counts[j], "sum": sums[j],
                      "cumulative": cum, "ratio": ratio})
         prev = sums[j]
-    ratios = [r["ratio"] for r in rows[-window:] if r["ratio"] is not None]
+    ratios = [r["ratio"] for r in rows[-5:] if r["ratio"] is not None]
     geometric = (len(ratios) >= 3 and all(r < 1.0 for r in ratios)
                  and max(ratios) <= 1.2 * min(ratios))
     decay = float(np.exp(np.mean(np.log(ratios)))) if ratios else float("nan")

@@ -12,8 +12,10 @@ pairs of every U_t; set integrals, overlaps and part values are bincount
 and gather steps over it. Volumes are exact rationals (one Fraction per
 distinct core shape of a covering) or floats, rounded to float once; values,
 integrals and norms are floats, so the decomposition identities hold to
-round-off. split_pair stays exact in Fractions. A decomposition result is
-three aligned arrays (vertex, fragment, value) over the kept U_t pairs.
+round-off: verify_decomposition allows 1e-12 of max |g| in the sum of the
+parts and 1e-10 of the integral of |g| in each part's mean. split_pair stays
+exact in Fractions. A decomposition result is three aligned arrays (vertex,
+fragment, value) over the kept U_t pairs.
 
 The construction: f_t = g restricted to the cells owned by t, the shadow
 integrals S_t (f-integrals at and below t) come from the tree kernel,
@@ -413,9 +415,7 @@ def predicted_constant(space: CellSpace, q: float, hardy_constant: float) -> tup
 
 
 def verify_decomposition(result: DecompositionResult,
-                         hardy: HardyReport | float,
-                         sum_tol: float = 1e-12,
-                         mean_tol: float = 1e-10) -> VerifyReport:
+                         hardy: HardyReport | float) -> VerifyReport:
     """Check the three decomposition properties exactly and the norm estimate.
 
     Violations of the exact properties raise DecompositionError with the
@@ -442,11 +442,11 @@ def verify_decomposition(result: DecompositionResult,
 
     dev = np.abs(np.bincount(frag, weights=value, minlength=m) - g)
     err = float(np.max(dev, initial=0.0))
-    if not err <= sum_tol * gmax:
+    if not err <= 1e-12 * gmax:
         raise DecompositionError(f"sum of parts deviates from g by {err:.3e}",
                                  int(space.owner[np.argmax(dev)]))
 
-    bound = mean_tol * max(math.fsum(np.abs(g) * space.vol), 1e-300)
+    bound = 1e-10 * max(math.fsum(np.abs(g) * space.vol), 1e-300)
     means = np.bincount(vertex, weights=value * space.vol[frag], minlength=n)
     if (t := _first(~(np.abs(means) <= bound))) is not None:
         raise DecompositionError(f"part mean {means[t]:.3e} exceeds budget", t)

@@ -27,6 +27,10 @@ The path-prefix and shadow sums behind all of these run on the tree's
 level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
 O(|Gamma*|) per pass, with no dense matrix and no size cap.
 
+Fixed values: theta* from 64 log-spaced thetas on (1, theta_max] refined by
+golden section to relative width 1e-4; C to a relative bracket gap of 1e-10
+within 100 000 iterations; the chain checks allow 1e-9 relative round-off.
+
 Vertex sups break ties to the lowest vertex id. B's antichain is read off
 the first hull vertex after the origin at the root. Sibling hulls merge in
 child-id order and, at every vertex, points collinear on a hull edge are
@@ -45,6 +49,9 @@ from .tree import Antichain, RootedTree, TreeKernel
 
 GROWTH_FACTOR = 1.05   # per-level growth that marks a quantity "diverging"
 GROWTH_LEVELS = 5
+THETA_GRID = 64        # log-spaced thetas on (1, theta_max] seeding golden section
+MAX_ITERATIONS = 100_000
+CHAIN_SLACK = 1e-9     # relative round-off allowed by chain_equivalence_check
 
 
 class NonConvergenceError(RuntimeError):
@@ -145,7 +152,7 @@ def _bfs_weights(problem: HardyProblem) -> tuple[np.ndarray, np.ndarray]:
     return problem.u[order], problem.v[order]
 
 
-def _diverging(levels: list[float]) -> bool:
+def _diverging(levels: tuple[float, ...]) -> bool:
     """Monotone growth by >= GROWTH_FACTOR over the last GROWTH_LEVELS steps."""
     if len(levels) < GROWTH_LEVELS + 1:
         return False
@@ -157,8 +164,8 @@ def _diverging(levels: list[float]) -> bool:
 class SupResult:
     value: float
     arg: int                    # vertex achieving the sup (lowest id wins)
-    diverging: bool
-    levels: tuple[float, ...]   # partial sups on the level-<=k truncations
+    diverging: bool             # False when no profile was asked for
+    levels: tuple[float, ...]   # partial sups on the level-<=k truncations, or ()
 
 
 def _sup_over_gamma_star(tree: RootedTree, vals: np.ndarray) -> tuple[float, int]:
@@ -169,27 +176,23 @@ def _sup_over_gamma_star(tree: RootedTree, vals: np.ndarray) -> tuple[float, int
     return float(by_id[i]), tree.gamma_star[i]
 
 
-def _level_array(tree: RootedTree, levels) -> np.ndarray:
-    if levels is None:
-        return np.array(tree.depth)
-    lv = np.asarray(levels, dtype=int)
-    if lv.shape != (tree.n,):
-        raise ValueError("levels must assign one integer per vertex")
-    return lv
-
-
 _PROFILE_BLOCK = 1 << 22     # array entries per block of truncation levels
 
 
 def _level_profile(tree: RootedTree, levels, front: np.ndarray, base: np.ndarray,
-                   p: float) -> list[float]:
+                   p: float) -> tuple[float, ...]:
     """P_k = max over Gamma* vertices t of level <= k of
-    front_t (shadow sum of base over level <= k)_t^{1/p}, for k = 1..max level.
+    front_t (shadow sum of base over level <= k)_t^{1/p}, for k = 1..max level;
+    () when levels is None.
 
     front and base are in BFS order; the truncations are the columns of
     one kernel call, taken in blocks to bound the memory.
     """
-    lv_all = _level_array(tree, levels)
+    if levels is None:
+        return ()
+    lv_all = np.asarray(levels, dtype=int)
+    if lv_all.shape != (tree.n,):
+        raise ValueError("levels must assign one integer per vertex")
     lv = lv_all[tree.kernel.order]
     ks = np.arange(1, int(lv_all.max()) + 1)
     step = max(1, _PROFILE_BLOCK // max(len(lv), 1))
@@ -199,33 +202,33 @@ def _level_profile(tree: RootedTree, levels, front: np.ndarray, base: np.ndarray
         S = tree.kernel.shadow(np.where(inside, base[:, None], 0.0))
         vals = np.where(inside, front[:, None] * S ** (1.0 / p), -np.inf)
         profile.extend(float(x) for x in vals.max(axis=0))
-    return profile
+    return tuple(profile)
 
 
-def a_chain(problem: HardyProblem, with_levels: bool = True,
-            levels=None) -> SupResult:
-    """The Muckenhoupt-type supremum, plus truncation level profile.
+def a_chain(problem: HardyProblem, levels=None) -> SupResult:
+    """The Muckenhoupt-type supremum, plus a truncation level profile only
+    when `levels` (one integer per vertex) is given.
 
     The profile entry P_k is the same supremum recomputed on the sub-problem
-    of vertices with level <= k (level defaults to tree depth; coverings
-    pass their dyadic size classes). Five consecutive gains of 5% or more
-    raise the diverging flag.
+    of vertices with level <= k (hardy_report passes the tree depth;
+    coverings pass their dyadic size classes). Five consecutive gains of 5%
+    or more raise the diverging flag. With levels=None, levels is ().
     """
     tree, q, p = problem.tree, problem.q, problem.p
     u, v = _bfs_weights(problem)
     front = tree.kernel.prefix(u ** (-q)) ** (1.0 / q)
     vp = v ** p
     value, arg = _sup_over_gamma_star(tree, front * tree.kernel.shadow(vp) ** (1.0 / p))
-    profile = _level_profile(tree, levels, front, vp, p) if with_levels else []
-    return SupResult(value, arg, _diverging(profile), tuple(profile))
+    profile = _level_profile(tree, levels, front, vp, p)
+    return SupResult(value, arg, _diverging(profile), profile)
 
 
-def a_tree(problem: HardyProblem, theta: float, with_levels: bool = True,
-           levels=None) -> SupResult:
+def a_tree(problem: HardyProblem, theta: float, levels=None) -> SupResult:
     """The theta-parameterized sufficient-condition supremum.
 
     N is accumulated top-down along paths, the weighted shadow sums
-    bottom-up, one kernel pass each. Level profiles as in a_chain.
+    bottom-up, one kernel pass each. A level profile is computed only when
+    `levels` is given, as in a_chain.
     """
     if not theta > 1.0:
         raise ValueError(f"theta must exceed 1, got {theta}")
@@ -234,8 +237,8 @@ def a_tree(problem: HardyProblem, theta: float, with_levels: bool = True,
     N = tree.kernel.prefix(u ** (-q))
     vals, front, base = _a_tree_terms(tree.kernel, N, v ** p, theta, q, p)
     value, arg = _sup_over_gamma_star(tree, vals)
-    profile = _level_profile(tree, levels, front, base, p) if with_levels else []
-    return SupResult(value, arg, _diverging(profile), tuple(profile))
+    profile = _level_profile(tree, levels, front, base, p)
+    return SupResult(value, arg, _diverging(profile), profile)
 
 
 def _a_tree_terms(kernel: TreeKernel, N: np.ndarray, vp: np.ndarray, theta: float,
@@ -257,19 +260,17 @@ class ThetaResult:
     theta_star: float
     suff_bound: float
     a_tree_value: float
-    diverging: bool
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def optimize_theta(problem: HardyProblem, theta_max: float = 64.0,
-                   grid_points: int = 64, rel_width: float = 1e-4) -> ThetaResult:
+def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResult:
     """Minimize g(theta) = (theta/(theta-1))^{1/q} a_tree(theta).
 
-    A log grid over (1, theta_max] guards against local minima; the best
-    bracket is then refined by golden section to the requested relative
-    width. The bound g(theta*) always dominates the exact constant.
+    A log grid of THETA_GRID thetas over (1, theta_max] guards against local
+    minima; the best bracket is then refined by golden section to relative
+    width 1e-4. The bound g(theta*) always dominates the exact constant.
     Each g(theta) costs one kernel shadow pass: the path sums are hoisted.
     """
     q, p = problem.q, problem.p
@@ -278,12 +279,13 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0,
     N = kernel.prefix(u ** (-q))
     vp = v ** p
 
-    def g(theta: float) -> float:
-        # equals (theta/(theta-1))^{1/q} a_tree(problem, theta).value exactly
-        vals = _a_tree_terms(kernel, N, vp, theta, q, p)[0]
-        return (theta / (theta - 1.0)) ** (1.0 / q) * float(np.max(vals))
+    def sup(theta: float) -> float:     # a_tree(problem, theta).value exactly
+        return float(np.max(_a_tree_terms(kernel, N, vp, theta, q, p)[0]))
 
-    thetas = [theta_max ** (i / grid_points) for i in range(1, grid_points + 1)]
+    def g(theta: float) -> float:
+        return (theta / (theta - 1.0)) ** (1.0 / q) * sup(theta)
+
+    thetas = [theta_max ** (i / THETA_GRID) for i in range(1, THETA_GRID + 1)]
     vals = [g(t) for t in thetas]
     i = int(np.argmin(vals))
     lo = thetas[i - 1] if i > 0 else 1.0 + 0.5 * (thetas[0] - 1.0)
@@ -293,7 +295,7 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0,
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = g(c), g(d)
-    while (b - a) > rel_width * a:
+    while (b - a) > 1e-4 * a:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -303,13 +305,9 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0,
             d = a + _INV_GOLDEN * (b - a)
             fd = g(d)
     theta_star = 0.5 * (a + b)
-    at = a_tree(problem, theta_star)
-    bound = (theta_star / (theta_star - 1.0)) ** (1.0 / q) * at.value
-    grid_best = (float(vals[i]), thetas[i])
-    if grid_best[0] < bound:            # golden section never loses to its grid seed
-        bound, theta_star = grid_best
-        at = a_tree(problem, theta_star)
-    return ThetaResult(theta_star, bound, at.value, at.diverging)
+    if vals[i] < g(theta_star):         # golden section never loses to its grid seed
+        theta_star = thetas[i]
+    return ThetaResult(theta_star, g(theta_star), sup(theta_star))
 
 
 # -- exact constant via nonlinear power iteration -----------------------------
@@ -364,8 +362,7 @@ class HardyOperator:
         return out
 
 
-def _pnorm_power(apply, apply_t, m: int, p: float, rtol: float,
-                 maxiter: int) -> tuple[float, float, np.ndarray, int]:
+def _pnorm_power(apply, apply_t, m: int, p: float) -> tuple[float, float, np.ndarray, int]:
     """(c_lower, c_upper, x, steps) for the lp -> lp norm of a nonnegative
     m x m operator A (apply: x -> A x, apply_t: y -> A' y), iterated from
     all ones as exact_constant describes. Every iterate is >= 0, so
@@ -374,21 +371,20 @@ def _pnorm_power(apply, apply_t, m: int, p: float, rtol: float,
     x = np.full(m, float(m) ** (-1.0 / p))
     lower = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, maxiter + 1):
+        for it in range(1, MAX_ITERATIONS + 1):
             y = apply(x)
             lower = float(np.sum(y ** p) ** (1.0 / p))
             fx = apply_t(y ** (p - 1.0)) ** (q - 1.0)
             upper = float(np.fmax.reduce(fx / x)) ** (1.0 / q)
-            if upper - lower <= rtol * lower:
+            if upper - lower <= 1e-10 * lower:
                 return lower, upper, x, it
             x = fx / np.sum(fx ** p) ** (1.0 / p)
-    raise NonConvergenceError(lower, maxiter)
+    raise NonConvergenceError(lower, MAX_ITERATIONS)
 
 
-def exact_constant(problem: HardyProblem, form: str = "primal",
-                   rtol: float = 1e-10, maxiter: int = 100_000) -> ExactConstant:
+def exact_constant(problem: HardyProblem, form: str = "primal") -> ExactConstant:
     """Best constant C of the Hardy inequality (primal and dual agree), as a
-    bracket value = c_lower <= C <= c_upper with c_upper - c_lower <= rtol c_lower.
+    bracket value = c_lower <= C <= c_upper with c_upper - c_lower <= 1e-10 c_lower.
 
     primal: lp -> lp norm of M;  dual: lq -> lq norm of M transposed.
     M is applied matrix-free (HardyOperator) in the kernel's BFS order, so
@@ -421,7 +417,7 @@ def exact_constant(problem: HardyProblem, form: str = "primal",
         run = (M.apply, M.apply_t, M.size, problem.p)
     else:
         run = (M.apply_t, M.apply, M.size, problem.q)
-    lower, upper, x, it = _pnorm_power(*run, rtol, maxiter)
+    lower, upper, x, it = _pnorm_power(*run)
     by_id = np.empty(M.size)
     by_id[M.kernel.rank] = x
     return ExactConstant(lower, upper, by_id, form, it)
@@ -629,32 +625,26 @@ class ChainEquivalence:
     worst_margin: float         # min over t of rhs/lhs in the cond2 check
 
 
-def chain_equivalence_check(problem: HardyProblem, theta: float,
-                            slack: float = 1e-9) -> ChainEquivalence:
-    """On chains: the substitution condition and a_tree <= theta^{1/p} a_chain."""
+def chain_equivalence_check(problem: HardyProblem, theta: float) -> ChainEquivalence:
+    """On chains: the substitution condition
+    shadow(v^p M^{1/theta - 1}) <= theta M^{1/theta} with M = shadow(v^p),
+    and a_tree <= theta^{1/p} a_chain, each up to CHAIN_SLACK relative."""
     tree, p = problem.tree, problem.p
     if not tree.is_chain:
         raise ValueError("chain_equivalence_check requires a chain")
     if not theta > 1.0:
         raise ValueError("theta must exceed 1")
-    gs = list(tree.gamma_star)
-    w_v = np.zeros(tree.n)
-    w_v[gs] = problem.v[gs] ** p
-    M = _shadow_sums(tree, w_v)
-    # chain order: root's child first
-    order = [t for t in tree.topo if t != tree.root]
-    lhs = 0.0
-    cond2_ok = True
-    worst = math.inf
-    for t in reversed(order):
-        lhs += w_v[t] * M[t] ** (1.0 / theta - 1.0)
-        rhs = theta * M[t] ** (1.0 / theta)
-        cond2_ok &= lhs <= rhs * (1.0 + slack)
-        if lhs > 0:
-            worst = min(worst, rhs / lhs)
-    ac = a_chain(problem, with_levels=False).value
-    at = a_tree(problem, theta, with_levels=False).value
-    atree_ok = at <= theta ** (1.0 / p) * ac * (1.0 + slack)
+    w_v = _bfs_weights(problem)[1] ** p
+    M = tree.kernel.shadow(w_v).tolist()
+    # the powers as Python floats (libm pow): numpy's vectorised power can
+    # round differently in the last bit
+    lhs = tree.kernel.shadow(w_v * np.array([m ** (1.0 / theta - 1.0) for m in M]))
+    rhs = theta * np.array([m ** (1.0 / theta) for m in M])
+    cond2_ok = np.all(lhs <= rhs * (1.0 + CHAIN_SLACK))
+    worst = np.min(rhs[lhs > 0] / lhs[lhs > 0], initial=math.inf)
+    ac = a_chain(problem).value
+    at = a_tree(problem, theta).value
+    atree_ok = at <= theta ** (1.0 / p) * ac * (1.0 + CHAIN_SLACK)
     return ChainEquivalence(bool(cond2_ok), bool(atree_ok), float(worst))
 
 
@@ -706,8 +696,16 @@ def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
     it: c_upper for upper bounds on C, c_lower for lower bounds.
     b_cap optionally bounds the hull points ehp_B may evaluate
     (HullCapExceeded past it).
+
+    The flags `diverging` (a_chain) and `a_tree_diverging_at_theta_star`
+    come from a finite-depth growth heuristic on the depth-level profiles
+    (five consecutive per-level gains of 5 % or more), not a proof. The same
+    test has a known false positive: on the size-class profile, a_tree at
+    theta* flags the rough depth-10 problem at beta = -0.2, p = 2, which
+    weights_from_beta tags beta_ok (the depth-level profile here does not).
     """
-    ac = a_chain(problem)
+    depth = problem.tree.depth
+    ac = a_chain(problem, levels=depth)
     th = optimize_theta(problem, theta_max=theta_max)
     primal = exact_constant(problem, "primal")
     dual = exact_constant(problem, "dual")
@@ -715,7 +713,7 @@ def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
     flags = list(problem.flags)
     if ac.diverging:
         flags.append("diverging")
-    if th.diverging:
+    if a_tree(problem, th.theta_star, levels=depth).diverging:
         # candidate for the open necessity question: finite C with the
         # tree condition growing at the optimized theta
         flags.append("a_tree_diverging_at_theta_star")

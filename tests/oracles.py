@@ -210,6 +210,26 @@ def shadow_sums(tree, w: np.ndarray) -> np.ndarray:
     return M
 
 
+def chain_cond2(problem, theta: float, slack: float = 1e-9) -> tuple[bool, float]:
+    """The former per-vertex chain check: (cond2_ok, worst_margin), with the
+    running sum of v^p M^{1/theta - 1} taken from the leaf up."""
+    tree, p = problem.tree, problem.p
+    gs = list(tree.gamma_star)
+    w_v = np.zeros(tree.n)
+    w_v[gs] = problem.v[gs] ** p
+    M = shadow_sums(tree, w_v)
+    lhs = 0.0
+    cond2_ok = True
+    worst = math.inf
+    for t in reversed([t for t in tree.topo if t != tree.root]):
+        lhs += w_v[t] * M[t] ** (1.0 / theta - 1.0)
+        rhs = theta * M[t] ** (1.0 / theta)
+        cond2_ok &= lhs <= rhs * (1.0 + slack)
+        if lhs > 0:
+            worst = min(worst, rhs / lhs)
+    return bool(cond2_ok), float(worst)
+
+
 def min_phi_decision(profile, lo, hi, threshold: float, max_points: int = 1 << 14):
     """The per-cube containment test: phi >= threshold on the open box (lo, hi)?
 

@@ -349,8 +349,15 @@ def _profile(which):
 
 
 def _per_cube(profile, lo, hi, threshold, max_points=1 << 14):
-    return [min_phi_decision(profile, a, b, float(t), max_points)
-            for a, b, t in zip(lo, hi, threshold)]
+    """The per-cube oracle's True/False/None as (contained, unresolved) arrays."""
+    got = [min_phi_decision(profile, a, b, float(t), max_points)
+           for a, b, t in zip(lo, hi, threshold)]
+    return np.array([x is True for x in got]), np.array([x is None for x in got])
+
+
+def _same(got, want):
+    return all(g.dtype == bool and np.array_equal(g, w)
+               for g, w in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("which", ["demo", "rough", "demo3"])
@@ -366,13 +373,14 @@ def test_batched_decision_matches_per_cube_oracle(which):
     # box: some are witnessed, some certified and some left open
     spread = profile.k_phi * (2 * half[:, 0]) ** profile.alpha
     thr = np.asarray(profile.phi(c)) - spread * rng.uniform(-0.5, 2.0, nb)
-    got = _min_phi_decisions(profile, lo, hi, thr, max_points=64)
-    assert got == _per_cube(profile, lo, hi, thr, max_points=64)
-    assert {True, False, None} <= set(got)
+    contained, unresolved = got = _min_phi_decisions(profile, lo, hi, thr, max_points=64)
+    assert _same(got, _per_cube(profile, lo, hi, thr, max_points=64))
+    # some certified, some left open, some witnessed against
+    assert contained.any() and unresolved.any() and (~contained & ~unresolved).any()
     if d == 1:
         # boxes with more grid points than one phi call takes
         got = _min_phi_decisions(profile, lo[:12], hi[:12], thr[:12], max_points=1 << 16)
-        assert got == _per_cube(profile, lo[:12], hi[:12], thr[:12], max_points=1 << 16)
+        assert _same(got, _per_cube(profile, lo[:12], hi[:12], thr[:12], max_points=1 << 16))
 
 
 def test_batched_decision_ties():
@@ -381,8 +389,9 @@ def test_batched_decision_ties():
     profile = hl.profile_flat(2.0)
     lo, hi = np.array([[-0.5], [0.0]]), np.array([[0.5], [0.25]])
     thr = [2.0, np.nextafter(2.0, 3.0)]
-    assert _min_phi_decisions(profile, lo, hi, thr) == [True, False]
-    assert _per_cube(profile, lo, hi, thr) == [True, False]
+    certified = ([True, False], [False, False])      # (contained, unresolved)
+    assert _same(_min_phi_decisions(profile, lo, hi, thr), certified)
+    assert _same(_per_cube(profile, lo, hi, thr), certified)
 
 
 @pytest.mark.parametrize("which,depth", [("demo", 8), ("rough", 8), ("demo3", 3), ("flat3", 3)])

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from hardy_lab.hardy import HardyOperator, _a_tree_terms, _bfs_weights, _pnorm_p
 from conftest import random_problem
 from oracles import (
     alpha_gram,
+    chain_cond2,
     ehp_enumerated,
     enumerate_antichains,
     hardy_matrix,
@@ -80,8 +83,8 @@ def test_a_tree_dominates_a_chain_at_large_theta():
     rng = np.random.default_rng(11)
     for _ in range(10):
         pr = random_problem(rng, max_vertices=25)
-        ac = hl.a_chain(pr, with_levels=False).value
-        at = hl.a_tree(pr, 1e6, with_levels=False).value
+        ac = hl.a_chain(pr).value
+        at = hl.a_tree(pr, 1e6).value
         assert at >= ac - 1e-9 * ac
 
 
@@ -144,7 +147,7 @@ def test_chain_theta_bound_against_a_chain():
         v = np.exp(rng.uniform(-2, 2, n))
         pr = hl.make_problem(hl.chain_tree(n), u, v, 2.0)
         res = hl.optimize_theta(pr)
-        ac = hl.a_chain(pr, with_levels=False).value
+        ac = hl.a_chain(pr).value
         th = res.theta_star
         assert res.suff_bound <= (th / (th - 1)) ** 0.5 * th ** 0.5 * ac * (1 + 1e-9)
 
@@ -277,7 +280,7 @@ def test_exact_constant_large_m_rough_cov10(rough_cov10):
     assert len(pr.tree.gamma_star) > 5000
     primal = hl.exact_constant(pr, "primal")
     dual = hl.exact_constant(pr, "dual")
-    ac = hl.a_chain(pr, with_levels=False).value
+    ac = hl.a_chain(pr).value
     suff = hl.optimize_theta(pr).suff_bound
     assert ac <= primal.value <= suff
     assert dual.value == pytest.approx(primal.value, rel=1e-6)
@@ -350,8 +353,7 @@ def test_pnorm_power_skips_zero_over_zero():
     # A = diag(1, 0): the second entry of x is 0 after one step, and so is
     # that of F(x); the bound skips it instead of returning nan
     A = np.diag([1.0, 0.0])
-    lower, upper, x, it = _pnorm_power(lambda x: A @ x, lambda y: A.T @ y, 2, 3.0,
-                                       1e-10, 100)
+    lower, upper, x, it = _pnorm_power(lambda x: A @ x, lambda y: A.T @ y, 2, 3.0)
     assert (lower, upper, it) == (1.0, 1.0, 2)
     assert x.tolist() == [1.0, 0.0]
 
@@ -464,7 +466,7 @@ def test_sandwich_small_random():
         c = hl.exact_constant(pr).value
         assert b <= c * (1 + 1e-6)
         assert c <= 4 * b * (1 + 1e-6)
-        assert hl.a_chain(pr, with_levels=False).value <= b * (1 + 1e-9)
+        assert hl.a_chain(pr).value <= b * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -514,6 +516,20 @@ def test_chain_equivalence_random(n, theta, seed):
     assert rep.cond2_ok and rep.atree_bound_ok
 
 
+def test_chain_cond2_matches_per_vertex_loop():
+    # one shadow pass adds the leaf-up running sum's terms in the same order
+    rng = np.random.default_rng(17)
+    for k in range(40):
+        n = int(rng.integers(1, 60))
+        ids = rng.permutation(n + 1) if k % 2 else np.arange(n + 1)    # ids along the chain
+        tree = hl.build_tree([(int(ids[i + 1]), int(ids[i])) for i in range(n)])
+        u, v = np.exp(rng.uniform(-3, 3, (2, n)))
+        pr = hl.make_problem(tree, u, v, float(rng.choice([1.5, 2.0, 3.0])))
+        theta = float(rng.choice([1.01, 2.0, 16.0]))
+        rep = hl.chain_equivalence_check(pr, theta)
+        assert (rep.cond2_ok, rep.worst_margin) == chain_cond2(pr, theta)
+
+
 # -- report ---------------------------------------------------------------------
 
 def test_report_single_vertex_all_constants_equal():
@@ -538,7 +554,38 @@ def test_diverging_flag_on_growing_chain():
     n = 30
     v = 1.6 ** np.arange(1, n + 1)
     pr = hl.make_problem(hl.chain_tree(n), np.ones(n), v, 2.0)
-    res = hl.a_chain(pr)
+    res = hl.a_chain(pr, levels=pr.tree.depth)
     assert res.diverging
     flat = hl.make_problem(hl.chain_tree(n), np.ones(n), np.ones(n) / n, 2.0)
-    assert not hl.a_chain(flat).diverging
+    assert not hl.a_chain(flat, levels=flat.tree.depth).diverging
+    # no levels, no profile
+    for res in (hl.a_chain(pr), hl.a_tree(pr, 2.0)):
+        assert res.levels == () and res.diverging is False
+
+
+# -- the Hardy report, pinned ---------------------------------------------------
+
+SMOKE_P3_REPORT_SHA256 = "d9c4e32422dbe25c2513aafda932f2b7df0614bb47c60cd7ba901e791d7e5632"
+GROWING_CHAIN_REPORT_SHA256 = "17df4c3d3cc3b98a3aff5067121bbf3d8b88efb00fa98d492acbed6aa043821e"
+
+
+def _report_sha256(report):
+    doc = json.dumps(report.to_json(), sort_keys=True, indent=2)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_smoke_p3_report_pinned():
+    # the library path of `hardy-lab tree --random 24 --seed 3` then `hardy --p 3`
+    tree = hl.random_tree(24, np.random.default_rng(3))
+    ones = np.ones(tree.n - 1)
+    rep = hl.hardy_report(hl.make_problem(tree, ones, ones, 3.0))
+    assert _report_sha256(rep) == SMOKE_P3_REPORT_SHA256
+
+
+def test_growing_chain_report_pinned():
+    # both growth flags fire here (test_diverging_flag_on_growing_chain)
+    n = 30
+    pr = hl.make_problem(hl.chain_tree(n), np.ones(n), 1.6 ** np.arange(1, n + 1), 2.0)
+    rep = hl.hardy_report(pr)
+    assert rep.flags == ("diverging", "a_tree_diverging_at_theta_star")
+    assert _report_sha256(rep) == GROWING_CHAIN_REPORT_SHA256

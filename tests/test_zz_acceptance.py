@@ -78,7 +78,7 @@ def test_criterion_02_sufficiency(corpus_constants):
         for pr, primal in pairs:
             for theta in THETA_GRID:
                 bound = (theta / (theta - 1.0)) ** (1.0 / q) * \
-                    hl.a_tree(pr, theta, with_levels=False).value
+                    hl.a_tree(pr, theta).value
                 if primal.value > bound * (1.0 + 1e-9):
                     violations += 1
     assert _line(2, "sufficiency", violations == 0,
@@ -94,7 +94,7 @@ def test_criterion_03_sandwich(demo_cov6):
     for pr in problems:
         b = hl.ehp_B(pr).value
         c = hl.exact_constant(pr).value
-        ac = hl.a_chain(pr, with_levels=False).value
+        ac = hl.a_chain(pr).value
         ok &= b <= c * (1 + 1e-6)
         ok &= c <= 4.0 * b * (1 + 1e-6)
         ok &= ac <= b * (1 + 1e-9)
@@ -113,10 +113,10 @@ def test_criterion_04_chain_equivalence():
         u = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), n))
         v = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), n))
         pr = hl.make_problem(hl.chain_tree(n), u, v, 2.0)
-        ac = hl.a_chain(pr, with_levels=False).value
+        ac = hl.a_chain(pr).value
         for theta in (1.5, 2.0, 4.0, 16.0):
             rep = hl.chain_equivalence_check(pr, theta)
-            at = hl.a_tree(pr, theta, with_levels=False).value
+            at = hl.a_tree(pr, theta).value
             ok &= rep.cond2_ok
             ok &= at <= theta ** (1.0 / pr.p) * ac * (1 + 1e-9)
     assert _line(4, "chain equivalence", ok, "50 chains x 4 thetas")
