@@ -3,8 +3,11 @@ write machine-readable reports.
 
 Subcommands: tree, hardy, covering, decompose, ineq. Every report embeds the
 full resolved configuration and the library version; writes are atomic
-(tmp + rename) and byte-identical for identical configurations. Exit codes:
-0 ok, 1 invariant violation, 2 bad input, 3 resource cap exceeded.
+(tmp + rename) and byte-identical for identical configurations. Reports come
+from the module's own indent-2 JSON writer, whose bytes equal
+json.dumps(doc, sort_keys=True, indent=2) plus a newline (the tests keep
+json.dumps as its oracle). Exit codes: 0 ok, 1 invariant violation, 2 bad
+input, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -63,9 +68,84 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _scalar_text(o) -> str:
+    if isinstance(o, str):
+        return _json_string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _report_text(doc) -> str:
+    """The text of json.dumps(doc, sort_keys=True, indent=2).
+
+    The stdlib encodes indented JSON in pure Python. Here a list of plain
+    ints, which is most of a covering report (cube faces, edges, volumes),
+    is joined in one step, and its text is kept per (indent, values) for
+    the rest of the call. Dict keys must be str; anything json.dumps
+    rejects raises TypeError here too.
+    """
+    chunks: list[str] = []
+    put = chunks.append
+    int_lists: dict[tuple, str] = {}
+
+    def value(o, pad: str) -> None:
+        if type(o) is int:              # the commonest leaf; bool is its own type
+            put(int.__repr__(o))
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for k, x in sorted(o.items()):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(sep + _json_string(k) + ": ")
+                value(x, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = pad + "  "
+            if type(o[0]) is int and all(type(x) is int for x in o):
+                key = (pad, tuple(o))
+                text = int_lists.get(key)
+                if text is None:
+                    body = (",\n" + inner).join(map(int.__repr__, o))
+                    text = int_lists[key] = "[\n" + inner + body + "\n" + pad + "]"
+                put(text)
+                return
+            sep = "[\n" + inner
+            for x in o:
+                put(sep)
+                value(x, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        else:
+            put(_scalar_text(o))
+
+    value(doc, "")
+    return "".join(chunks)
+
+
 def write_report(path: str, payload: dict, config: dict) -> None:
     doc = {"version": __version__, "config": config, "report": payload}
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, _report_text(doc) + "\n")
 
 
 def write_csv(path: str, rows: list[dict]) -> None:

@@ -27,7 +27,8 @@ The path-prefix and shadow sums behind all of these run on the tree's
 level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
 O(|Gamma*|) per pass, with no dense matrix and no size cap.
 
-Fixed values: theta* from 64 log-spaced thetas on (1, theta_max] refined by
+Fixed values: theta* from 64 log-spaced thetas on (1, theta_max], which
+share kernel passes in blocks of at most 2^18 array entries, refined by
 golden section to relative width 1e-4; C to a relative bracket gap of 1e-10
 within 100 000 iterations; the chain checks allow 1e-9 relative round-off.
 
@@ -50,6 +51,7 @@ from .tree import Antichain, RootedTree, TreeKernel
 GROWTH_FACTOR = 1.05   # per-level growth that marks a quantity "diverging"
 GROWTH_LEVELS = 5
 THETA_GRID = 64        # log-spaced thetas on (1, theta_max] seeding golden section
+THETA_BLOCK = 1 << 18  # array entries per block of thetas in one kernel pass
 MAX_ITERATIONS = 100_000
 CHAIN_SLACK = 1e-9     # relative round-off allowed by chain_equivalence_check
 
@@ -67,7 +69,7 @@ class HardyProblem:
     """A tree plus weights u, v on Gamma* and the exponent p.
 
     u and v are full-length arrays with nan in the root slot; q is always
-    derived from p.
+    derived from p. Gamma* must not be empty.
     """
 
     tree: RootedTree
@@ -79,6 +81,8 @@ class HardyProblem:
     def __post_init__(self):
         if not 1.0 < self.p < math.inf:
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
+        if not self.tree.gamma_star:
+            raise ValueError("Gamma* is empty: the tree has no vertex besides the root")
         for name, w in (("u", self.u), ("v", self.v)):
             if w.shape != (self.tree.n,):
                 raise ValueError(f"{name} must have one entry per vertex")
@@ -235,24 +239,32 @@ def a_tree(problem: HardyProblem, theta: float, levels=None) -> SupResult:
     tree, q, p = problem.tree, problem.q, problem.p
     u, v = _bfs_weights(problem)
     N = tree.kernel.prefix(u ** (-q))
-    vals, front, base = _a_tree_terms(tree.kernel, N, v ** p, theta, q, p)
-    value, arg = _sup_over_gamma_star(tree, vals)
-    profile = _level_profile(tree, levels, front, base, p)
+    vals, front, base = _a_tree_terms(tree.kernel, N, v ** p, (theta,), q, p)
+    value, arg = _sup_over_gamma_star(tree, vals[:, 0])
+    profile = _level_profile(tree, levels, front[:, 0], base[:, 0], p)
     return SupResult(value, arg, _diverging(profile), profile)
 
 
-def _a_tree_terms(kernel: TreeKernel, N: np.ndarray, vp: np.ndarray, theta: float,
+def _a_tree_terms(kernel: TreeKernel, N: np.ndarray, vp: np.ndarray, thetas,
                   q: float, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a_tree's per-vertex values N^{1/(theta q)} T^{1/p}, with
-    T = shadow(v^p N^{(p/q)(1 - 1/theta)}); returns (values, front, base).
+    T = shadow(v^p N^{(p/q)(1 - 1/theta)}), one column per theta in
+    `thetas`; returns (values, front, base) as (m, len(thetas)) arrays.
 
     N = prefix(u^-q) and vp = v^p do not depend on theta, so the theta
-    search computes them once and passes them in.
+    search computes them once and passes them in. Each column is built on
+    contiguous 1-D arrays, and all of them share one kernel shadow pass,
+    whose output is raised and multiplied in place.
     """
-    expo = (p / q) * (1.0 - 1.0 / theta)
-    base = vp * N ** expo
-    front = N ** (1.0 / (theta * q))
-    return front * kernel.shadow(base) ** (1.0 / p), front, base
+    front = np.empty((len(N), len(thetas)))
+    base = np.empty_like(front)
+    for j, theta in enumerate(thetas):
+        base[:, j] = vp * N ** ((p / q) * (1.0 - 1.0 / theta))
+        front[:, j] = N ** (1.0 / (theta * q))
+    vals = kernel.shadow(base)
+    vals **= 1.0 / p
+    vals *= front
+    return vals, front, base
 
 
 @dataclass(frozen=True)
@@ -271,7 +283,9 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
     A log grid of THETA_GRID thetas over (1, theta_max] guards against local
     minima; the best bracket is then refined by golden section to relative
     width 1e-4. The bound g(theta*) always dominates the exact constant.
-    Each g(theta) costs one kernel shadow pass: the path sums are hoisted.
+    The path sums are hoisted; the grid shares kernel shadow passes, one
+    per block of at most THETA_BLOCK array entries, and each golden-section
+    step is one pass.
     """
     q, p = problem.q, problem.p
     kernel = problem.tree.kernel
@@ -279,14 +293,22 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
     N = kernel.prefix(u ** (-q))
     vp = v ** p
 
-    def sup(theta: float) -> float:     # a_tree(problem, theta).value exactly
-        return float(np.max(_a_tree_terms(kernel, N, vp, theta, q, p)[0]))
+    def sups(thetas) -> list[float]:   # a_tree(problem, theta).value exactly
+        step = max(1, THETA_BLOCK // len(N))
+        out: list[float] = []
+        for i in range(0, len(thetas), step):
+            vals = _a_tree_terms(kernel, N, vp, thetas[i:i + step], q, p)[0]
+            out.extend(float(x) for x in vals.max(axis=0))
+        return out
+
+    def bound(theta: float, sup: float) -> float:
+        return (theta / (theta - 1.0)) ** (1.0 / q) * sup
 
     def g(theta: float) -> float:
-        return (theta / (theta - 1.0)) ** (1.0 / q) * sup(theta)
+        return bound(theta, *sups((theta,)))
 
     thetas = [theta_max ** (i / THETA_GRID) for i in range(1, THETA_GRID + 1)]
-    vals = [g(t) for t in thetas]
+    vals = [bound(t, s) for t, s in zip(thetas, sups(thetas))]
     i = int(np.argmin(vals))
     lo = thetas[i - 1] if i > 0 else 1.0 + 0.5 * (thetas[0] - 1.0)
     hi = thetas[i + 1] if i + 1 < len(thetas) else thetas[-1]
@@ -307,7 +329,8 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
     theta_star = 0.5 * (a + b)
     if vals[i] < g(theta_star):         # golden section never loses to its grid seed
         theta_star = thetas[i]
-    return ThetaResult(theta_star, g(theta_star), sup(theta_star))
+    sup, = sups((theta_star,))
+    return ThetaResult(theta_star, bound(theta_star, sup), sup)
 
 
 # -- exact constant via nonlinear power iteration -----------------------------

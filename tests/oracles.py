@@ -14,7 +14,8 @@ enumeration, the Gram solve, the per-cube test, the Fraction covering
 build, the pairwise box scan, the per-vertex decomposition and the
 all-cells-kept sampler below are the straightforward forms they are
 checked against, as is the multistart power iteration with its
-ratio-change stop rule.
+ratio-change stop rule, and the theta search that ran one kernel pass per
+theta where the library shares one pass among a block of thetas.
 """
 
 import itertools
@@ -228,6 +229,46 @@ def chain_cond2(problem, theta: float, slack: float = 1e-9) -> tuple[bool, float
         if lhs > 0:
             worst = min(worst, rhs / lhs)
     return bool(cond2_ok), float(worst)
+
+
+def optimize_theta_per_theta(problem, theta_max: float = 64.0) -> tuple[float, float, float]:
+    """The former theta search, one kernel shadow pass per theta on 1-D
+    arrays: (theta_star, suff_bound, a_tree_value)."""
+    from hardy_lab.hardy import _INV_GOLDEN, THETA_GRID
+    q, p = problem.q, problem.p
+    kernel = problem.tree.kernel
+    N = kernel.prefix(problem.u[kernel.order] ** (-q))
+    vp = problem.v[kernel.order] ** p
+
+    def sup(theta):
+        base = vp * N ** ((p / q) * (1.0 - 1.0 / theta))
+        front = N ** (1.0 / (theta * q))
+        return float(np.max(front * kernel.shadow(base) ** (1.0 / p)))
+
+    def g(theta):
+        return (theta / (theta - 1.0)) ** (1.0 / q) * sup(theta)
+
+    thetas = [theta_max ** (i / THETA_GRID) for i in range(1, THETA_GRID + 1)]
+    vals = [g(t) for t in thetas]
+    i = int(np.argmin(vals))
+    a = thetas[i - 1] if i > 0 else 1.0 + 0.5 * (thetas[0] - 1.0)
+    b = thetas[i + 1] if i + 1 < len(thetas) else thetas[-1]
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = g(c), g(d)
+    while (b - a) > 1e-4 * a:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = g(d)
+    theta_star = 0.5 * (a + b)
+    if vals[i] < g(theta_star):
+        theta_star = thetas[i]
+    return theta_star, g(theta_star), sup(theta_star)
 
 
 def min_phi_decision(profile, lo, hi, threshold: float, max_points: int = 1 << 14):

@@ -3,9 +3,13 @@ import math
 import os
 import shlex
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardy_lab.cli import main
+import hardy_lab.cli as cli
+from hardy_lab.cli import _report_text, main
 
 
 def read(path):
@@ -197,3 +201,95 @@ def test_reports_embed_config_and_version(tmp_path):
     doc = read(os.path.join(out, "tree.json"))
     assert doc["config"]["star"] == 3
     assert doc["version"].count(".") == 2
+
+
+def test_empty_gamma_star_exits_2(tmp_path, capsys):
+    # the flat depth-0 covering is the root cube alone, so no Hardy problem
+    out = str(tmp_path)
+    assert main(["decompose", "--phi", "flat", "--depth", "0", "--out", out]) == 2
+    assert "Gamma* is empty" in capsys.readouterr().err
+    tree = os.path.join(out, "root_only.json")
+    with open(tree, "w") as fh:
+        json.dump({"root": 0, "parents": []}, fh)
+    assert main(["hardy", "--input", tree, "--out", out]) == 2
+    assert "Gamma* is empty" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["root_only.json"]
+
+
+# -- the report writer against its oracle, json.dumps(sort_keys=True, indent=2)
+
+def dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_leaves = st.one_of(
+    st.integers(), st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-5, 1e300, 1e16]),
+    st.booleans(), st.none(),
+    st.text(), st.sampled_from(["\u00e9t\u00e9", "\u2202\U0001d49e", "a\x00b\x1f\n\t\"\\", ""]),
+)
+_docs = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+        st.lists(st.integers(-3, 3), max_size=4),     # int lists repeat, so the memo hits
+        st.dictionaries(st.text(max_size=6), kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_docs)
+def test_report_text_equals_json_dumps(doc):
+    assert _report_text(doc) == dumps(doc)
+
+
+def test_report_text_fixed_cases():
+    # bools are not ints, even next to an equal memoised int list
+    doc = {"a": [1, 1], "b": [True, 1], "c": [1, True], "d": [1.0, 1], "e": (), "f": {}}
+    assert _report_text(doc) == dumps(doc)
+    # one int list memoised, then met again at two other indents
+    doc = {"a": [1, 2], "b": [[1, 2], [[1, 2]]], "c": {"d": [1, 2]}}
+    assert _report_text(doc) == dumps(doc)
+    # numpy floats subclass float and print as floats; numpy ints do not
+    doc = {"x": np.float64(0.1), "y": [np.float64("nan"), np.float64(-np.inf), np.float64(1e300)]}
+    assert _report_text(doc) == dumps(doc)
+    for bad in ({"x": np.int64(3)}, [{1, 2}], {"x": object()}):
+        with pytest.raises(TypeError):
+            dumps(bad)
+        with pytest.raises(TypeError):
+            _report_text(bad)
+    with pytest.raises(TypeError, match="keys must be str"):
+        _report_text({1: 2})
+
+
+def test_every_subcommand_report_equals_json_dumps(tmp_path, monkeypatch):
+    texts = []
+
+    def checked(doc):
+        text = _report_text(doc)
+        assert text == dumps(doc)
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_report_text", checked)
+    out = str(tmp_path)
+    runs = [
+        (["tree", "--random", "24", "--seed", "3"], "tree.json"),
+        (["hardy", "--input", os.path.join(out, "tree.json"), "--p", "3"], "hardy.json"),
+        (["covering", "--phi", "rough", "--depth", "5"], "covering.json"),
+        (["covering", "--phi", "demo", "--depth", "4", "--beta", "-0.3"], "covering.json"),
+        (["decompose", "--phi", "rough", "--depth", "4", "--beta", "-0.2", "--seed", "7"],
+         "decomposition.json"),
+        (["ineq", "--kind", "korn", "--phi", "demo", "--depth", "3", "--samples", "4000"],
+         "ineq.json"),
+        (["ineq", "--kind", "fractional_poincare", "--phi", "demo", "--depth", "3",
+          "--s", "0.5", "--tau", "0.5", "--samples", "4000"], "ineq.json"),
+        (["ineq", "--phi", "demo", "--depth", "3", "--beta-grid", "0.0,0.5",
+          "--samples", "4000"], "ineq.json"),
+    ]
+    for argv, name in runs:
+        assert main(argv + ["--out", out]) == 0, argv
+        with open(os.path.join(out, name)) as fh:
+            assert fh.read() == texts[-1] + "\n"
+    assert len(texts) == len(runs)

@@ -19,6 +19,7 @@ from oracles import (
     enumerate_antichains,
     hardy_matrix,
     multistart_pnorm,
+    optimize_theta_per_theta,
     shadow_sums,
 )
 
@@ -124,9 +125,48 @@ def test_optimize_theta_g_equals_a_tree_exactly():
             kernel = pr.tree.kernel
             u, v = _bfs_weights(pr)
             N = kernel.prefix(u ** (-q))
-            for theta in (1.01, th, 7.5, 64.0):
-                vals = _a_tree_terms(kernel, N, v ** p, theta, q, p)[0]
-                assert float(np.max(vals)) == hl.a_tree(pr, theta).value
+            thetas = (1.01, th, 7.5, 64.0)
+            vals = _a_tree_terms(kernel, N, v ** p, thetas, q, p)[0]
+            for j, theta in enumerate(thetas):
+                assert float(np.max(vals[:, j])) == hl.a_tree(pr, theta).value
+
+
+def _corpus_problems(count=24):
+    # the benchmark corpus's recipe: random recursive trees of 16-28
+    # vertices, weights log-uniform in [1/10, 10], p cycling 1.5, 2, 3
+    rng = np.random.default_rng(20210826)
+    out = []
+    for i in range(count):
+        tree = hl.random_tree(int(rng.integers(16, 29)), rng)
+        u, v = np.exp(rng.uniform(-math.log(10.0), math.log(10.0), (2, tree.n - 1)))
+        out.append(hl.make_problem(tree, u, v, (1.5, 2.0, 3.0)[i % 3]))
+    return out
+
+
+def test_optimize_theta_matches_per_theta_loop(rough_cov8, demo_cov8, monkeypatch):
+    # the grid shares kernel passes among blocks of thetas; theta*, the
+    # bound and a_tree(theta*) must equal the one-pass-per-theta search bit
+    # for bit, also when the block cap splits the grid into many blocks
+    rng = np.random.default_rng(11)
+    # stars and wide vertices: sibling runs of 8 or more in one reduceat
+    wide = [hl.make_problem(hl.star_tree(k), *np.exp(rng.normal(0, 1.5, (2, k))), p)
+            for k, p in ((8, 2.0), (9, 1.5), (40, 3.0))]
+    two_fans = hl.build_tree([(c, 0) for c in range(1, 13)] + [(c, 1) for c in range(13, 30)])
+    wide.append(hl.make_problem(two_fans, np.ones(29), np.exp(rng.normal(0, 1.0, 29)), 2.0))
+    coverings = [hl.weights_from_beta(rough_cov8, -0.2, 2.0),
+                 hl.weights_from_beta(rough_cov8, 0.0, 3.0),
+                 hl.weights_from_beta(demo_cov8, 0.0, 1.5)]
+    corpus = _corpus_problems()
+
+    def check(problems):
+        for pr in problems:
+            res = hl.optimize_theta(pr)
+            assert (res.theta_star, res.suff_bound, res.a_tree_value) == \
+                optimize_theta_per_theta(pr)
+
+    check(corpus + wide + coverings)
+    monkeypatch.setattr(hl.hardy, "THETA_BLOCK", 100)
+    check(corpus[:6] + wide + coverings[:1])
 
 
 def test_suff_bound_dominates_exact_constant():
@@ -540,6 +580,12 @@ def test_report_single_vertex_all_constants_equal():
     assert rep.b_ehp == pytest.approx(2.0)
     assert rep.a_tree == pytest.approx(2.0)
     assert all(rep.checks.values())
+
+
+def test_problem_rejects_empty_gamma_star():
+    # a root alone leaves nothing to weigh, so no consumer can run on it
+    with pytest.raises(ValueError, match=r"Gamma\* is empty"):
+        hl.make_problem(hl.RootedTree([-1]), [], [], 2.0)
 
 
 def test_problem_json_roundtrip():
