@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -68,26 +67,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _scalar_text(o) -> str:
-    if isinstance(o, str):
-        return _json_string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (math.inf, -math.inf):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _report_text(doc) -> str:
     """The text of json.dumps(doc, sort_keys=True, indent=2).
 
@@ -137,7 +116,7 @@ def _report_text(doc) -> str:
                 sep = ",\n" + inner
             put("\n" + pad + "]")
         else:
-            put(_scalar_text(o))
+            put(json.dumps(o))          # scalars, on the C encoder
 
     value(doc, "")
     return "".join(chunks)

@@ -28,7 +28,7 @@ level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
 O(|Gamma*|) per pass, with no dense matrix and no size cap.
 
 Fixed values: theta* from 64 log-spaced thetas on (1, theta_max], which
-share kernel passes in blocks of at most 2^18 array entries, refined by
+share kernel passes in blocks of at most 2^13 array entries, refined by
 golden section to relative width 1e-4; C to a relative bracket gap of 1e-10
 within 100 000 iterations; the chain checks allow 1e-9 relative round-off.
 
@@ -51,7 +51,7 @@ from .tree import Antichain, RootedTree, TreeKernel
 GROWTH_FACTOR = 1.05   # per-level growth that marks a quantity "diverging"
 GROWTH_LEVELS = 5
 THETA_GRID = 64        # log-spaced thetas on (1, theta_max] seeding golden section
-THETA_BLOCK = 1 << 18  # array entries per block of thetas in one kernel pass
+THETA_BLOCK = 1 << 13  # array entries per block of thetas in one kernel pass
 MAX_ITERATIONS = 100_000
 CHAIN_SLACK = 1e-9     # relative round-off allowed by chain_equivalence_check
 

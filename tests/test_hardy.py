@@ -148,11 +148,16 @@ def test_optimize_theta_matches_per_theta_loop(rough_cov8, demo_cov8, monkeypatc
     # bound and a_tree(theta*) must equal the one-pass-per-theta search bit
     # for bit, also when the block cap splits the grid into many blocks
     rng = np.random.default_rng(11)
-    # stars and wide vertices: sibling runs of 8 or more in one reduceat
-    wide = [hl.make_problem(hl.star_tree(k), *np.exp(rng.normal(0, 1.5, (2, k))), p)
+    # fans of k leaves under a hub below the root: sibling runs of 8 or more
+    # in one reduceat (the kernel's runs start on the second level)
+    def fan(k):
+        return hl.build_tree([(1, 0)] + [(c, 1) for c in range(2, k + 2)])
+
+    wide = [hl.make_problem(fan(k), *np.exp(rng.normal(0, 1.5, (2, k + 1))), p)
             for k, p in ((8, 2.0), (9, 1.5), (40, 3.0))]
-    two_fans = hl.build_tree([(c, 0) for c in range(1, 13)] + [(c, 1) for c in range(13, 30)])
-    wide.append(hl.make_problem(two_fans, np.ones(29), np.exp(rng.normal(0, 1.0, 29)), 2.0))
+    two_fans = hl.build_tree([(1, 0)] + [(c, 1) for c in range(2, 14)]
+                             + [(c, 2) for c in range(14, 31)])
+    wide.append(hl.make_problem(two_fans, np.ones(30), np.exp(rng.normal(0, 1.0, 30)), 2.0))
     coverings = [hl.weights_from_beta(rough_cov8, -0.2, 2.0),
                  hl.weights_from_beta(rough_cov8, 0.0, 3.0),
                  hl.weights_from_beta(demo_cov8, 0.0, 1.5)]
