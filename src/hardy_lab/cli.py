@@ -154,11 +154,11 @@ def _load_json(path: str) -> dict:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_tree(args) -> int:
-    if args.chain:
+    if args.chain is not None:
         tree = chain_tree(args.chain)
-    elif args.star:
+    elif args.star is not None:
         tree = star_tree(args.star)
-    elif args.random:
+    elif args.random is not None:
         tree = random_tree(args.random, np.random.default_rng(args.seed))
     elif args.input:
         tree = RootedTree.from_json(_load_json(args.input))
@@ -274,9 +274,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("tree", help="generate or load a tree")
-    sp.add_argument("--chain", type=int, default=0, metavar="EDGES")
-    sp.add_argument("--star", type=int, default=0, metavar="LEAVES")
-    sp.add_argument("--random", type=int, default=0, metavar="VERTICES")
+    sp.add_argument("--chain", type=int, metavar="EDGES")
+    sp.add_argument("--star", type=int, metavar="LEAVES")
+    sp.add_argument("--random", type=int, metavar="VERTICES")
     sp.add_argument("--input")
     common(sp)
     sp.set_defaults(func=cmd_tree)

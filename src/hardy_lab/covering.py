@@ -19,7 +19,17 @@ inside the parent cube, giving the tree covering {U_t} with connectors {B_t}.
 Note |U_t| = (3/2)|Q_t| and |B_t| = |Q_t|/2, so |U_t|/|B_t| = 3 for every
 non-root t; the covering only needs this ratio bounded.
 
+Containment tests sample phi on midpoint grids of m = 4, 8, ... points per
+axis. Every point of a grid cell lies within the cell's half-diagonal h_m of
+its midpoint, so phi >= (sampled minimum) - K h_m^alpha on a set of cells.
+The grids are searched branch and bound: a block of cells whose bound clears
+thr + K h_2m^alpha, with a relative margin for rounding, is not refined, as
+none of its later samples could be a witness or break a certificate. Each
+box gets the decision its full grid would give, from far fewer phi calls.
+
 Fixed values: profiles are validated on a 48-point grid per axis to 1e-9;
+containment grids are pruned in blocks of 16 cells (4 x 4 on a 2-D base)
+with a 1e-9 relative margin on the threshold;
 counting-bound fits at depth_max and depth_max - 2 are stable within 10 %;
 tail sums read the ratios of the last 5 size classes; graph distances search
 a 2049-point grid per axis (257 on a 2-D base) and refine it 3 times.
@@ -187,6 +197,11 @@ PROFILES = {"demo": profile_demo, "flat": profile_flat, "rough": profile_rough}
 # -- containment test ---------------------------------------------------------
 
 PHI_CHUNK = 1 << 14         # grid points per profile.phi call
+BLOCK_SIDE = {1: 16, 2: 4}  # grid cells per axis of a block: 16 points in 1-D, 4 x 4 in 2-D
+# first cells of a block's 2^d halves, relative to twice its own first cell
+_HALVES = {d: side * ((np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(float)
+           for d, side in BLOCK_SIDE.items()}
+PRUNE_MARGIN = 1e-9         # relative slack on the threshold before a block is pruned
 
 
 def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
@@ -196,58 +211,105 @@ def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
     Adaptive midpoint grids, m = 4, 8, ... points per axis while m^d <=
     max_points, each round on the boxes still undecided: a sample strictly
     below the threshold is a witness against containment; otherwise the
-    Holder modulus of the grid spacing turns the sampled minimum into a
-    certificate. Returns boolean arrays (contained, unresolved: the budget
-    ran out with the margin open); a box in neither was witnessed against.
-    Every box gets exactly the grid points, minimum and certificate of a
-    test run on that box alone.
+    Holder modulus K h_m^alpha of the cells' half-diagonal h_m turns the
+    sampled minimum into a certificate. Returns boolean arrays (contained,
+    unresolved: the budget ran out with the margin open); a box in neither
+    was witnessed against.
+
+    The grids are searched branch and bound over blocks of BLOCK_SIDE^d
+    cells (while m <= BLOCK_SIDE a box is one block). Every point of a cell
+    lies within h_m of the cell's midpoint, so after round m phi >= bound =
+    (the block's sampled minimum) - K h_m^alpha on the block's region. At
+    round 2m a block is split and sampled only if bound < thr + K h_2m^alpha
+    + PRUNE_MARGIN |thr|. The samples of a pruned block, at round 2m and
+    every later round, all lie above thr + K h_2m^alpha; the margin covers
+    the rounding of the grid points and of phi. So none of them is a witness
+    and none breaks a certificate, and each box gets exactly the decision of
+    its full grid (the per-box test in the tests' oracles). The block holding
+    a box's sampled minimum is never pruned while the box is open, its bound
+    being below thr. The certificates have always relied on k_phi being a
+    true Holder constant of phi; the pruning makes the witnesses rely on it
+    too.
     """
     lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    width = np.asarray(hi, dtype=float) - lo
     threshold = np.asarray(threshold, dtype=float)
-    d = lo.shape[1]
-    contained = np.zeros(len(lo), dtype=bool)
-    todo = np.arange(len(lo))
+    nb, d = lo.shape
+    side = BLOCK_SIDE[d]
+    contained = np.zeros(nb, dtype=bool)
+    todo = np.arange(nb)
+    box = todo                          # the live blocks: their box
+    start = np.zeros((nb, d))           # and first grid cell per axis (exact floats)
     m = 4
+    modulus = _holder_modulus(profile, width, m)
     while len(todo) and m ** d <= max_points:
-        blo, bhi, thr = lo[todo], hi[todo], threshold[todo]
-        vmin = _grid_min(profile, blo, bhi, m)
-        below = vmin < thr
-        sq = 0
-        for k in range(d):
-            sq = sq + ((bhi[:, k] - blo[:, k]) / m) ** 2
-        h = 0.5 * np.sqrt(sq)
-        # the modulus K h^alpha with h^alpha as a Python float power
-        modulus = np.array([profile.k_phi * x ** profile.alpha for x in h.tolist()])
-        sure = ~below & (vmin - modulus >= thr)
+        vals = _block_min(profile, lo, width, box, start, m, min(m, side))
+        if m <= side:                   # one block per open box, in the order of todo
+            v = vals
+        else:
+            vmin = np.full(nb, np.inf)
+            with np.errstate(invalid="ignore"):     # NaN samples propagate, as in min()
+                np.minimum.at(vmin, box, vals)
+            v = vmin[todo]
+        thr = threshold[todo]
+        below = v < thr
+        sure = ~below & (v - modulus[todo] >= thr)
         contained[todo[sure]] = True
         todo = todo[~below & ~sure]
         m *= 2
-    unresolved = np.zeros(len(lo), dtype=bool)
+        if not len(todo) or m ** d > max_points:
+            break
+        next_modulus = _holder_modulus(profile, width[todo], m)
+        if m <= 2 * side:
+            # still one block per open box, and its bound is below thr (the
+            # box was not certified): nothing to prune
+            box, start = todo, start[:len(todo)]
+        else:
+            limit = np.full(nb, -np.inf)    # decided boxes keep no block
+            thr = threshold[todo]
+            limit[todo] = thr + next_modulus + PRUNE_MARGIN * np.abs(thr)
+            bound = vals - modulus[box]
+            keep = ~(bound >= limit[box])   # NaN samples keep their block, as the full grid would
+            box, start = box[keep], start[keep]
+        modulus[todo] = next_modulus
+        if m > side:                    # each block splits into 2^d
+            box = np.repeat(box, 2 ** d)
+            start = (2 * start[:, None, :] + _HALVES[d]).reshape(-1, d)
+    unresolved = np.zeros(nb, dtype=bool)
     unresolved[todo] = True
     return contained, unresolved
 
 
-def _grid_min(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
-    """Minimum of phi over the m^d midpoint grid of each box (lo[b], hi[b])."""
-    nb, d = lo.shape
-    per = m ** d
-    offsets = np.arange(m) + 0.5
-    out = np.empty(nb)
-    step = max(1, PHI_CHUNK // per)
-    for a in range(0, nb, step):
-        blo, bhi = lo[a:a + step], hi[a:a + step]
-        pts = np.empty((len(blo),) + (m,) * d + (d,))
+def _holder_modulus(profile: HolderProfile, width: np.ndarray, m: int) -> np.ndarray:
+    """K h^alpha for the half-diagonal h of the cells of each box's m^d grid,
+    with h^alpha as a Python float power."""
+    sq = 0
+    for k in range(width.shape[1]):
+        sq = sq + (width[:, k] / m) ** 2
+    h = 0.5 * np.sqrt(sq)
+    return np.array([profile.k_phi * x ** profile.alpha for x in h.tolist()])
+
+
+def _block_min(profile: HolderProfile, lo: np.ndarray, width: np.ndarray, box: np.ndarray,
+               start: np.ndarray, m: int, side: int) -> np.ndarray:
+    """Minimum of phi over each block's side^d points of the m^d midpoint grid
+    of its box: lo + ((i + 0.5) w) / m for the cells i = start .. start +
+    side - 1 along each axis, as floats."""
+    d = lo.shape[1]
+    per = side ** d
+    offsets = np.arange(side) + 0.5
+    out = np.empty(len(box))
+    step = PHI_CHUNK // per
+    for a in range(0, len(box), step):
+        b, i = box[a:a + step], start[a:a + step]
+        pts = np.empty((len(b),) + (side,) * d + (d,))
         for k in range(d):
-            shape = [len(blo)] + [1] * d
-            shape[k + 1] = m
-            axis = blo[:, k, None] + offsets * (bhi[:, k] - blo[:, k])[:, None] / m
+            shape = [len(b)] + [1] * d
+            shape[k + 1] = side
+            axis = lo[b, k, None] + (i[:, k, None] + offsets) * width[b, k, None] / m
             pts[..., k] = axis.reshape(shape)
-        pts = pts.reshape(-1, d)
-        vals = np.concatenate([
-            np.asarray(profile.phi(pts[s:s + PHI_CHUNK]), dtype=float).ravel()
-            for s in range(0, len(pts), PHI_CHUNK)])
-        out[a:a + len(blo)] = vals.reshape(len(blo), per).min(axis=1)
+        vals = np.asarray(profile.phi(pts.reshape(-1, d)), dtype=float)
+        out[a:a + len(b)] = vals.reshape(len(b), per).min(axis=1)
     return out
 
 
@@ -541,9 +603,10 @@ def build_covering(profile: HolderProfile, depth_max: int,
     keep extending, so the tree depth typically exceeds depth_max.
 
     The containment tests of a whole BFS level are decided together
-    (`_min_phi_decisions`): the midpoint grids of the level's undecided test
-    boxes go through phi in batches of at most PHI_CHUNK points, and each
-    box gets the decision a test on that box alone would give. An
+    (`_min_phi_decisions`): the unpruned blocks of the midpoint grids of the
+    level's undecided test boxes go through phi in batches of at most
+    PHI_CHUNK points, and each box gets the decision a full-grid test on
+    that box alone would give. An
     inconclusive containment test subdivides (it can only refine the
     covering, never coarsen it) and is counted in the report.
 

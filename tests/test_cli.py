@@ -181,6 +181,20 @@ def test_exit_code_bad_input(tmp_path):
     assert main(["tree", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--chain", "chain needs at least one edge"),
+    ("--star", "star needs at least one leaf"),
+    ("--random", "need at least two vertices"),
+])
+def test_tree_size_zero_reports_the_library_error(tmp_path, capsys, flag, message):
+    # 0 is a given size, not a missing option: the builder's own error is shown
+    out = str(tmp_path)
+    assert main(["tree", flag, "0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "is required" not in err
+    assert os.listdir(out) == []
+
+
 def test_ineq_bad_p_exits_2(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["ineq", "--p", "0", "--depth", "3", "--samples", "1000",

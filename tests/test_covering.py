@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 from fractions import Fraction
@@ -394,6 +396,151 @@ def test_batched_decision_ties():
     assert _same(_per_cube(profile, lo, hi, thr), certified)
 
 
+def _grid_values(profile, lo, hi, m):
+    """phi on the m^d midpoint grid of the box (lo, hi), as the per-box oracle samples it."""
+    axes = [lo[k] + (np.arange(m) + 0.5) * (hi[k] - lo[k]) / m for k in range(len(lo))]
+    return np.asarray(profile.phi(np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)))
+
+
+def _grid_modulus(profile, lo, hi, m):
+    h = 0.5 * math.sqrt(sum(((hi[k] - lo[k]) / m) ** 2 for k in range(len(lo))))
+    return profile.k_phi * h ** profile.alpha
+
+
+def _counting(profile):
+    """profile with phi wrapped to count the points it is called on."""
+    calls = [0]
+
+    def phi(x):
+        calls[0] += len(x)
+        return profile.phi(x)
+
+    return dataclasses.replace(profile, phi=phi), calls
+
+
+def _max_points(profile):
+    # the build's budget in 1-D; 64 x 64 grids on a 2-D base keep the oracle quick
+    return 1 << 14 if profile.n == 2 else 1 << 12
+
+
+@pytest.mark.parametrize("which", ["demo", "rough", "demo3"])
+def test_pruned_decision_at_grid_value_thresholds(which):
+    # thresholds exactly at, one ulp above and one ulp below sampled values
+    # of several rounds: the grid minimum (where a witness appears), the
+    # minimum less the modulus (where a certificate appears) and a random
+    # sample, so pruned blocks sit right beside decisive ones
+    profile = _profile(which)
+    d = profile.n - 1
+    rng = np.random.default_rng(17)
+    lo, hi, thr = [], [], []
+    for _ in range(4):
+        c = rng.uniform(-1.4, 1.4, d)
+        half = 2.0 ** rng.uniform(-8, -1)
+        a, b = np.maximum(c - half, -1.5), np.minimum(c + half, 1.5)
+        for m in ([4, 64, 1024, 8192] if d == 1 else [4, 16, 64]):
+            vals = _grid_values(profile, a, b, m)
+            for t in (vals.min(), vals.min() - _grid_modulus(profile, a, b, m), rng.choice(vals)):
+                for x in (t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)):
+                    lo.append(a)
+                    hi.append(b)
+                    thr.append(x)
+    lo, hi, thr = np.array(lo), np.array(hi), np.array(thr)
+    contained, unresolved = got = _min_phi_decisions(profile, lo, hi, thr, _max_points(profile))
+    assert _same(got, _per_cube(profile, lo, hi, thr, _max_points(profile)))
+    assert contained.any() and (~contained & ~unresolved).any()
+
+
+@pytest.mark.parametrize("which", ["demo", "rough", "demo3"])
+def test_pruned_decision_on_boxes_clipped_at_the_strip(which):
+    profile = _profile(which)
+    d = profile.n - 1
+    rng = np.random.default_rng(23)
+    nb = 60
+    # centres within 0.2 of the strip's edge on a random side of each axis
+    c = rng.uniform(1.3, 1.5, (nb, d)) * rng.choice([-1.0, 1.0], (nb, d))
+    half = 2.0 ** rng.uniform(-7, -2, (nb, 1))
+    lo, hi = np.maximum(c - half, -1.5), np.minimum(c + half, 1.5)
+    assert (lo == -1.5).any() and (hi == 1.5).any()
+    spread = profile.k_phi * (2 * half[:, 0]) ** profile.alpha
+    thr = np.asarray(profile.phi(c)) - spread * rng.uniform(-0.5, 2.0, nb)
+    contained, unresolved = got = _min_phi_decisions(profile, lo, hi, thr, _max_points(profile))
+    assert _same(got, _per_cube(profile, lo, hi, thr, _max_points(profile)))
+    assert contained.any() and (~contained & ~unresolved).any()
+
+
+@pytest.mark.parametrize("profile", [hl.profile_flat(2.0), hl.profile_flat(6.5, ell=3),
+                                     hl.profile_flat(2.0, n=3)],
+                         ids=["flat", "flat_three", "flat3"])
+def test_pruned_decision_flat_profiles(profile):
+    # K = 0: the modulus vanishes and the margin alone separates the blocks
+    d = profile.n - 1
+    level = float(profile.phi(np.zeros((1, d)))[0])
+    L = 1.5 * float(profile.ell)
+    rng = np.random.default_rng(29)
+    thr = np.array([level, np.nextafter(level, np.inf), np.nextafter(level, -np.inf),
+                    level * (1 + 1e-9), level * (1 - 1e-9), level - 1.0, level + 1.0] * 3)
+    c = rng.uniform(-L, L, (len(thr), d))
+    half = 2.0 ** rng.uniform(-9, 0, (len(thr), 1))
+    lo, hi = np.maximum(c - half, -L), np.minimum(c + half, L)
+    got = _min_phi_decisions(profile, lo, hi, thr, _max_points(profile))
+    assert _same(got, _per_cube(profile, lo, hi, thr, _max_points(profile)))
+    assert np.array_equal(got[0], thr <= level) and not got[1].any()
+
+
+def test_pruned_decision_certifies_from_few_points():
+    # a rough box certified only at the last round, m = 16384: the full grids
+    # take 32764 points, the pruned search a small share of them
+    profile = hl.profile_rough()
+    lo, hi = np.array([-0.3]), np.array([0.3])
+    m = 1 << 14
+    thr = _grid_values(profile, lo, hi, m).min() - _grid_modulus(profile, lo, hi, m)
+    counted, calls = _counting(profile)
+    assert min_phi_decision(counted, lo, hi, thr) is True
+    full, calls[0] = calls[0], 0
+    assert full == sum(2 ** k for k in range(2, 15))
+    assert _same(_min_phi_decisions(counted, lo[None], hi[None], [thr]), ([True], [False]))
+    assert calls[0] <= full // 20
+
+
+def test_pruned_decision_on_kinks_at_the_holder_bound():
+    # phi = 2.2 + min(|x - a|, |x - b|)^(1/2) / 2 meets its Holder bound at
+    # both kinks: a = 1/128 is a grid midpoint at m = 64, b sits 1e-5 left of
+    # the grid line 1/2. From m = 128 on, the samples beside b keep every
+    # full grid from certifying, so the box stays open. After m = 64 the
+    # bound of b's block clears thr but not thr + K h^alpha: pruning it on
+    # the bound alone would let a's samples certify the box at m = 128.
+    a, b, thr = 1 / 128, 0.5 - 1e-5, 2.2 - 3.4e-5
+    profile = hl.HolderProfile(
+        alpha=0.5, k_phi=0.5, ell=Fraction(1),
+        phi=lambda x: 2.2 + 0.5 * np.sqrt(np.minimum(np.abs(x[:, 0] - a), np.abs(x[:, 0] - b))))
+    lo, hi = np.array([[0.0]]), np.array([[1.0]])
+    got = _min_phi_decisions(profile, lo, hi, [thr])
+    assert _same(got, _per_cube(profile, lo, hi, [thr]))
+    assert got[1].tolist() == [True]
+
+
+def test_pruned_decision_keeps_nan_samples():
+    # phi is NaN right of x = 1: the full grid decides no box with a NaN
+    # sample, so no block holding one may be pruned away
+    demo = hl.profile_demo()
+    profile = dataclasses.replace(
+        demo, phi=lambda x: np.where(x[:, 0] > 1.0, np.nan, demo.phi(x)))
+    lo = np.array([[0.9], [1.2], [-0.2], [0.5]])
+    hi = np.array([[1.1], [1.4], [0.2], [1.02]])
+    thr = np.array([2.0, 2.0, 2.0, 2.35])
+    got = _min_phi_decisions(profile, lo, hi, thr)
+    assert _same(got, _per_cube(profile, lo, hi, thr))
+    assert got[1].tolist() == [True, True, False, True]
+
+
+def test_rough_depth8_phi_points(rough_cov8):
+    # the full midpoint grids took 8 928 612 phi points for this covering
+    counted, calls = _counting(hl.profile_rough())
+    cov = hl.build_covering(counted, depth_max=8)
+    assert np.array_equal(cov.cell, rough_cov8.cell) and cov.tree.parent == rough_cov8.tree.parent
+    assert calls[0] <= 8_928_612 // 10
+
+
 @pytest.mark.parametrize("which,depth", [("demo", 8), ("rough", 8), ("demo3", 3), ("flat3", 3)])
 def test_covering_matches_per_cube_build(which, depth, request):
     if which in ("demo", "rough"):
@@ -449,6 +596,20 @@ def test_rough_depth8_covering_pinned(rough_cov8):
     assert rough_cov8.inconclusive == 114
     doc = json.dumps(rough_cov8.to_json(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == ROUGH8_SHA256
+
+
+# sha256 of the cells, parents, levels and inconclusive count, as the
+# full-grid containment test built them
+ROUGH10_SHA256 = "6a47c30b98bb128d1b1754aec0b59a70e28dfd8d8485977ad722e21ec9eaad4f"
+
+
+def test_rough_depth10_covering_pinned(rough_cov10):
+    digest = hashlib.sha256(rough_cov10.cell.tobytes())
+    digest.update(np.asarray(rough_cov10.tree.parent, dtype=np.int64).tobytes())
+    digest.update(np.asarray(rough_cov10.level, dtype=np.int64).tobytes())
+    digest.update(str(rough_cov10.inconclusive).encode())
+    assert (rough_cov10.cube_count, rough_cov10.inconclusive) == (22751, 1132)
+    assert digest.hexdigest() == ROUGH10_SHA256
 
 
 def test_rough_phi_matches_term_by_term_form():
