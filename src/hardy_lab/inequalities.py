@@ -212,7 +212,8 @@ class RatioReport:
     lhs: float
     rhs: float
     ratio: float
-    sample_count: int                       # points drawn per pass: max(samples, cells)
+    sample_count: int                       # points drawn per pass: max(samples, cells),
+                                            # by volume; small cells may draw none
     spread: float
     low_confidence: bool
     seed: int
@@ -236,6 +237,82 @@ def _ratio_with_flags(lhs: float, rhs: float) -> tuple[float, tuple[str, ...]]:
     return lhs / rhs, ()
 
 
+# The local sampler draws and reduces whole cells in blocks of at most this
+# many points; a cell with more points is a block by itself.
+BLOCK_POINTS = 2 ** 15
+
+
+def _blocks(cells: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """cells split into consecutive runs of at most BLOCK_POINTS points
+    between them; a cell with more points is a run by itself."""
+    runs, start, size = [], 0, 0
+    for i, m in enumerate(counts[cells].tolist()):
+        if size and size + m > BLOCK_POINTS:
+            runs.append(cells[start:i])
+            start, size = i, 0
+        size += m
+    runs.append(cells[start:])
+    return runs
+
+
+def _draw_cells(cov: CubeCovering, cells: np.ndarray, m: np.ndarray, seed: int,
+                offsets: bool = False):
+    """m[i] uniform points in each cube cells[i], in one (sum m, n) array.
+
+    Each cell draws from its own stream straight into its rows, and the rows
+    are mapped to their cubes one column at a time. With offsets, each cell
+    also draws u (m[i] uniforms) and g (m[i] x n normals) after its points,
+    and (points, u, g) is returned.
+    """
+    n = cov.n
+    ends = np.cumsum(m).tolist()
+    pts = np.empty((ends[-1], n))
+    if offsets:
+        u, g = np.empty(ends[-1]), np.empty((ends[-1], n))
+    for t, a, b in zip(cells.tolist(), [0] + ends[:-1], ends):
+        rng = _cell_rng(seed, t)
+        rng.random(out=pts[a:b])
+        if offsets:
+            rng.random(out=u[a:b])
+            rng.standard_normal(out=g[a:b])
+    lows, highs = cov.corners
+    for k in range(n):
+        col = pts[:, k]
+        col *= np.repeat(highs[cells, k] - lows[cells, k], m)
+        col += np.repeat(lows[cells, k], m)
+    return (pts, u, g) if offsets else pts
+
+
+def _cell_terms(w: np.ndarray, ends: list[int], v: np.ndarray) -> list[float]:
+    """w[i] times np.sum of v over the rows of cell i, where ends are the
+    cumulative row counts: one np.sum per cell, since np.add.reduceat adds
+    in another order and so gives other bits."""
+    return [wt * float(np.sum(v[a:b])) for wt, a, b in zip(w, [0] + ends[:-1], ends)]
+
+
+def _locate_own_first(cov: CubeCovering, own: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """cov.locate(y), testing each point against its cube own[i] first; own
+    is overwritten with the result.
+
+    locate returns the cube whose half-open float box [float(lo), float(hi))
+    holds the point, and these boxes are pairwise disjoint: two exact cubes
+    of the covering are separated along some axis, lo' >= hi there, and
+    rounding to float is monotone, so float(lo') >= float(hi) too. A point
+    inside its own cube's float box is therefore in no other box, and only
+    the rest need the search. A NaN coordinate fails both comparisons and
+    is left to locate, which returns -1 for it.
+    """
+    lows, highs = cov.corners
+    home = np.ones(len(y), dtype=bool)
+    for k in range(cov.n):
+        yk = y[:, k]
+        home &= lows[own, k] <= yk
+        home &= yk < highs[own, k]
+    away = np.flatnonzero(~home)
+    own[away] = cov.locate(y[away])
+    return own
+
+
 def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
                p: float, samples: int, seed: int, d_mode: str) -> tuple[float, float]:
     """One quadrature pass for the improved Poincare or Korn ratio.
@@ -244,33 +321,41 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
     is computed on the same nodes as the norms, so the side condition holds
     exactly on the discrete measure.
 
-    Cells are drawn and reduced one at a time in id order. Everything but
-    the lhs needs only its own cell, so each cell keeps just the inputs of
-    the lhs, (w, d^{beta p}, f) or (w, d^{beta p}, J), until the mean is
-    known; math.fsum rounds exactly, so the order of the per-cell terms
-    does not matter.
+    Cells are drawn and reduced in blocks of whole cells in id order (see
+    _blocks). Everything but the lhs needs only its own cell, so each block
+    keeps just the inputs of the lhs, (w, d^{beta p}, f) or (w, d^{beta p},
+    J), until the mean is known, d^{beta p} once per cell in "cell" mode;
+    math.fsum rounds exactly, so the order of the per-cell terms does not
+    matter. Each per-cell sum is np.sum over the cell's own rows and each
+    Korn mean term one einsum over them, added in cell order:
+    np.add.reduceat, or one einsum per block, adds the same terms in
+    another order, so gives other bits.
     """
     alpha = cov.profile.alpha
     n = cov.n
-    vols = cov.volume_array
+    vols, edges = cov.volume_array, cov.edge_array
     counts = _allocate(max(samples, cov.tree.n), vols)
-    lows, highs = cov.corners
     poincare = kind == "improved_poincare"
+    rhs_expo = (beta + alpha if poincare else beta + alpha - 1.0) * p
     kept, denom_terms, num_terms, rhs_terms = [], [], [], []
     A = np.zeros((n, n))
     # Temporaries are updated in place where that applies the same operation
     # to the same values (so the same bits): fewer large blocks for the
     # allocator to hand back and fault in again.
-    for t in np.flatnonzero(counts).tolist():
-        m = int(counts[t])
-        lo, hi = lows[t], highs[t]
-        pts = _cell_rng(seed, t).random((m, n))
-        pts *= hi - lo
-        pts += lo
-        w = vols[t] / m
-        d = _d_values(cov, cov.edge_array[t], pts, d_mode)
-        dbp = d ** (beta * p)
-        denom_terms.append(w * float(np.sum(dbp)))
+    for block in _blocks(np.flatnonzero(counts), counts):
+        m = counts[block]
+        pts = _draw_cells(cov, block, m, seed)
+        ends = np.cumsum(m).tolist()
+        w = vols[block] / m
+        if d_mode == "cell":
+            # d is constant on a cell: one array power per cell, then repeated
+            # (never a Python-float pow, whose last bit can differ from numpy's)
+            d, per = edges[block], m
+        else:
+            d, per = _d_values(cov, None, pts, d_mode), 1
+        d_beta_p = d ** (beta * p)
+        dbp = np.repeat(d_beta_p, per)
+        denom_terms += _cell_terms(w, ends, dbp)
         if poincare:
             fv = f.value(pts)
             g = f.gradient(pts)
@@ -278,36 +363,36 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
             r = _sum_squares(g.T, n)
             del g
             np.sqrt(r, out=r)
-            num_terms.append(w * float(np.sum(dbp * fv)))
-            r **= p
-            r *= d ** ((beta + alpha) * p)
-            rhs_terms.append(w * float(np.sum(r)))
-            kept.append((w, dbp, fv))
-            continue
-        # korn: the weighted-mean antisymmetric part of the Jacobian is removed
-        J = f.jacobian(pts)
-        del pts
-        part = J - np.swapaxes(J, 1, 2)
-        part *= 0.5                                 # eta
-        A += w * np.einsum("i,ijk->jk", dbp, part)
-        del part
-        eps = ((J[:, j, k] + J[:, k, j]) * 0.5 for j in range(n) for k in range(n))
-        r = _sum_squares(eps, n * n)
-        np.sqrt(r, out=r)
+            num_terms += _cell_terms(w, ends, dbp * fv)
+            kept.append((w, ends, d_beta_p, per, fv))
+        else:
+            # korn: the weighted-mean antisymmetric part of the Jacobian is removed
+            J = f.jacobian(pts)
+            del pts
+            part = J - np.swapaxes(J, 1, 2)
+            part *= 0.5                                 # eta
+            for wt, a, b in zip(w, [0] + ends[:-1], ends):
+                A += wt * np.einsum("i,ijk->jk", dbp[a:b], part[a:b])
+            del part
+            eps = ((J[:, j, k] + J[:, k, j]) * 0.5 for j in range(n) for k in range(n))
+            r = _sum_squares(eps, n * n)
+            np.sqrt(r, out=r)
+            kept.append((w, ends, d_beta_p, per, J))
+        del dbp
         r **= p
-        r *= d ** ((beta + alpha - 1.0) * p)
-        rhs_terms.append(w * float(np.sum(r)))
-        kept.append((w, dbp, J))
+        r *= np.repeat(d ** rhs_expo, per)
+        rhs_terms += _cell_terms(w, ends, r)
+        del r
     denom = math.fsum(denom_terms)
     if poincare:
         c = math.fsum(num_terms) / denom
     else:
         A /= denom
-    # last cell first, each dropped once its term is taken, so the largest
+    # last block first, each dropped once its terms are taken, so the largest
     # cell, the root, meets the lhs temporaries alone
     lhs_terms = []
     while kept:
-        w, dbp, v = kept.pop()
+        w, ends, d_beta_p, per, v = kept.pop()
         if poincare:
             r = v - c
             np.abs(r, out=r)
@@ -315,9 +400,10 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
             r = _sum_squares((v[:, j, k] - A[j, k] for j in range(n) for k in range(n)),
                              n * n)
             np.sqrt(r, out=r)
+        del v
         r **= p
-        r *= dbp
-        lhs_terms.append(w * float(np.sum(r)))
+        r *= np.repeat(d_beta_p, per)
+        lhs_terms += _cell_terms(w, ends, r)
     lhs = math.fsum(lhs_terms)
     return lhs ** (1.0 / p), math.fsum(rhs_terms) ** (1.0 / p)
 
@@ -336,60 +422,87 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     pairs leaving the truncated domain are rejected with weight zero.
 
     Each cell draws x, u and the direction from its own stream; the pairs of
-    all cells are then located and evaluated in one pass, and the sums are
-    taken per cell. Returns lhs, rhs and the fraction of rejected pairs.
+    all cells are then located, each in its own cell first, and evaluated in
+    one pass, and the sums are taken per cell. Each per-pair array is
+    dropped once used. Returns lhs, rhs and the fraction of rejected pairs.
     """
     alpha = cov.profile.alpha
     n = cov.n
     kappa = p * (1.0 - s)
-    ncell = cov.tree.n
     vols, edges = cov.volume_array, cov.edge_array
-    counts = _allocate(max(samples, ncell), vols)
+    counts = _allocate(max(samples, cov.tree.n), vols)
     cells = np.flatnonzero(counts)
+    m = counts[cells]
     surf = _SPHERE_AREA[n]
     expo = (s + beta - alpha + 1.0) * p
-    pts, u, g = [], [], []
-    for t in cells.tolist():
-        m = int(counts[t])
-        rng = _cell_rng(seed, t)
-        lo, hi = cov.corners[0][t], cov.corners[1][t]
-        pts.append(lo + rng.random((m, n)) * (hi - lo))
-        u.append(rng.random(m))
-        g.append(rng.standard_normal((m, n)))
-    pts, u, g = (np.concatenate(a) for a in (pts, u, g))
+    pts, u, g = _draw_cells(cov, cells, m, seed, offsets=True)
+    c = np.repeat(cells, m)                         # the cell of x, then of y
 
-    dx = _d_values(cov, np.repeat(edges[cells], counts[cells]), pts, d_mode)
+    dx = _d_values(cov, edges[c], pts, d_mode)
     R = tau * dx
-    r = R * u ** (1.0 / kappa)
+    r = u
+    r **= 1.0 / kappa
+    r *= R
+    del u
     gn = _sum_squares(g.T, n)
     np.sqrt(gn, out=gn)
-    y = pts + r[:, None] * (g / gn[:, None])
-    c = cov.locate(y)
+    g /= gn[:, None]
+    del gn
+    g *= r[:, None]
+    g += pts
+    y = g                                           # x + r * direction
+    del g
+    c = _locate_own_first(cov, c, y)
     inside = c >= 0
+    rejected = float(np.mean(~inside))
     dy = np.zeros(len(y))
     dy[inside] = _d_values(cov, edges[c[inside]], y[inside], d_mode)
+    del c
     fv = f.value(pts)
-    contrib = np.zeros(len(y))
+    del pts
     ok = inside & (r > 0)
-    if ok.any():
-        delta = np.minimum(dx[ok], dy[ok])
-        diff = np.abs(fv[ok] - f.value(y[ok])) ** p
-        kern = diff / r[ok] ** (n + s * p) * delta ** expo
-        dens = kappa * r[ok] ** (kappa - 1.0) / R[ok] ** kappa
-        contrib[ok] = kern * surf * r[ok] ** (n - 1) / dens
+    del inside
+    kern = fv[ok]
+    if kern.size:                                   # f is never called on no points
+        kern -= f.value(y[ok])
+    del y
+    np.abs(kern, out=kern)
+    kern **= p
+    ro = r[ok]
+    del r
+    kern /= ro ** (n + s * p)
+    delta = np.minimum(dx[ok], dy[ok])
+    del dy
+    delta **= expo
+    kern *= delta
+    del delta
+    dens = ro ** (kappa - 1.0)
+    dens *= kappa
+    dens /= R[ok] ** kappa
+    del R
+    kern *= surf
+    kern *= ro ** (n - 1)
+    del ro
+    kern /= dens
+    del dens
+    contrib = np.zeros(len(fv))
+    contrib[ok] = kern
+    del kern, ok
     dbp = dx ** (beta * p)
+    del dx
 
-    w = vols[cells] / counts[cells]
-    splits = np.cumsum(counts[cells])[:-1]
-
-    def cell_fsum(v: np.ndarray) -> float:
-        return math.fsum(wt * float(np.sum(part)) for wt, part in zip(w, np.split(v, splits)))
-
-    denom = cell_fsum(dbp)
-    mean = cell_fsum(dbp * fv) / denom
-    lhs = cell_fsum(np.abs(fv - mean) ** p * dbp)
-    rhs = cell_fsum(contrib)
-    return lhs ** (1.0 / p), rhs ** (1.0 / p), float(np.mean(~inside))
+    w = vols[cells] / m
+    ends = np.cumsum(m).tolist()
+    denom = math.fsum(_cell_terms(w, ends, dbp))
+    mean = math.fsum(_cell_terms(w, ends, dbp * fv)) / denom
+    rhs = math.fsum(_cell_terms(w, ends, contrib))
+    del contrib
+    fv -= mean
+    np.abs(fv, out=fv)
+    fv **= p
+    fv *= dbp
+    lhs = math.fsum(_cell_terms(w, ends, fv))
+    return lhs ** (1.0 / p), rhs ** (1.0 / p), rejected
 
 
 KINDS = ("improved_poincare", "fractional_poincare", "korn")
@@ -438,7 +551,9 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         spread = abs(ratio - ratio2) / mid if mid > 0 and math.isfinite(mid) else math.inf
     params = {"beta": beta, "p": p, "s": s, "tau": tau, "d_mode": d_mode,
               "alpha": covering.profile.alpha, "function": f.name}
-    drawn = max(samples, covering.tree.n)   # both samplers draw >= 1 point per cell
+    # both samplers share max(samples, cells) points out by volume (_allocate),
+    # which leaves the smallest cells without a point when samples are few
+    drawn = max(samples, covering.tree.n)
     return RatioReport(kind, lhs, rhs, ratio, drawn, spread,
                        spread > 0.10, seed, flags, params, rejected)
 

@@ -99,7 +99,8 @@ def test_ratios_bit_identical_to_pinned(demo_cov6, kind, make, beta, kw, lhs, rh
 
 def test_fractional_vectorised_matches_tree_walk(demo_cov6):
     # the same sampler with point location done one pair at a time by the
-    # reference tree walk gives the same bits
+    # reference tree walk gives the same bits; the walk sees only the pairs
+    # that leave their own cube (the rest are checked against it below)
     walk = dataclasses.replace(demo_cov6)
     oracle = FractionCovering(hl.profile_demo(), 6)
     walk.locate = lambda y: np.array([oracle.locate(x) for x in y])
@@ -110,13 +111,26 @@ def test_fractional_vectorised_matches_tree_walk(demo_cov6):
     assert (a.lhs, a.rhs, a.rejected_frac) == (b.lhs, b.rhs, b.rejected_frac)
 
 
-# -- the streamed local sampler against the all-cells-kept one -------------------------
+# -- the block-wise local sampler against the all-cells-kept one ----------------------
 
 @pytest.fixture(scope="module")
 def local_coverings(demo_cov6):
     return {"demo6": demo_cov6,
             "rough6": hl.build_covering(hl.profile_rough(), depth_max=6),
             "demo3d3": hl.build_covering(hl.profile_demo(n=3), depth_max=3)}
+
+
+def _with_fast_graph_distance(cov, d_mode):
+    """cov, or in "graph" mode a copy whose d is the vertical gap to the
+    graph: the exact graph distance searches a grid per point, seconds per
+    pass on the 3-D covering, and the gap is a per-point d through the same
+    code path (the exact one is checked below)."""
+    if d_mode != "graph":
+        return cov
+    phi = cov.profile.phi
+    cov = dataclasses.replace(cov)
+    cov.graph_distance = lambda x: phi(x[:, :-1]) - x[:, -1]
+    return cov
 
 
 LOCAL_FUNCTIONS = {"poincare-bilinear": ("improved_poincare", lambda n: hl.f_bilinear()),
@@ -130,18 +144,32 @@ LOCAL_FUNCTIONS = {"poincare-bilinear": ("improved_poincare", lambda n: hl.f_bil
 @pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
 def test_local_run_matches_all_cells_kept(local_coverings, name, function, d_mode,
                                           beta, p):
-    cov = local_coverings[name]
-    if d_mode == "graph":
-        # the exact graph distance searches a grid per point, seconds per pass
-        # on the 3-D covering; the vertical gap to the graph is a per-point d
-        # through the same code path (the exact one is checked below)
-        phi = cov.profile.phi
-        cov = dataclasses.replace(cov)
-        cov.graph_distance = lambda x: phi(x[:, :-1]) - x[:, -1]
+    cov = _with_fast_graph_distance(local_coverings[name], d_mode)
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
     rep = hl.inequality_ratio(kind, f, cov, beta, p, samples=3000, seed=3, d_mode=d_mode)
     assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3, d_mode)
+
+
+@pytest.mark.parametrize("d_mode", ["cell", "graph"])
+@pytest.mark.parametrize("function", LOCAL_FUNCTIONS)
+@pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
+def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monkeypatch,
+                                                          name, function, d_mode):
+    # 3000 samples fit in one block of the default size; blocks of 64 points
+    # make runs of many cells, block edges, and cells larger than a block
+    monkeypatch.setattr(ineq, "BLOCK_POINTS", 64)
+    cov = local_coverings[name]
+    counts = ineq._allocate(3000, cov.volume_array)
+    blocks = ineq._blocks(np.flatnonzero(counts), counts)
+    assert max(len(b) for b in blocks) > 1
+    assert any(len(b) == 1 and counts[b[0]] > 64 for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), np.flatnonzero(counts))
+    cov = _with_fast_graph_distance(cov, d_mode)
+    kind, make = LOCAL_FUNCTIONS[function]
+    f = make(cov.n)
+    rep = hl.inequality_ratio(kind, f, cov, 0.3, 3.0, samples=3000, seed=3, d_mode=d_mode)
+    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3, d_mode)
 
 
 def test_local_run_matches_all_cells_kept_exact_graph_distance(demo_cov6):
@@ -152,9 +180,92 @@ def test_local_run_matches_all_cells_kept_exact_graph_distance(demo_cov6):
                                            "graph")
 
 
+def test_fractional_sampler_memory(demo_cov6):
+    # every per-pair array is dropped once it is used; keeping them all, and
+    # drawing the cells into lists before one concatenation, peaked at
+    # 16.6 MiB. A first small run builds the covering's cached corners and
+    # location index, which are not the sampler's.
+    f = hl.f_linear()
+    kw = dict(s=0.5, tau=0.5)
+    hl.inequality_ratio("fractional_poincare", f, demo_cov6, 0.0, 2.0, samples=1000, **kw)
+    tracemalloc.start()
+    try:
+        hl.inequality_ratio("fractional_poincare", f, demo_cov6, 0.0, 2.0,
+                            samples=10 ** 5, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2 ** 20
+
+
+# -- own-cube-first location of the fractional pairs ----------------------------------
+
+LOCATE_WALKS = {"demo6": lambda: FractionCovering(hl.profile_demo(), 6),
+                "rough6": lambda: FractionCovering(hl.profile_rough(), 6),
+                "demo3d3": lambda: FractionCovering(hl.profile_demo(n=3), 3)}
+
+
+def _face_points(cov, t):
+    """Points on the boundary of cube t that the half-open rule decides: the
+    upper and lower corners, the middle of each upper and each lower face,
+    and the upper corner with one coordinate moved to the lower face."""
+    lo, hi = cov.corners[0][t], cov.corners[1][t]
+    mid = 0.5 * (lo + hi)
+    pts = [hi, lo]
+    for k in range(cov.n):
+        for face in (hi, lo):
+            x = mid.copy()
+            x[k] = face[k]
+            pts.append(x)
+        x = hi.copy()
+        x[k] = lo[k]
+        pts.append(x)
+    return pts
+
+
+@pytest.mark.parametrize("name", LOCATE_WALKS)
+def test_locate_own_first_matches_locate_and_tree_walk(local_coverings, monkeypatch, name):
+    # the fractional sampler's cell for every pair, found in the pair's own
+    # cube first, is the cell locate and the reference tree walk give: for
+    # the pairs of a sampler run, and for points on cube faces and corners
+    cov = local_coverings[name]
+    walk = LOCATE_WALKS[name]()
+    locate_own_first = ineq._locate_own_first
+    seen = []
+
+    def record(cov_, own, y):
+        home = (cov_.corners[0][own] <= y).all(axis=1) & (y < cov_.corners[1][own]).all(axis=1)
+        seen.append((home, y.copy(), locate_own_first(cov_, own, y).copy()))
+        return own
+
+    monkeypatch.setattr(ineq, "_locate_own_first", record)
+    hl.inequality_ratio("fractional_poincare", hl.f_linear(), cov, 0.0, 2.0,
+                        s=0.5, tau=0.9, samples=3000, seed=2)
+    assert len(seen) == 2                       # one pass per seed
+    home, y, cells = seen[0]
+    assert 0.0 < home.mean() < 1.0              # both paths are taken
+
+    rng = np.random.default_rng(5)
+    faces = [(t, x) for t in rng.choice(cov.tree.n, size=40, replace=False).tolist()
+             for x in _face_points(cov, t)]
+    own = np.array([t for t, _ in faces])
+    pts = np.array([x for _, x in faces])
+    # the same points with a wrong own cube, and a NaN coordinate
+    own = np.concatenate([own, rng.permutation(own), [0]])
+    pts = np.concatenate([pts, pts, np.full((1, cov.n), np.nan)])
+    got = locate_own_first(cov, own.copy(), pts)
+    assert np.any(got == own)
+    assert np.any((got != own) & (got >= 0))
+    assert got[-1] == -1
+    for y, cells in ((y, cells), (pts, got)):
+        np.testing.assert_array_equal(cells, cov.locate(y))
+        assert cells.tolist() == [walk.locate(x) for x in y]
+
+
 def test_korn_sampler_memory(demo_cov6):
-    # each cell is reduced as it is drawn and keeps only (w, d^{beta p}, J)
-    # for the mean projection; keeping every cell's arrays peaked at 27.9 MB
+    # each block of cells is reduced as it is drawn and keeps only
+    # (w, d^{beta p}, J) for the mean projection; keeping every cell's arrays
+    # peaked at 27.9 MB
     f = hl.u_shear()
     tracemalloc.start()
     try:
@@ -295,8 +406,12 @@ def test_fractional_graph_distance_mode_smoke(demo_cov6):
 
 
 def test_sample_count_reports_points_drawn(demo_cov6):
-    # both samplers draw at least one point in each of the 305 cells
+    # both samplers draw max(samples, cells) points, shared out by volume:
+    # with 300 or 3000 samples most of the 305 cells draw none
     assert demo_cov6.tree.n == 305
+    for samples, empty in ((300, 252), (3000, 168)):
+        counts = ineq._allocate(max(samples, 305), demo_cov6.volume_array)
+        assert (counts.sum(), np.count_nonzero(counts == 0)) == (max(samples, 305), empty)
     for kind, extra in (("fractional_poincare", {"s": 0.5, "tau": 0.5}),
                         ("improved_poincare", {})):
         rep = hl.inequality_ratio(kind, hl.f_linear(), demo_cov6, 0.0, 2.0,
