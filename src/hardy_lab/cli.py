@@ -71,14 +71,12 @@ def _report_text(doc) -> str:
     """The text of json.dumps(doc, sort_keys=True, indent=2).
 
     The stdlib encodes indented JSON in pure Python. Here a list of plain
-    ints, which is most of a covering report (cube faces, edges, volumes),
-    is joined in one step, and its text is kept per (indent, values) for
-    the rest of the call. Dict keys must be str; anything json.dumps
-    rejects raises TypeError here too.
+    ints, which is most of a covering report (its per-cube columns), is
+    joined in one step. Dict keys must be str; anything json.dumps rejects
+    raises TypeError here too.
     """
     chunks: list[str] = []
     put = chunks.append
-    int_lists: dict[tuple, str] = {}
 
     def value(o, pad: str) -> None:
         if type(o) is int:              # the commonest leaf; bool is its own type
@@ -102,12 +100,8 @@ def _report_text(doc) -> str:
                 return
             inner = pad + "  "
             if type(o[0]) is int and all(type(x) is int for x in o):
-                key = (pad, tuple(o))
-                text = int_lists.get(key)
-                if text is None:
-                    body = (",\n" + inner).join(map(int.__repr__, o))
-                    text = int_lists[key] = "[\n" + inner + body + "\n" + pad + "]"
-                put(text)
+                put("[\n" + inner + (",\n" + inner).join(map(int.__repr__, o))
+                    + "\n" + pad + "]")
                 return
             sep = "[\n" + inner
             for x in o:

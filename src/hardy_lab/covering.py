@@ -10,8 +10,9 @@ top face carries 2^{n-1} half-size children.
 
 Every cube is a dyadic cell of its size class j (edge h_j = l 2^-j), stored
 as integer grid indices (i, k) for the box [-l/2 + i h_j, -l/2 + (i + 1) h_j)
-x [k h_j, (k + 1) h_j), so disjointness and coverage checks are exact, the
-export is exact Fractions and the construction is bit-for-bit reproducible.
+x [k h_j, (k + 1) h_j), so disjointness and coverage checks are exact and
+the construction is bit-for-bit reproducible. The export is these integer
+columns plus the exact edge of each size class, so every face is exact.
 
 Each cube Q_t = Q_t' x (x1, x2) is extended downward by half of itself to
 U_t = Q_t' x (x1 - e/2, x2); the added slab B_t = Q_t' x (x1 - e/2, x1) lies
@@ -322,13 +323,6 @@ def _dyadic_floats(ell, m, j) -> np.ndarray:
     products are exact below 2^53 and IEEE division rounds correctly, so it
     equals float(Fraction) bit for bit. Past 2^53 CoveringError is raised.
     """
-    m, j = _dyadic_ints(ell, m, j)
-    return (m * ell.numerator).astype(float) / np.ldexp(float(ell.denominator), j + 1)
-
-
-def _dyadic_ints(ell, m, j) -> tuple[np.ndarray, np.ndarray]:
-    """m and j as int64 arrays, once a m and b 2^(j+1) (l = a/b) are known
-    to stay below 2^53; CoveringError otherwise."""
     m = np.asarray(m, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     top = int(j.max(initial=0)) + 1
@@ -336,24 +330,17 @@ def _dyadic_ints(ell, m, j) -> tuple[np.ndarray, np.ndarray]:
             or ell.denominator << top >= 2 ** 53:
         raise CoveringError(f"l = {ell} at size class {top - 1}: dyadic coordinates "
                             "need integers past 2^53 and would round")
-    return m, j
-
-
-def _cube_halves(cell: np.ndarray, j, halves) -> np.ndarray:
-    """The integers m with lo + halves * h_j / 2 = l m / 2^(j+1) for each
-    cube, for rows of grid cells `cell` of size classes `j` (halves = 0:
-    lower corner, 1: center, 2: upper corner)."""
-    j = np.asarray(j, dtype=np.int64)[:, None]
-    m = 2 * cell + halves
-    m[:, :-1] -= 1 << j             # the horizontal origin -l/2 is 2^j half-edges
-    return m
+    return (m * ell.numerator).astype(float) / np.ldexp(float(ell.denominator), j + 1)
 
 
 def _cube_points(ell, cell: np.ndarray, j, halves) -> np.ndarray:
-    """Float coordinates of the point lo + halves * h_j / 2 of each cube
-    (see _cube_halves)."""
-    return _dyadic_floats(ell, _cube_halves(cell, j, halves),
-                          np.asarray(j, dtype=np.int64)[:, None])
+    """Float coordinates of the point lo + halves * h_j / 2 of each cube, for
+    rows of grid cells `cell` of size classes `j` (halves = 0: lower corner,
+    1: center, 2: upper corner), as l m / 2^(j+1) for integers m."""
+    j = np.asarray(j, dtype=np.int64)[:, None]
+    m = 2 * cell + halves
+    m[:, :-1] -= 1 << j             # the horizontal origin -l/2 is 2^j half-edges
+    return _dyadic_floats(ell, m, j)
 
 
 def _cell_key(vertical, horizontal, N: int):
@@ -478,7 +465,12 @@ class CubeCovering:
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
         out = np.full(len(pts), -1, dtype=np.int64)
+        # the boxes are pairwise disjoint, so a point one class places is in
+        # no other cube: each class searches only the points still unplaced
+        todo = np.arange(len(pts))
         for _, hgrid, vgrid, keys, ids in self._locate_index:
+            if not len(todo):
+                break
             N = len(hgrid) - 1
             k = np.searchsorted(vgrid, pts[:, -1], side="right") - 1
             ok = (k >= 0) & (k < len(vgrid) - 1)
@@ -490,41 +482,25 @@ class CubeCovering:
             key = np.where(ok, _cell_key(k, horizontal, N), -1)
             pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
             hit = ok & (keys[pos] == key)
-            out[hit] = ids[pos[hit]]
+            out[todo[hit]] = ids[pos[hit]]
+            todo, pts = todo[~hit], pts[~hit]
         return out
 
     # -- exports -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        ell = self.profile.ell
+        """The covering as plain int columns, cube t at position t of each.
 
+        `class_edge[j]` is the exact edge h_j = l 2^-j as [num, den];
+        `cubes` holds the columns `parent`, `level`, `size_class` and
+        `cell`, the grid indices axis-major (`cell[r][t]`). Cube t is the
+        box prod_{r<n-1} [-l/2 + i_r h, -l/2 + (i_r + 1) h) x [k h, (k + 1) h)
+        with h = class_edge[size_class[t]]; its connector slab has volume
+        h^n / 2 (the root has none).
+        """
         def fr(x: Fraction):
             return [x.numerator, x.denominator]
 
-        # every face coordinate l m / 2^(j+1) in lowest terms: cubes x axes x
-        # (lower, upper) x (numerator, denominator)
-        m, j = _dyadic_ints(ell, np.stack([_cube_halves(self.cell, self.size_class, h)
-                                           for h in (0, 2)], axis=-1),
-                            self.size_class)
-        num = m * ell.numerator
-        den = np.left_shift(ell.denominator, j + 1)[:, None, None]
-        g = np.gcd(num, den)
-        faces = np.stack([num // g, den // g], axis=-1).tolist()
-
-        edge = [fr(e) for e in self.class_edge]
-        volume_b = [fr(e ** self.n / 2) for e in self.class_edge]
-        root = self.tree.root
-        cubes = [{
-            "id": t,
-            "parent": parent,
-            "level": level,
-            "size_class": c,
-            "edge": list(edge[c]),
-            "base": axes[:-1],
-            "vertical": axes[-1],
-            "volume_b": list(volume_b[c]) if t != root else None,
-        } for t, (parent, level, c, axes) in enumerate(
-            zip(self.tree.parent, self.level, self.size_class, faces))]
         return {
             "n": self.n,
             "alpha": self.profile.alpha,
@@ -533,7 +509,13 @@ class CubeCovering:
             "profile": self.profile.name,
             "depth_max": self.depth_max,
             "inconclusive": self.inconclusive,
-            "cubes": cubes,
+            "class_edge": [fr(e) for e in self.class_edge],
+            "cubes": {
+                "cell": self.cell.T.tolist(),
+                "level": list(self.level),
+                "parent": list(self.tree.parent),
+                "size_class": list(self.size_class),
+            },
         }
 
     def level_rows(self) -> list[dict]:

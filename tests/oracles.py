@@ -487,11 +487,48 @@ class FractionCovering:
         return t
 
 
+def cube_rows(doc: dict) -> list[dict]:
+    """The former per-cube rows of an exported covering (`to_json()`),
+    rebuilt from its columns and class edges: every coordinate, edge and
+    slab volume as a gcd-reduced [num, den]."""
+    def fr(x):
+        return [x.numerator, x.denominator]
+
+    cols = doc["cubes"]
+    n = doc["n"]
+    half = Fraction(*doc["ell"]) / 2
+    edges = [Fraction(*e) for e in doc["class_edge"]]
+    rows = []
+    for t, (parent, level, c, *cell) in enumerate(
+            zip(cols["parent"], cols["level"], cols["size_class"], *cols["cell"])):
+        h = edges[c]
+        *base, k = cell
+        rows.append({
+            "id": t,
+            "parent": parent,
+            "level": level,
+            "size_class": c,
+            "edge": fr(h),
+            "base": [[fr(-half + i * h), fr(-half + (i + 1) * h)] for i in base],
+            "vertical": [fr(k * h), fr((k + 1) * h)],
+            "volume_b": fr(h ** n / 2) if parent != -1 else None,
+        })
+    return rows
+
+
+def row_export(doc: dict) -> dict:
+    """An exported covering in the former layout: the scalar keys and the
+    per-cube rows of `cube_rows`."""
+    out = {k: v for k, v in doc.items() if k not in ("class_edge", "cubes")}
+    out["cubes"] = cube_rows(doc)
+    return out
+
+
 def disjoint_and_coverage(doc: dict) -> dict:
     """The former structure check on an exported covering (`to_json()`):
     pairwise open-box intersection on integer-scaled exact coordinates in
     row blocks, O(n^2), and per-cube exact Fraction volume sums."""
-    cubes = doc["cubes"]
+    cubes = cube_rows(doc)
     n = len(cubes)
     nn = doc["n"]
     ell = Fraction(*doc["ell"])

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -22,12 +24,14 @@ from hardy_lab.covering import (
 
 from oracles import (
     FractionCovering,
+    cube_rows,
     disjoint_and_coverage,
     fit_constants,
     holder_quotient_max,
     level_rows,
     min_phi_decision,
     rough_phi,
+    row_export,
     tail_sums,
 )
 
@@ -36,7 +40,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def test_flat_root_and_first_level():
     cov = hl.build_covering(hl.profile_flat(2.0), depth_max=2)
-    cubes = cov.to_json()["cubes"]
+    cubes = cube_rows(cov.to_json())
     assert cov.cell[0].tolist() == [0, 0]
     assert cubes[0]["base"] == [[[-1, 2], [1, 2]]]
     assert cubes[0]["vertical"] == [[0, 1], [1, 1]]
@@ -69,7 +73,7 @@ def test_demo_depth3_golden_file():
     cov = hl.build_covering(hl.profile_demo(), depth_max=3)
     with open(os.path.join(DATA, "demo_depth3_golden.json")) as fh:
         golden = json.load(fh)
-    assert cov.to_json() == golden
+    assert row_export(cov.to_json()) == golden
 
 
 def test_disjoint_and_coverage_exact(demo_cov6):
@@ -81,7 +85,7 @@ def test_disjoint_and_coverage_exact(demo_cov6):
 
 def test_dyadic_coordinates(demo_cov6):
     assert demo_cov6.cell.dtype == np.int64 and not demo_cov6.cell.flags.writeable
-    cubes = demo_cov6.to_json()["cubes"]
+    cubes = cube_rows(demo_cov6.to_json())
     for t in range(0, demo_cov6.tree.n, 17):
         for lo, hi in cubes[t]["base"] + [cubes[t]["vertical"]]:
             for _, d in (lo, hi):
@@ -287,7 +291,7 @@ def test_locate_matches_tree_walk(which, demo_cov6):
     else:
         cov = hl.build_covering(_profile(which), depth_max=depth)
         assert "_locate_index" not in vars(cov)     # the index is built on first use
-    oracle = FractionCovering(_profile(which), depth)
+    oracle = _oracle(which, depth)
     rng = np.random.default_rng(17)
     n, m = cov.n, 20_000
     # uniform points over a box reaching past the strip, below 0 and above phi
@@ -306,9 +310,29 @@ def test_locate_matches_tree_walk(which, demo_cov6):
         cov.locate(pts[:, :-1])
 
 
+@pytest.mark.parametrize("which,depth", [("rough", 6), ("demo3", 3)])
+def test_locate_on_faces_and_corners_across_classes(which, depth):
+    # every corner, face centre and centre of a few cubes of each size class:
+    # these points lie on the grid lines of several classes at once
+    cov = hl.build_covering(_profile(which), depth_max=depth)
+    oracle = _oracle(which, depth)
+    rng = np.random.default_rng(29)
+    cls = np.asarray(cov.size_class)
+    picks = np.array(list(itertools.product(range(3), repeat=cov.n)))
+    pts = []
+    for j in np.unique(cls).tolist():
+        ids = np.flatnonzero(cls == j)
+        for t in rng.choice(ids, size=min(4, len(ids)), replace=False).tolist():
+            lo, hi = oracle.box(t)
+            pts.append(np.stack([lo, (lo + hi) / 2, hi])[picks, np.arange(cov.n)])
+    pts = np.concatenate(pts)
+    got = cov.locate(pts)
+    assert got.tolist() == [oracle.locate(x) for x in pts]
+    assert len(np.unique(cls[got[got >= 0]])) == len(np.unique(cls))
+
+
 def test_covering_json_fractions(demo_cov6):
-    doc = demo_cov6.to_json()
-    cube = doc["cubes"][1]
+    cube = cube_rows(demo_cov6.to_json())[1]
     num, den = cube["edge"]
     assert Fraction(num, den) == demo_cov6.edge(1)
 
@@ -347,7 +371,14 @@ def test_child_edges_never_grow(demo_cov6):
 
 def _profile(which):
     return {"demo": hl.profile_demo, "rough": hl.profile_rough, "demo3": _demo3_profile,
-            "flat3": lambda: hl.profile_flat(2.0, n=3)}[which]()
+            "flat3": lambda: hl.profile_flat(2.0, n=3),
+            "flat_third": lambda: hl.profile_flat(0.7, ell=Fraction(1, 3))}[which]()
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(which, depth):
+    """The per-cube Fraction build, once per session."""
+    return FractionCovering(_profile(which), depth)
 
 
 def _per_cube(profile, lo, hi, threshold, max_points=1 << 14):
@@ -547,7 +578,36 @@ def test_covering_matches_per_cube_build(which, depth, request):
         batched = request.getfixturevalue(f"{which}_cov{depth}")
     else:
         batched = hl.build_covering(_profile(which), depth_max=depth)
-    assert FractionCovering(_profile(which), depth).to_json() == batched.to_json()
+    assert _oracle(which, depth).to_json() == row_export(batched.to_json())
+
+
+@pytest.mark.parametrize("which,depth", [("rough", 8), ("flat3", 3), ("flat_third", 4)])
+def test_columnar_export_reads_back(which, depth, request):
+    # the export alone rebuilds the tree, the cells and every float box
+    if which == "rough":
+        cov = request.getfixturevalue("rough_cov8")
+    else:
+        cov = hl.build_covering(_profile(which), depth_max=depth)
+    doc = json.loads(json.dumps(cov.to_json()))
+    cubes = doc["cubes"]
+    assert sorted(cubes) == ["cell", "level", "parent", "size_class"]
+    assert len(cubes["cell"]) == cov.n
+    columns = [cubes["level"], cubes["parent"], cubes["size_class"], *cubes["cell"]]
+    assert all(len(col) == cov.cube_count for col in columns)
+    assert hl.RootedTree(cubes["parent"]) == cov.tree
+    assert np.array_equal(np.array(cubes["cell"]).T, cov.cell)
+    assert (tuple(cubes["level"]), tuple(cubes["size_class"])) == (cov.level, cov.size_class)
+    edges = [Fraction(*e) for e in doc["class_edge"]]
+    assert edges == list(cov.class_edge)
+    half = Fraction(*doc["ell"]) / 2
+    oracle = _oracle(which, depth)
+    for t, (c, *cell) in enumerate(zip(cubes["size_class"], *cubes["cell"])):
+        h = edges[c]
+        *base, k = cell
+        lo = [-half + i * h for i in base] + [k * h]
+        want_lo, want_hi = oracle.box(t)
+        assert [float(x) for x in lo] == want_lo.tolist()
+        assert [float(x + h) for x in lo] == want_hi.tolist()
 
 
 @pytest.mark.parametrize("profile,depth", [
@@ -561,8 +621,8 @@ def test_integer_cells_match_fraction_oracle(profile, depth):
     # the floats of the integer cells against float(Fraction) at l != 1
     cov = hl.build_covering(profile, depth)
     oracle = FractionCovering(profile, depth)
-    doc = oracle.to_json()
-    assert cov.to_json() == doc
+    doc = cov.to_json()
+    assert row_export(doc) == oracle.to_json()
     assert check_disjoint_and_coverage(cov) == disjoint_and_coverage(doc)
     assert cov.centers().tobytes() == oracle.centers().tobytes()
     lows, highs = cov.corners
@@ -594,7 +654,7 @@ ROUGH8_SHA256 = "e6eef900e467f0e27e172f62a4e7bf6b24eb456090ca0efac312fa05f92a850
 def test_rough_depth8_covering_pinned(rough_cov8):
     assert rough_cov8.cube_count == 3165
     assert rough_cov8.inconclusive == 114
-    doc = json.dumps(rough_cov8.to_json(), sort_keys=True, separators=(",", ":"))
+    doc = json.dumps(row_export(rough_cov8.to_json()), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == ROUGH8_SHA256
 
 
