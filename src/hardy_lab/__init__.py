@@ -4,7 +4,6 @@ domains, constructive mean-zero decompositions, and inequality checkers."""
 __version__ = "0.1.0"
 
 from .tree import (  # noqa: F401
-    Antichain,
     RootedTree,
     TreeError,
     build_tree,
@@ -32,7 +31,6 @@ from .covering import (  # noqa: F401
     HolderProfile,
     build_covering,
     check_disjoint_and_coverage,
-    counting_profiles,
     profile_demo,
     profile_flat,
     profile_rough,

@@ -168,12 +168,15 @@ def cmd_hardy(args) -> int:
     payload = obj.get("report", obj)      # accept both raw and wrapped files
     if "u" in payload:
         problem = HardyProblem.from_json(payload)
+        if args.p is not None and args.p != problem.p:
+            raise ValueError(f"--p {args.p:g} does not match the problem's p = {problem.p:g}")
     else:
         tree = RootedTree.from_json(payload)
         ones = [1.0] * len(tree.gamma_star)
-        problem = make_problem(tree, ones, ones, args.p)
+        problem = make_problem(tree, ones, ones, 2.0 if args.p is None else args.p)
     rep = hardy_report(problem, theta_max=args.theta_max, b_cap=args.cap)
-    write_report(os.path.join(args.out, "hardy.json"), rep.to_json(), _config(args))
+    cfg = {**_config(args), "p": problem.p}      # the p the report used, not the flag
+    write_report(os.path.join(args.out, "hardy.json"), rep.to_json(), cfg)
     if args.format == "csv":
         row = {k: v for k, v in rep.to_json().items()
                if isinstance(v, (int, float, str)) or v is None}
@@ -277,7 +280,8 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hardy", help="full Hardy constant report")
     sp.add_argument("--input", required=True, help="problem or tree JSON")
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--p", type=float, default=None,
+                    help="a tree's p (default 2); a problem file brings its own")
     sp.add_argument("--theta-max", type=float, default=64.0)
     sp.add_argument("--cap", type=int, default=None,
                     help="most hull points ehp_B may evaluate (default: no limit)")

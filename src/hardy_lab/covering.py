@@ -32,13 +32,11 @@ Fixed values: profiles are validated on a 48-point grid per axis to 1e-9;
 containment grids are pruned in blocks of 16 cells (4 x 4 on a 2-D base)
 with a 1e-9 relative margin on the threshold;
 counting-bound fits at depth_max and depth_max - 2 are stable within 10 %;
-tail sums read the ratios of the last 5 size classes; graph distances search
-a 2049-point grid per axis (257 on a 2-D base) and refine it 3 times.
+tail sums read the ratios of the last 5 size classes.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -420,9 +418,6 @@ class CubeCovering:
     def cube_count(self) -> int:
         return self.tree.n
 
-    def level_counts(self) -> dict[int, int]:
-        return dict(Counter(self.level))
-
     def class_counts(self) -> dict[int, int]:
         return dict(Counter(self.size_class))
 
@@ -530,49 +525,6 @@ class CubeCovering:
                 "volume": float(count * edge ** self.n),
             })
         return rows
-
-    # -- distance diagnostics -------------------------------------------------
-
-    def graph_distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance to the graph of phi by projected search on refining grids.
-
-        The Holder modulus bounds the error by the final grid spacing, which
-        is plenty for the admissibility diagnostics this feeds.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        L = float(self.profile.ell)
-        d = self.n - 1
-        base_grid = 257 if d == 2 else 2049
-        axes = [np.linspace(-1.5 * L, 1.5 * L, base_grid)] * d
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
-        base = np.asarray(self.profile.phi(grid), dtype=float)   # shared by every point
-        out = np.empty(len(pts))
-        for i, x in enumerate(pts):
-            g, gv = grid, base
-            h = 3.0 * L / (base_grid - 1)      # current sample spacing
-            for r in range(4):                  # the base grid, then 3 refinements
-                if r:
-                    local = [np.clip(np.linspace(b - h, b + h, 33),
-                                     -1.5 * L, 1.5 * L) for b in g[k]]
-                    g = np.stack([a.ravel() for a in np.meshgrid(*local)], axis=-1)
-                    gv = np.asarray(self.profile.phi(g), dtype=float)
-                    h /= 16.0
-                d2 = np.sum((g - x[:-1]) ** 2, axis=1) + (gv - x[-1]) ** 2
-                k = int(np.argmin(d2))
-            out[i] = math.sqrt(float(d2[k]))
-        return out
-
-    def centers(self) -> np.ndarray:
-        return _cube_points(self.profile.ell, self.cell, self.size_class, 1)
-
-    @cached_property
-    def _graph_distances(self) -> np.ndarray:
-        return self.graph_distance(self.centers())
-
-    def admissibility_interval(self) -> tuple[float, float, np.ndarray]:
-        """Fitted range of d_G(center of Q_t) / edge over all cubes."""
-        ratios = self._graph_distances / self.edge_array
-        return float(ratios.min()), float(ratios.max()), ratios
 
 
 def build_covering(profile: HolderProfile, depth_max: int,
@@ -689,29 +641,7 @@ def check_disjoint_and_coverage(cov: CubeCovering) -> dict:
     }
 
 
-# -- counting profiles and the fitted bounds ------------------------------------
-
-def counting_profiles(cov: CubeCovering, t: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(P, W): counts of cubes per size class on the path to t / in its shadow.
-
-    Both counts include t itself (and P includes the root cube).
-    """
-    cov.tree._check_vertex(t)
-    P: dict[int, int] = {}
-    s = t
-    while True:
-        P[cov.size_class[s]] = P.get(cov.size_class[s], 0) + 1
-        if s == cov.tree.root:
-            break
-        s = cov.tree.parent[s]
-    W: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        W[cov.size_class[s]] = W.get(cov.size_class[s], 0) + 1
-        stack.extend(cov.tree.children[s])
-    return P, W
-
+# -- the fitted counting bounds ------------------------------------------------
 
 def _fit_constants(cov: CubeCovering, class_cap: int) -> dict[str, float]:
     """Smallest C1, C2, C3 over cubes of size class <= class_cap.

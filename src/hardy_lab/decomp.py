@@ -126,10 +126,6 @@ class CellSpace:
         self.pair_vertex, self.pair_frag = np.divmod(key, max(m, 1))
         vol.flags.writeable = False
 
-    def u_frags(self, t: int) -> tuple[int, ...]:
-        a, b = np.searchsorted(self.pair_vertex, [t, t + 1])
-        return tuple(self.pair_frag[a:b].tolist())
-
     @property
     def overlap_bound(self) -> int:
         return int(np.bincount(self.pair_frag, minlength=1).max())

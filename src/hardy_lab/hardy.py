@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import Antichain, RootedTree, TreeKernel
+from .tree import RootedTree, TreeError, TreeKernel
 
 GROWTH_FACTOR = 1.05   # per-level growth that marks a quantity "diverging"
 GROWTH_LEVELS = 5
@@ -350,8 +350,7 @@ class HardyOperator:
         M x = v * prefix(x / u),    M' y = shadow(v * y) / u,
 
     one kernel pass, O(|Gamma*|), per column. `apply`/`apply_t` index rows
-    and columns in the kernel's BFS order, `matvec`/`rmatvec` in Gamma* id
-    order. All four take (m,) or (m, k).
+    and columns in the kernel's BFS order and take (m,) or (m, k).
     """
 
     def __init__(self, problem: HardyProblem):
@@ -372,17 +371,6 @@ class HardyOperator:
         u, v = self._weights(Y)
         return self.kernel.shadow(v * Y) / u
 
-    def matvec(self, X: np.ndarray) -> np.ndarray:
-        return self._by_id(self.apply, X)
-
-    def rmatvec(self, Y: np.ndarray) -> np.ndarray:
-        return self._by_id(self.apply_t, Y)
-
-    def _by_id(self, bfs_map, X: np.ndarray) -> np.ndarray:
-        rank = self.kernel.rank
-        out = np.empty(X.shape)
-        out[rank] = bfs_map(X[rank])
-        return out
 
 
 def _pnorm_power(apply, apply_t, m: int, p: float) -> tuple[float, float, np.ndarray, int]:
@@ -460,12 +448,28 @@ def alpha_K(problem: HardyProblem, boundary) -> AlphaResult:
     Restricting to b >= 0 supported on the union of the boundary paths is
     lossless because the constraints involve |b_s|; the program then
     decomposes exactly along the path tree, see _alpha_tree_recursion.
+
+    TreeError unless the boundary is a nonempty antichain of Gamma*
+    (repeats are ignored). Its vertices are pairwise incomparable exactly
+    when the path sum of their indicator is 1 at each of them: one kernel
+    prefix pass.
     """
     tree = problem.tree
-    bnd = Antichain.of(tree, boundary).vertices
+    bnd = tuple(sorted({int(t) for t in boundary}))
+    if not bnd:
+        raise TreeError("the boundary must be nonempty")
+    if bnd[0] < 0 or bnd[-1] >= tree.n:
+        raise TreeError(f"boundary vertices must lie in [0, {tree.n}), got {list(bnd)}")
+    if tree.root in bnd:
+        raise TreeError("the root cannot belong to the boundary")
     K = tree.kernel
+    mine = np.isin(K.order, bnd)
+    below = mine & (K.prefix(mine) > 1)
+    if below.any():
+        raise TreeError(f"boundary vertex {int(K.order[below].min())} lies below "
+                        "another boundary vertex")
     # the union of the boundary paths: the vertices whose shadow meets bnd
-    support = np.sort(K.order[K.shadow(np.isin(K.order, bnd)) > 0]).tolist()
+    support = np.sort(K.order[K.shadow(mine) > 0]).tolist()
     full = _alpha_tree_recursion(problem, bnd, support)
     alpha = float(np.sum(full[support] ** problem.p) ** (1.0 / problem.p))
     return AlphaResult(alpha, full)

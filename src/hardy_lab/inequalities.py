@@ -7,10 +7,9 @@ stratified Monte Carlo over the covering cells with per-cell counter-based
 seeding: results are deterministic given (seed, sample count), and every
 report carries a two-run spread obtained from an independent seed.
 
-Distance to the boundary defaults to the per-cell edge surrogate d = l_t
-(constant on each cube), the same essentially-constant equivalence the
-covering machinery relies on; exact graph distance is available as the
-"graph" mode for diagnostics.
+Distance to the boundary is the per-cell edge surrogate d = l_t (constant
+on each cube), the same essentially-constant equivalence d(x) ~ l(Q_t) the
+covering machinery relies on.
 """
 
 from __future__ import annotations
@@ -196,15 +195,6 @@ def _sum_squares(cols: Iterable[np.ndarray], count: int) -> np.ndarray:
         s += square(sq)
     return s
 
-def _d_values(cov: CubeCovering, edge, pts: np.ndarray, mode: str) -> np.ndarray:
-    """d at pts: the cell edge surrogate (one float, or one per point), or the
-    distance to the graph."""
-    if mode == "cell":
-        return np.full(len(pts), edge, dtype=float)
-    if mode == "graph":
-        return cov.graph_distance(pts)
-    raise ValueError(f"unknown distance mode {mode!r}")
-
 
 @dataclass(frozen=True)
 class RatioReport:
@@ -314,7 +304,7 @@ def _locate_own_first(cov: CubeCovering, own: np.ndarray, y: np.ndarray) -> np.n
 
 
 def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
-               p: float, samples: int, seed: int, d_mode: str) -> tuple[float, float]:
+               p: float, samples: int, seed: int) -> tuple[float, float]:
     """One quadrature pass for the improved Poincare or Korn ratio.
 
     The weighted-mean projection (scalar constant / antisymmetric matrix)
@@ -324,9 +314,9 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
     Cells are drawn and reduced in blocks of whole cells in id order (see
     _blocks). Everything but the lhs needs only its own cell, so each block
     keeps just the inputs of the lhs, (w, d^{beta p}, f) or (w, d^{beta p},
-    J), until the mean is known, d^{beta p} once per cell in "cell" mode;
-    math.fsum rounds exactly, so the order of the per-cell terms does not
-    matter. Each per-cell sum is np.sum over the cell's own rows and each
+    J), until the mean is known, d^{beta p} once per cell; math.fsum
+    rounds exactly, so the order of the per-cell terms does not matter.
+    Each per-cell sum is np.sum over the cell's own rows and each
     Korn mean term one einsum over them, added in cell order:
     np.add.reduceat, or one einsum per block, adds the same terms in
     another order, so gives other bits.
@@ -347,14 +337,11 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
         pts = _draw_cells(cov, block, m, seed)
         ends = np.cumsum(m).tolist()
         w = vols[block] / m
-        if d_mode == "cell":
-            # d is constant on a cell: one array power per cell, then repeated
-            # (never a Python-float pow, whose last bit can differ from numpy's)
-            d, per = edges[block], m
-        else:
-            d, per = _d_values(cov, None, pts, d_mode), 1
+        # d is constant on a cell: one array power per cell, then repeated
+        # (never a Python-float pow, whose last bit can differ from numpy's)
+        d = edges[block]
         d_beta_p = d ** (beta * p)
-        dbp = np.repeat(d_beta_p, per)
+        dbp = np.repeat(d_beta_p, m)
         denom_terms += _cell_terms(w, ends, dbp)
         if poincare:
             fv = f.value(pts)
@@ -364,7 +351,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
             del g
             np.sqrt(r, out=r)
             num_terms += _cell_terms(w, ends, dbp * fv)
-            kept.append((w, ends, d_beta_p, per, fv))
+            kept.append((w, ends, d_beta_p, m, fv))
         else:
             # korn: the weighted-mean antisymmetric part of the Jacobian is removed
             J = f.jacobian(pts)
@@ -377,10 +364,10 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
             eps = ((J[:, j, k] + J[:, k, j]) * 0.5 for j in range(n) for k in range(n))
             r = _sum_squares(eps, n * n)
             np.sqrt(r, out=r)
-            kept.append((w, ends, d_beta_p, per, J))
+            kept.append((w, ends, d_beta_p, m, J))
         del dbp
         r **= p
-        r *= np.repeat(d ** rhs_expo, per)
+        r *= np.repeat(d ** rhs_expo, m)
         rhs_terms += _cell_terms(w, ends, r)
         del r
     denom = math.fsum(denom_terms)
@@ -392,7 +379,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
     # cell, the root, meets the lhs temporaries alone
     lhs_terms = []
     while kept:
-        w, ends, d_beta_p, per, v = kept.pop()
+        w, ends, d_beta_p, m, v = kept.pop()
         if poincare:
             r = v - c
             np.abs(r, out=r)
@@ -402,7 +389,7 @@ def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
             np.sqrt(r, out=r)
         del v
         r **= p
-        r *= np.repeat(d_beta_p, per)
+        r *= np.repeat(d_beta_p, m)
         lhs_terms += _cell_terms(w, ends, r)
     lhs = math.fsum(lhs_terms)
     return lhs ** (1.0 / p), math.fsum(rhs_terms) ** (1.0 / p)
@@ -412,8 +399,8 @@ _SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
-                    s: float, tau: float, samples: int, seed: int,
-                    d_mode: str) -> tuple[float, float, float]:
+                    s: float, tau: float, samples: int,
+                    seed: int) -> tuple[float, float, float]:
     """Stratified pair sampling for the fractional seminorm.
 
     x is stratified by cell; the offset radius is drawn from the power law
@@ -438,7 +425,7 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     pts, u, g = _draw_cells(cov, cells, m, seed, offsets=True)
     c = np.repeat(cells, m)                         # the cell of x, then of y
 
-    dx = _d_values(cov, edges[c], pts, d_mode)
+    dx = edges[c]
     R = tau * dx
     r = u
     r **= 1.0 / kappa
@@ -456,7 +443,7 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     inside = c >= 0
     rejected = float(np.mean(~inside))
     dy = np.zeros(len(y))
-    dy[inside] = _d_values(cov, edges[c[inside]], y[inside], d_mode)
+    dy[inside] = edges[c[inside]]
     del c
     fv = f.value(pts)
     del pts
@@ -506,22 +493,25 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
 
 
 KINDS = ("improved_poincare", "fractional_poincare", "korn")
-D_MODES = ("cell", "graph")
 
 
 def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
                      beta: float, p: float, s: float | None = None,
                      tau: float | None = None, samples: int = 10 ** 5,
-                     seed: int = 0, d_mode: str = "cell") -> RatioReport:
-    """Measured lhs/rhs for one inequality, with a two-seed spread.
+                     seed: int = 0) -> RatioReport:
+    """Measured lhs/rhs for one inequality, with a two-seed spread; d is the
+    edge l_t of the cell a point lies in.
 
     ValueError before any drawing unless p is finite with p >= 1, beta is
-    finite, samples >= 1 and d_mode is one of D_MODES."""
+    finite, samples >= 1, and s, tau are given in (0, 1) for
+    fractional_poincare and left unset for the other kinds."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if kind == "fractional_poincare":
         if s is None or tau is None or not (0 < s < 1 and 0 < tau < 1):
             raise ValueError("fractional_poincare needs s, tau in (0, 1)")
+    elif s is not None or tau is not None:
+        raise ValueError(f"{kind} takes no s or tau")
     if kind == "korn" and not f.vector:
         raise ValueError("korn needs a vector field")
     if kind != "korn" and f.vector:
@@ -532,13 +522,11 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         raise ValueError(f"beta must be finite, got {beta}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if d_mode not in D_MODES:
-        raise ValueError(f"d_mode must be one of {D_MODES}, got {d_mode!r}")
 
     def run(sd: int) -> tuple[float, float, float | None]:
         if kind == "fractional_poincare":
-            return _fractional_run(f, covering, beta, p, s, tau, samples, sd, d_mode)
-        return (*_local_run(kind, f, covering, beta, p, samples, sd, d_mode), None)
+            return _fractional_run(f, covering, beta, p, s, tau, samples, sd)
+        return (*_local_run(kind, f, covering, beta, p, samples, sd), None)
 
     lhs, rhs, rejected = run(seed)
     lhs2, rhs2, _ = run(seed + 1)
@@ -549,7 +537,7 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
     else:
         mid = 0.5 * (ratio + ratio2)
         spread = abs(ratio - ratio2) / mid if mid > 0 and math.isfinite(mid) else math.inf
-    params = {"beta": beta, "p": p, "s": s, "tau": tau, "d_mode": d_mode,
+    params = {"beta": beta, "p": p, "s": s, "tau": tau,
               "alpha": covering.profile.alpha, "function": f.name}
     # both samplers share max(samples, cells) points out by volume (_allocate),
     # which leaves the smallest cells without a point when samples are few

@@ -1,4 +1,5 @@
-"""Rooted trees on dense integer ids, with the path/shadow order machinery.
+"""Rooted trees on dense integer ids, with a level-vectorised kernel for
+path and shadow sums.
 
 Conventions used throughout the package:
 
@@ -14,8 +15,6 @@ tie-break is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -88,15 +87,6 @@ class RootedTree:
         return tuple(d)
 
     @cached_property
-    def paths(self) -> tuple[tuple[int, ...], ...]:
-        """paths[t] = path from the child of the root down to t, inclusive."""
-        p: list[tuple[int, ...]] = [()] * self.n
-        for t in self.topo:
-            if t != self.root:
-                p[t] = p[self.parent[t]] + (t,)
-        return tuple(p)
-
-    @cached_property
     def kernel(self) -> "TreeKernel":
         """Level-vectorised path-prefix and shadow sums over Gamma*."""
         return TreeKernel(self)
@@ -116,48 +106,6 @@ class RootedTree:
     @property
     def max_depth(self) -> int:
         return max(self.depth)
-
-    # -- queries -------------------------------------------------------------
-
-    def path(self, t: int) -> list[int]:
-        """Ordered path from the root's child down to t; excludes the root."""
-        self._check_vertex(t)
-        if t == self.root:
-            warnings.warn("path(root) is empty", stacklevel=2)
-            return []
-        return list(self.paths[t])
-
-    def shadow(self, t: int) -> list[int]:
-        """All vertices at or below t, in increasing id order."""
-        self._check_vertex(t)
-        if t == self.root:
-            return sorted(self.gamma_star)
-        out = [t]
-        for s in out:
-            out.extend(self.children[s])
-        return sorted(out)
-
-    def lca(self, s: int, t: int) -> int:
-        """Deepest common ancestor of s and t (the root when they share no other)."""
-        depth = self.depth
-        while depth[s] > depth[t]:
-            s = self.parent[s]
-        while depth[t] > depth[s]:
-            t = self.parent[t]
-        while s != t:
-            s, t = self.parent[s], self.parent[t]
-        return s
-
-    def precedes(self, s: int, t: int) -> bool:
-        """s <= t in the tree order."""
-        depth = self.depth
-        while depth[t] > depth[s]:
-            t = self.parent[t]
-        return t == s
-
-    def _check_vertex(self, t: int) -> None:
-        if not 0 <= t < self.n:
-            raise TreeError(f"vertex id {t} out of range [0, {self.n})")
 
     def __eq__(self, other):
         return isinstance(other, RootedTree) and self.parent == other.parent
@@ -246,37 +194,6 @@ def build_tree(parent_list: Iterable[tuple[int, int]]) -> RootedTree:
         raise TreeError("exactly one id must be absent from the child column")
     parent[missing[0]] = -1
     return RootedTree(parent)
-
-
-@dataclass(frozen=True)
-class Antichain:
-    """A validated nonempty antichain of Gamma*, stored sorted."""
-
-    vertices: tuple[int, ...]
-
-    @staticmethod
-    def of(tree: RootedTree, vertices: Iterable[int]) -> "Antichain":
-        vs = sorted(set(int(v) for v in vertices))
-        if not vs:
-            raise TreeError("antichain must be nonempty")
-        for v in vs:
-            tree._check_vertex(v)
-            if v == tree.root:
-                raise TreeError("the root cannot belong to an antichain")
-        chosen = set(vs)
-        for t in vs:
-            s = tree.parent[t]
-            while s != tree.root:
-                if s in chosen:
-                    raise TreeError(f"vertices {s} and {t} are comparable")
-                s = tree.parent[s]
-        return Antichain(tuple(vs))
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 # -- generators used by the CLI and the test corpus -------------------------

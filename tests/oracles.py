@@ -16,6 +16,12 @@ all-cells-kept sampler below are the straightforward forms they are
 checked against, as is the multistart power iteration with its
 ratio-change stop rule, and the theta search that ran one kernel pass per
 theta where the library shares one pass among a block of thetas.
+
+The library keeps no per-vertex root paths: `tree_paths` builds them here
+for the dense oracles (`hardy_matrix`, `induced_subtree`, `alpha_gram`).
+`graph_distance` is the grid search for the distance to the graph that the
+samplers' former "graph" mode used; it now only checks that the cube edge
+is comparable to that distance.
 """
 
 import itertools
@@ -26,18 +32,29 @@ import numpy as np
 
 import hardy_lab as hl
 from hardy_lab.hardy import HardyOperator, NonConvergenceError
-from hardy_lab.inequalities import _allocate, _cell_rng, _d_values
+from hardy_lab.inequalities import _allocate, _cell_rng
+
+
+def tree_paths(tree) -> list:
+    """paths[t] = the path from the root's child down to t, inclusive, as a
+    tuple; () at the root. Built top-down in BFS order."""
+    paths = [()] * tree.n
+    for t in tree.topo:
+        if t != tree.root:
+            paths[t] = paths[tree.parent[t]] + (t,)
+    return paths
 
 
 def hardy_matrix(problem) -> np.ndarray:
     """M[s, t] = v_s / u_t on pairs t <= s, rows/cols in Gamma* order."""
     tree = problem.tree
+    paths = tree_paths(tree)
     gs = list(tree.gamma_star)
     m = len(gs)
     M = np.zeros((m, m))
     col = {t: j for j, t in enumerate(gs)}
     for i, s in enumerate(gs):
-        for t in tree.paths[s]:
+        for t in paths[s]:
             M[i, col[t]] = problem.v[s] / problem.u[t]
     return M
 
@@ -60,7 +77,16 @@ def multistart_pnorm(problem, form="primal", rtol=1e-10, maxiter=100_000,
     relative (and, at p = 2, its eigen-residual is below 10 rtol); the
     best ratio over the columns is returned."""
     op = HardyOperator(problem)
-    matvec, rmatvec, p = op.matvec, op.rmatvec, problem.p
+    rank = op.kernel.rank                       # BFS position -> Gamma* index
+
+    def by_id(bfs_map):
+        def apply(X):
+            out = np.empty(X.shape)
+            out[rank] = bfs_map(X[rank])
+            return out
+        return apply
+
+    matvec, rmatvec, p = by_id(op.apply), by_id(op.apply_t), problem.p
     if form == "dual":
         matvec, rmatvec, p = rmatvec, matvec, problem.q
     q = p / (p - 1.0)
@@ -104,18 +130,26 @@ class AntichainCapExceeded(RuntimeError):
         self.count = count
 
 
+def order_masks(tree) -> tuple[list, list]:
+    """(above, below): above[t] has bit s set iff s <= t (the root
+    included), below[t] iff s >= t; so s <= t iff above[t] >> s & 1."""
+    n, root = tree.n, tree.root
+    below = [1 << t for t in range(n)]
+    for t in reversed(tree.topo):
+        for c in tree.children[t]:
+            below[t] |= below[c]
+    above = [0] * n
+    for t in tree.topo:
+        above[t] = (above[tree.parent[t]] if t != root else 0) | (1 << t)
+    return above, below
+
+
 def enumerate_antichains(tree, cap=None):
     """Yield every nonempty antichain of Gamma* as a sorted tuple, in
     lexicographic order. Raises AntichainCapExceeded as soon as more than
     `cap` antichains have been produced; the count so far is attached."""
     n, root = tree.n, tree.root
-    below = [1 << t for t in range(n)]          # {s : s >= t}
-    for t in reversed(tree.topo):
-        for c in tree.children[t]:
-            below[t] |= below[c]
-    above = [0] * n                             # {s : s <= t}, root included
-    for t in tree.topo:
-        above[t] = (above[tree.parent[t]] if t != root else 0) | (1 << t)
+    above, below = order_masks(tree)
     incomp = [(above[t] | below[t]) & ~(1 << root) for t in range(n)]
     count = 0
 
@@ -138,9 +172,10 @@ def induced_subtree(tree, antichain):
     """(K, boundary) induced by an antichain: K is the root plus the union
     of the paths to the antichain vertices, whose <=-maximal vertices are
     exactly the antichain."""
+    paths = tree_paths(tree)
     K = {tree.root}
     for t in set(antichain):
-        K.update(tree.paths[t])
+        K.update(paths[t])
     boundary = {t for t in K if not any(c in K for c in tree.children[t])}
     return K, boundary
 
@@ -168,12 +203,13 @@ def alpha_gram(problem, boundary):
     minimiser when b >= 0, which the hierarchical Gram structure makes
     automatic. Returns (alpha, b) with b full-length."""
     tree = problem.tree
+    paths = tree_paths(tree)
     bnd = sorted(boundary)
-    support = sorted({s for t in bnd for s in tree.paths[t]})
+    support = sorted({s for t in bnd for s in paths[t]})
     col = {s: j for j, s in enumerate(support)}
     G = np.zeros((len(bnd), len(support)))
     for i, t in enumerate(bnd):
-        for s in tree.paths[t]:
+        for s in paths[t]:
             G[i, col[s]] = 1.0 / problem.u[s]
     b = G.T @ np.linalg.solve(G @ G.T, np.ones(len(bnd)))
     full = np.zeros(tree.n)
@@ -293,6 +329,35 @@ def min_phi_decision(profile, lo, hi, threshold: float, max_points: int = 1 << 1
             return True
         m *= 2
     return None
+
+
+def graph_distance(profile, points) -> np.ndarray:
+    """Distance from each point to the graph of phi by projected search: a
+    2049-point grid per axis (257 on a 2-D base) over the widened strip,
+    then 3 refinements by 33 points per axis around the nearest sample.
+    The Holder modulus bounds the error by the final grid spacing."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    L = float(profile.ell)
+    d = profile.n - 1
+    base_grid = 257 if d == 2 else 2049
+    axes = [np.linspace(-1.5 * L, 1.5 * L, base_grid)] * d
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+    base = np.asarray(profile.phi(grid), dtype=float)     # shared by every point
+    out = np.empty(len(pts))
+    for i, x in enumerate(pts):
+        g, gv = grid, base
+        h = 3.0 * L / (base_grid - 1)           # current sample spacing
+        for r in range(4):                      # the base grid, then 3 refinements
+            if r:
+                local = [np.clip(np.linspace(b - h, b + h, 33), -1.5 * L, 1.5 * L)
+                         for b in g[k]]
+                g = np.stack([a.ravel() for a in np.meshgrid(*local)], axis=-1)
+                gv = np.asarray(profile.phi(g), dtype=float)
+                h /= 16.0
+            d2 = np.sum((g - x[:-1]) ** 2, axis=1) + (gv - x[-1]) ** 2
+            k = int(np.argmin(d2))
+        out[i] = math.sqrt(float(d2[k]))
+    return out
 
 
 def rough_phi(x, scales: int = 14, amplitude: float = 0.5):
@@ -703,7 +768,7 @@ def verify_decomposition(result, sum_tol: float = 1e-12, mean_tol: float = 1e-10
             "mean_bound": bound}
 
 
-def local_run(kind, f, cov, beta, p, samples, seed, d_mode):
+def local_run(kind, f, cov, beta, p, samples, seed):
     """The improved Poincare / Korn quadrature pass with every cell's
     arrays kept until the end: draw all cells, then take each sum over the
     kept data."""
@@ -720,7 +785,7 @@ def local_run(kind, f, cov, beta, p, samples, seed, d_mode):
         lo, hi = cov.corners[0][t], cov.corners[1][t]
         pts = lo + _cell_rng(seed, t).random((m, n)) * (hi - lo)
         w = vols[t] / m
-        d = _d_values(cov, cov.edge_array[t], pts, d_mode)
+        d = np.full(m, cov.edge_array[t])
         dbp = d ** (beta * p)
         if kind == "improved_poincare":
             fv = f.value(pts)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hardy_lab as hl
 import hardy_lab.cli as cli
 from hardy_lab.cli import _report_text, main
 
@@ -45,6 +46,42 @@ def test_hardy_on_bare_tree_uses_unit_weights(tmp_path):
     # single vertex: all four constants equal v1/u1 = 1
     for key in ("a_chain", "a_tree", "b_ehp", "c_exact"):
         assert rep[key] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hardy_problem_p_mismatch_exits_2(tmp_path, capsys):
+    # a problem file brings its own p; a different --p is refused, not ignored
+    out = str(tmp_path)
+    problem = os.path.join(out, "problem.json")
+    with open(problem, "w") as fh:
+        json.dump({"tree": {"root": 0, "parents": [[1, 0], [2, 1]]},
+                   "u": [1.0, 1.0], "v": [1.0, 1.0], "p": 3.0}, fh)
+    assert main(["hardy", "--input", problem, "--p", "1.5", "--out", out]) == 2
+    assert "--p 1.5 does not match the problem's p = 3" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "hardy.json"))
+
+
+@pytest.mark.parametrize("source,flags,p", [
+    ("problem", [], 3.0),
+    ("problem", ["--p", "3"], 3.0),
+    ("tree", [], 2.0),
+    ("tree", ["--p", "1.5"], 1.5),
+])
+def test_hardy_config_echoes_the_p_used(tmp_path, source, flags, p):
+    out = str(tmp_path)
+    assert main(["tree", "--chain", "2", "--out", out]) == 0
+    path = os.path.join(out, "tree.json")
+    if source == "problem":
+        path = os.path.join(out, "problem.json")
+        with open(path, "w") as fh:
+            json.dump({"tree": read(os.path.join(out, "tree.json"))["report"],
+                       "u": [1.0, 1.0], "v": [1.0, 1.0], "p": 3.0}, fh)
+    assert main(["hardy", "--input", path, "--out", out] + flags) == 0
+    doc = read(os.path.join(out, "hardy.json"))
+    assert doc["config"]["p"] == p
+    # and the report was computed at that p
+    ones = [1.0, 1.0]
+    want = hl.hardy_report(hl.make_problem(hl.chain_tree(2), ones, ones, p)).to_json()
+    assert doc["report"]["c_exact"] == want["c_exact"]
 
 
 def test_hardy_cap_exceeded_exits_3(tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,11 +28,14 @@ from oracles import (
     cube_rows,
     disjoint_and_coverage,
     fit_constants,
+    graph_distance,
     holder_quotient_max,
     level_rows,
     min_phi_decision,
+    path_prefix_sums,
     rough_phi,
     row_export,
+    shadow_sums,
     tail_sums,
 )
 
@@ -57,10 +61,12 @@ def test_flat_always_halves():
     # phi == 2: every test cube tops out at exactly 2 + 2^-m, so each path
     # strictly halves and holds at most one cube per size class
     cov = hl.build_covering(hl.profile_flat(2.0), depth_max=6)
-    for t in range(cov.tree.n):
-        P, _ = hl.counting_profiles(cov, t)
-        assert all(c <= 1 for c in P.values())
-    assert cov.level_counts() == {m: 2 ** m for m in range(7)}
+    K = cov.tree.kernel
+    cls = np.asarray(cov.size_class)[K.order]
+    for j in np.unique(cov.size_class).tolist():
+        # cubes of class j on the path to each cube; the root is class 0
+        assert K.prefix(cls == j).max() + (j == 0) <= 1
+    assert Counter(cov.level) == {m: 2 ** m for m in range(7)}
 
 
 def test_b_volume_is_half_cube():
@@ -93,11 +99,17 @@ def test_dyadic_coordinates(demo_cov6):
 
 
 def test_counting_profiles_root_child():
+    # per size class, the cubes on the path to the root's first child (the
+    # root included) and in its shadow, from per-vertex oracle sums
     cov = hl.build_covering(hl.profile_flat(2.0), depth_max=3)
-    child = cov.tree.children[0][0]
-    P, W = hl.counting_profiles(cov, child)
-    assert P == {0: 1, 1: 1}
-    assert sum(W.values()) == len(cov.tree.shadow(child))
+    tree = cov.tree
+    child = tree.children[0][0]
+    cls = np.asarray(cov.size_class)
+    P = {j: path_prefix_sums(tree, cls == j)[child] + (j == cls[tree.root])
+         for j in range(4)}
+    W = {j: shadow_sums(tree, cls == j)[child] for j in range(4)}
+    assert P == {0: 1, 1: 1, 2: 0, 3: 0}
+    assert W == {0: 0, 1: 1, 2: 2, 3: 4}
 
 
 def test_counting_bounds_trivial_w_at_own_class(demo_cov6):
@@ -257,9 +269,12 @@ def test_profile_validation_memory():
 
 
 def test_admissibility_interval(demo_cov6):
-    lo, hi, ratios = demo_cov6.admissibility_interval()
-    assert 0.1 < lo <= hi < 20.0
+    # d(x) ~ l(Q_t): the distance from each cube's center to the graph is
+    # comparable to its edge
+    lows, highs = demo_cov6.corners
+    ratios = graph_distance(demo_cov6.profile, (lows + highs) / 2) / demo_cov6.edge_array
     assert len(ratios) == demo_cov6.cube_count
+    assert 0.1 < ratios.min() <= ratios.max() < 20.0
 
 
 def test_locate(demo_cov6):
@@ -339,7 +354,7 @@ def test_covering_json_fractions(demo_cov6):
 
 def test_three_dimensional_covering():
     cov = hl.build_covering(hl.profile_flat(2.0, n=3), depth_max=3)
-    assert cov.level_counts() == {m: 4 ** m for m in range(4)}
+    assert Counter(cov.level) == {m: 4 ** m for m in range(4)}
     rep = check_disjoint_and_coverage(cov)
     assert rep["disjoint"] and rep["coverage_exact"]
     pr = hl.weights_from_beta(cov, 0.0, 2.0)
@@ -624,7 +639,6 @@ def test_integer_cells_match_fraction_oracle(profile, depth):
     doc = cov.to_json()
     assert row_export(doc) == oracle.to_json()
     assert check_disjoint_and_coverage(cov) == disjoint_and_coverage(doc)
-    assert cov.centers().tobytes() == oracle.centers().tobytes()
     lows, highs = cov.corners
     for t in range(cov.tree.n):
         lo, hi = oracle.box(t)
@@ -634,7 +648,7 @@ def test_integer_cells_match_fraction_oracle(profile, depth):
     pts = np.column_stack([rng.uniform(-0.7 * L, 0.7 * L, (3000, cov.n - 1)),
                            rng.uniform(-0.2 * L, 3.2 * L, 3000)])
     pick = np.where(rng.integers(0, 2, (cov.tree.n, cov.n)) == 1, lows, highs)
-    pts = np.concatenate([pts, pick, lows, highs, cov.centers()])
+    pts = np.concatenate([pts, pick, lows, highs, oracle.centers()])
     assert cov.locate(pts).tolist() == [oracle.locate(x) for x in pts]
 
 

@@ -156,7 +156,7 @@ def test_decompose_leaf_supported():
     b = sp.bfrag[leaf]
     vals[b] = -float(sp.volume[frag] / sp.volume[b])
     res = decompose(CellFunction(sp, tuple(vals)), q=2.0)
-    assert set(res.frag[res.vertex == leaf].tolist()) <= set(sp.u_frags(leaf))
+    assert set(res.frag[res.vertex == leaf].tolist()) <= set(oracles.u_frags(sp, leaf))
     assert set(res.vertex.tolist()) <= {leaf, cov.tree.parent[leaf]}
     doc = res.to_json()["parts"]
     assert len(doc) == cov.tree.n
@@ -245,7 +245,7 @@ def test_decompose_on_random_abstract_spaces():
         total = np.zeros(len(sp.vol))
         gmax = max(abs(v) for v in g.values)
         for t, part in oracles.parts(res).items():
-            allowed = set(sp.u_frags(t))
+            allowed = set(oracles.u_frags(sp, t))
             assert set(part) <= allowed
             mean = sum(v * float(sp.volume[i]) for i, v in part.items())
             assert abs(mean) <= 1e-10 * float(g.abs_integral())
@@ -424,7 +424,7 @@ def test_decomposition_matches_per_vertex_oracle(name, demo_cov6):
                 assert abs(v - ref["parts"][t][i]) <= 1e-15 * scale
         for t in range(sp.tree.n):
             assert abs(res.shadow_integrals[t] - ref["S"][t]) <= 1e-15 * g1
-            assert sp.u_frags(t) == oracles.u_frags(sp, t)
+            assert tuple(sp.pair_frag[sp.pair_vertex == t].tolist()) == oracles.u_frags(sp, t)
         assert res.lhs_norm == pytest.approx(ref["lhs"], rel=1e-14)
         assert res.rhs_norm == pytest.approx(ref["rhs"], rel=1e-14)
         assert sp.overlap_bound == oracles.overlap_bound(sp)
@@ -453,7 +453,7 @@ def test_verify_rejects_values_outside_u_t(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=0.0)
     res = decompose(random_mean_zero(sp, np.random.default_rng(11)), q=2.0)
     t = sp.tree.leaves[0]
-    outside = next(i for i in range(len(sp.vol)) if i not in sp.u_frags(t))
+    outside = next(i for i in range(len(sp.vol)) if i not in oracles.u_frags(sp, t))
     _append_entry(res, t, outside, 1e-3)
     with pytest.raises(DecompositionError, match=f"outside U_t \\(vertex {t}\\)"):
         verify_decomposition(res, 2.0)
@@ -462,7 +462,7 @@ def test_verify_rejects_values_outside_u_t(demo_cov6):
     # a fragment id past the end must not alias the pair key of the next vertex
     res = decompose(random_mean_zero(sp, np.random.default_rng(11)), q=2.0)
     m = len(sp.vol)
-    _append_entry(res, 0, m + sp.u_frags(1)[0], 0.0)
+    _append_entry(res, 0, m + oracles.u_frags(sp, 1)[0], 0.0)
     with pytest.raises(DecompositionError, match="outside U_t"):
         verify_decomposition(res, 2.0)
 

@@ -120,42 +120,26 @@ def local_coverings(demo_cov6):
             "demo3d3": hl.build_covering(hl.profile_demo(n=3), depth_max=3)}
 
 
-def _with_fast_graph_distance(cov, d_mode):
-    """cov, or in "graph" mode a copy whose d is the vertical gap to the
-    graph: the exact graph distance searches a grid per point, seconds per
-    pass on the 3-D covering, and the gap is a per-point d through the same
-    code path (the exact one is checked below)."""
-    if d_mode != "graph":
-        return cov
-    phi = cov.profile.phi
-    cov = dataclasses.replace(cov)
-    cov.graph_distance = lambda x: phi(x[:, :-1]) - x[:, -1]
-    return cov
-
-
 LOCAL_FUNCTIONS = {"poincare-bilinear": ("improved_poincare", lambda n: hl.f_bilinear()),
                    "korn-shear": ("korn", hl.u_shear),
                    "korn-rotation": ("korn", hl.u_rigid_rotation)}
 
 
 @pytest.mark.parametrize("beta,p", [(0.0, 2.0), (0.3, 3.0), (-0.2, 1.5)])
-@pytest.mark.parametrize("d_mode", ["cell", "graph"])
 @pytest.mark.parametrize("function", LOCAL_FUNCTIONS)
 @pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
-def test_local_run_matches_all_cells_kept(local_coverings, name, function, d_mode,
-                                          beta, p):
-    cov = _with_fast_graph_distance(local_coverings[name], d_mode)
+def test_local_run_matches_all_cells_kept(local_coverings, name, function, beta, p):
+    cov = local_coverings[name]
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
-    rep = hl.inequality_ratio(kind, f, cov, beta, p, samples=3000, seed=3, d_mode=d_mode)
-    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3, d_mode)
+    rep = hl.inequality_ratio(kind, f, cov, beta, p, samples=3000, seed=3)
+    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3)
 
 
-@pytest.mark.parametrize("d_mode", ["cell", "graph"])
 @pytest.mark.parametrize("function", LOCAL_FUNCTIONS)
 @pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
 def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monkeypatch,
-                                                          name, function, d_mode):
+                                                          name, function):
     # 3000 samples fit in one block of the default size; blocks of 64 points
     # make runs of many cells, block edges, and cells larger than a block
     monkeypatch.setattr(ineq, "BLOCK_POINTS", 64)
@@ -165,19 +149,10 @@ def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monke
     assert max(len(b) for b in blocks) > 1
     assert any(len(b) == 1 and counts[b[0]] > 64 for b in blocks)
     assert np.array_equal(np.concatenate(blocks), np.flatnonzero(counts))
-    cov = _with_fast_graph_distance(cov, d_mode)
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
-    rep = hl.inequality_ratio(kind, f, cov, 0.3, 3.0, samples=3000, seed=3, d_mode=d_mode)
-    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3, d_mode)
-
-
-def test_local_run_matches_all_cells_kept_exact_graph_distance(demo_cov6):
-    f = hl.u_shear()
-    rep = hl.inequality_ratio("korn", f, demo_cov6, -0.2, 2.0, samples=2000, seed=5,
-                              d_mode="graph")
-    assert (rep.lhs, rep.rhs) == local_run("korn", f, demo_cov6, -0.2, 2.0, 2000, 5,
-                                           "graph")
+    rep = hl.inequality_ratio(kind, f, cov, 0.3, 3.0, samples=3000, seed=3)
+    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3)
 
 
 def test_fractional_sampler_memory(demo_cov6):
@@ -302,8 +277,8 @@ BAD_INPUTS = {
     "beta-inf-fractional": ("fractional_poincare", dict(beta=math.inf)),
     "samples-negative": ("improved_poincare", dict(samples=-5)),
     "samples-zero": ("korn", dict(samples=0)),
-    "d_mode-unknown": ("improved_poincare", dict(d_mode="bogus")),
-    "d_mode-unknown-fractional": ("fractional_poincare", dict(d_mode="bogus")),
+    "s-for-poincare": ("improved_poincare", dict(s=0.5)),
+    "tau-for-korn": ("korn", dict(tau=0.5)),
 }
 
 
@@ -393,16 +368,6 @@ def test_fractional_rejected_fraction_unit_square(flat_cov0):
     local = hl.inequality_ratio("improved_poincare", hl.f_linear(), flat_cov0,
                                 0.0, 2.0, samples=1000, seed=13)
     assert local.rejected_frac is None
-
-
-def test_fractional_graph_distance_mode_smoke(demo_cov6):
-    # exact graph distance for d(x) and d(y): small, deterministic, and equal
-    # to the value the per-cell sampler gave
-    rep = hl.inequality_ratio("fractional_poincare", hl.f_linear(), demo_cov6,
-                              0.0, 2.0, s=0.5, tau=0.5, samples=300, seed=13,
-                              d_mode="graph")
-    assert (rep.lhs, rep.rhs) == (0.407637972735449, 1.8826830690203658)
-    assert 0.0 < rep.rejected_frac < 1.0
 
 
 def test_sample_count_reports_points_drawn(demo_cov6):
@@ -508,17 +473,6 @@ def test_density_split_noninteger_weight_rejected(demo_cov6):
     F = CellFunction(sp, (1.0,) * len(sp.vol))
     with pytest.raises(DecompositionError, match="integrable"):
         hl.density_split(F, -0.3, 2.0, epsilon=1e-3)
-
-
-def test_graph_distance_mode_smoke(demo_cov6):
-    # the exact-distance diagnostic mode: small sample count, deterministic
-    f = hl.f_linear()
-    r1 = hl.inequality_ratio("improved_poincare", f, demo_cov6, 0.0, 2.0,
-                             samples=300, seed=13, d_mode="graph")
-    r2 = hl.inequality_ratio("improved_poincare", f, demo_cov6, 0.0, 2.0,
-                             samples=300, seed=13, d_mode="graph")
-    assert math.isfinite(r1.ratio) and r1.ratio > 0
-    assert r1.lhs == r2.lhs and r1.rhs == r2.rhs
 
 
 def test_cell_function_mean_zero_flag(demo_cov6):

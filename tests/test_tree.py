@@ -5,15 +5,17 @@ from hypothesis import strategies as st
 import numpy as np
 
 import hardy_lab as hl
-from hardy_lab.tree import Antichain, TreeError
+from hardy_lab.tree import TreeError
 from hardy_lab.hardy import _shadow_sums
 
 from oracles import (
     AntichainCapExceeded,
     enumerate_antichains,
     induced_subtree,
+    order_masks,
     path_prefix_sums,
     shadow_sums,
+    tree_paths,
 )
 
 
@@ -31,7 +33,7 @@ def test_build_two_chain():
 def test_build_branching():
     t = hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)])
     assert t.children[0] == (1, 2) and t.children[1] == (3, 4)
-    assert t.path(4) == [1, 4]
+    assert tree_paths(t)[4] == (1, 4)
 
 
 def test_build_errors():
@@ -43,57 +45,59 @@ def test_build_errors():
         hl.build_tree([(5, 0)])
 
 
+def _kernel_paths_and_shadows(t):
+    """path(v) and shadow(v) of every v in Gamma* as sets, from one kernel
+    prefix and one kernel shadow pass over the identity: column j of each
+    is the indicator of vertex order[j]."""
+    K = t.kernel
+    eye = np.eye(K.m)
+    P, S = K.prefix(eye), K.shadow(eye)
+    path = {int(v): set(K.order[P[i] > 0].tolist()) for i, v in enumerate(K.order)}
+    shadow = {int(v): set(K.order[S[i] > 0].tolist()) for i, v in enumerate(K.order)}
+    return path, shadow
+
+
 def test_path_examples():
     t = hl.build_tree([(1, 0), (2, 1)])
-    assert t.path(2) == [1, 2]
-    assert t.path(1) == [1]
+    assert tree_paths(t) == [(), (1,), (1, 2)]
     b = hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)])
-    assert b.path(3) == [1, 3]
-
-
-def test_path_of_root_flagged():
-    t = hl.chain_tree(2)
-    with pytest.warns(UserWarning):
-        assert t.path(0) == []
+    assert tree_paths(b)[3] == (1, 3)
+    assert _kernel_paths_and_shadows(b)[0][3] == {1, 3}
 
 
 def test_shadow_examples():
-    t = hl.chain_tree(2)
-    assert t.shadow(1) == [1, 2]
-    assert t.shadow(2) == [2]
-    b = hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)])
-    assert b.shadow(1) == [1, 3, 4]
+    _, shadow = _kernel_paths_and_shadows(hl.chain_tree(2))
+    assert shadow[1] == {1, 2}
+    assert shadow[2] == {2}
+    _, shadow = _kernel_paths_and_shadows(hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)]))
+    assert shadow[1] == {1, 3, 4}
+
+
+def _unit_problem(t):
+    ones = np.ones(t.n - 1)
+    return hl.make_problem(t, ones, ones, 2.0)
 
 
 def test_antichain_validation():
-    t = hl.chain_tree(2)
-    with pytest.raises(TreeError):
-        Antichain.of(t, [1, 2])        # comparable
-    with pytest.raises(TreeError):
-        Antichain.of(t, [])
-    with pytest.raises(TreeError):
-        Antichain.of(t, [0])           # root
-    assert Antichain.of(t, [2]).vertices == (2,)
-    b = hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)])
-    assert Antichain.of(b, [4, 3, 2]).vertices == (2, 3, 4)
-    with pytest.raises(TreeError):
-        Antichain.of(b, [2, 4, 1])     # 1 lies above 4
+    pr = _unit_problem(hl.chain_tree(2))
+    with pytest.raises(TreeError, match="below"):
+        hl.alpha_K(pr, [1, 2])         # comparable
+    with pytest.raises(TreeError, match="nonempty"):
+        hl.alpha_K(pr, [])
+    with pytest.raises(TreeError, match="root"):
+        hl.alpha_K(pr, [0])
+    with pytest.raises(TreeError, match="lie in"):
+        hl.alpha_K(pr, [3])            # out of range
+    assert np.flatnonzero(hl.alpha_K(pr, [2]).b).tolist() == [1, 2]
+    pr = _unit_problem(hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)]))
+    assert hl.alpha_K(pr, [4, 3, 2, 4]).alpha == hl.alpha_K(pr, [2, 3, 4]).alpha
+    with pytest.raises(TreeError, match="boundary vertex 4 lies below"):
+        hl.alpha_K(pr, [2, 4, 1])      # 1 lies above 4
 
 
-def _brute_above(t, v):
-    """Every s with s <= v, the root included, from path(v)."""
-    return {t.root} | set(t.paths[v])
-
-
-@given(st.integers(2, 40), st.integers(0, 10 ** 6))
-@settings(max_examples=30, deadline=None)
-def test_precedes_and_lca_match_paths(n, seed):
-    t = hl.random_tree(n, np.random.default_rng(seed))
-    for s in range(n):
-        for v in range(n):
-            assert t.precedes(s, v) == (s in _brute_above(t, v))
-            common = _brute_above(t, s) & _brute_above(t, v)
-            assert t.lca(s, v) == max(common, key=lambda x: t.depth[x])
+def _is_antichain(above, vs) -> bool:
+    """No two of vs comparable, judged by the oracle's bitmask order."""
+    return all(not above[b] >> a & 1 for a in vs for b in vs if a != b)
 
 
 def test_enumeration_hand_cases():
@@ -129,15 +133,14 @@ def test_enumeration_no_duplicates_and_sorted():
     out = list(enumerate_antichains(t))
     assert len(out) == len(set(out))
     assert out == sorted(out)
-    for a in out:
-        Antichain.of(t, a)             # each yield is a valid antichain
+    above, _ = order_masks(t)
+    assert all(_is_antichain(above, a) for a in out)   # each yield is an antichain
     # and nothing is missed: every subset of Gamma* that is an antichain
     gs = t.gamma_star
     subsets = 0
     for mask in range(1, 1 << len(gs)):
         vs = [v for i, v in enumerate(gs) if mask >> i & 1]
-        if all(not t.precedes(a, b) for a in vs for b in vs if a != b):
-            subsets += 1
+        subsets += _is_antichain(above, vs)
     assert subsets == len(out)
 
 
@@ -154,10 +157,14 @@ def test_induced_subtree_membership():
     assert K2 == {0, 1, 2, 3} and boundary2 == {2, 3}
 
 
-parents = st.integers(2, 60).flatmap(
-    lambda n: st.tuples(st.just(n),
-                        st.lists(st.integers(0, 10 ** 9), min_size=n - 1,
-                                 max_size=n - 1)))
+def _parent_lists(max_n):
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.tuples(st.just(n),
+                            st.lists(st.integers(0, 10 ** 9), min_size=n - 1,
+                                     max_size=n - 1)))
+
+
+parents = _parent_lists(60)
 
 
 def _tree_from(draw_tuple):
@@ -165,25 +172,46 @@ def _tree_from(draw_tuple):
     return hl.RootedTree([-1] + [raw[i - 1] % i for i in range(1, n)])
 
 
+@given(_parent_lists(12))
+@settings(max_examples=25, deadline=None)
+def test_alpha_k_boundary_check_matches_oracle(tup):
+    # every enumerated antichain is accepted, and every other nonempty subset
+    # of Gamma* holds a comparable pair and is rejected
+    t = _tree_from(tup)
+    pr = _unit_problem(t)
+    above, _ = order_masks(t)
+    antichains = set(enumerate_antichains(t))
+    gs = t.gamma_star
+    for mask in range(1, 1 << len(gs)):
+        vs = tuple(v for i, v in enumerate(gs) if mask >> i & 1)
+        if vs in antichains:
+            assert _is_antichain(above, vs)
+            assert hl.alpha_K(pr, vs).alpha > 0
+        else:
+            assert not _is_antichain(above, vs)
+            with pytest.raises(TreeError, match="lies below"):
+                hl.alpha_K(pr, vs)
+
+
+def _check_shadow_path_duality(t):
+    # the kernel's paths are the oracle's, and s lies in shadow(v) exactly
+    # when v lies on path(s)
+    path, shadow = _kernel_paths_and_shadows(t)
+    paths = tree_paths(t)
+    for v in t.gamma_star:
+        assert path[v] == set(paths[v])
+        assert shadow[v] & path[v] == {v}
+        assert shadow[v] == {s for s in t.gamma_star if v in path[s]}
+
+
 @given(parents)
 @settings(max_examples=60, deadline=None)
 def test_shadow_path_duality(tup):
-    t = _tree_from(tup)
-    for v in t.gamma_star:
-        shadow = set(t.shadow(v))
-        assert shadow & set(t.path(v)) == {v}
-        for s in shadow:
-            assert v in t.path(s)
+    _check_shadow_path_duality(_tree_from(tup))
 
 
 def test_shadow_path_on_200_vertex_tree():
-    t = hl.random_tree(200, np.random.default_rng(7))
-    for v in t.gamma_star:
-        shadow = set(t.shadow(v))
-        assert shadow & set(t.path(v)) == {v}
-    for v in t.gamma_star:
-        for s in t.shadow(v):
-            assert v in t.path(s)
+    _check_shadow_path_duality(hl.random_tree(200, np.random.default_rng(7)))
 
 
 @given(parents)
