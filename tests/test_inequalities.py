@@ -125,10 +125,12 @@ LOCAL_FUNCTIONS = {"poincare-bilinear": ("improved_poincare", lambda n: hl.f_bil
                    "korn-rotation": ("korn", hl.u_rigid_rotation)}
 
 
+# both samplers take d(x) = l(Q_t), the edge of x's cell: "cell" in the ids
 @pytest.mark.parametrize("beta,p", [(0.0, 2.0), (0.3, 3.0), (-0.2, 1.5)])
+@pytest.mark.parametrize("d", ["cell"])
 @pytest.mark.parametrize("function", LOCAL_FUNCTIONS)
 @pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
-def test_local_run_matches_all_cells_kept(local_coverings, name, function, beta, p):
+def test_local_run_matches_all_cells_kept(local_coverings, name, function, d, beta, p):
     cov = local_coverings[name]
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
@@ -136,10 +138,11 @@ def test_local_run_matches_all_cells_kept(local_coverings, name, function, beta,
     assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3)
 
 
+@pytest.mark.parametrize("d", ["cell"])
 @pytest.mark.parametrize("function", LOCAL_FUNCTIONS)
 @pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
 def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monkeypatch,
-                                                          name, function):
+                                                          name, function, d):
     # 3000 samples fit in one block of the default size; blocks of 64 points
     # make runs of many cells, block edges, and cells larger than a block
     monkeypatch.setattr(ineq, "BLOCK_POINTS", 64)
