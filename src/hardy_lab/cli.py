@@ -218,9 +218,9 @@ def cmd_decompose(args) -> int:
     cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
     problem = weights_from_beta(cov, args.beta, args.p)
     space = space_from_covering(cov, beta=args.beta)
+    bound = optimize_theta(problem, theta_max=args.theta_max).suff_bound
     g = random_mean_zero(space, np.random.default_rng(args.seed))
     result = decompose(g, problem)
-    bound = optimize_theta(problem, theta_max=args.theta_max).suff_bound
     report = verify_decomposition(result, bound)
     payload = {"decomposition": result.to_json(), "verification": report.to_json()}
     write_report(os.path.join(args.out, "decomposition.json"), payload, _config(args))
@@ -265,17 +265,20 @@ def _parser() -> argparse.ArgumentParser:
 
     phi_help = "profile: " + " | ".join(PROFILES)
 
-    def common(sp):
+    def common(sp, seed: bool = False, fmt: bool = False):
+        # only the options the subcommand reads, so its config has no dead keys
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if fmt:
+            sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("tree", help="generate or load a tree")
     sp.add_argument("--chain", type=int, metavar="EDGES")
     sp.add_argument("--star", type=int, metavar="LEAVES")
     sp.add_argument("--random", type=int, metavar="VERTICES")
     sp.add_argument("--input")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_tree)
 
     sp = sub.add_parser("hardy", help="full Hardy constant report")
@@ -285,7 +288,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-max", type=float, default=64.0)
     sp.add_argument("--cap", type=int, default=None,
                     help="most hull points ehp_B may evaluate (default: no limit)")
-    common(sp)
+    common(sp, fmt=True)
     sp.set_defaults(func=cmd_hardy)
 
     sp = sub.add_parser("covering", help="build a cube covering and verify it")
@@ -306,7 +309,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--theta-max", type=float, default=64.0)
     sp.add_argument("--cap", type=int, default=10 ** 6)
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("ineq", help="inequality ratio checkers and sweeps")
@@ -314,13 +317,15 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", default="demo", help=phi_help)
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--beta-grid", default=None, help="comma-separated betas")
+    sp.add_argument("--beta-grid", default=None,
+                    help="comma-separated betas; on Python 3.10 and 3.11 a grid whose "
+                    "first beta is negative must be written --beta-grid=-0.2,0.0")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--s", type=float, default=None)
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--samples", type=int, default=10 ** 5)
     sp.add_argument("--cap", type=int, default=10 ** 6)
-    common(sp)
+    common(sp, seed=True, fmt=True)
     sp.set_defaults(func=cmd_ineq)
     return ap
 

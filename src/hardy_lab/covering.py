@@ -37,6 +37,7 @@ tail sums read the ratios of the last 5 size classes.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -548,6 +549,8 @@ def build_covering(profile: HolderProfile, depth_max: int,
     (i, k + 1), the split children (2i + bits, 2(k + 1)) one class down, in
     the order itertools.product takes the halves of each axis.
     """
+    if depth_max < 0:
+        raise ValueError(f"depth_max must be >= 0, got {depth_max}")
     if profile.n not in (2, 3):
         raise CoveringError("only dimensions 2 and 3 are supported")
     profile.validate()
@@ -731,16 +734,14 @@ def verify_counting_bounds(cov: CubeCovering) -> BoundsReport:
 
 # -- induced Hardy problems -----------------------------------------------------
 
-def weights_from_beta(cov: CubeCovering, beta: float, p: float,
-                      gamma: float | None = None) -> HardyProblem:
+def weights_from_beta(cov: CubeCovering, beta: float, p: float) -> HardyProblem:
     """Distance-power weights nu = d^gamma, omega = d^beta with the edge
-    length as the distance surrogate; gamma defaults to the critical shift
-    beta + alpha - 1. The problem is tagged with the beta*p > -alpha
+    length as the distance surrogate, at the critical shift
+    gamma = beta + alpha - 1. The problem is tagged with the beta*p > -alpha
     predicate.
     """
     alpha = cov.profile.alpha
-    if gamma is None:
-        gamma = beta + alpha - 1.0
+    gamma = beta + alpha - 1.0
     gs = list(cov.tree.gamma_star)
     edges = cov.edge_array[gs]
     vols = cov.volume_array[gs] / 2         # |B_t| = |Q_t| / 2
@@ -760,8 +761,18 @@ class TailReport:
                 "decay": self.decay}
 
 
+def _check_beta_p(beta: float, p: float) -> None:
+    """ValueError unless p is finite with p >= 1 and beta is finite."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+
+
 def tail_integrability(cov: CubeCovering, beta: float, p: float) -> TailReport:
-    """Per-size-class partial sums of v^p = |B_t| edge^{beta p}."""
+    """Per-size-class partial sums of v^p = |B_t| edge^{beta p}; ValueError
+    unless beta is finite and p is finite with p >= 1."""
+    _check_beta_p(beta, p)
     count = np.bincount(np.asarray(cov.size_class)[list(cov.tree.gamma_star)])
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}

@@ -40,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .covering import CubeCovering
-from .hardy import HardyProblem, HardyReport, _shadow_sums
+from .hardy import HardyProblem, _shadow_sums
 from .tree import RootedTree
 
 class DecompositionError(RuntimeError):
@@ -131,12 +131,12 @@ class CellSpace:
         return int(np.bincount(self.pair_frag, minlength=1).max())
 
 
-def space_from_covering(cov: CubeCovering, beta: float | None = None,
-                        gamma: float | None = None) -> CellSpace:
+def space_from_covering(cov: CubeCovering, beta: float | None = None) -> CellSpace:
     """Fragments of a cube covering: core cells first (index = vertex id),
     then the connector slabs in Gamma* order. Weight values are the edge
-    powers nu = l_t^gamma, omega = l_t^beta tied to the fragment's vertex
-    (the slab B_s carries the edge of s, matching the essinf convention)."""
+    powers nu = l_t^gamma, omega = l_t^beta at the critical shift
+    gamma = beta + alpha - 1, tied to the fragment's vertex (the slab B_s
+    carries the edge of s, matching the essinf convention)."""
     tree, d = cov.tree, cov.n
     cls = np.asarray(cov.size_class, dtype=np.int64)
     gs = np.asarray(tree.gamma_star, dtype=np.int64)
@@ -164,10 +164,9 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None,
     ell_arr = np.concatenate([cov.edge_array, cov.edge_array[gs]])
     alpha = cov.profile.alpha
     if beta is None:
-        nu = omega = None
+        gamma = nu = omega = None
     else:
-        if gamma is None:
-            gamma = beta + alpha - 1.0
+        gamma = beta + alpha - 1.0
         nu = ell_arr ** gamma
         omega = ell_arr ** beta
     return CellSpace(tree, volume, owner, connector, ell=ell_arr, nu=nu, omega=omega,
@@ -410,9 +409,9 @@ def predicted_constant(space: CellSpace, q: float, hardy_constant: float) -> tup
                     "overlap": N, "ub_ratio": ratio_ub, "hardy": hardy_constant}
 
 
-def verify_decomposition(result: DecompositionResult,
-                         hardy: HardyReport | float) -> VerifyReport:
-    """Check the three decomposition properties exactly and the norm estimate.
+def verify_decomposition(result: DecompositionResult, hardy: float) -> VerifyReport:
+    """Check the three decomposition properties exactly and the norm estimate
+    against the bound hardy on the Hardy constant (optimize_theta's suff_bound).
 
     Violations of the exact properties raise DecompositionError with the
     offending vertex; the estimate comparison is reported, and failing it
@@ -448,8 +447,7 @@ def verify_decomposition(result: DecompositionResult,
         raise DecompositionError(f"part mean {means[t]:.3e} exceeds budget", t)
     worst_mean = float(np.max(np.abs(means), initial=0.0))
 
-    c_h = hardy.suff_bound if isinstance(hardy, HardyReport) else float(hardy)
-    c_pred, components = predicted_constant(space, result.q, c_h)
+    c_pred, components = predicted_constant(space, result.q, float(hardy))
     report = VerifyReport(err / gmax, worst_mean, bound, True,
                           result.ratio, c_pred, components,
                           result.lhs_norm, result.rhs_norm)

@@ -285,8 +285,10 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
     width 1e-4. The bound g(theta*) always dominates the exact constant.
     The path sums are hoisted; the grid shares kernel shadow passes, one
     per block of at most THETA_BLOCK array entries, and each golden-section
-    step is one pass.
+    step is one pass. ValueError unless 1 < theta_max < inf.
     """
+    if not 1.0 < theta_max < math.inf:
+        raise ValueError(f"theta_max must be finite and > 1, got {theta_max}")
     q, p = problem.q, problem.p
     kernel = problem.tree.kernel
     u, v = _bfs_weights(problem)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .covering import CubeCovering
+from .covering import CubeCovering, _check_beta_p
 from .decomp import CellFunction, DecompositionError, weighted_q_norm_q
 
 
@@ -227,8 +227,8 @@ def _ratio_with_flags(lhs: float, rhs: float) -> tuple[float, tuple[str, ...]]:
     return lhs / rhs, ()
 
 
-# The local sampler draws and reduces whole cells in blocks of at most this
-# many points; a cell with more points is a block by itself.
+# The sampler draws and reduces whole cells in blocks of at most this many
+# points, for every kind; a cell with more points is a block by itself.
 BLOCK_POINTS = 2 ** 15
 
 
@@ -303,128 +303,25 @@ def _locate_own_first(cov: CubeCovering, own: np.ndarray, y: np.ndarray) -> np.n
     return own
 
 
-def _local_run(kind: str, f: TestFunction, cov: CubeCovering, beta: float,
-               p: float, samples: int, seed: int) -> tuple[float, float]:
-    """One quadrature pass for the improved Poincare or Korn ratio.
-
-    The weighted-mean projection (scalar constant / antisymmetric matrix)
-    is computed on the same nodes as the norms, so the side condition holds
-    exactly on the discrete measure.
-
-    Cells are drawn and reduced in blocks of whole cells in id order (see
-    _blocks). Everything but the lhs needs only its own cell, so each block
-    keeps just the inputs of the lhs, (w, d^{beta p}, f) or (w, d^{beta p},
-    J), until the mean is known, d^{beta p} once per cell; math.fsum
-    rounds exactly, so the order of the per-cell terms does not matter.
-    Each per-cell sum is np.sum over the cell's own rows and each
-    Korn mean term one einsum over them, added in cell order:
-    np.add.reduceat, or one einsum per block, adds the same terms in
-    another order, so gives other bits.
-    """
-    alpha = cov.profile.alpha
-    n = cov.n
-    vols, edges = cov.volume_array, cov.edge_array
-    counts = _allocate(max(samples, cov.tree.n), vols)
-    poincare = kind == "improved_poincare"
-    rhs_expo = (beta + alpha if poincare else beta + alpha - 1.0) * p
-    kept, denom_terms, num_terms, rhs_terms = [], [], [], []
-    A = np.zeros((n, n))
-    # Temporaries are updated in place where that applies the same operation
-    # to the same values (so the same bits): fewer large blocks for the
-    # allocator to hand back and fault in again.
-    for block in _blocks(np.flatnonzero(counts), counts):
-        m = counts[block]
-        pts = _draw_cells(cov, block, m, seed)
-        ends = np.cumsum(m).tolist()
-        w = vols[block] / m
-        # d is constant on a cell: one array power per cell, then repeated
-        # (never a Python-float pow, whose last bit can differ from numpy's)
-        d = edges[block]
-        d_beta_p = d ** (beta * p)
-        dbp = np.repeat(d_beta_p, m)
-        denom_terms += _cell_terms(w, ends, dbp)
-        if poincare:
-            fv = f.value(pts)
-            g = f.gradient(pts)
-            del pts
-            r = _sum_squares(g.T, n)
-            del g
-            np.sqrt(r, out=r)
-            num_terms += _cell_terms(w, ends, dbp * fv)
-            kept.append((w, ends, d_beta_p, m, fv))
-        else:
-            # korn: the weighted-mean antisymmetric part of the Jacobian is removed
-            J = f.jacobian(pts)
-            del pts
-            part = J - np.swapaxes(J, 1, 2)
-            part *= 0.5                                 # eta
-            for wt, a, b in zip(w, [0] + ends[:-1], ends):
-                A += wt * np.einsum("i,ijk->jk", dbp[a:b], part[a:b])
-            del part
-            eps = ((J[:, j, k] + J[:, k, j]) * 0.5 for j in range(n) for k in range(n))
-            r = _sum_squares(eps, n * n)
-            np.sqrt(r, out=r)
-            kept.append((w, ends, d_beta_p, m, J))
-        del dbp
-        r **= p
-        r *= np.repeat(d ** rhs_expo, m)
-        rhs_terms += _cell_terms(w, ends, r)
-        del r
-    denom = math.fsum(denom_terms)
-    if poincare:
-        c = math.fsum(num_terms) / denom
-    else:
-        A /= denom
-    # last block first, each dropped once its terms are taken, so the largest
-    # cell, the root, meets the lhs temporaries alone
-    lhs_terms = []
-    while kept:
-        w, ends, d_beta_p, m, v = kept.pop()
-        if poincare:
-            r = v - c
-            np.abs(r, out=r)
-        else:
-            r = _sum_squares((v[:, j, k] - A[j, k] for j in range(n) for k in range(n)),
-                             n * n)
-            np.sqrt(r, out=r)
-        del v
-        r **= p
-        r *= np.repeat(d_beta_p, m)
-        lhs_terms += _cell_terms(w, ends, r)
-    lhs = math.fsum(lhs_terms)
-    return lhs ** (1.0 / p), math.fsum(rhs_terms) ** (1.0 / p)
-
-
 _SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
-def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
-                    s: float, tau: float, samples: int,
-                    seed: int) -> tuple[float, float, float]:
-    """Stratified pair sampling for the fractional seminorm.
+def _pair_block(f: TestFunction, cov: CubeCovering, block: np.ndarray,
+                m: np.ndarray, seed: int, p: float, s: float, tau: float,
+                expo: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """f at a block's points x, the rhs integrand of their pairs (x, y) and
+    the number of pairs rejected.
 
-    x is stratified by cell; the offset radius is drawn from the power law
-    r ~ R u^{1/kappa} with kappa = p(1-s), which cancels the |x-y| kernel
-    singularity; the tau-ball restriction enters through R = tau d(x) and
-    pairs leaving the truncated domain are rejected with weight zero.
-
-    Each cell draws x, u and the direction from its own stream; the pairs of
-    all cells are then located, each in its own cell first, and evaluated in
-    one pass, and the sums are taken per cell. Each per-pair array is
-    dropped once used. Returns lhs, rhs and the fraction of rejected pairs.
+    The offset radius is drawn as r = R u^{1/kappa}, kappa = p(1-s), which
+    cancels the |x-y| kernel singularity; R = tau d(x) is the tau-ball
+    restriction, and a pair leaving the truncated domain gets weight zero.
+    Each y is located in the cell of its x first.
     """
-    alpha = cov.profile.alpha
     n = cov.n
     kappa = p * (1.0 - s)
-    vols, edges = cov.volume_array, cov.edge_array
-    counts = _allocate(max(samples, cov.tree.n), vols)
-    cells = np.flatnonzero(counts)
-    m = counts[cells]
-    surf = _SPHERE_AREA[n]
-    expo = (s + beta - alpha + 1.0) * p
-    pts, u, g = _draw_cells(cov, cells, m, seed, offsets=True)
-    c = np.repeat(cells, m)                         # the cell of x, then of y
-
+    edges = cov.edge_array
+    pts, u, g = _draw_cells(cov, block, m, seed, offsets=True)
+    c = np.repeat(block, m)                         # the cell of x, then of y
     dx = edges[c]
     R = tau * dx
     r = u
@@ -441,7 +338,7 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     del g
     c = _locate_own_first(cov, c, y)
     inside = c >= 0
-    rejected = float(np.mean(~inside))
+    rejected = len(inside) - int(np.count_nonzero(inside))
     dy = np.zeros(len(y))
     dy[inside] = edges[c[inside]]
     del c
@@ -459,7 +356,7 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     del r
     kern /= ro ** (n + s * p)
     delta = np.minimum(dx[ok], dy[ok])
-    del dy
+    del dx, dy
     delta **= expo
     kern *= delta
     del delta
@@ -467,29 +364,112 @@ def _fractional_run(f: TestFunction, cov: CubeCovering, beta: float, p: float,
     dens *= kappa
     dens /= R[ok] ** kappa
     del R
-    kern *= surf
+    kern *= _SPHERE_AREA[n]
     kern *= ro ** (n - 1)
     del ro
     kern /= dens
     del dens
     contrib = np.zeros(len(fv))
     contrib[ok] = kern
-    del kern, ok
-    dbp = dx ** (beta * p)
-    del dx
+    return fv, contrib, rejected
 
-    w = vols[cells] / m
-    ends = np.cumsum(m).tolist()
-    denom = math.fsum(_cell_terms(w, ends, dbp))
-    mean = math.fsum(_cell_terms(w, ends, dbp * fv)) / denom
-    rhs = math.fsum(_cell_terms(w, ends, contrib))
-    del contrib
-    fv -= mean
-    np.abs(fv, out=fv)
-    fv **= p
-    fv *= dbp
-    lhs = math.fsum(_cell_terms(w, ends, fv))
-    return lhs ** (1.0 / p), rhs ** (1.0 / p), rejected
+
+def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
+         s: float | None, tau: float | None, samples: int,
+         seed: int) -> tuple[float, float, float | None]:
+    """One quadrature pass: lhs, rhs and, for fractional_poincare, the
+    fraction of the points drawn whose pair left the domain.
+
+    Cells are drawn and reduced in blocks of whole cells in id order (see
+    _blocks); only the rhs integrand and the array kept for the lhs, f or
+    J, depend on the kind. The weighted mean (a constant, or Korn's
+    antisymmetric part eta) is taken on the same nodes as the norms, so the
+    side condition holds exactly on the discrete measure; until it is known
+    each block keeps just (w, d^{beta p} once per cell, f or J). math.fsum
+    rounds exactly, so the order of the per-cell terms does not matter; each
+    per-cell sum is np.sum over the cell's own rows and each Korn mean term
+    one einsum over them, as np.add.reduceat or one einsum per block adds
+    the same terms in another order, so gives other bits.
+    """
+    alpha = cov.profile.alpha
+    n = cov.n
+    vols, edges = cov.volume_array, cov.edge_array
+    counts = _allocate(max(samples, cov.tree.n), vols)
+    korn, fractional = kind == "korn", kind == "fractional_poincare"
+    rhs_expo = (beta + alpha - 1.0 if korn else beta + alpha) * p
+    kept, denom_terms, mean_terms, rhs_terms = [], [], [], []
+    A = np.zeros((n, n))
+    rejected = 0
+    # Temporaries are updated in place where that applies the same operation
+    # to the same values (so the same bits): fewer large blocks for the
+    # allocator to hand back and fault in again. d^{beta p} is made only
+    # once the points are dropped, and dropped before the rhs power.
+    for block in _blocks(np.flatnonzero(counts), counts):
+        m = counts[block]
+        ends = np.cumsum(m).tolist()
+        w = vols[block] / m
+        d = edges[block]
+        if fractional:
+            v, r, out = _pair_block(f, cov, block, m, seed, p, s, tau,
+                                    (s + beta - alpha + 1.0) * p)
+            rejected += out
+        elif korn:
+            v = f.jacobian(_draw_cells(cov, block, m, seed))
+        else:
+            pts = _draw_cells(cov, block, m, seed)
+            v = f.value(pts)
+            g = f.gradient(pts)
+            del pts
+            r = _sum_squares(g.T, n)
+            del g
+        # d is constant on a cell: one array power per cell, then repeated
+        # (never a Python-float pow, whose last bit can differ from numpy's)
+        d_beta_p = d ** (beta * p)
+        dbp = np.repeat(d_beta_p, m)
+        denom_terms += _cell_terms(w, ends, dbp)
+        if korn:
+            # the weighted-mean antisymmetric part of the Jacobian is removed
+            part = v - np.swapaxes(v, 1, 2)
+            part *= 0.5                                 # eta
+            for wt, a, b in zip(w, [0] + ends[:-1], ends):
+                A += wt * np.einsum("i,ijk->jk", dbp[a:b], part[a:b])
+            del part, dbp
+            eps = ((v[:, j, k] + v[:, k, j]) * 0.5 for j in range(n) for k in range(n))
+            r = _sum_squares(eps, n * n)
+        else:
+            mean_terms += _cell_terms(w, ends, dbp * v)
+            del dbp
+        if not fractional:                              # r holds |grad f|^2 or |eps|^2
+            np.sqrt(r, out=r)
+            r **= p
+            r *= np.repeat(d ** rhs_expo, m)
+        rhs_terms += _cell_terms(w, ends, r)
+        del r
+        kept.append((w, ends, d_beta_p, m, v))
+    denom = math.fsum(denom_terms)
+    if korn:
+        A /= denom
+    else:
+        c = math.fsum(mean_terms) / denom
+    # last block first, each dropped once its terms are taken, so the largest
+    # cell, the root, meets the lhs temporaries alone
+    lhs_terms = []
+    while kept:
+        w, ends, d_beta_p, m, v = kept.pop()
+        if korn:
+            r = _sum_squares((v[:, j, k] - A[j, k] for j in range(n) for k in range(n)),
+                             n * n)
+            np.sqrt(r, out=r)
+        else:
+            r = v - c
+            np.abs(r, out=r)
+        del v
+        r **= p
+        r *= np.repeat(d_beta_p, m)
+        lhs_terms += _cell_terms(w, ends, r)
+    lhs = math.fsum(lhs_terms)
+    frac = rejected / int(counts.sum()) if fractional else None
+    return lhs ** (1.0 / p), math.fsum(rhs_terms) ** (1.0 / p), frac
 
 
 KINDS = ("improved_poincare", "fractional_poincare", "korn")
@@ -516,20 +496,12 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         raise ValueError("korn needs a vector field")
     if kind != "korn" and f.vector:
         raise ValueError(f"{kind} needs a scalar function")
-    if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    _check_beta_p(beta, p)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
-    def run(sd: int) -> tuple[float, float, float | None]:
-        if kind == "fractional_poincare":
-            return _fractional_run(f, covering, beta, p, s, tau, samples, sd)
-        return (*_local_run(kind, f, covering, beta, p, samples, sd), None)
-
-    lhs, rhs, rejected = run(seed)
-    lhs2, rhs2, _ = run(seed + 1)
+    lhs, rhs, rejected = _run(kind, f, covering, beta, p, s, tau, samples, seed)
+    lhs2, rhs2, _ = _run(kind, f, covering, beta, p, s, tau, samples, seed + 1)
     ratio, flags = _ratio_with_flags(lhs, rhs)
     ratio2, _ = _ratio_with_flags(lhs2, rhs2)
     if ratio == ratio2 == 0.0 or (math.isinf(ratio) and math.isinf(ratio2)):
@@ -539,7 +511,7 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         spread = abs(ratio - ratio2) / mid if mid > 0 and math.isfinite(mid) else math.inf
     params = {"beta": beta, "p": p, "s": s, "tau": tau,
               "alpha": covering.profile.alpha, "function": f.name}
-    # both samplers share max(samples, cells) points out by volume (_allocate),
+    # every kind shares max(samples, cells) points out by volume (_allocate),
     # which leaves the smallest cells without a point when samples are few
     drawn = max(samples, covering.tree.n)
     return RatioReport(kind, lhs, rhs, ratio, drawn, spread,

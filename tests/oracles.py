@@ -9,10 +9,11 @@ fits the counting constants per size class, sweeps the sampled Holder
 quotient in row blocks, stores cubes as integer dyadic cells and checks
 their disjointness by cell-key lookups, runs the decomposition on one
 (vertex, fragment) pair index of the U_t sets, and reduces each Monte Carlo
-cell as soon as it is drawn; the loops, the dense matrices, the antichain
-enumeration, the Gram solve, the per-cube test, the Fraction covering
-build, the pairwise box scan, the per-vertex decomposition and the
-all-cells-kept sampler below are the straightforward forms they are
+cell, fractional pairs included, block by block as it is drawn; the loops,
+the dense matrices, the antichain enumeration, the Gram solve, the per-cube
+test, the Fraction covering build, the pairwise box scan, the per-vertex
+decomposition, the all-cells-kept sampler and the all-pairs fractional
+sampler below are the straightforward forms they are
 checked against, as is the multistart power iteration with its
 ratio-change stop rule, and the theta search that ran one kernel pass per
 theta where the library shares one pass among a block of thetas.
@@ -32,7 +33,15 @@ import numpy as np
 
 import hardy_lab as hl
 from hardy_lab.hardy import HardyOperator, NonConvergenceError
-from hardy_lab.inequalities import _allocate, _cell_rng
+from hardy_lab.inequalities import (
+    _SPHERE_AREA,
+    _allocate,
+    _cell_rng,
+    _cell_terms,
+    _draw_cells,
+    _locate_own_first,
+    _sum_squares,
+)
 
 
 def tree_paths(tree) -> list:
@@ -818,3 +827,96 @@ def local_run(kind, f, cov, beta, p, samples, seed):
                             * r[5] ** ((beta + alpha - 1.0) * p)))
         for r in data)
     return lhs ** (1.0 / p), rhs ** (1.0 / p)
+
+
+def fractional_run(f, cov, beta, p, s, tau, samples, seed):
+    """The fractional Poincare quadrature pass with every pair drawn at
+    once: stratified pair sampling for the fractional seminorm.
+
+    x is stratified by cell; the offset radius is drawn from the power law
+    r ~ R u^{1/kappa} with kappa = p(1-s), which cancels the |x-y| kernel
+    singularity; the tau-ball restriction enters through R = tau d(x) and
+    pairs leaving the truncated domain are rejected with weight zero.
+
+    Each cell draws x, u and the direction from its own stream; the pairs of
+    all cells are then located, each in its own cell first, and evaluated in
+    one pass, and the sums are taken per cell. Each per-pair array is
+    dropped once used. Returns lhs, rhs and the fraction of rejected pairs.
+    """
+    alpha = cov.profile.alpha
+    n = cov.n
+    kappa = p * (1.0 - s)
+    vols, edges = cov.volume_array, cov.edge_array
+    counts = _allocate(max(samples, cov.tree.n), vols)
+    cells = np.flatnonzero(counts)
+    m = counts[cells]
+    surf = _SPHERE_AREA[n]
+    expo = (s + beta - alpha + 1.0) * p
+    pts, u, g = _draw_cells(cov, cells, m, seed, offsets=True)
+    c = np.repeat(cells, m)                         # the cell of x, then of y
+
+    dx = edges[c]
+    R = tau * dx
+    r = u
+    r **= 1.0 / kappa
+    r *= R
+    del u
+    gn = _sum_squares(g.T, n)
+    np.sqrt(gn, out=gn)
+    g /= gn[:, None]
+    del gn
+    g *= r[:, None]
+    g += pts
+    y = g                                           # x + r * direction
+    del g
+    c = _locate_own_first(cov, c, y)
+    inside = c >= 0
+    rejected = float(np.mean(~inside))
+    dy = np.zeros(len(y))
+    dy[inside] = edges[c[inside]]
+    del c
+    fv = f.value(pts)
+    del pts
+    ok = inside & (r > 0)
+    del inside
+    kern = fv[ok]
+    if kern.size:                                   # f is never called on no points
+        kern -= f.value(y[ok])
+    del y
+    np.abs(kern, out=kern)
+    kern **= p
+    ro = r[ok]
+    del r
+    kern /= ro ** (n + s * p)
+    delta = np.minimum(dx[ok], dy[ok])
+    del dy
+    delta **= expo
+    kern *= delta
+    del delta
+    dens = ro ** (kappa - 1.0)
+    dens *= kappa
+    dens /= R[ok] ** kappa
+    del R
+    kern *= surf
+    kern *= ro ** (n - 1)
+    del ro
+    kern /= dens
+    del dens
+    contrib = np.zeros(len(fv))
+    contrib[ok] = kern
+    del kern, ok
+    dbp = dx ** (beta * p)
+    del dx
+
+    w = vols[cells] / m
+    ends = np.cumsum(m).tolist()
+    denom = math.fsum(_cell_terms(w, ends, dbp))
+    mean = math.fsum(_cell_terms(w, ends, dbp * fv)) / denom
+    rhs = math.fsum(_cell_terms(w, ends, contrib))
+    del contrib
+    fv -= mean
+    np.abs(fv, out=fv)
+    fv **= p
+    fv *= dbp
+    lhs = math.fsum(_cell_terms(w, ends, fv))
+    return lhs ** (1.0 / p), rhs ** (1.0 / p), rejected

@@ -234,6 +234,54 @@ def test_tree_size_zero_reports_the_library_error(tmp_path, capsys, flag, messag
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("theta_max", ["1", "0.5", "-2", "inf", "nan"])
+def test_theta_max_out_of_range_exits_2(tmp_path, capsys, theta_max):
+    out = str(tmp_path)
+    assert main(["tree", "--chain", "3", "--out", out]) == 0
+    assert main(["hardy", "--input", os.path.join(out, "tree.json"),
+                 f"--theta-max={theta_max}", "--out", out]) == 2
+    assert main(["decompose", "--depth", "3", f"--theta-max={theta_max}",
+                 "--out", out]) == 2
+    assert "theta_max must be finite and > 1" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["tree.json"]
+
+
+@pytest.mark.parametrize("argv", [["--p", "nan"], ["--beta", "nan"], ["--p", "0.5"],
+                                  ["--depth", "-1"]])
+def test_covering_bad_input_exits_2(tmp_path, argv):
+    out = str(tmp_path)
+    assert main(["covering", "--depth", "3", *argv, "--out", out]) == 2
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command,unread", [
+    (["tree", "--chain", "2"], "--format"),
+    (["hardy", "--input", "tree.json"], "--seed"),
+    (["covering", "--depth", "2"], "--seed"),
+    (["covering", "--depth", "2"], "--format"),
+    (["decompose", "--depth", "2"], "--format"),
+])
+def test_subcommands_take_only_options_they_read(capsys, command, unread):
+    value = "csv" if unread == "--format" else "1"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, unread, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+
+
+def test_report_configs_hold_only_read_options(tmp_path):
+    out = str(tmp_path)
+    runs = [(["tree", "--chain", "2"], "tree.json", {"seed"}),
+            (["hardy", "--input", os.path.join(out, "tree.json")], "hardy.json", {"format"}),
+            (["covering", "--depth", "2"], "covering.json", set()),
+            (["decompose", "--depth", "2"], "decomposition.json", {"seed"}),
+            (["ineq", "--depth", "2", "--samples", "500"], "ineq.json", {"seed", "format"})]
+    for argv, name, read_opts in runs:
+        assert main([*argv, "--out", out]) == 0
+        config = read(os.path.join(out, name))["config"]
+        assert {"seed", "format"} & config.keys() == read_opts, name
+
+
 def test_ineq_bad_p_exits_2(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["ineq", "--p", "0", "--depth", "3", "--samples", "1000",

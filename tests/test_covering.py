@@ -152,6 +152,21 @@ def test_tail_integrability_finite_sum(demo_cov6):
     assert total == pytest.approx(direct)
 
 
+@pytest.mark.parametrize("beta,p", [(math.nan, 2.0), (math.inf, 2.0), (0.0, math.nan),
+                                    (0.0, math.inf), (0.0, 0.5)])
+def test_tail_integrability_rejects_bad_beta_p(demo_cov6, beta, p):
+    # the samplers' rule: beta finite, p finite with p >= 1; a NaN once came
+    # out as bare NaN tokens in the report
+    with pytest.raises(ValueError):
+        hl.tail_integrability(demo_cov6, beta, p)
+
+
+def test_build_covering_rejects_negative_depth():
+    # depth -1 once built the single root cube of depth 0
+    with pytest.raises(ValueError, match="depth_max"):
+        hl.build_covering(hl.profile_demo(), depth_max=-1)
+
+
 def test_tail_decay_matches_counting(demo_cov10):
     # this profile's boundary is smooth away from one kink: 2^k cubes per
     # class, so the v^p level sums decay like 2^{-k(n-1+beta p)} on both

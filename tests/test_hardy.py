@@ -105,6 +105,15 @@ def test_optimize_theta_single_child_monotone():
     assert res.suff_bound > 1.5
 
 
+@pytest.mark.parametrize("theta_max", [1.0, 0.5, -2.0, math.inf, math.nan])
+def test_optimize_theta_rejects_theta_max(theta_max):
+    # the grid lives on (1, theta_max]: theta_max = 1 divided by zero, one
+    # below 1 took roots of negative numbers, inf gave theta* = inf
+    for call in (hl.optimize_theta, hl.hardy_report):
+        with pytest.raises(ValueError, match="theta_max"):
+            call(single(), theta_max=theta_max)
+
+
 def test_theta_grid_value_two_chain():
     g2 = math.sqrt(2) * hl.a_tree(two_chain(), 2.0).value
     assert g2 == pytest.approx(2.19737, abs=1e-5)

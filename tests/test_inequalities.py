@@ -9,7 +9,7 @@ import hardy_lab as hl
 import hardy_lab.inequalities as ineq
 from hardy_lab.decomp import CellFunction, DecompositionError, space_from_covering
 
-from oracles import FractionCovering, local_run
+from oracles import FractionCovering, fractional_run, local_run
 
 
 # -- test function catalog --------------------------------------------------------
@@ -111,7 +111,7 @@ def test_fractional_vectorised_matches_tree_walk(demo_cov6):
     assert (a.lhs, a.rhs, a.rejected_frac) == (b.lhs, b.rhs, b.rejected_frac)
 
 
-# -- the block-wise local sampler against the all-cells-kept one ----------------------
+# -- the block-wise sampler against the all-cells-kept and all-pairs ones -------------
 
 @pytest.fixture(scope="module")
 def local_coverings(demo_cov6):
@@ -158,10 +158,53 @@ def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monke
     assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3)
 
 
+# (beta, p, s, tau)
+FRACTIONAL_CASES = [(0.0, 2.0, 0.5, 0.5), (0.3, 3.0, 0.4, 0.9),
+                    (-0.2, 1.5, 0.7, 0.2), (0.1, 1.0, 0.5, 0.7)]
+
+
+@pytest.mark.parametrize("block_points", [ineq.BLOCK_POINTS, 64])
+@pytest.mark.parametrize("samples", [3000, 70_000])
+@pytest.mark.parametrize("function", ["f_linear", "f_bilinear"])
+@pytest.mark.parametrize("case", FRACTIONAL_CASES, ids=str)
+@pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
+def test_fractional_blocks_match_all_pairs(local_coverings, monkeypatch, name, case,
+                                           function, samples, block_points):
+    # the block-wise pass gives the bits of the pass that draws every pair
+    # at once: 3000 samples make blocks of many cells, 70 000 more than one
+    # block of the default size, and blocks of 64 points hold cells larger
+    # than a block
+    monkeypatch.setattr(ineq, "BLOCK_POINTS", block_points)
+    cov = local_coverings[name]
+    counts = ineq._allocate(max(samples, cov.tree.n), cov.volume_array)
+    blocks = ineq._blocks(np.flatnonzero(counts), counts)
+    if samples == 3000:
+        assert max(len(b) for b in blocks) > 1
+    else:
+        assert len(blocks) > 1
+    if block_points == 64:
+        assert any(len(b) == 1 and counts[b[0]] > 64 for b in blocks)
+    beta, p, s, tau = case
+    f = getattr(hl, function)()
+    got = ineq._run("fractional_poincare", f, cov, beta, p, s, tau, samples, 3)
+    assert got == fractional_run(f, cov, beta, p, s, tau, samples, 3)
+
+
+def test_scalar_kinds_share_the_lhs(demo_cov6):
+    # the fractional pass draws its points first from the same streams and
+    # takes the same weighted mean, so its lhs is the improved Poincare one
+    for samples in (3000, 10 ** 5):
+        args = (hl.f_bilinear(), demo_cov6, -0.2, 1.5)
+        frac = hl.inequality_ratio("fractional_poincare", *args, s=0.5, tau=0.5,
+                                   samples=samples, seed=4)
+        local = hl.inequality_ratio("improved_poincare", *args, samples=samples, seed=4)
+        assert frac.lhs == local.lhs
+
+
 def test_fractional_sampler_memory(demo_cov6):
-    # every per-pair array is dropped once it is used; keeping them all, and
-    # drawing the cells into lists before one concatenation, peaked at
-    # 16.6 MiB. A first small run builds the covering's cached corners and
+    # each block of cells is reduced as it is drawn and every per-pair array
+    # is dropped once it is used; drawing every pair at once peaked at
+    # 9.3 MiB. A first small run builds the covering's cached corners and
     # location index, which are not the sampler's.
     f = hl.f_linear()
     kw = dict(s=0.5, tau=0.5)
@@ -173,7 +216,7 @@ def test_fractional_sampler_memory(demo_cov6):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11 * 2 ** 20
+    assert peak < 7 * 2 ** 20
 
 
 # -- own-cube-first location of the fractional pairs ----------------------------------
@@ -219,7 +262,7 @@ def test_locate_own_first_matches_locate_and_tree_walk(local_coverings, monkeypa
     monkeypatch.setattr(ineq, "_locate_own_first", record)
     hl.inequality_ratio("fractional_poincare", hl.f_linear(), cov, 0.0, 2.0,
                         s=0.5, tau=0.9, samples=3000, seed=2)
-    assert len(seen) == 2                       # one pass per seed
+    assert len(seen) == 2                       # one block per seed at 3000 samples
     home, y, cells = seen[0]
     assert 0.0 < home.mean() < 1.0              # both paths are taken
 
