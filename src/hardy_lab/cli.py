@@ -28,6 +28,7 @@ from .covering import (
     PROFILES,
     CoveringError,
     CubeCapExceeded,
+    _check_beta_p,
     build_covering,
     check_disjoint_and_coverage,
     tail_integrability,
@@ -193,6 +194,7 @@ def cmd_covering(args) -> int:
     if args.alpha is not None and args.alpha != profile.alpha:
         raise CoveringError(f"--alpha {args.alpha:g} does not match the {args.phi} "
                             f"profile's alpha = {profile.alpha:g}")
+    _check_beta_p(args.beta, args.p)        # before the build, which they do not affect
     cov = build_covering(profile, args.depth, cube_cap=args.cap)
     struct = check_disjoint_and_coverage(cov)
     bounds = verify_counting_bounds(cov)
@@ -215,6 +217,9 @@ def cmd_covering(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _check_beta_p(args.beta, args.p)        # before the build, which they do not affect
+    if not args.p > 1:
+        raise ValueError(f"p must lie in (1, inf), got {args.p}")
     cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
     problem = weights_from_beta(cov, args.beta, args.p)
     space = space_from_covering(cov, beta=args.beta)

@@ -2,11 +2,13 @@
 
 The domain is Omega_phi = (-l/2, l/2)^{n-1} x (0, phi(x')) for an alpha-Holder
 function phi with 2l <= phi < 3l on the widened strip (-3l/2, 3l/2)^{n-1}.
-Cubes are built level by level moving up: the root cube is
-(-l/2, l/2)^{n-1} x (0, l); above a cube Q_t of edge e the test cube is the
-3-dilation (about its own center) of Q_t translated up by e. If the test cube
-fits under the graph, one same-size child is stacked on top; otherwise the
-top face carries 2^{n-1} half-size children.
+Cubes grow upward from the root cube (-l/2, l/2)^{n-1} x (0, l); above a
+cube Q_t of edge e the test cube is the 3-dilation (about its own center) of
+Q_t translated up by e. If the test cube fits under the graph, one same-size
+child is stacked on top; otherwise the top face carries 2^{n-1} half-size
+children. The stacked cubes on one base cell form a column whose test cubes
+share one base, so containment is decided column by column, one size class
+at a time, and the tree is then laid out level by level from the column tops.
 
 Every cube is a dyadic cell of its size class j (edge h_j = l 2^-j), stored
 as integer grid indices (i, k) for the box [-l/2 + i h_j, -l/2 + (i + 1) h_j)
@@ -21,16 +23,20 @@ Note |U_t| = (3/2)|Q_t| and |B_t| = |Q_t|/2, so |U_t|/|B_t| = 3 for every
 non-root t; the covering only needs this ratio bounded.
 
 Containment tests sample phi on midpoint grids of m = 4, 8, ... points per
-axis. Every point of a grid cell lies within the cell's half-diagonal h_m of
-its midpoint, so phi >= (sampled minimum) - K h_m^alpha on a set of cells.
-The grids are searched branch and bound: a block of cells whose bound clears
-thr + K h_2m^alpha, with a relative margin for rounding, is not refined, as
-none of its later samples could be a witness or break a certificate. Each
-box gets the decision its full grid would give, from far fewer phi calls.
+axis over a test box's base, which depends only on the column; only the
+threshold, the top of the test cube, moves up the column. Every point of a
+grid cell lies within the cell's half-diagonal h_m of its midpoint, so phi
+>= (sampled minimum) - K h_m^alpha on a set of cells. The grids are searched
+branch and bound, one search per base for all of its thresholds: a block of
+cells whose bound clears thr + K h_2m^alpha for the largest open threshold,
+with a relative margin for rounding, is not refined, as none of its later
+samples could be a witness or break a certificate. Each test gets the
+decision its box's full grid would give, from far fewer phi calls.
 
 Fixed values: profiles are validated on a 48-point grid per axis to 1e-9;
 containment grids are pruned in blocks of 16 cells (4 x 4 on a 2-D base)
-with a 1e-9 relative margin on the threshold;
+with a 1e-9 relative margin on the threshold; each containment call tests
+the next 16 cubes of every open column of a size class;
 counting-bound fits at depth_max and depth_max - 2 are stable within 10 %;
 tail sums read the ratios of the last 5 size classes.
 """
@@ -205,77 +211,86 @@ PRUNE_MARGIN = 1e-9         # relative slack on the threshold before a block is 
 
 
 def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
-                       threshold: np.ndarray, max_points: int = 1 << 14) -> tuple:
-    """Decide whether phi >= threshold[b] on each open box (lo[b], hi[b]).
+                       threshold: np.ndarray, max_points: int = 1 << 14,
+                       box: np.ndarray | None = None) -> tuple:
+    """Decide whether phi >= threshold[t] on the open box (lo[b], hi[b]) of
+    each test t, b = box[t] (by default box t: one box per test).
 
     Adaptive midpoint grids, m = 4, 8, ... points per axis while m^d <=
-    max_points, each round on the boxes still undecided: a sample strictly
-    below the threshold is a witness against containment; otherwise the
-    Holder modulus K h_m^alpha of the cells' half-diagonal h_m turns the
-    sampled minimum into a certificate. Returns boolean arrays (contained,
-    unresolved: the budget ran out with the margin open); a box in neither
-    was witnessed against.
+    max_points, each round on the boxes of the tests still undecided: a
+    sample strictly below a threshold is a witness against containment;
+    otherwise the Holder modulus K h_m^alpha of the cells' half-diagonal h_m
+    turns the sampled minimum into a certificate. Returns boolean arrays
+    (contained, unresolved: the budget ran out with the margin open), one
+    entry per test; a test in neither was witnessed against.
 
     The grids are searched branch and bound over blocks of BLOCK_SIDE^d
     cells (while m <= BLOCK_SIDE a box is one block). Every point of a cell
     lies within h_m of the cell's midpoint, so after round m phi >= bound =
     (the block's sampled minimum) - K h_m^alpha on the block's region. At
     round 2m a block is split and sampled only if bound < thr + K h_2m^alpha
-    + PRUNE_MARGIN |thr|. The samples of a pruned block, at round 2m and
-    every later round, all lie above thr + K h_2m^alpha; the margin covers
-    the rounding of the grid points and of phi. So none of them is a witness
-    and none breaks a certificate, and each box gets exactly the decision of
-    its full grid (the per-box test in the tests' oracles). The block holding
-    a box's sampled minimum is never pruned while the box is open, its bound
-    being below thr. The certificates have always relied on k_phi being a
-    true Holder constant of phi; the pruning makes the witnesses rely on it
-    too.
+    + PRUNE_MARGIN |thr| for the largest open threshold thr of its box. The
+    samples of a pruned block, at round 2m and every later round, all lie
+    above thr + K h_2m^alpha for every open threshold of the box; the margin
+    covers the rounding of the grid points and of phi. So none of them is a
+    witness and none breaks a certificate, while the blocks kept only for a
+    larger threshold are points of the full grid above a smaller one's
+    limit: each test gets exactly the decision of its box's full grid (the
+    per-box test in the tests' oracles). The block holding a box's sampled
+    minimum is never pruned while a test of the box is open, its bound being
+    below that test's thr. The certificates have always relied on k_phi
+    being a true Holder constant of phi; the pruning makes the witnesses
+    rely on it too.
     """
     lo = np.asarray(lo, dtype=float)
     width = np.asarray(hi, dtype=float) - lo
     threshold = np.asarray(threshold, dtype=float)
     nb, d = lo.shape
+    of = np.arange(nb) if box is None else np.asarray(box, dtype=np.int64)
     side = BLOCK_SIDE[d]
-    contained = np.zeros(nb, dtype=bool)
-    todo = np.arange(nb)
-    box = todo                          # the live blocks: their box
-    start = np.zeros((nb, d))           # and first grid cell per axis (exact floats)
+    contained = np.zeros(len(threshold), dtype=bool)
+    todo = np.arange(len(threshold))
+    live = np.unique(of)                # the live blocks: their box
+    start = np.zeros((len(live), d))    # and first grid cell per axis (exact floats)
     m = 4
     modulus = _holder_modulus(profile, width, m)
     while len(todo) and m ** d <= max_points:
-        vals = _block_min(profile, lo, width, box, start, m, min(m, side))
-        if m <= side:                   # one block per open box, in the order of todo
-            v = vals
+        vals = _block_min(profile, lo, width, live, start, m, min(m, side))
+        vmin = np.full(nb, np.inf)
+        if m <= side:                   # one block per open box
+            vmin[live] = vals
         else:
-            vmin = np.full(nb, np.inf)
             with np.errstate(invalid="ignore"):     # NaN samples propagate, as in min()
-                np.minimum.at(vmin, box, vals)
-            v = vmin[todo]
+                np.minimum.at(vmin, live, vals)
         thr = threshold[todo]
+        v = vmin[of[todo]]
         below = v < thr
-        sure = ~below & (v - modulus[todo] >= thr)
+        sure = ~below & (v - modulus[of[todo]] >= thr)
         contained[todo[sure]] = True
         todo = todo[~below & ~sure]
         m *= 2
         if not len(todo) or m ** d > max_points:
             break
-        next_modulus = _holder_modulus(profile, width[todo], m)
+        open_box = np.unique(of[todo])
+        next_modulus = np.zeros(nb)
+        next_modulus[open_box] = _holder_modulus(profile, width[open_box], m)
         if m <= 2 * side:
-            # still one block per open box, and its bound is below thr (the
-            # box was not certified): nothing to prune
-            box, start = todo, start[:len(todo)]
+            # still one block per open box, and its bound is below the thr of
+            # an open test (not certified): nothing to prune
+            live, start = open_box, start[:len(open_box)]
         else:
             limit = np.full(nb, -np.inf)    # decided boxes keep no block
             thr = threshold[todo]
-            limit[todo] = thr + next_modulus + PRUNE_MARGIN * np.abs(thr)
-            bound = vals - modulus[box]
-            keep = ~(bound >= limit[box])   # NaN samples keep their block, as the full grid would
-            box, start = box[keep], start[keep]
-        modulus[todo] = next_modulus
+            np.maximum.at(limit, of[todo],
+                          thr + next_modulus[of[todo]] + PRUNE_MARGIN * np.abs(thr))
+            bound = vals - modulus[live]
+            keep = ~(bound >= limit[live])  # NaN samples keep their block, as the full grid would
+            live, start = live[keep], start[keep]
+        modulus[open_box] = next_modulus[open_box]
         if m > side:                    # each block splits into 2^d
-            box = np.repeat(box, 2 ** d)
+            live = np.repeat(live, 2 ** d)
             start = (2 * start[:, None, :] + _HALVES[d]).reshape(-1, d)
-    unresolved = np.zeros(nb, dtype=bool)
+    unresolved = np.zeros(len(threshold), dtype=bool)
     unresolved[todo] = True
     return contained, unresolved
 
@@ -528,6 +543,79 @@ class CubeCovering:
         return rows
 
 
+COLUMN_BATCH = 16           # thresholds per open column in one containment call
+
+
+def _split_bits(d: int) -> np.ndarray:
+    """The 2^d half-cell offsets of the split children, one row each, in the
+    order itertools.product takes the halves of each axis."""
+    return (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+
+
+def _test_boxes(L: Fraction, cell: np.ndarray, j) -> tuple[np.ndarray, np.ndarray]:
+    """The base of each test box: the 3-dilation of the cube's base about its
+    center, clipped to the strip; it depends on the horizontal cells only."""
+    lo, hi = (_cube_points(L, cell, j, h)[:, :-1] for h in (0, 2))
+    c = (lo + hi) / 2.0
+    he = 1.5 * _dyadic_floats(L, 2, j)[:, None]
+    strip = 1.5 * float(L)
+    return np.maximum(c - he, -strip), np.minimum(c + he, strip)
+
+
+def _columns(profile: HolderProfile, depth_max: int, cube_cap: int) -> tuple:
+    """The column of stacked cubes on every horizontal cell of every size class.
+
+    The cubes on one horizontal cell i of class j form one column, stacked
+    from k0 up to its top: the first k whose test fails (witnessed or
+    unresolved). The root column is class 0 from k0 = 0; a top below the
+    class cap splits into the 2^d columns of class j + 1 on the cells 2i +
+    bits, from k0 = 2(top + 1). So class j holds a column on each of its
+    2^{dj} cells, and numbering the columns class by class puts the children
+    of column c at 2^d c + 1 + b, b indexing the bits.
+
+    The test box depends on (j, i) alone and the threshold (k + 3) h_j on k,
+    so each call of `_min_phi_decisions` takes one box per open column of a
+    class and its next COLUMN_BATCH thresholds; decisions above a column's
+    top are thrown away. Returns per column, in that order, the top and
+    whether the top's test was unresolved. CubeCapExceeded is raised once the cubes known to exist pass cube_cap.
+    """
+    L = profile.ell
+    d = profile.n - 1
+    bits = _split_bits(d)
+    horizontal = np.zeros((1, d), dtype=np.int64)   # the columns of class j: cells
+    k0 = np.zeros(1, dtype=np.int64)                # and first k
+    tops, unresolved_tops = [], []
+    placed = 0                                      # cubes of the finished classes
+    for j in range(depth_max + 1):
+        ncol = len(k0)
+        lo, hi = _test_boxes(L, np.column_stack([horizontal, k0]), np.full(ncol, j))
+        top = np.full(ncol, -1, dtype=np.int64)
+        top_unresolved = np.zeros(ncol, dtype=bool)
+        nxt = k0.copy()                             # the first k not yet decided
+        todo = np.arange(ncol)
+        while len(todo):
+            k = nxt[todo, None] + np.arange(COLUMN_BATCH)
+            stacked, unresolved = _min_phi_decisions(
+                profile, lo[todo], hi[todo], _dyadic_floats(L, 2 * (k.ravel() + 3), j),
+                box=np.repeat(np.arange(len(todo)), COLUMN_BATCH))
+            failed = ~stacked.reshape(k.shape)
+            first = failed.argmax(axis=1)
+            done = failed[np.arange(len(todo)), first]
+            top[todo[done]] = k[done, first[done]]
+            top_unresolved[todo[done]] = unresolved.reshape(k.shape)[done, first[done]]
+            nxt[todo] += COLUMN_BATCH
+            todo = todo[~done]
+            # every column stands at least up to its top or its first open k
+            if placed + int((np.where(top < 0, nxt, top) - k0 + 1).sum()) > cube_cap:
+                raise CubeCapExceeded(cube_cap)
+        placed += int((top - k0 + 1).sum())
+        tops.append(top)
+        unresolved_tops.append(top_unresolved)
+        horizontal = ((horizontal[:, None, :] << 1) + bits).reshape(-1, d)
+        k0 = np.repeat(2 * (top + 1), 2 ** d)
+    return np.concatenate(tops), np.concatenate(unresolved_tops)
+
+
 def build_covering(profile: HolderProfile, depth_max: int,
                    cube_cap: int = 10 ** 6) -> CubeCovering:
     """Breadth-first cube construction, truncated at dyadic depth `depth_max`.
@@ -537,13 +625,14 @@ def build_covering(profile: HolderProfile, depth_max: int,
     containment test and would have to subdivide. Chains of same-size cubes
     keep extending, so the tree depth typically exceeds depth_max.
 
-    The containment tests of a whole BFS level are decided together
-    (`_min_phi_decisions`): the unpruned blocks of the midpoint grids of the
-    level's undecided test boxes go through phi in batches of at most
-    PHI_CHUNK points, and each box gets the decision a full-grid test on
-    that box alone would give. An
-    inconclusive containment test subdivides (it can only refine the
-    covering, never coarsen it) and is counted in the report.
+    The containment tests are decided column by column first (`_columns`):
+    one test box per column of stacked cubes, with all open columns of a
+    size class in one `_min_phi_decisions` call, and each test gets the
+    decision a full-grid test on its box alone would give. The breadth-first
+    pass then replays the tests from the column tops: cube k of a column is
+    stacked on while k < top, and the top's test is unresolved as the column
+    step found it. An inconclusive containment test subdivides (it can only
+    refine the covering, never coarsen it) and is counted in the report.
 
     Children come from integer cells: the stacked child of (i, k) is
     (i, k + 1), the split children (2i + bits, 2(k + 1)) one class down, in
@@ -554,41 +643,34 @@ def build_covering(profile: HolderProfile, depth_max: int,
     if profile.n not in (2, 3):
         raise CoveringError("only dimensions 2 and 3 are supported")
     profile.validate()
-    L = profile.ell
     d = profile.n - 1
-    strip = 1.5 * float(L)
-    bits = (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    bits = _split_bits(d)
+    col_top, col_unresolved = _columns(profile, depth_max, cube_cap)
 
     ids = np.zeros(1, dtype=np.int64)           # the frontier: vertex ids,
-    cell = np.zeros((1, d + 1), dtype=np.int64)  # grid cells
-    cls = np.zeros(1, dtype=np.int64)           # and size classes
+    cell = np.zeros((1, d + 1), dtype=np.int64)  # grid cells,
+    cls = np.zeros(1, dtype=np.int64)           # size classes
+    col = np.zeros(1, dtype=np.int64)           # and columns
     parent, level, size_class, cells = [np.array([-1])], [np.array([0])], [cls], [cell]
     count = 1
     inconclusive = 0
     lv = 0
     while len(ids):
         lv += 1
-        # the test boxes of the whole level, decided together
-        lo, hi = (_cube_points(L, cell, cls, h)[:, :-1] for h in (0, 2))
-        c = (lo + hi) / 2.0
-        he = 1.5 * _dyadic_floats(L, 2, cls)[:, None]
-        stacked, unresolved = _min_phi_decisions(       # unresolved subdivides
-            profile,
-            np.maximum(c - he, -strip),
-            np.minimum(c + he, strip),
-            _dyadic_floats(L, 2 * (cell[:, -1] + 3), cls))
+        top = col_top[col]
+        stacked = cell[:, -1] < top
+        unresolved = (cell[:, -1] == top) & col_unresolved[col]     # unresolved subdivides
         inconclusive += int(np.count_nonzero(unresolved))
         split = ~stacked & (cls < depth_max)    # else: truncated at the class cap
         kids = np.where(stacked, 1, np.where(split, 2 ** d, 0))
         total = int(kids.sum())
-        if total and count + total > cube_cap:
-            raise CubeCapExceeded(cube_cap)
         up = np.repeat(np.arange(len(ids)), kids)
         slot = np.arange(total) - np.repeat(np.cumsum(kids) - kids, kids)
         s = split[up].astype(np.int64)
         cell = np.column_stack([(cell[up, :-1] << s[:, None]) + bits[slot],
                                 (cell[up, -1] + 1) << s])
         cls = cls[up] + s
+        col = np.where(s == 1, (col[up] << d) + 1 + slot, col[up])
         parent.append(ids[up])
         level.append(np.full(total, lv))
         size_class.append(cls)
@@ -754,7 +836,8 @@ def weights_from_beta(cov: CubeCovering, beta: float, p: float) -> HardyProblem:
 class TailReport:
     rows: tuple[dict, ...]          # per size class: count, sum, cumulative, ratio
     geometric: bool                 # level sums decay by a stable factor
-    decay: float                    # geometric-mean ratio of the last level sums
+    decay: float | None             # geometric-mean ratio of the last level sums;
+                                    # None with fewer than two size classes in Gamma*
 
     def to_json(self) -> dict:
         return {"rows": list(self.rows), "geometric": self.geometric,
@@ -795,5 +878,5 @@ def tail_integrability(cov: CubeCovering, beta: float, p: float) -> TailReport:
     ratios = [r["ratio"] for r in rows[-5:] if r["ratio"] is not None]
     geometric = (len(ratios) >= 3 and all(r < 1.0 for r in ratios)
                  and max(ratios) <= 1.2 * min(ratios))
-    decay = float(np.exp(np.mean(np.log(ratios)))) if ratios else float("nan")
+    decay = float(np.exp(np.mean(np.log(ratios)))) if ratios else None
     return TailReport(tuple(rows), geometric, decay)

@@ -4,14 +4,15 @@ The library computes path-prefix and shadow sums with a level-vectorised
 kernel, applies the Hardy operator matrix-free, brackets its norm C from one
 positive start, computes the EHP constant B
 with an upper-hull tree DP, solves every alpha_K program by the tree
-recursion, decides cube containment for a whole covering level at once,
+recursion, decides cube containment once per column of stacked cubes,
 fits the counting constants per size class, sweeps the sampled Holder
 quotient in row blocks, stores cubes as integer dyadic cells and checks
 their disjointness by cell-key lookups, runs the decomposition on one
 (vertex, fragment) pair index of the U_t sets, and reduces each Monte Carlo
 cell, fractional pairs included, block by block as it is drawn; the loops,
 the dense matrices, the antichain enumeration, the Gram solve, the per-cube
-test, the Fraction covering build, the pairwise box scan, the per-vertex
+test, the Fraction covering build, the covering build with one containment
+call per breadth-first level, the pairwise box scan, the per-vertex
 decomposition, the all-cells-kept sampler and the all-pairs fractional
 sampler below are the straightforward forms they are
 checked against, as is the multistart power iteration with its
@@ -32,6 +33,14 @@ from fractions import Fraction
 import numpy as np
 
 import hardy_lab as hl
+from hardy_lab.covering import (
+    CoveringError,
+    CubeCapExceeded,
+    CubeCovering,
+    _cube_points,
+    _dyadic_floats,
+    _min_phi_decisions,
+)
 from hardy_lab.hardy import HardyOperator, NonConvergenceError
 from hardy_lab.inequalities import (
     _SPHERE_AREA,
@@ -338,6 +347,62 @@ def min_phi_decision(profile, lo, hi, threshold: float, max_points: int = 1 << 1
             return True
         m *= 2
     return None
+
+
+def build_by_levels(profile, depth_max: int, cube_cap: int = 10 ** 6):
+    """The former `build_covering`: one `_min_phi_decisions` call per
+    breadth-first level, on one test box per frontier cube."""
+    if depth_max < 0:
+        raise ValueError(f"depth_max must be >= 0, got {depth_max}")
+    if profile.n not in (2, 3):
+        raise CoveringError("only dimensions 2 and 3 are supported")
+    profile.validate()
+    L = profile.ell
+    d = profile.n - 1
+    strip = 1.5 * float(L)
+    bits = (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+
+    ids = np.zeros(1, dtype=np.int64)           # the frontier: vertex ids,
+    cell = np.zeros((1, d + 1), dtype=np.int64)  # grid cells
+    cls = np.zeros(1, dtype=np.int64)           # and size classes
+    parent, level, size_class, cells = [np.array([-1])], [np.array([0])], [cls], [cell]
+    count = 1
+    inconclusive = 0
+    lv = 0
+    while len(ids):
+        lv += 1
+        # the test boxes of the whole level, decided together
+        lo, hi = (_cube_points(L, cell, cls, h)[:, :-1] for h in (0, 2))
+        c = (lo + hi) / 2.0
+        he = 1.5 * _dyadic_floats(L, 2, cls)[:, None]
+        stacked, unresolved = _min_phi_decisions(       # unresolved subdivides
+            profile,
+            np.maximum(c - he, -strip),
+            np.minimum(c + he, strip),
+            _dyadic_floats(L, 2 * (cell[:, -1] + 3), cls))
+        inconclusive += int(np.count_nonzero(unresolved))
+        split = ~stacked & (cls < depth_max)    # else: truncated at the class cap
+        kids = np.where(stacked, 1, np.where(split, 2 ** d, 0))
+        total = int(kids.sum())
+        if total and count + total > cube_cap:
+            raise CubeCapExceeded(cube_cap)
+        up = np.repeat(np.arange(len(ids)), kids)
+        slot = np.arange(total) - np.repeat(np.cumsum(kids) - kids, kids)
+        s = split[up].astype(np.int64)
+        cell = np.column_stack([(cell[up, :-1] << s[:, None]) + bits[slot],
+                                (cell[up, -1] + 1) << s])
+        cls = cls[up] + s
+        parent.append(ids[up])
+        level.append(np.full(total, lv))
+        size_class.append(cls)
+        cells.append(cell)
+        ids = count + np.arange(total)
+        count += total
+
+    tree = hl.RootedTree(np.concatenate(parent).tolist())
+    return CubeCovering(profile, tree, tuple(np.concatenate(level).tolist()),
+                        tuple(np.concatenate(size_class).tolist()),
+                        np.concatenate(cells), depth_max, inconclusive)
 
 
 def graph_distance(profile, points) -> np.ndarray:

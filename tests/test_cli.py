@@ -254,6 +254,43 @@ def test_covering_bad_input_exits_2(tmp_path, argv):
     assert os.listdir(out) == []
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_missing_tail_decay_is_null(tmp_path, depth):
+    # with fewer than two size classes in Gamma* there is no decay ratio:
+    # it is written as null, not as a bare NaN token
+    out = str(tmp_path)
+    assert main(["covering", "--depth", str(depth), "--out", out]) == 0
+    with open(os.path.join(out, "covering.json")) as fh:
+        doc = json.load(fh, parse_constant=_refuse_constant)
+    assert doc["report"]["tail"]["decay"] is None
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("the covering was built before beta and p were checked")
+
+
+@pytest.mark.parametrize("command,argv,message", [
+    ("covering", ["--p", "nan"], "p must be finite and >= 1"),
+    ("covering", ["--p", "0.5"], "p must be finite and >= 1"),
+    ("covering", ["--beta", "nan"], "beta must be finite"),
+    ("covering", ["--beta", "inf"], "beta must be finite"),
+    ("decompose", ["--beta", "nan"], "beta must be finite"),
+    ("decompose", ["--p", "inf"], "p must be finite and >= 1"),
+    ("decompose", ["--p", "1"], "p must lie in (1, inf)"),
+])
+def test_beta_and_p_checked_before_the_build(tmp_path, capsys, monkeypatch,
+                                             command, argv, message):
+    monkeypatch.setattr(cli, "build_covering", _no_build)
+    out = str(tmp_path)
+    assert main([command, "--phi", "rough", "--depth", "10", *argv, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("command,unread", [
     (["tree", "--chain", "2"], "--format"),
     (["hardy", "--input", "tree.json"], "--seed"),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hardy_lab as hl
+from hardy_lab import covering
 from hardy_lab.covering import (
     CoveringError,
     CubeCapExceeded,
@@ -25,6 +26,7 @@ from hardy_lab.covering import (
 
 from oracles import (
     FractionCovering,
+    build_by_levels,
     cube_rows,
     disjoint_and_coverage,
     fit_constants,
@@ -469,11 +471,13 @@ def _grid_modulus(profile, lo, hi, m):
 
 
 def _counting(profile):
-    """profile with phi wrapped to count the points it is called on."""
-    calls = [0]
+    """profile with phi wrapped to count the points it is called on
+    (calls[0]) and the calls (calls[1])."""
+    calls = [0, 0]
 
     def phi(x):
         calls[0] += len(x)
+        calls[1] += 1
         return profile.phi(x)
 
     return dataclasses.replace(profile, phi=phi), calls
@@ -580,12 +584,16 @@ def test_pruned_decision_on_kinks_at_the_holder_bound():
     assert got[1].tolist() == [True]
 
 
+def _nan_right_of_one():
+    """The demo profile with phi NaN right of x = 1."""
+    demo = hl.profile_demo()
+    return dataclasses.replace(demo, phi=lambda x: np.where(x[:, 0] > 1.0, np.nan, demo.phi(x)))
+
+
 def test_pruned_decision_keeps_nan_samples():
     # phi is NaN right of x = 1: the full grid decides no box with a NaN
     # sample, so no block holding one may be pruned away
-    demo = hl.profile_demo()
-    profile = dataclasses.replace(
-        demo, phi=lambda x: np.where(x[:, 0] > 1.0, np.nan, demo.phi(x)))
+    profile = _nan_right_of_one()
     lo = np.array([[0.9], [1.2], [-0.2], [0.5]])
     hi = np.array([[1.1], [1.4], [0.2], [1.02]])
     thr = np.array([2.0, 2.0, 2.0, 2.35])
@@ -595,11 +603,91 @@ def test_pruned_decision_keeps_nan_samples():
 
 
 def test_rough_depth8_phi_points(rough_cov8):
-    # the full midpoint grids took 8 928 612 phi points for this covering
+    # the full midpoint grids took 8 928 612 phi points for this covering,
+    # the pruned grids one containment call per level 475 924 points in 481
+    # calls; one call per column batch of a size class takes about 227 000
+    # points in about 100 calls
     counted, calls = _counting(hl.profile_rough())
     cov = hl.build_covering(counted, depth_max=8)
     assert np.array_equal(cov.cell, rough_cov8.cell) and cov.tree.parent == rough_cov8.tree.parent
-    assert calls[0] <= 8_928_612 // 10
+    assert calls[0] <= 300_000 and calls[1] <= 150
+
+
+def _same_covering(got, want):
+    return (got.tree.parent == want.tree.parent and got.level == want.level
+            and got.size_class == want.size_class and np.array_equal(got.cell, want.cell)
+            and got.inconclusive == want.inconclusive)
+
+
+def _column_profile(which):
+    return {"flat": hl.profile_flat,
+            "rough3": lambda: hl.profile_rough(n=3),
+            "rough_other": lambda: hl.profile_rough(scales=9, amplitude=0.3)}.get(
+                which, lambda: _profile(which))()
+
+
+@pytest.mark.parametrize("which,depth", [
+    *[("rough", d) for d in range(9)], ("rough_other", 7),
+    *[("demo", d) for d in range(9)], ("flat", 4), ("flat_third", 4),
+    ("demo3", 3), ("flat3", 3), ("rough3", 3)])
+def test_column_build_matches_level_oracle(which, depth):
+    # containment decided per column of stacked cubes, replayed level by
+    # level, against one containment call per breadth-first level
+    profile = _column_profile(which)
+    assert _same_covering(hl.build_covering(profile, depth), build_by_levels(profile, depth))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16])
+@pytest.mark.parametrize("which,depth", [("rough", 8), ("demo", 6), ("demo3", 3)])
+def test_column_build_across_batches(monkeypatch, batch, which, depth):
+    # narrow batches make every column span several containment calls
+    profile = _column_profile(which)
+    want = build_by_levels(profile, depth)
+    monkeypatch.setattr(covering, "COLUMN_BATCH", batch)
+    assert _same_covering(hl.build_covering(profile, depth), want)
+
+
+@pytest.mark.parametrize("which", ["demo", "rough", "demo3"])
+def test_shared_box_decisions_match_per_test_oracle(which):
+    # the thresholds of test_pruned_decision_at_grid_value_thresholds, all
+    # of a box's on that one box and in scrambled test order: a block kept
+    # for one threshold sits right beside another's decisive samples, and
+    # each test still gets its own box's full-grid decision
+    profile = _profile(which)
+    d = profile.n - 1
+    rng = np.random.default_rng(37)
+    lo, hi, thr, box = [], [], [], []
+    for b in range(4):
+        c = rng.uniform(-1.4, 1.4, d)
+        half = 2.0 ** rng.uniform(-8, -1)
+        lo.append(np.maximum(c - half, -1.5))
+        hi.append(np.minimum(c + half, 1.5))
+        for m in ([4, 64, 1024, 8192] if d == 1 else [4, 16, 64]):
+            vals = _grid_values(profile, lo[b], hi[b], m)
+            mod = _grid_modulus(profile, lo[b], hi[b], m)
+            for t in (vals.min(), vals.min() - mod, rng.choice(vals)):
+                thr += [t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)]
+                box += [b] * 3
+    lo, hi = np.array(lo), np.array(hi)
+    order = rng.permutation(len(box))
+    box, thr = np.array(box)[order], np.array(thr)[order]
+    got = _min_phi_decisions(profile, lo, hi, thr, _max_points(profile), box=box)
+    assert _same(got, _per_cube(profile, lo[box], hi[box], thr, _max_points(profile)))
+    contained, unresolved = got
+    assert contained.any() and (~contained & ~unresolved).any()
+
+
+def test_shared_box_decisions_keep_nan_samples():
+    # the boxes of test_pruned_decision_keeps_nan_samples, each with its own
+    # threshold and two more
+    profile = _nan_right_of_one()
+    lo = np.array([[0.9], [1.2], [-0.2], [0.5]])
+    hi = np.array([[1.1], [1.4], [0.2], [1.02]])
+    thr = np.array([2.0, 2.0, 2.0, 2.35, 1.9, 2.5, 2.1, 2.2, 2.05, 2.3, 2.45, 2.4])
+    box = np.array([0, 1, 2, 3, 0, 1, 2, 3, 2, 0, 3, 2])
+    got = _min_phi_decisions(profile, lo, hi, thr, box=box)
+    assert _same(got, _per_cube(profile, lo[box], hi[box], thr))
+    assert got[1][:4].tolist() == [True, True, False, True]
 
 
 @pytest.mark.parametrize("which,depth", [("demo", 8), ("rough", 8), ("demo3", 3), ("flat3", 3)])
