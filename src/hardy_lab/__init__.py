@@ -52,7 +52,6 @@ from .decomp import (  # noqa: F401
 from .inequalities import (  # noqa: F401
     RatioReport,
     TestFunction,
-    check_gradient,
     density_split,
     f_bilinear,
     f_distance_power,

@@ -233,11 +233,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ineq(args) -> int:
+    grid = [float(b) for b in args.beta_grid.split(",")] if args.beta_grid else None
+    for beta in grid or [args.beta]:
+        _check_beta_p(beta, args.p)         # before the build, which they do not affect
     cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
     f = u_shear(cov.n) if args.kind == "korn" else f_linear()
     cfg = _config(args)
-    if args.beta_grid:
-        grid = [float(b) for b in args.beta_grid.split(",")]
+    if grid:
         rows = parameter_sweep(args.kind, f, cov, grid, args.p,
                                samples=args.samples, seed=args.seed,
                                s=args.s, tau=args.tau)

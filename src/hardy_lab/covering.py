@@ -524,7 +524,7 @@ class CubeCovering:
             "cubes": {
                 "cell": self.cell.T.tolist(),
                 "level": list(self.level),
-                "parent": list(self.tree.parent),
+                "parent": self.tree.parent.tolist(),
                 "size_class": list(self.size_class),
             },
         }
@@ -678,7 +678,7 @@ def build_covering(profile: HolderProfile, depth_max: int,
         ids = count + np.arange(total)
         count += total
 
-    tree = RootedTree(np.concatenate(parent).tolist())
+    tree = RootedTree(np.concatenate(parent))
     return CubeCovering(profile, tree, tuple(np.concatenate(level).tolist()),
                         tuple(np.concatenate(size_class).tolist()),
                         np.concatenate(cells), depth_max, inconclusive)
@@ -764,9 +764,10 @@ def _fit_constants(cov: CubeCovering, class_cap: int) -> dict[str, float]:
     for i in classes:
         mine = (cls == i) & keep
         own = float(i == r0)                    # the root's own count in class i
-        most = max(kern.prefix(mine)[keep].max(initial=0.0) + own, own)
+        most = max(kern.prefix(mine.astype(float))[keep].max(initial=0.0) + own, own)
         c1 = max(c1, most / 2.0 ** (i * (1.0 - alpha)))
-        for k, top in class_max(kern.shadow(mine)[keep], np.count_nonzero(mine) + own):
+        for k, top in class_max(kern.shadow(mine.astype(float))[keep],
+                                np.count_nonzero(mine) + own):
             if top:
                 c2 = max(c2, top * 2.0 ** (k * (nn - 1) + i * (alpha - nn)))
 
@@ -781,7 +782,7 @@ def _fit_constants(cov: CubeCovering, class_cap: int) -> dict[str, float]:
         raise CoveringError("shadow volumes exceed 2^53 units: float sums would round")
     # |B_t| = |Q_t| / 2 joins the shadow of every non-root t
     c3 = 0.0
-    for k, vol in class_max((kern.shadow(units) + units / 2)[keep], total):
+    for k, vol in class_max((kern.shadow(units.copy()) + units / 2)[keep], total):
         shadow_vol = float(int(vol) * w)
         et = Lf * 2.0 ** (-k)
         c3 = max(c3, shadow_vol / (et ** (nn - 1 + alpha) * (K + et ** (1 - alpha))))
@@ -824,7 +825,7 @@ def weights_from_beta(cov: CubeCovering, beta: float, p: float) -> HardyProblem:
     """
     alpha = cov.profile.alpha
     gamma = beta + alpha - 1.0
-    gs = list(cov.tree.gamma_star)
+    gs = cov.tree.gamma_star
     edges = cov.edge_array[gs]
     vols = cov.volume_array[gs] / 2         # |B_t| = |Q_t| / 2
     flag = "beta_ok" if beta * p > -alpha else "beta_violates_cond"
@@ -856,7 +857,7 @@ def tail_integrability(cov: CubeCovering, beta: float, p: float) -> TailReport:
     """Per-size-class partial sums of v^p = |B_t| edge^{beta p}; ValueError
     unless beta is finite and p is finite with p >= 1."""
     _check_beta_p(beta, p)
-    count = np.bincount(np.asarray(cov.size_class)[list(cov.tree.gamma_star)])
+    count = np.bincount(np.asarray(cov.size_class)[cov.tree.gamma_star])
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for j in np.flatnonzero(count).tolist():

@@ -118,7 +118,7 @@ class CellSpace:
             raise DecompositionError("connector must have positive volume", int(conn[i]))
         bfrag = np.full(n, -1, dtype=np.int64)
         bfrag[s] = slab
-        key = np.sort(np.concatenate([owner, s, np.asarray(tree.parent, dtype=np.int64)[s]]) * m
+        key = np.sort(np.concatenate([owner, s, tree.parent[s]]) * m
                       + np.concatenate([np.arange(m), slab, slab]))
         key = key[np.r_[True, key[1:] != key[:-1]]]
         self.owner, self.connector, self.bfrag, self.vol = owner, conn, bfrag, vol
@@ -139,8 +139,8 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None) -> CellSpa
     carries the edge of s, matching the essinf convention)."""
     tree, d = cov.tree, cov.n
     cls = np.asarray(cov.size_class, dtype=np.int64)
-    gs = np.asarray(tree.gamma_star, dtype=np.int64)
-    up = np.asarray(tree.parent, dtype=np.int64)[gs]
+    gs = tree.gamma_star
+    up = tree.parent[gs]
     edge = cov.class_edge
 
     # a core's volume |Q_t| - sum_c |Q_c| / 2 depends only on its class and
@@ -340,7 +340,7 @@ def decompose(g: CellFunction, problem: HardyProblem | None = None,
     c, hp = space.connector[pf], h[pf]
     gterm = np.where(space.owner[pf] == pv, gv[pf], 0.0)
     hterm = np.where(c == pv, -hp,
-                     np.where(np.asarray(tree.parent)[c] == pv, hp, 0.0))
+                     np.where(tree.parent[c] == pv, hp, 0.0))
     keep = (gterm != 0) | (hterm != 0)
     vertex, frag, value = pv[keep], pf[keep], (gterm + hterm)[keep]
 

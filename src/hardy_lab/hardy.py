@@ -28,9 +28,11 @@ level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
 O(|Gamma*|) per pass, with no dense matrix and no size cap.
 
 Fixed values: theta* from 64 log-spaced thetas on (1, theta_max], which
-share kernel passes in blocks of at most 2^13 array entries, refined by
-golden section to relative width 1e-4; C to a relative bracket gap of 1e-10
-within 100 000 iterations; the chain checks allow 1e-9 relative round-off.
+share kernel passes in blocks of at most 2^16 array entries (512 KB per
+float array, two per block, so a block stays within a 2 MB L2 cache),
+refined by golden section to relative width 1e-4; C to a relative bracket
+gap of 1e-10 within 100 000 iterations; the chain checks allow 1e-9
+relative round-off.
 
 Vertex sups break ties to the lowest vertex id. B's antichain is read off
 the first hull vertex after the origin at the root. Sibling hulls merge in
@@ -51,7 +53,7 @@ from .tree import RootedTree, TreeError, TreeKernel
 GROWTH_FACTOR = 1.05   # per-level growth that marks a quantity "diverging"
 GROWTH_LEVELS = 5
 THETA_GRID = 64        # log-spaced thetas on (1, theta_max] seeding golden section
-THETA_BLOCK = 1 << 13  # array entries per block of thetas in one kernel pass
+THETA_BLOCK = 1 << 16  # array entries per block of thetas in one kernel pass
 MAX_ITERATIONS = 100_000
 CHAIN_SLACK = 1e-9     # relative round-off allowed by chain_equivalence_check
 
@@ -81,12 +83,12 @@ class HardyProblem:
     def __post_init__(self):
         if not 1.0 < self.p < math.inf:
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
-        if not self.tree.gamma_star:
+        if self.tree.n < 2:
             raise ValueError("Gamma* is empty: the tree has no vertex besides the root")
         for name, w in (("u", self.u), ("v", self.v)):
             if w.shape != (self.tree.n,):
                 raise ValueError(f"{name} must have one entry per vertex")
-            vals = w[list(self.tree.gamma_star)]
+            vals = w[self.tree.gamma_star]
             if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
                 raise ValueError(f"{name} must be strictly positive and finite on Gamma*")
 
@@ -95,7 +97,7 @@ class HardyProblem:
         return self.p / (self.p - 1.0)
 
     def to_json(self) -> dict:
-        gs = list(self.tree.gamma_star)
+        gs = self.tree.gamma_star
         return {
             "tree": self.tree.to_json(),
             "u": [float(x) for x in self.u[gs]],
@@ -112,7 +114,7 @@ class HardyProblem:
 def make_problem(tree: RootedTree, u_star, v_star, p: float,
                  flags: tuple[str, ...] = ()) -> HardyProblem:
     """Build a HardyProblem from weights listed in sorted Gamma* order."""
-    gs = list(tree.gamma_star)
+    gs = tree.gamma_star
     if len(u_star) != len(gs) or len(v_star) != len(gs):
         raise ValueError(f"need {len(gs)} weights (one per non-root vertex)")
     u = np.full(tree.n, np.nan)
@@ -177,7 +179,7 @@ def _sup_over_gamma_star(tree: RootedTree, vals: np.ndarray) -> tuple[float, int
     by_id = np.empty(tree.kernel.m)
     by_id[tree.kernel.rank] = vals
     i = int(np.argmax(by_id))         # argmax returns the first (lowest id)
-    return float(by_id[i]), tree.gamma_star[i]
+    return float(by_id[i]), i + (i >= tree.root)
 
 
 _PROFILE_BLOCK = 1 << 22     # array entries per block of truncation levels
@@ -222,7 +224,7 @@ def a_chain(problem: HardyProblem, levels=None) -> SupResult:
     u, v = _bfs_weights(problem)
     front = tree.kernel.prefix(u ** (-q)) ** (1.0 / q)
     vp = v ** p
-    value, arg = _sup_over_gamma_star(tree, front * tree.kernel.shadow(vp) ** (1.0 / p))
+    value, arg = _sup_over_gamma_star(tree, front * tree.kernel.shadow(vp.copy()) ** (1.0 / p))
     profile = _level_profile(tree, levels, front, vp, p)
     return SupResult(value, arg, _diverging(profile), profile)
 
@@ -239,32 +241,36 @@ def a_tree(problem: HardyProblem, theta: float, levels=None) -> SupResult:
     tree, q, p = problem.tree, problem.q, problem.p
     u, v = _bfs_weights(problem)
     N = tree.kernel.prefix(u ** (-q))
-    vals, front, base = _a_tree_terms(tree.kernel, N, v ** p, (theta,), q, p)
+    vals, front, base = _a_tree_terms(tree.kernel, N, v ** p, (theta,), q, p,
+                                      keep_base=True)
     value, arg = _sup_over_gamma_star(tree, vals[:, 0])
     profile = _level_profile(tree, levels, front[:, 0], base[:, 0], p)
     return SupResult(value, arg, _diverging(profile), profile)
 
 
 def _a_tree_terms(kernel: TreeKernel, N: np.ndarray, vp: np.ndarray, thetas,
-                  q: float, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  q: float, p: float, keep_base: bool = False):
     """a_tree's per-vertex values N^{1/(theta q)} T^{1/p}, with
-    T = shadow(v^p N^{(p/q)(1 - 1/theta)}), one column per theta in
-    `thetas`; returns (values, front, base) as (m, len(thetas)) arrays.
+    T = shadow(base), base = v^p N^{(p/q)(1 - 1/theta)}, one column per
+    theta in `thetas`; returns (values, front, base) as (m, len(thetas))
+    arrays, base None unless keep_base.
 
     N = prefix(u^-q) and vp = v^p do not depend on theta, so the theta
     search computes them once and passes them in. Each column is built on
-    contiguous 1-D arrays, and all of them share one kernel shadow pass,
-    whose output is raised and multiplied in place.
+    contiguous 1-D arrays and stays contiguous: the arrays are column-major,
+    which also keeps each column's max a contiguous reduction. All columns
+    share one kernel shadow pass, in place on base unless keep_base asks
+    for a copy; its output is raised and multiplied in place.
     """
-    front = np.empty((len(N), len(thetas)))
+    front = np.empty((len(N), len(thetas)), order="F")
     base = np.empty_like(front)
     for j, theta in enumerate(thetas):
         base[:, j] = vp * N ** ((p / q) * (1.0 - 1.0 / theta))
         front[:, j] = N ** (1.0 / (theta * q))
-    vals = kernel.shadow(base)
+    vals = kernel.shadow(base.copy(order="F") if keep_base else base)
     vals **= 1.0 / p
     vals *= front
-    return vals, front, base
+    return vals, front, base if keep_base else None
 
 
 @dataclass(frozen=True)
@@ -367,7 +373,7 @@ class HardyOperator:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         u, v = self._weights(X)
-        return v * self.kernel.prefix(X / u)
+        return v * self.kernel.prefix(X / u)      # the kernel overwrites X / u
 
     def apply_t(self, Y: np.ndarray) -> np.ndarray:
         u, v = self._weights(Y)
@@ -386,12 +392,12 @@ def _pnorm_power(apply, apply_t, m: int, p: float) -> tuple[float, float, np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERATIONS + 1):
             y = apply(x)
-            lower = float(np.sum(y ** p) ** (1.0 / p))
+            lower = float(np.add.reduce(y ** p) ** (1.0 / p))
             fx = apply_t(y ** (p - 1.0)) ** (q - 1.0)
             upper = float(np.fmax.reduce(fx / x)) ** (1.0 / q)
             if upper - lower <= 1e-10 * lower:
                 return lower, upper, x, it
-            x = fx / np.sum(fx ** p) ** (1.0 / p)
+            x = fx / np.add.reduce(fx ** p) ** (1.0 / p)
     raise NonConvergenceError(lower, MAX_ITERATIONS)
 
 
@@ -466,12 +472,12 @@ def alpha_K(problem: HardyProblem, boundary) -> AlphaResult:
         raise TreeError("the root cannot belong to the boundary")
     K = tree.kernel
     mine = np.isin(K.order, bnd)
-    below = mine & (K.prefix(mine) > 1)
+    below = mine & (K.prefix(mine.astype(float)) > 1)
     if below.any():
         raise TreeError(f"boundary vertex {int(K.order[below].min())} lies below "
                         "another boundary vertex")
     # the union of the boundary paths: the vertices whose shadow meets bnd
-    support = np.sort(K.order[K.shadow(mine) > 0]).tolist()
+    support = np.sort(K.order[K.shadow(mine.astype(float)) > 0]).tolist()
     full = _alpha_tree_recursion(problem, bnd, support)
     alpha = float(np.sum(full[support] ** problem.p) ** (1.0 / problem.p))
     return AlphaResult(alpha, full)
@@ -500,11 +506,12 @@ def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
     top-down yields b >= 0 satisfying every constraint exactly.
     """
     tree, p = problem.tree, problem.p
+    topo = tree.topo.tolist()
     boundary = set(bnd)
     in_k = set(support)
     kappa: dict[int, float] = {}
     total: dict[int, float] = {}        # children's K, reused by the budget split
-    for s in reversed(tree.topo):
+    for s in reversed(topo):
         if s not in in_k:
             continue
         if s in boundary:
@@ -516,7 +523,7 @@ def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
     b = np.zeros(tree.n)
     budget: dict[int, float] = {c: 1.0 for c in tree.children[tree.root]
                                 if c in in_k}
-    for s in tree.topo:
+    for s in topo:
         if s not in in_k or s == tree.root:
             continue
         c = budget[s]
@@ -590,7 +597,7 @@ def ehp_B(problem: HardyProblem, cap: int | None = None) -> EhpResult:
     HullCapExceeded is raised once it passes `cap`.
     """
     tree, p = problem.tree, problem.p
-    gs = list(tree.gamma_star)
+    gs = tree.gamma_star
     w = np.zeros(tree.n)
     w[gs] = problem.v[gs] ** p
     shadow = _shadow_sums(tree, w).tolist()
@@ -603,7 +610,7 @@ def ehp_B(problem: HardyProblem, cap: int | None = None) -> EhpResult:
     source: list = [None] * tree.n      # candidate index of each hull point
     merged: list = [None] * tree.n      # child id of each merged edge, in order
     count = 0
-    for s in reversed(tree.topo):
+    for s in reversed(tree.topo.tolist()):
         edges = []
         for c in tree.children[s]:
             kc, nc = hull_k[c], hull_n[c]
@@ -664,7 +671,7 @@ def chain_equivalence_check(problem: HardyProblem, theta: float) -> ChainEquival
     if not theta > 1.0:
         raise ValueError("theta must exceed 1")
     w_v = _bfs_weights(problem)[1] ** p
-    M = tree.kernel.shadow(w_v).tolist()
+    M = tree.kernel.shadow(w_v.copy()).tolist()
     # the powers as Python floats (libm pow): numpy's vectorised power can
     # round differently in the last bit
     lhs = tree.kernel.shadow(w_v * np.array([m ** (1.0 / theta - 1.0) for m in M]))

@@ -114,34 +114,6 @@ def u_shear(n: int = 2) -> TestFunction:
     return TestFunction("shear", value, jacobian=jacobian, vector=True)
 
 
-def check_gradient(f: TestFunction, points: np.ndarray, d: np.ndarray,
-                   rtol: float = 1e-6) -> float:
-    """Max relative deviation of the analytic derivative from central
-    differences with step 1e-5 * d(x). Raises when it exceeds rtol."""
-    x = np.atleast_2d(points)
-    h = 1e-5 * np.asarray(d, dtype=float)
-    deriv = f.jacobian(x) if f.vector else f.gradient(x)
-    worst = 0.0
-    for k in range(x.shape[1]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[:, k] += h
-        xm[:, k] -= h
-        diff = f.value(xp) - f.value(xm)
-        if f.vector:
-            fd = diff / (2.0 * h)[:, None]
-            exact = deriv[:, :, k]
-        else:
-            fd = diff / (2.0 * h)
-            exact = deriv[:, k]
-        scale = np.maximum(np.abs(exact), 1.0)
-        worst = max(worst, float(np.max(np.abs(fd - exact) / scale)))
-    if worst > rtol:
-        raise ValueError(f"gradient of {f.name} deviates from finite differences "
-                         f"by {worst:.3e}")
-    return worst
-
-
 # -- stratified sampling --------------------------------------------------------
 
 def _allocate(samples: int, vols: np.ndarray) -> np.ndarray:
@@ -593,7 +565,7 @@ def density_split(F: CellFunction, beta: float, p: float,
     psi = float((Fv * vols).sum()) / denom
     h = Fv - psi * dbp
 
-    depth = np.asarray(tree.depth)[np.where(space.connector >= 0, space.connector, space.owner)]
+    depth = tree.depth[np.where(space.connector >= 0, space.connector, space.owner)]
     max_depth = int(depth.max())
 
     def tail_norm(D):

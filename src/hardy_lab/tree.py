@@ -9,8 +9,13 @@ Conventions used throughout the package:
   * path(t)   = vertices strictly below the root down to t (t included)
   * shadow(t) = {s in Gamma* : s >= t} (t included)
 
-Children lists are kept sorted by id so every traversal and arg-sup
-tie-break is reproducible bit-for-bit.
+A tree is stored as read-only int64 arrays: the parent array, the
+children in CSR form (offsets plus ids, each run sorted by id, from one
+stable argsort of the parent array), the BFS order with children in id
+order, and the depths. It is checked and indexed by vectorised steps, one
+numpy step per depth level, with no per-vertex Python loop; sorted
+children keep every traversal and arg-sup tie-break reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -26,65 +31,72 @@ class TreeError(ValueError):
 
 
 class RootedTree:
-    """Immutable rooted tree. Construct from a parent array or `build_tree`."""
+    """Immutable rooted tree. Construct from a parent array or `build_tree`.
+
+    The children of t are child_ids[child_offsets[t]:child_offsets[t + 1]],
+    sorted by id; `topo` lists the vertices in BFS order and depth level d
+    is topo[level_starts[d]:level_starts[d + 1]].
+    """
 
     def __init__(self, parent: Iterable[int]):
-        parent = tuple(int(p) for p in parent)
+        parent = np.array(parent, dtype=np.int64)
         n = len(parent)
         if n == 0:
             raise TreeError("empty tree")
-        roots = [t for t, p in enumerate(parent) if p == -1]
+        roots = np.flatnonzero(parent == -1)
         if len(roots) != 1:
             raise TreeError(f"expected exactly one root, found {len(roots)}")
-        for t, p in enumerate(parent):
-            if p != -1 and not 0 <= p < n:
-                raise TreeError(f"parent id {p} of vertex {t} out of range")
-        root = roots[0]
-        children: list[list[int]] = [[] for _ in range(n)]
-        for t, p in enumerate(parent):
-            if p != -1:
-                children[p].append(t)
-        # reachability from the root; with one parent per vertex an
-        # unreachable vertex necessarily sits on a parent cycle
-        seen = [False] * n
-        stack = [root]
-        seen[root] = True
-        order = []
-        while stack:
-            t = stack.pop()
-            order.append(t)
-            for c in reversed(children[t]):
-                if seen[c]:
-                    raise TreeError("cycle detected")
-                seen[c] = True
-                stack.append(c)
-        if not all(seen):
-            bad = seen.index(False)
-            raise TreeError(f"cycle detected through vertex {bad}")
+        bad = np.flatnonzero((parent < -1) | (parent >= n))
+        if len(bad):
+            t = int(bad[0])
+            raise TreeError(f"parent id {int(parent[t])} of vertex {t} out of range")
+        root = int(roots[0])
+        # children: the non-root vertices grouped by parent, each run in id order
+        child_ids = np.argsort(parent, kind="stable")[1:]
+        child_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(parent[child_ids], minlength=n), out=child_offsets[1:])
+        # BFS, one level at a time: the next frontier is the children of the
+        # current one, in order. With one parent per vertex an unreachable
+        # vertex necessarily sits on a parent cycle.
+        frontier = np.array([root])
+        levels = [frontier]
+        while True:
+            start = child_offsets[frontier]
+            count = child_offsets[frontier + 1] - start
+            total = int(count.sum())
+            if not total:
+                break
+            shift = np.repeat(start - (np.cumsum(count) - count), count)
+            frontier = child_ids[shift + np.arange(total)]
+            levels.append(frontier)
+        topo = np.concatenate(levels)
+        if len(topo) < n:
+            seen = np.zeros(n, dtype=bool)
+            seen[topo] = True
+            raise TreeError(f"cycle detected through vertex {int(np.argmin(seen))}")
+        sizes = [len(f) for f in levels]
+        depth = np.empty(n, dtype=np.int64)
+        depth[topo] = np.repeat(np.arange(len(levels)), sizes)
+        level_starts = np.zeros(len(levels) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=level_starts[1:])
         self.n = n
         self.root = root
         self.parent = parent
-        self.children = tuple(tuple(sorted(c)) for c in children)
+        self.child_offsets = child_offsets
+        self.child_ids = child_ids
+        self.topo = topo                    # parents precede children
+        self.depth = depth
+        self.level_starts = level_starts
+        for a in (parent, child_offsets, child_ids, topo, depth, level_starts):
+            a.flags.writeable = False
 
     # -- derived structure (all cached, tree is immutable) ------------------
 
     @cached_property
-    def topo(self) -> tuple[int, ...]:
-        """Vertices in BFS order; parents always precede children."""
-        out = [self.root]
-        i = 0
-        while i < len(out):
-            out.extend(self.children[out[i]])
-            i += 1
-        return tuple(out)
-
-    @cached_property
-    def depth(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for t in self.topo:
-            if t != self.root:
-                d[t] = d[self.parent[t]] + 1
-        return tuple(d)
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex tuples of child ids, for per-vertex Python loops."""
+        ids, off = self.child_ids.tolist(), self.child_offsets.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(off, off[1:]))
 
     @cached_property
     def kernel(self) -> "TreeKernel":
@@ -92,26 +104,26 @@ class RootedTree:
         return TreeKernel(self)
 
     @cached_property
-    def gamma_star(self) -> tuple[int, ...]:
-        return tuple(t for t in range(self.n) if t != self.root)
+    def gamma_star(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(self.parent != -1))
 
     @cached_property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(t for t in range(self.n) if not self.children[t])
+    def leaves(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(np.diff(self.child_offsets) == 0))
 
     @property
     def is_chain(self) -> bool:
-        return all(len(c) <= 1 for c in self.children)
+        return bool(np.all(np.diff(self.child_offsets) <= 1))
 
     @property
     def max_depth(self) -> int:
-        return max(self.depth)
+        return len(self.level_starts) - 2
 
     def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.parent == other.parent
+        return isinstance(other, RootedTree) and np.array_equal(self.parent, other.parent)
 
     def __hash__(self):
-        return hash(self.parent)
+        return hash(self.parent.tobytes())
 
     def __repr__(self):
         return f"RootedTree(n={self.n}, root={self.root})"
@@ -119,12 +131,18 @@ class RootedTree:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        pairs = [[t, self.parent[t]] for t in range(self.n) if t != self.root]
+        gs = self.gamma_star
+        pairs = [list(e) for e in zip(gs.tolist(), self.parent[gs].tolist())]
         return {"root": self.root, "parents": pairs}
 
     @staticmethod
     def from_json(obj: dict) -> "RootedTree":
         return build_tree([(c, p) for c, p in obj["parents"]])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class TreeKernel:
@@ -133,45 +151,54 @@ class TreeKernel:
     Arrays are indexed by BFS position: position i holds vertex order[i],
     which is entry rank[i] of the sorted Gamma*. The root is left out. Each
     depth level is a contiguous slice in which the children of one parent
-    are contiguous too. Both sums take an array of shape (m,) or (m, k),
-    m = |Gamma*|, and act on every column.
+    are contiguous too. Both sums take a float64 array of shape (m,) or
+    (m, k), m = |Gamma*|, act on every column, and work in place: the
+    array passed in is overwritten and returned, so a caller that still
+    needs it passes a copy.
     """
 
     def __init__(self, tree: RootedTree):
-        order = np.array(tree.topo[1:], dtype=np.int64)
+        order = tree.topo[1:]
         m = len(order)
         position = np.full(tree.n, -1, dtype=np.int64)
         position[order] = np.arange(m)
-        parent = position[np.array(tree.parent, dtype=np.int64)[order]]
-        depth = np.array(tree.depth, dtype=np.int64)[order]
+        parent = position[tree.parent[order]]
         # depth level d >= 1 is the slice [bounds[d-1], bounds[d])
-        bounds = np.searchsorted(depth, np.arange(1, int(depth.max(initial=1)) + 2))
+        bounds = tree.level_starts[1:] - 1
         # per level below the first: slice, parent of each vertex, and the
         # first-child offsets and parents of its runs of siblings
         levels = []
-        for a, b in zip(bounds[1:-1], bounds[2:]):
+        for a, b in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
             par = parent[a:b]
             first = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
-            levels.append((int(a), int(b), par, first, par[first]))
+            levels.append((a, b, par, first, par[first]))
         self.order = order
         self.rank = order - (order > tree.root)   # index in sorted Gamma*
         self.m = m
-        self.top = int(bounds[1])                 # the root's children are [0, top)
+        # the root's children are [0, top)
+        self.top = int(tree.child_offsets[tree.root + 1] - tree.child_offsets[tree.root])
         self.levels = tuple(levels)
 
     def prefix(self, W: np.ndarray) -> np.ndarray:
-        """N[i] = sum of W over the path from the root's child to vertex i."""
-        N = np.array(W, dtype=float)
+        """W[i] becomes the sum of W over the path from the root's child to
+        vertex i; returns W."""
+        _check_float(W)
         for a, b, par, _, _ in self.levels:
-            N[a:b] += N[par]
-        return N
+            W[a:b] += W[par]
+        return W
 
     def shadow(self, W: np.ndarray) -> np.ndarray:
-        """S[i] = sum of W over the shadow of vertex i (i included)."""
-        S = np.array(W, dtype=float)
+        """W[i] becomes the sum of W over the shadow of vertex i (i
+        included); returns W."""
+        _check_float(W)
         for a, b, _, first, up in reversed(self.levels):
-            S[up] += np.add.reduceat(S[a:b], first, axis=0)
-        return S
+            W[up] += np.add.reduceat(W[a:b], first, axis=0)
+        return W
+
+
+def _check_float(W: np.ndarray) -> None:
+    if W.dtype != np.float64:
+        raise TypeError(f"kernel passes work in place on float64 arrays, got {W.dtype}")
 
 
 def build_tree(parent_list: Iterable[tuple[int, int]]) -> RootedTree:

@@ -19,6 +19,11 @@ checked against, as is the multistart power iteration with its
 ratio-change stop rule, and the theta search that ran one kernel pass per
 theta where the library shares one pass among a block of thetas.
 
+`tree_by_loops` is the rooted-tree constructor that checked and indexed
+the parent list in per-vertex Python loops, before the tree was built from
+int arrays by one argsort and one numpy step per level. `check_gradient`
+compares a test function's analytic derivative with central differences.
+
 The library keeps no per-vertex root paths: `tree_paths` builds them here
 for the dense oracles (`hardy_matrix`, `induced_subtree`, `alpha_gram`).
 `graph_distance` is the grid search for the distance to the graph that the
@@ -28,6 +33,7 @@ is comparable to that distance.
 
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +57,53 @@ from hardy_lab.inequalities import (
     _locate_own_first,
     _sum_squares,
 )
+
+
+def tree_by_loops(parent):
+    """The former RootedTree constructor: the parent list checked and
+    indexed in per-vertex Python loops. Returns the tree's fields as tuples
+    (children sorted by id, topo in BFS order) and raises TreeError with
+    the texts the library uses."""
+    parent = tuple(int(p) for p in parent)
+    n = len(parent)
+    if n == 0:
+        raise hl.TreeError("empty tree")
+    roots = [t for t, p in enumerate(parent) if p == -1]
+    if len(roots) != 1:
+        raise hl.TreeError(f"expected exactly one root, found {len(roots)}")
+    for t, p in enumerate(parent):
+        if p != -1 and not 0 <= p < n:
+            raise hl.TreeError(f"parent id {p} of vertex {t} out of range")
+    root = roots[0]
+    children = [[] for _ in range(n)]
+    for t, p in enumerate(parent):
+        if p != -1:
+            children[p].append(t)
+    # reachability from the root; with one parent per vertex an
+    # unreachable vertex necessarily sits on a parent cycle
+    seen = [False] * n
+    stack = [root]
+    seen[root] = True
+    while stack:
+        for c in children[stack.pop()]:
+            seen[c] = True
+            stack.append(c)
+    if not all(seen):
+        raise hl.TreeError(f"cycle detected through vertex {seen.index(False)}")
+    children = tuple(tuple(sorted(c)) for c in children)
+    topo = [root]
+    i = 0
+    while i < len(topo):
+        topo.extend(children[topo[i]])
+        i += 1
+    depth = [0] * n
+    for t in topo[1:]:
+        depth[t] = depth[parent[t]] + 1
+    return types.SimpleNamespace(
+        n=n, root=root, parent=parent, children=children, topo=tuple(topo),
+        depth=tuple(depth), gamma_star=tuple(t for t in range(n) if t != root),
+        leaves=tuple(t for t in range(n) if not children[t]),
+        is_chain=all(len(c) <= 1 for c in children))
 
 
 def tree_paths(tree) -> list:
@@ -233,6 +286,33 @@ def alpha_gram(problem, boundary):
     full = np.zeros(tree.n)
     full[support] = b
     return float(np.linalg.norm(b)), full
+
+
+def check_gradient(f, points: np.ndarray, d: np.ndarray, rtol: float = 1e-6) -> float:
+    """Max relative deviation of the analytic derivative from central
+    differences with step 1e-5 * d(x). Raises when it exceeds rtol."""
+    x = np.atleast_2d(points)
+    h = 1e-5 * np.asarray(d, dtype=float)
+    deriv = f.jacobian(x) if f.vector else f.gradient(x)
+    worst = 0.0
+    for k in range(x.shape[1]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[:, k] += h
+        xm[:, k] -= h
+        diff = f.value(xp) - f.value(xm)
+        if f.vector:
+            fd = diff / (2.0 * h)[:, None]
+            exact = deriv[:, :, k]
+        else:
+            fd = diff / (2.0 * h)
+            exact = deriv[:, k]
+        scale = np.maximum(np.abs(exact), 1.0)
+        worst = max(worst, float(np.max(np.abs(fd - exact) / scale)))
+    if worst > rtol:
+        raise ValueError(f"gradient of {f.name} deviates from finite differences "
+                         f"by {worst:.3e}")
+    return worst
 
 
 def holder_quotient_max(pts, vals, alpha):

@@ -281,6 +281,9 @@ def _no_build(*args, **kwargs):
     ("decompose", ["--beta", "nan"], "beta must be finite"),
     ("decompose", ["--p", "inf"], "p must be finite and >= 1"),
     ("decompose", ["--p", "1"], "p must lie in (1, inf)"),
+    ("ineq", ["--beta", "nan"], "beta must be finite"),
+    ("ineq", ["--p", "nan"], "p must be finite and >= 1"),
+    ("ineq", ["--beta-grid=0.0,nan"], "beta must be finite"),
 ])
 def test_beta_and_p_checked_before_the_build(tmp_path, capsys, monkeypatch,
                                              command, argv, message):

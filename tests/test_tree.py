@@ -15,6 +15,7 @@ from oracles import (
     order_masks,
     path_prefix_sums,
     shadow_sums,
+    tree_by_loops,
     tree_paths,
 )
 
@@ -26,7 +27,7 @@ def test_build_smallest():
 
 def test_build_two_chain():
     t = hl.build_tree([(1, 0), (2, 1)])
-    assert t.parent == (-1, 0, 1)
+    assert tuple(t.parent) == (-1, 0, 1)
     assert t.is_chain
 
 
@@ -50,8 +51,7 @@ def _kernel_paths_and_shadows(t):
     prefix and one kernel shadow pass over the identity: column j of each
     is the indicator of vertex order[j]."""
     K = t.kernel
-    eye = np.eye(K.m)
-    P, S = K.prefix(eye), K.shadow(eye)
+    P, S = K.prefix(np.eye(K.m)), K.shadow(np.eye(K.m))
     path = {int(v): set(K.order[P[i] > 0].tolist()) for i, v in enumerate(K.order)}
     shadow = {int(v): set(K.order[S[i] > 0].tolist()) for i, v in enumerate(K.order)}
     return path, shadow
@@ -268,3 +268,122 @@ def test_kernel_matches_per_vertex_loops(demo_cov6):
                                    rtol=1e-13, atol=0)
         np.testing.assert_allclose(_shadow_sums(tree, w1), shadow_sums(tree, w1),
                                    rtol=1e-13, atol=0)
+
+
+# -- the array tree against the per-vertex loop constructor ------------------------
+
+def _assert_matches_loops(parent):
+    """RootedTree(parent) has the oracle's fields, or both raise the same
+    TreeError text."""
+    try:
+        want = tree_by_loops(parent)
+    except TreeError as exc:
+        with pytest.raises(TreeError) as got:
+            hl.RootedTree(parent)
+        assert str(got.value) == str(exc)
+        return
+    t = hl.RootedTree(parent)
+    assert (t.n, t.root, t.max_depth) == (want.n, want.root, max(want.depth))
+    assert tuple(t.parent.tolist()) == want.parent
+    assert tuple(t.topo.tolist()) == want.topo
+    assert tuple(t.depth.tolist()) == want.depth
+    assert tuple(t.gamma_star.tolist()) == want.gamma_star
+    assert tuple(t.leaves.tolist()) == want.leaves
+    assert t.is_chain == want.is_chain
+    off, ids = t.child_offsets.tolist(), t.child_ids.tolist()
+    assert tuple(tuple(ids[a:b]) for a, b in zip(off, off[1:])) == want.children
+    assert t.children == want.children
+
+
+@st.composite
+def _shuffled_trees(draw, max_n=40):
+    """A random recursive tree on n vertices with its ids permuted, so the
+    root can be any vertex."""
+    n = draw(st.integers(1, max_n))
+    attach = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    parent = [0] * n
+    parent[perm[0]] = -1
+    for i, a in enumerate(attach, 1):
+        parent[perm[i]] = perm[a]
+    return parent
+
+
+@st.composite
+def _broken_trees(draw):
+    """A valid parent list with one defect: no root, two roots, an id out
+    of range on either side, a self-loop, or a longer cycle."""
+    parent = draw(_shuffled_trees())
+    n = len(parent)
+    t = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["no_root", "two_roots", "above", "below",
+                                 "self_loop", "cycle"]))
+    root = parent.index(-1)
+    if kind == "no_root":
+        parent[root] = draw(st.integers(0, n - 1))
+    elif kind == "two_roots":
+        parent[t] = -1
+    elif kind == "above":
+        parent[t] = draw(st.integers(n, n + 5))
+    elif kind == "below":
+        parent[t] = draw(st.integers(-5, -2))
+    elif kind == "self_loop":
+        parent[t] = t
+    else:
+        # hang an ancestor of t below t: the path from t up to it closes
+        path = [t]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        a = path[draw(st.integers(0, len(path) - 1))]
+        if a != root:
+            parent[a] = t
+    return parent
+
+
+@given(st.one_of(_shuffled_trees(), _broken_trees(),
+                 st.lists(st.integers(-3, 12), min_size=0, max_size=12)))
+@settings(max_examples=300, deadline=None)
+def test_array_tree_matches_loop_constructor(parent):
+    _assert_matches_loops(parent)
+
+
+def test_array_tree_error_texts():
+    for parent, message in (([], "empty tree"),
+                            ([0, 0], "expected exactly one root, found 0"),
+                            ([-1, -1], "expected exactly one root, found 2"),
+                            ([-1, 2], "parent id 2 of vertex 1 out of range"),
+                            ([-1, 0, -3], "parent id -3 of vertex 2 out of range"),
+                            ([-1, 2, 1, 0], "cycle detected through vertex 1"),
+                            ([-1, 0, 2], "cycle detected through vertex 2")):
+        with pytest.raises(TreeError) as exc:
+            hl.RootedTree(parent)
+        assert str(exc.value) == message
+        _assert_matches_loops(parent)
+
+
+def test_covering_trees_match_loop_constructor(rough_cov8, demo_cov8):
+    for cov in (rough_cov8, demo_cov8):
+        _assert_matches_loops(cov.tree.parent)
+
+
+def test_array_tree_input_forms_and_read_only_arrays():
+    parent = [2, 2, -1, 0, 0, 1]
+    forms = [parent, tuple(parent), np.array(parent), np.array(parent, dtype=np.int32)]
+    trees = [hl.RootedTree(f) for f in forms]
+    assert all(t == trees[0] and hash(t) == hash(trees[0]) for t in trees)
+    assert trees[0] != hl.RootedTree([-1, 0, 0, 0, 0, 1])
+    assert trees[0] != parent
+    t = trees[0]
+    for name in ("parent", "child_offsets", "child_ids", "topo", "depth", "level_starts",
+                 "gamma_star", "leaves"):
+        arr = getattr(t, name)
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # the tree keeps its own copy of an array it was given
+    given_parent = np.array(parent)
+    u = hl.RootedTree(given_parent)
+    given_parent[0] = 0
+    assert given_parent.flags.writeable and tuple(u.parent) == tuple(parent)
+    # scalars are Python ints
+    assert all(type(x) is int for x in (t.n, t.root, t.max_depth))
