@@ -17,7 +17,6 @@ from .hardy import (  # noqa: F401
     HullCapExceeded,
     a_chain,
     a_tree,
-    alpha_K,
     assemble_uv,
     chain_equivalence_check,
     ehp_B,

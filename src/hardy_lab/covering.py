@@ -44,7 +44,6 @@ tail sums read the ratios of the last 5 size classes.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -370,19 +369,23 @@ def _cell_key(vertical, horizontal, N: int):
 class CubeCovering:
     profile: HolderProfile
     tree: RootedTree
-    level: tuple[int, ...]
-    size_class: tuple[int, ...]             # edge h_j = l * 2^-j
+    size_class: np.ndarray                  # (cubes,) int64, edge h_j = l * 2^-j
     cell: np.ndarray                        # (cubes, n) int64 grid indices in units of h_j
     depth_max: int
     inconclusive: int = 0                   # containment tests resolved conservatively
 
     def __post_init__(self):
+        cls = np.array(self.size_class)
+        if cls.dtype.kind not in "iu" or cls.shape != (self.tree.n,) or np.any(cls < 0):
+            raise ValueError("size_class must hold one non-negative integer per cube")
+        self.size_class = cls.astype(np.int64, copy=False)
         self.cell = np.array(self.cell, dtype=np.int64)
-        width = 1 << np.asarray(self.size_class, dtype=np.int64)[:, None]
+        width = 1 << self.size_class[:, None]
         if self.cell.shape != (self.tree.n, self.n) or np.any(self.cell < 0) \
                 or np.any(self.cell[:, :-1] >= width):
             raise ValueError("cell must hold one grid cell of its class per cube, inside the strip")
-        self.cell.flags.writeable = False
+        for a in (self.size_class, self.cell):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -392,33 +395,24 @@ class CubeCovering:
     def class_edge(self) -> tuple[Fraction, ...]:
         """The exact edge l * 2^-j of size class j, for j = 0 .. max class."""
         ell = self.profile.ell
-        return tuple(ell * Fraction(1, 2 ** j) for j in range(max(self.size_class) + 1))
-
-    def edge(self, t: int) -> Fraction:
-        return self.class_edge[self.size_class[t]]
-
-    def q_volume(self, t: int) -> Fraction:
-        return self.edge(t) ** self.n
-
-    def b_volume(self, t: int) -> Fraction:
-        if t == self.tree.root:
-            raise ValueError("the root has no connector slab")
-        return self.q_volume(t) / 2
+        return tuple(ell * Fraction(1, 2 ** j) for j in range(int(self.size_class.max()) + 1))
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """float(edge(t)) for every vertex t; read-only, built on first use."""
+        """float(class_edge[size_class[t]]) for every vertex t; read-only,
+        built on first use."""
         return self._class_floats(lambda e: e)
 
     @cached_property
     def volume_array(self) -> np.ndarray:
-        """float(q_volume(t)) for every vertex t; read-only, built on first use."""
+        """float(class_edge[size_class[t]] ** n), the cube volume, for every
+        vertex t; read-only, built on first use."""
         return self._class_floats(lambda e: e ** self.n)
 
     def _class_floats(self, of_edge: Callable[[Fraction], Fraction]) -> np.ndarray:
         # one exact value per size class, rounded to float once
         table = np.array([float(of_edge(e)) for e in self.class_edge])
-        out = table[np.asarray(self.size_class)]
+        out = table[self.size_class]
         out.flags.writeable = False
         return out
 
@@ -429,13 +423,6 @@ class CubeCovering:
                           for h in (0, 2)])
         lo_hi.flags.writeable = False
         return lo_hi[0], lo_hi[1]
-
-    @property
-    def cube_count(self) -> int:
-        return self.tree.n
-
-    def class_counts(self) -> dict[int, int]:
-        return dict(Counter(self.size_class))
 
     # -- point location (half-open boxes [lo, hi) for determinism) ----------
 
@@ -448,7 +435,7 @@ class CubeCovering:
         searchsorted(side="right") - 1 reproduces the half-open test
         float(lo) <= x < float(hi) of every cube bit for bit.
         """
-        cls = np.asarray(self.size_class)
+        cls = self.size_class
         index = []
         for j in np.unique(cls).tolist():
             ids = np.flatnonzero(cls == j)
@@ -503,9 +490,10 @@ class CubeCovering:
         """The covering as plain int columns, cube t at position t of each.
 
         `class_edge[j]` is the exact edge h_j = l 2^-j as [num, den];
-        `cubes` holds the columns `parent`, `level`, `size_class` and
-        `cell`, the grid indices axis-major (`cell[r][t]`). Cube t is the
-        box prod_{r<n-1} [-l/2 + i_r h, -l/2 + (i_r + 1) h) x [k h, (k + 1) h)
+        `cubes` holds the columns `parent`, `level` (the tree depth),
+        `size_class` and `cell`, the grid indices axis-major (`cell[r][t]`).
+        Cube t is the box
+        prod_{r<n-1} [-l/2 + i_r h, -l/2 + (i_r + 1) h) x [k h, (k + 1) h)
         with h = class_edge[size_class[t]]; its connector slab has volume
         h^n / 2 (the root has none).
         """
@@ -523,16 +511,18 @@ class CubeCovering:
             "class_edge": [fr(e) for e in self.class_edge],
             "cubes": {
                 "cell": self.cell.T.tolist(),
-                "level": list(self.level),
+                "level": self.tree.depth.tolist(),
                 "parent": self.tree.parent.tolist(),
-                "size_class": list(self.size_class),
+                "size_class": self.size_class.tolist(),
             },
         }
 
     def level_rows(self) -> list[dict]:
         """Per-size-class profile rows (plot-ready)."""
         rows = []
-        for j, count in sorted(self.class_counts().items()):
+        counts = np.bincount(self.size_class)
+        for j in np.flatnonzero(counts).tolist():
+            count = int(counts[j])
             edge = self.class_edge[j]
             rows.append({
                 "size_class": j,
@@ -651,12 +641,10 @@ def build_covering(profile: HolderProfile, depth_max: int,
     cell = np.zeros((1, d + 1), dtype=np.int64)  # grid cells,
     cls = np.zeros(1, dtype=np.int64)           # size classes
     col = np.zeros(1, dtype=np.int64)           # and columns
-    parent, level, size_class, cells = [np.array([-1])], [np.array([0])], [cls], [cell]
+    parent, size_class, cells = [np.array([-1])], [cls], [cell]
     count = 1
     inconclusive = 0
-    lv = 0
     while len(ids):
-        lv += 1
         top = col_top[col]
         stacked = cell[:, -1] < top
         unresolved = (cell[:, -1] == top) & col_unresolved[col]     # unresolved subdivides
@@ -672,15 +660,13 @@ def build_covering(profile: HolderProfile, depth_max: int,
         cls = cls[up] + s
         col = np.where(s == 1, (col[up] << d) + 1 + slot, col[up])
         parent.append(ids[up])
-        level.append(np.full(total, lv))
         size_class.append(cls)
         cells.append(cell)
         ids = count + np.arange(total)
         count += total
 
     tree = RootedTree(np.concatenate(parent))
-    return CubeCovering(profile, tree, tuple(np.concatenate(level).tolist()),
-                        tuple(np.concatenate(size_class).tolist()),
+    return CubeCovering(profile, tree, np.concatenate(size_class),
                         np.concatenate(cells), depth_max, inconclusive)
 
 
@@ -708,8 +694,8 @@ def check_disjoint_and_coverage(cov: CubeCovering) -> dict:
             pos = np.minimum(np.searchsorted(ckeys, key), len(ckeys) - 1)
             disjoint &= not np.any(ckeys[pos] == key)
 
-    cls = np.asarray(cov.size_class)
-    leaves = np.asarray(cov.tree.leaves)
+    cls = cov.size_class
+    leaves = cov.tree.leaves
     counts = np.bincount(cls)
     heights = np.zeros(len(counts), dtype=np.int64)   # sum of k + 1 over leaves
     np.add.at(heights, cls[leaves], cov.cell[leaves, -1] + 1)
@@ -744,11 +730,11 @@ def _fit_constants(cov: CubeCovering, class_cap: int) -> dict[str, float]:
     K = cov.profile.k_phi
     tree = cov.tree
     kern = tree.kernel
-    nclass = max(cov.size_class) + 1
+    nclass = int(cov.size_class.max()) + 1
     Lf = float(cov.profile.ell)
-    r0 = cov.size_class[tree.root]
+    r0 = int(cov.size_class[tree.root])
 
-    cls = np.asarray(cov.size_class)[kern.order]          # BFS positions of Gamma*
+    cls = cov.size_class[kern.order]          # BFS positions of Gamma*
     keep = cls <= class_cap
     # the kept cubes followed by the root, grouped by class for per-class maxima
     kcls = np.append(cls[keep], r0)
@@ -857,7 +843,7 @@ def tail_integrability(cov: CubeCovering, beta: float, p: float) -> TailReport:
     """Per-size-class partial sums of v^p = |B_t| edge^{beta p}; ValueError
     unless beta is finite and p is finite with p >= 1."""
     _check_beta_p(beta, p)
-    count = np.bincount(np.asarray(cov.size_class)[cov.tree.gamma_star])
+    count = np.bincount(cov.size_class[cov.tree.gamma_star])
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for j in np.flatnonzero(count).tolist():

@@ -138,7 +138,7 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None) -> CellSpa
     gamma = beta + alpha - 1, tied to the fragment's vertex (the slab B_s
     carries the edge of s, matching the essinf convention)."""
     tree, d = cov.tree, cov.n
-    cls = np.asarray(cov.size_class, dtype=np.int64)
+    cls = cov.size_class
     gs = tree.gamma_star
     up = tree.parent[gs]
     edge = cov.class_edge

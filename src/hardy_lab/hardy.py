@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import RootedTree, TreeError, TreeKernel
+from .tree import RootedTree, TreeKernel
 
 GROWTH_FACTOR = 1.05   # per-level growth that marks a quantity "diverging"
 GROWTH_LEVELS = 5
@@ -352,35 +352,6 @@ class ExactConstant:
     iterations: int
 
 
-class HardyOperator:
-    """M[s, t] = v_s / u_t on pairs t <= s, applied without forming M:
-
-        M x = v * prefix(x / u),    M' y = shadow(v * y) / u,
-
-    one kernel pass, O(|Gamma*|), per column. `apply`/`apply_t` index rows
-    and columns in the kernel's BFS order and take (m,) or (m, k).
-    """
-
-    def __init__(self, problem: HardyProblem):
-        self.kernel = problem.tree.kernel
-        self.size = self.kernel.m
-        self._u, self._v = _bfs_weights(problem)
-
-    def _weights(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if X.ndim == 1:
-            return self._u, self._v
-        return self._u[:, None], self._v[:, None]
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        u, v = self._weights(X)
-        return v * self.kernel.prefix(X / u)      # the kernel overwrites X / u
-
-    def apply_t(self, Y: np.ndarray) -> np.ndarray:
-        u, v = self._weights(Y)
-        return self.kernel.shadow(v * Y) / u
-
-
-
 def _pnorm_power(apply, apply_t, m: int, p: float) -> tuple[float, float, np.ndarray, int]:
     """(c_lower, c_upper, x, steps) for the lp -> lp norm of a nonnegative
     m x m operator A (apply: x -> A x, apply_t: y -> A' y), iterated from
@@ -406,8 +377,9 @@ def exact_constant(problem: HardyProblem, form: str = "primal") -> ExactConstant
     bracket value = c_lower <= C <= c_upper with c_upper - c_lower <= 1e-10 c_lower.
 
     primal: lp -> lp norm of M;  dual: lq -> lq norm of M transposed.
-    M is applied matrix-free (HardyOperator) in the kernel's BFS order, so
-    there is no size cap; the maximizer is returned in Gamma* id order.
+    M is applied matrix-free in the kernel's BFS order, M x = v prefix(x/u)
+    and M' y = shadow(v y)/u, one kernel pass, O(|Gamma*|), each; so there
+    is no size cap, and the maximizer is returned in Gamma* id order.
 
     Lower side: c_lower = ||M x||_p is attained by the unit x returned.
     Upper side (Collatz-Wielandt): F(x) = Phi_q(M' Phi_p(M x)) is
@@ -431,57 +403,26 @@ def exact_constant(problem: HardyProblem, form: str = "primal") -> ExactConstant
     """
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be primal or dual, got {form!r}")
-    M = HardyOperator(problem)
+    kernel = problem.tree.kernel
+    u, v = _bfs_weights(problem)
+
+    def apply(x: np.ndarray) -> np.ndarray:       # M x
+        return v * kernel.prefix(x / u)            # the kernel overwrites x / u
+
+    def apply_t(y: np.ndarray) -> np.ndarray:     # M' y
+        return kernel.shadow(v * y) / u
+
     if form == "primal":
-        run = (M.apply, M.apply_t, M.size, problem.p)
+        run = (apply, apply_t, kernel.m, problem.p)
     else:
-        run = (M.apply_t, M.apply, M.size, problem.q)
+        run = (apply_t, apply, kernel.m, problem.q)
     lower, upper, x, it = _pnorm_power(*run)
-    by_id = np.empty(M.size)
-    by_id[M.kernel.rank] = x
+    by_id = np.empty(kernel.m)
+    by_id[kernel.rank] = x
     return ExactConstant(lower, upper, by_id, form, it)
 
 
 # -- the EHP quantity ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlphaResult:
-    alpha: float
-    b: np.ndarray               # full-length, zeros off the support
-
-
-def alpha_K(problem: HardyProblem, boundary) -> AlphaResult:
-    """Minimal lp mass of b >= 0 with unit u-weighted path sums at `boundary`.
-
-    Restricting to b >= 0 supported on the union of the boundary paths is
-    lossless because the constraints involve |b_s|; the program then
-    decomposes exactly along the path tree, see _alpha_tree_recursion.
-
-    TreeError unless the boundary is a nonempty antichain of Gamma*
-    (repeats are ignored). Its vertices are pairwise incomparable exactly
-    when the path sum of their indicator is 1 at each of them: one kernel
-    prefix pass.
-    """
-    tree = problem.tree
-    bnd = tuple(sorted({int(t) for t in boundary}))
-    if not bnd:
-        raise TreeError("the boundary must be nonempty")
-    if bnd[0] < 0 or bnd[-1] >= tree.n:
-        raise TreeError(f"boundary vertices must lie in [0, {tree.n}), got {list(bnd)}")
-    if tree.root in bnd:
-        raise TreeError("the root cannot belong to the boundary")
-    K = tree.kernel
-    mine = np.isin(K.order, bnd)
-    below = mine & (K.prefix(mine.astype(float)) > 1)
-    if below.any():
-        raise TreeError(f"boundary vertex {int(K.order[below].min())} lies below "
-                        "another boundary vertex")
-    # the union of the boundary paths: the vertices whose shadow meets bnd
-    support = np.sort(K.order[K.shadow(mine.astype(float)) > 0]).tolist()
-    full = _alpha_tree_recursion(problem, bnd, support)
-    alpha = float(np.sum(full[support] ** problem.p) ** (1.0 / problem.p))
-    return AlphaResult(alpha, full)
-
 
 def _parallel(a: float, b: float, p: float) -> float:
     """(a^{-r} + b^{-r})^{-1/r} with r = 1/(p-1), the lp analogue of
@@ -489,54 +430,6 @@ def _parallel(a: float, b: float, p: float) -> float:
     overflows, and 0 when either argument is 0."""
     lo, hi = (a, b) if a <= b else (b, a)
     return lo * (1.0 + (lo / hi) ** (1.0 / (p - 1.0))) ** (1.0 - p)
-
-
-def _alpha_tree_recursion(problem: HardyProblem, bnd: tuple[int, ...],
-                          support: list[int]) -> np.ndarray:
-    """Exact minimizer by parallel composition along the path tree.
-
-    With V_s(c) = minimal cost for the subtree below s to deliver the
-    remaining budget c to each of its boundary constraints, homogeneity
-    gives V_s(c) = kappa_s c^p, a boundary leaf has kappa = u^p, and an
-    interior vertex composes with its children's total K by
-
-        kappa_s = ( u_s^{-q} + K^{-1/(p-1)} )^{-(p-1)},
-
-    the parallel sum of u_s^p and K. Unwinding the optimal budget split
-    top-down yields b >= 0 satisfying every constraint exactly.
-    """
-    tree, p = problem.tree, problem.p
-    topo = tree.topo.tolist()
-    boundary = set(bnd)
-    in_k = set(support)
-    kappa: dict[int, float] = {}
-    total: dict[int, float] = {}        # children's K, reused by the budget split
-    for s in reversed(topo):
-        if s not in in_k:
-            continue
-        if s in boundary:
-            kappa[s] = problem.u[s] ** p
-            continue
-        total[s] = sum(kappa[c] for c in tree.children[s] if c in in_k)
-        kappa[s] = _parallel(problem.u[s] ** p, total[s], p)
-
-    b = np.zeros(tree.n)
-    budget: dict[int, float] = {c: 1.0 for c in tree.children[tree.root]
-                                if c in in_k}
-    for s in topo:
-        if s not in in_k or s == tree.root:
-            continue
-        c = budget[s]
-        if s in boundary:
-            b[s] = c * problem.u[s]
-            continue
-        gamma = (problem.u[s] ** p / total[s]) ** (1.0 / (p - 1.0))
-        y = c / (1.0 + gamma)
-        b[s] = y * problem.u[s]
-        for ch in tree.children[s]:
-            if ch in in_k:
-                budget[ch] = c - y
-    return b
 
 
 class HullCapExceeded(RuntimeError):
@@ -582,14 +475,15 @@ def ehp_B(problem: HardyProblem, cap: int | None = None) -> EhpResult:
     its cut seen from s. The options at s are the empty antichain (0, 0),
     A = {s} with (u_s^p, shadow(v^p)_s), and unions of the children's
     options, with kappa_s = parallel(u_s^p, K) for K the sum of the
-    children's kappa (see _alpha_tree_recursion). That map is concave and
-    increasing, so every objective seen from above s is convex in
-    (kappa, N) and increasing in N, and its maximum sits on the upper
-    convex hull of the options. The hull at s is therefore the upper hull
-    of the children's hulls' slope-merged Minkowski sum, mapped by
-    parallel(u_s^p, .), plus the point of {s}; it has at most
-    |subtree(s)| + 1 points. At the root, B^p = max N/K over the Minkowski
-    sum of the root children's hulls: the first edge of its hull.
+    children's kappa: the cheapest split of a unit budget between b_s and
+    the subtrees below s. That map is concave and increasing, so every
+    objective seen from above s is convex in (kappa, N) and increasing in
+    N, and its maximum sits on the upper convex hull of the options. The
+    hull at s is therefore the upper hull of the children's hulls'
+    slope-merged Minkowski sum, mapped by parallel(u_s^p, .), plus the
+    point of {s}; it has at most |subtree(s)| + 1 points. At the root,
+    B^p = max N/K over the Minkowski sum of the root children's hulls: the
+    first edge of its hull.
 
     Ties: sibling hull edges merge in child-id order, and points collinear
     on a hull edge are dropped, so a tie on one edge goes to its far end
@@ -609,10 +503,11 @@ def ehp_B(problem: HardyProblem, cap: int | None = None) -> EhpResult:
     hull_n: list = [None] * tree.n
     source: list = [None] * tree.n      # candidate index of each hull point
     merged: list = [None] * tree.n      # child id of each merged edge, in order
+    child_ids, child_offsets = tree.child_ids.tolist(), tree.child_offsets.tolist()
     count = 0
     for s in reversed(tree.topo.tolist()):
         edges = []
-        for c in tree.children[s]:
+        for c in child_ids[child_offsets[s]:child_offsets[s + 1]]:
             kc, nc = hull_k[c], hull_n[c]
             for i in range(1, len(kc)):
                 dk, dn = kc[i] - kc[i - 1], nc[i] - nc[i - 1]

@@ -27,11 +27,14 @@ import numpy as np
 
 
 class TreeError(ValueError):
-    """Malformed tree input: cycles, duplicate parents, id gaps."""
+    """Malformed tree input: cycles, duplicate parents, id gaps, ids that
+    are not integers."""
 
 
 class RootedTree:
-    """Immutable rooted tree. Construct from a parent array or `build_tree`.
+    """Immutable rooted tree. Construct from a parent array of integers
+    (TreeError names the first vertex whose parent is not one) or
+    `build_tree`.
 
     The children of t are child_ids[child_offsets[t]:child_offsets[t + 1]],
     sorted by id; `topo` lists the vertices in BFS order and depth level d
@@ -39,6 +42,11 @@ class RootedTree:
     """
 
     def __init__(self, parent: Iterable[int]):
+        if not (isinstance(parent, np.ndarray) and parent.dtype.kind in "iu"):
+            parent = parent.tolist() if isinstance(parent, np.ndarray) else list(parent)
+            for t, x in enumerate(parent):
+                if not _is_id(x):
+                    raise TreeError(f"parent id {x!r} of vertex {t} is not an integer")
         parent = np.array(parent, dtype=np.int64)
         n = len(parent)
         if n == 0:
@@ -93,12 +101,6 @@ class RootedTree:
     # -- derived structure (all cached, tree is immutable) ------------------
 
     @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex tuples of child ids, for per-vertex Python loops."""
-        ids, off = self.child_ids.tolist(), self.child_offsets.tolist()
-        return tuple(tuple(ids[a:b]) for a, b in zip(off, off[1:]))
-
-    @cached_property
     def kernel(self) -> "TreeKernel":
         """Level-vectorised path-prefix and shadow sums over Gamma*."""
         return TreeKernel(self)
@@ -138,6 +140,11 @@ class RootedTree:
     @staticmethod
     def from_json(obj: dict) -> "RootedTree":
         return build_tree([(c, p) for c, p in obj["parents"]])
+
+
+def _is_id(x) -> bool:
+    """A Python or numpy integer; bool is refused."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -204,10 +211,15 @@ def _check_float(W: np.ndarray) -> None:
 def build_tree(parent_list: Iterable[tuple[int, int]]) -> RootedTree:
     """Build a tree from (child, parent) pairs.
 
-    Ids must be dense in [0, n); the single id absent from the child column
-    is the root.
+    Ids must be integers, dense in [0, n); the single id absent from the
+    child column is the root.
     """
-    pairs = [(int(c), int(p)) for c, p in parent_list]
+    pairs = [(c, p) for c, p in parent_list]
+    for c, p in pairs:
+        if not _is_id(c):
+            raise TreeError(f"vertex id {c!r} is not an integer")
+        if not _is_id(p):
+            raise TreeError(f"parent id {p!r} of vertex {c} is not an integer")
     n = len(pairs) + 1
     parent = [-2] * n
     for c, p in pairs:

@@ -2,9 +2,8 @@
 
 The library computes path-prefix and shadow sums with a level-vectorised
 kernel, applies the Hardy operator matrix-free, brackets its norm C from one
-positive start, computes the EHP constant B
-with an upper-hull tree DP, solves every alpha_K program by the tree
-recursion, decides cube containment once per column of stacked cubes,
+positive start, computes the EHP constant B with an upper-hull tree DP,
+decides cube containment once per column of stacked cubes,
 fits the counting constants per size class, sweeps the sampled Holder
 quotient in row blocks, stores cubes as integer dyadic cells and checks
 their disjointness by cell-key lookups, runs the decomposition on one
@@ -21,8 +20,16 @@ theta where the library shares one pass among a block of thetas.
 
 `tree_by_loops` is the rooted-tree constructor that checked and indexed
 the parent list in per-vertex Python loops, before the tree was built from
-int arrays by one argsort and one numpy step per level. `check_gradient`
-compares a test function's analytic derivative with central differences.
+int arrays by one argsort and one numpy step per level. The library keeps
+its children only as CSR arrays; the per-vertex loops here take theirs from
+`children_of`, which rebuilds them with `tree_by_loops`, independently of
+the library's CSR. `check_gradient` compares a test function's analytic
+derivative with central differences.
+
+`alpha_K` solves the minimal-mass program behind B on one antichain by the
+tree recursion; only tests call it. It is exact at every p, where the Gram
+solve `alpha_gram` holds at p = 2 only, so the enumeration oracle for B
+uses it.
 
 The library keeps no per-vertex root paths: `tree_paths` builds them here
 for the dense oracles (`hardy_matrix`, `induced_subtree`, `alpha_gram`).
@@ -31,6 +38,7 @@ samplers' former "graph" mode used; it now only checks that the cube edge
 is comparable to that distance.
 """
 
+import dataclasses
 import itertools
 import math
 import types
@@ -47,7 +55,7 @@ from hardy_lab.covering import (
     _dyadic_floats,
     _min_phi_decisions,
 )
-from hardy_lab.hardy import HardyOperator, NonConvergenceError
+from hardy_lab.hardy import NonConvergenceError, _bfs_weights, _parallel
 from hardy_lab.inequalities import (
     _SPHERE_AREA,
     _allocate,
@@ -106,6 +114,12 @@ def tree_by_loops(parent):
         is_chain=all(len(c) <= 1 for c in children))
 
 
+def children_of(tree) -> tuple:
+    """Per-vertex tuples of child ids in id order, from the parent array
+    alone (`tree_by_loops`)."""
+    return tree_by_loops(tree.parent).children
+
+
 def tree_paths(tree) -> list:
     """paths[t] = the path from the root's child down to t, inclusive, as a
     tuple; () at the root. Built top-down in BFS order."""
@@ -147,8 +161,9 @@ def multistart_pnorm(problem, form="primal", rtol=1e-10, maxiter=100_000,
     A column stops once its ratio ||A x||_p changes by at most rtol
     relative (and, at p = 2, its eigen-residual is below 10 rtol); the
     best ratio over the columns is returned."""
-    op = HardyOperator(problem)
-    rank = op.kernel.rank                       # BFS position -> Gamma* index
+    kernel = problem.tree.kernel
+    rank = kernel.rank                          # BFS position -> Gamma* index
+    u, v = (w[:, None] for w in _bfs_weights(problem))
 
     def by_id(bfs_map):
         def apply(X):
@@ -157,11 +172,14 @@ def multistart_pnorm(problem, form="primal", rtol=1e-10, maxiter=100_000,
             return out
         return apply
 
-    matvec, rmatvec, p = by_id(op.apply), by_id(op.apply_t), problem.p
+    # M X = v prefix(X / u) and M' Y = shadow(v Y) / u, column by column
+    matvec = by_id(lambda X: v * kernel.prefix(X / u))
+    rmatvec = by_id(lambda Y: kernel.shadow(v * Y) / u)
+    p = problem.p
     if form == "dual":
         matvec, rmatvec, p = rmatvec, matvec, problem.q
     q = p / (p - 1.0)
-    m = op.size
+    m = kernel.m
     rng = np.random.default_rng(seed)
     X = np.concatenate([np.ones((m, 1)),
                         np.abs(rng.standard_normal((m, n_random_starts)))], axis=1)
@@ -205,9 +223,10 @@ def order_masks(tree) -> tuple[list, list]:
     """(above, below): above[t] has bit s set iff s <= t (the root
     included), below[t] iff s >= t; so s <= t iff above[t] >> s & 1."""
     n, root = tree.n, tree.root
+    children = children_of(tree)
     below = [1 << t for t in range(n)]
     for t in reversed(tree.topo):
-        for c in tree.children[t]:
+        for c in children[t]:
             below[t] |= below[c]
     above = [0] * n
     for t in tree.topo:
@@ -244,10 +263,11 @@ def induced_subtree(tree, antichain):
     of the paths to the antichain vertices, whose <=-maximal vertices are
     exactly the antichain."""
     paths = tree_paths(tree)
+    children = children_of(tree)
     K = {tree.root}
     for t in set(antichain):
         K.update(paths[t])
-    boundary = {t for t in K if not any(c in K for c in tree.children[t])}
+    boundary = {t for t in K if not any(c in K for c in children[t])}
     return K, boundary
 
 
@@ -262,10 +282,96 @@ def ehp_enumerated(problem, cap=None):
     svp = shadow_sums(tree, w)
     best, arg = -math.inf, ()
     for A in enumerate_antichains(tree, cap=cap):
-        ratio = sum(svp[t] for t in A) ** (1.0 / p) / hl.alpha_K(problem, A).alpha
+        ratio = sum(svp[t] for t in A) ** (1.0 / p) / alpha_K(problem, A).alpha
         if ratio > best:
             best, arg = ratio, A
     return best, arg
+
+
+@dataclasses.dataclass(frozen=True)
+class AlphaResult:
+    alpha: float
+    b: np.ndarray               # full-length, zeros off the support
+
+
+def alpha_K(problem, boundary) -> AlphaResult:
+    """Minimal lp mass of b >= 0 with unit u-weighted path sums at `boundary`.
+
+    Restricting to b >= 0 supported on the union of the boundary paths is
+    lossless because the constraints involve |b_s|; the program then
+    decomposes exactly along the path tree, see alpha_tree_recursion.
+
+    TreeError unless the boundary is a nonempty antichain of Gamma*
+    (repeats are ignored). Its vertices are pairwise incomparable exactly
+    when the path sum of their indicator is 1 at each of them: one kernel
+    prefix pass.
+    """
+    tree = problem.tree
+    bnd = tuple(sorted({int(t) for t in boundary}))
+    if not bnd:
+        raise hl.TreeError("the boundary must be nonempty")
+    if bnd[0] < 0 or bnd[-1] >= tree.n:
+        raise hl.TreeError(f"boundary vertices must lie in [0, {tree.n}), got {list(bnd)}")
+    if tree.root in bnd:
+        raise hl.TreeError("the root cannot belong to the boundary")
+    K = tree.kernel
+    mine = np.isin(K.order, bnd)
+    below = mine & (K.prefix(mine.astype(float)) > 1)
+    if below.any():
+        raise hl.TreeError(f"boundary vertex {int(K.order[below].min())} lies below "
+                           "another boundary vertex")
+    # the union of the boundary paths: the vertices whose shadow meets bnd
+    support = np.sort(K.order[K.shadow(mine.astype(float)) > 0]).tolist()
+    full = alpha_tree_recursion(problem, bnd, support)
+    alpha = float(np.sum(full[support] ** problem.p) ** (1.0 / problem.p))
+    return AlphaResult(alpha=alpha, b=full)
+
+
+def alpha_tree_recursion(problem, bnd: tuple, support: list) -> np.ndarray:
+    """Exact minimizer by parallel composition along the path tree.
+
+    With V_s(c) = minimal cost for the subtree below s to deliver the
+    remaining budget c to each of its boundary constraints, homogeneity
+    gives V_s(c) = kappa_s c^p, a boundary leaf has kappa = u^p, and an
+    interior vertex composes with its children's total K by
+
+        kappa_s = ( u_s^{-q} + K^{-1/(p-1)} )^{-(p-1)},
+
+    the parallel sum of u_s^p and K. Unwinding the optimal budget split
+    top-down yields b >= 0 satisfying every constraint exactly.
+    """
+    tree, p = problem.tree, problem.p
+    children = children_of(tree)
+    topo = tree.topo.tolist()
+    boundary = set(bnd)
+    in_k = set(support)
+    kappa: dict = {}
+    total: dict = {}        # children's K, reused by the budget split
+    for s in reversed(topo):
+        if s not in in_k:
+            continue
+        if s in boundary:
+            kappa[s] = problem.u[s] ** p
+            continue
+        total[s] = sum(kappa[c] for c in children[s] if c in in_k)
+        kappa[s] = _parallel(problem.u[s] ** p, total[s], p)
+
+    b = np.zeros(tree.n)
+    budget = {c: 1.0 for c in children[tree.root] if c in in_k}
+    for s in topo:
+        if s not in in_k or s == tree.root:
+            continue
+        c = budget[s]
+        if s in boundary:
+            b[s] = c * problem.u[s]
+            continue
+        gamma = (problem.u[s] ** p / total[s]) ** (1.0 / (p - 1.0))
+        y = c / (1.0 + gamma)
+        b[s] = y * problem.u[s]
+        for ch in children[s]:
+            if ch in in_k:
+                budget[ch] = c - y
+    return b
 
 
 def alpha_gram(problem, boundary):
@@ -337,9 +443,10 @@ def path_prefix_sums(tree, w: np.ndarray) -> np.ndarray:
 def shadow_sums(tree, w: np.ndarray) -> np.ndarray:
     """M[t] = sum of w over the shadow of t (t included), bottom-up."""
     M = np.zeros(tree.n)
+    children = children_of(tree)
     for t in reversed(tree.topo):
         acc = w[t]
-        for c in tree.children[t]:
+        for c in children[t]:
             acc += M[c]
         M[t] = acc
     return M
@@ -431,7 +538,9 @@ def min_phi_decision(profile, lo, hi, threshold: float, max_points: int = 1 << 1
 
 def build_by_levels(profile, depth_max: int, cube_cap: int = 10 ** 6):
     """The former `build_covering`: one `_min_phi_decisions` call per
-    breadth-first level, on one test box per frontier cube."""
+    breadth-first level, on one test box per frontier cube. Returns the
+    `covering` and the `level` of each cube, the breadth-first step that
+    made it, which the former covering kept as a column."""
     if depth_max < 0:
         raise ValueError(f"depth_max must be >= 0, got {depth_max}")
     if profile.n not in (2, 3):
@@ -480,9 +589,9 @@ def build_by_levels(profile, depth_max: int, cube_cap: int = 10 ** 6):
         count += total
 
     tree = hl.RootedTree(np.concatenate(parent).tolist())
-    return CubeCovering(profile, tree, tuple(np.concatenate(level).tolist()),
-                        tuple(np.concatenate(size_class).tolist()),
-                        np.concatenate(cells), depth_max, inconclusive)
+    cov = CubeCovering(profile, tree, tuple(np.concatenate(size_class).tolist()),
+                       np.concatenate(cells), depth_max, inconclusive)
+    return types.SimpleNamespace(covering=cov, level=np.concatenate(level))
 
 
 def graph_distance(profile, points) -> np.ndarray:
@@ -532,17 +641,19 @@ def fit_constants(cov, class_cap: int) -> dict:
     nn = cov.n
     K = cov.profile.k_phi
     tree = cov.tree
-    nclass = max(cov.size_class) + 1
+    children = children_of(tree)
+    size_class = cov.size_class.tolist()
+    nclass = max(size_class) + 1
     Lf = float(cov.profile.ell)
 
     c1 = 0.0
     pcounts = [None] * tree.n
     for t in tree.topo:
-        if cov.size_class[t] > class_cap:
+        if size_class[t] > class_cap:
             continue
         base = (pcounts[tree.parent[t]].copy() if t != tree.root
                 else np.zeros(nclass, dtype=np.int64))
-        base[cov.size_class[t]] += 1
+        base[size_class[t]] += 1
         pcounts[t] = base
         for i in range(nclass):
             if base[i]:
@@ -553,22 +664,22 @@ def fit_constants(cov, class_cap: int) -> dict:
     wcounts = [None] * tree.n
     wvol = [Fraction(0)] * tree.n
     for t in reversed(tree.topo):
-        if cov.size_class[t] > class_cap:
+        if size_class[t] > class_cap:
             continue
         acc = np.zeros(nclass, dtype=np.int64)
-        vol = cov.q_volume(t)
-        for c in tree.children[t]:
-            if cov.size_class[c] <= class_cap:
+        k = size_class[t]
+        vol = cov.class_edge[k] ** nn
+        for c in children[t]:
+            if size_class[c] <= class_cap:
                 acc += wcounts[c]
                 vol += wvol[c]
-        acc[cov.size_class[t]] += 1
+        acc[k] += 1
         wcounts[t] = acc
         wvol[t] = vol
-        k = cov.size_class[t]
         for i in range(nclass):
             if acc[i]:
                 c2 = max(c2, acc[i] * 2.0 ** (k * (nn - 1) + i * (alpha - nn)))
-        shadow_vol = float(vol + (cov.b_volume(t) if t != tree.root else 0))
+        shadow_vol = float(vol + (cov.class_edge[k] ** nn / 2 if t != tree.root else 0))
         et = Lf * 2.0 ** (-k)
         c3 = max(c3, shadow_vol / (et ** (nn - 1 + alpha) * (K + et ** (1 - alpha))))
     return {"c1": float(c1), "c2": float(c2), "c3": float(c3)}
@@ -577,10 +688,11 @@ def fit_constants(cov, class_cap: int) -> dict:
 def tail_sums(cov, beta: float, p: float) -> tuple[dict, dict]:
     """Per-size-class sums and counts of v^p = |B_t| edge^{beta p}, vertex by vertex."""
     sums, counts = {}, {}
-    for t in cov.tree.gamma_star:
-        e = float(cov.edge(t))
-        s = float(cov.b_volume(t)) * e ** (beta * p)
-        j = cov.size_class[t]
+    size_class = cov.size_class.tolist()
+    for t in cov.tree.gamma_star.tolist():
+        j = size_class[t]
+        edge = cov.class_edge[j]
+        s = float(edge ** cov.n / 2) * float(edge) ** (beta * p)
         sums[j] = sums.get(j, 0.0) + s
         counts[j] = counts.get(j, 0) + 1
     return sums, counts
@@ -589,13 +701,14 @@ def tail_sums(cov, beta: float, p: float) -> tuple[dict, dict]:
 def level_rows(cov) -> list:
     """Per-size-class rows with the class volume summed cube by cube."""
     rows = []
-    for j in sorted(cov.class_counts()):
-        ids = [t for t in range(cov.tree.n) if cov.size_class[t] == j]
+    size_class = cov.size_class.tolist()
+    for j in sorted(set(size_class)):
+        ids = [t for t in range(cov.tree.n) if size_class[t] == j]
         rows.append({
             "size_class": j,
             "edge": float(cov.profile.ell) * 2.0 ** (-j),
             "count": len(ids),
-            "volume": float(sum(cov.q_volume(t) for t in ids)),
+            "volume": float(sum(cov.class_edge[size_class[t]] ** cov.n for t in ids)),
         })
     return rows
 
@@ -792,9 +905,11 @@ def covering_fragments(cov) -> tuple[list, list, list]:
     """(volume, owner, connector) columns: core cells by per-vertex exact
     Fraction volumes, then the slabs; connector -1 for none."""
     tree = cov.tree
-    volume = [cov.q_volume(t) - sum((cov.b_volume(c) for c in tree.children[t]), Fraction(0))
+    children = children_of(tree)
+    cube = [cov.class_edge[j] ** cov.n for j in cov.size_class.tolist()]
+    volume = [cube[t] - sum((cube[c] / 2 for c in children[t]), Fraction(0))
               for t in range(tree.n)]
-    volume += [cov.b_volume(s) for s in tree.gamma_star]
+    volume += [cube[s] / 2 for s in tree.gamma_star]
     owner = list(range(tree.n)) + [tree.parent[s] for s in tree.gamma_star]
     connector = [-1] * tree.n + list(tree.gamma_star)
     return volume, owner, connector
@@ -816,7 +931,7 @@ def u_frags(space, t: int) -> tuple:
     ids = set(owner_frags[t])
     if t != space.tree.root:
         ids.add(bfrag[t])
-    for c in space.tree.children[t]:
+    for c in np.flatnonzero(space.tree.parent == t).tolist():   # the children of t
         ids.add(bfrag[c])
     return tuple(sorted(ids))
 
@@ -838,16 +953,17 @@ def decompose(g, q: float) -> dict:
     fint = {t: math.fsum(float(g.values[i]) * float(space.volume[i])
                          for i in owner_frags[t])
             for t in range(tree.n)}
+    children = children_of(tree)
     S = {}
     for t in reversed(tree.topo):
-        S[t] = fint[t] + math.fsum(S[c] for c in tree.children[t])
+        S[t] = fint[t] + math.fsum(S[c] for c in children[t])
     parts = {}
     for t in range(tree.n):
         vals = {}
         for i in owner_frags[t]:
             if g.values[i]:
                 vals[i] = float(g.values[i])
-        for c in tree.children[t]:
+        for c in children[t]:
             i = bfrag[c]
             h = S[c] / float(space.volume[i])
             if h:

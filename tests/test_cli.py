@@ -344,6 +344,24 @@ def test_reports_embed_config_and_version(tmp_path):
     assert doc["version"].count(".") == 2
 
 
+def test_fractional_tree_ids_exit_2(tmp_path, capsys):
+    # ids were truncated to int: this tree ran as (1,0),(2,1), the problem
+    # with parent 1.7 on parent 1
+    out = str(tmp_path)
+    tree = os.path.join(out, "fractional_tree.json")
+    with open(tree, "w") as fh:
+        json.dump({"root": 0, "parents": [[1, 0.9], [2.5, 1]]}, fh)
+    assert main(["tree", "--input", tree, "--out", out]) == 2
+    assert "parent id 0.9 of vertex 1 is not an integer" in capsys.readouterr().err
+    problem = os.path.join(out, "fractional_problem.json")
+    with open(problem, "w") as fh:
+        json.dump({"tree": {"root": 0, "parents": [[1, 0], [2, 1.7]]},
+                   "u": [1.0, 1.0], "v": [1.0, 1.0], "p": 2.0}, fh)
+    assert main(["hardy", "--input", problem, "--out", out]) == 2
+    assert "parent id 1.7 of vertex 2 is not an integer" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["fractional_problem.json", "fractional_tree.json"]
+
+
 def test_empty_gamma_star_exits_2(tmp_path, capsys):
     # the flat depth-0 covering is the root cube alone, so no Hardy problem
     out = str(tmp_path)

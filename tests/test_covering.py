@@ -6,7 +6,6 @@ import json
 import math
 import os
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +26,7 @@ from hardy_lab.covering import (
 from oracles import (
     FractionCovering,
     build_by_levels,
+    children_of,
     cube_rows,
     disjoint_and_coverage,
     fit_constants,
@@ -52,7 +52,7 @@ def test_flat_root_and_first_level():
     assert cubes[0]["vertical"] == [[0, 1], [1, 1]]
     # the level-0 test cube spans heights (0, 3), never inside the domain:
     # two half-size children on the top face
-    kids = cov.tree.children[0]
+    kids = children_of(cov.tree)[0]
     assert len(kids) == 2
     assert cov.cell[list(kids)].tolist() == [[0, 2], [1, 2]]
     assert [cubes[t]["base"] for t in kids] == [[[[-1, 2], [0, 1]]], [[[0, 1], [1, 2]]]]
@@ -64,17 +64,11 @@ def test_flat_always_halves():
     # strictly halves and holds at most one cube per size class
     cov = hl.build_covering(hl.profile_flat(2.0), depth_max=6)
     K = cov.tree.kernel
-    cls = np.asarray(cov.size_class)[K.order]
+    cls = cov.size_class[K.order]
     for j in np.unique(cov.size_class).tolist():
         # cubes of class j on the path to each cube; the root is class 0
         assert K.prefix((cls == j).astype(float)).max() + (j == 0) <= 1
-    assert Counter(cov.level) == {m: 2 ** m for m in range(7)}
-
-
-def test_b_volume_is_half_cube():
-    cov = hl.build_covering(hl.profile_demo(), depth_max=3)
-    for t in cov.tree.gamma_star:
-        assert cov.b_volume(t) == cov.q_volume(t) / 2
+    assert np.array_equal(np.bincount(cov.tree.depth), 2 ** np.arange(7))
 
 
 def test_demo_depth3_golden_file():
@@ -100,13 +94,31 @@ def test_dyadic_coordinates(demo_cov6):
                 assert d & (d - 1) == 0        # power of two
 
 
+def test_covering_columns_validated(demo_cov6):
+    # size_class is a read-only int64 column like cell; a short, negative or
+    # fractional one is refused before cell is read against it
+    cov = demo_cov6
+    assert cov.size_class.dtype == np.int64 and not cov.size_class.flags.writeable
+    assert type(cov.to_json()["cubes"]["size_class"][0]) is int
+    args = (cov.profile, cov.tree)
+    for size_class in (cov.size_class[:-1], np.append(cov.size_class, 0),
+                       np.where(cov.size_class == 0, -1, cov.size_class),
+                       cov.size_class.astype(float), ()):
+        with pytest.raises(ValueError, match="size_class must hold one non-negative integer"):
+            CubeCovering(*args, size_class, cov.cell, cov.depth_max)
+    with pytest.raises(ValueError, match="cell must hold one grid cell"):
+        CubeCovering(*args, cov.size_class, cov.cell[:-1], cov.depth_max)
+    same = CubeCovering(*args, cov.size_class.tolist(), cov.cell, cov.depth_max)
+    assert np.array_equal(same.size_class, cov.size_class)
+
+
 def test_counting_profiles_root_child():
     # per size class, the cubes on the path to the root's first child (the
     # root included) and in its shadow, from per-vertex oracle sums
     cov = hl.build_covering(hl.profile_flat(2.0), depth_max=3)
     tree = cov.tree
-    child = tree.children[0][0]
-    cls = np.asarray(cov.size_class)
+    child = children_of(tree)[0][0]
+    cls = cov.size_class
     P = {j: path_prefix_sums(tree, cls == j)[child] + (j == cls[tree.root])
          for j in range(4)}
     W = {j: shadow_sums(tree, cls == j)[child] for j in range(4)}
@@ -130,13 +142,13 @@ def test_weights_from_beta_values(demo_cov6):
     flat = hl.build_covering(hl.profile_flat(2.0), depth_max=3)
     pr = hl.weights_from_beta(flat, beta=0.0, p=2.0)
     for t in flat.tree.gamma_star:
-        assert pr.u[t] == pytest.approx(float(flat.b_volume(t)) ** 0.5)
+        assert pr.u[t] == pytest.approx((flat.volume_array[t] / 2) ** 0.5)
         assert pr.u[t] == pytest.approx(pr.v[t])
     # beta = 1 - alpha: nu == 1, omega = l^{1-alpha}
     pr2 = hl.weights_from_beta(demo_cov6, beta=0.5, p=2.0)
     t = demo_cov6.tree.gamma_star[0]
-    e = float(demo_cov6.edge(t))
-    vol = float(demo_cov6.b_volume(t)) ** 0.5
+    e = demo_cov6.edge_array[t]
+    vol = (demo_cov6.volume_array[t] / 2) ** 0.5
     assert pr2.u[t] == pytest.approx(vol)                  # gamma = 0
     assert pr2.v[t] == pytest.approx(vol * e ** 0.5)
     assert "beta_ok" in pr2.flags
@@ -150,7 +162,7 @@ def test_beta_predicate_flag(demo_cov6):
 def test_tail_integrability_finite_sum(demo_cov6):
     rep = hl.tail_integrability(demo_cov6, beta=0.0, p=2.0)
     total = rep.rows[-1]["cumulative"]
-    direct = sum(float(demo_cov6.b_volume(t)) for t in demo_cov6.tree.gamma_star)
+    direct = float(np.sum(demo_cov6.volume_array[demo_cov6.tree.gamma_star])) / 2
     assert total == pytest.approx(direct)
 
 
@@ -183,7 +195,7 @@ def test_tail_decay_matches_counting(demo_cov10):
 def test_threshold_direction_of_level_profiles(demo_cov10):
     # the qualitative threshold invariant: below the threshold the partial
     # sups grow monotonically and uniformly faster than above it
-    cls = np.array(demo_cov10.size_class)
+    cls = demo_cov10.size_class
     gains = {}
     for beta in (-0.2, -0.3):
         pr = hl.weights_from_beta(demo_cov10, beta, 2.0)
@@ -202,8 +214,9 @@ def test_rough_profile_saturates_counting():
     cov = hl.build_covering(hl.profile_rough(), depth_max=6)
     rep = check_disjoint_and_coverage(cov)
     assert rep["disjoint"] and rep["coverage_exact"]
-    counts = cov.class_counts()
-    growth = [counts[j + 1] / counts[j] for j in sorted(counts)[1:-1]]
+    counts = np.bincount(cov.size_class)
+    assert np.all(counts > 0)
+    growth = counts[2:] / counts[1:-1]
     gm = float(np.exp(np.mean(np.log(growth))))
     assert gm > 2.3                       # well above the flat/demo rate 2.0
     conv = hl.tail_integrability(cov, -0.2, 2.0)
@@ -216,7 +229,7 @@ def test_rough_profile_saturates_counting():
 def test_rough_profile_trips_diverging_flag():
     cov = hl.build_covering(hl.profile_rough(), depth_max=6)
     pr = hl.weights_from_beta(cov, -0.3, 2.0)
-    res = hl.a_tree(pr, 1.3, levels=np.array(cov.size_class))
+    res = hl.a_tree(pr, 1.3, levels=cov.size_class)
     assert res.diverging
 
 
@@ -229,8 +242,8 @@ def test_cube_cap():
 def test_cube_cap_boundary(which, depth, request):
     # the cap bounds the cube count: a covering with exactly cube_cap cubes
     # builds, one cube fewer raises
-    count = request.getfixturevalue(f"{which}_cov{depth}").cube_count
-    assert hl.build_covering(_profile(which), depth, cube_cap=count).cube_count == count
+    count = request.getfixturevalue(f"{which}_cov{depth}").tree.n
+    assert hl.build_covering(_profile(which), depth, cube_cap=count).tree.n == count
     with pytest.raises(CubeCapExceeded):
         hl.build_covering(_profile(which), depth, cube_cap=count - 1)
 
@@ -290,7 +303,7 @@ def test_admissibility_interval(demo_cov6):
     # comparable to its edge
     lows, highs = demo_cov6.corners
     ratios = graph_distance(demo_cov6.profile, (lows + highs) / 2) / demo_cov6.edge_array
-    assert len(ratios) == demo_cov6.cube_count
+    assert len(ratios) == demo_cov6.tree.n
     assert 0.1 < ratios.min() <= ratios.max() < 20.0
 
 
@@ -349,7 +362,7 @@ def test_locate_on_faces_and_corners_across_classes(which, depth):
     cov = hl.build_covering(_profile(which), depth_max=depth)
     oracle = _oracle(which, depth)
     rng = np.random.default_rng(29)
-    cls = np.asarray(cov.size_class)
+    cls = cov.size_class
     picks = np.array(list(itertools.product(range(3), repeat=cov.n)))
     pts = []
     for j in np.unique(cls).tolist():
@@ -366,12 +379,12 @@ def test_locate_on_faces_and_corners_across_classes(which, depth):
 def test_covering_json_fractions(demo_cov6):
     cube = cube_rows(demo_cov6.to_json())[1]
     num, den = cube["edge"]
-    assert Fraction(num, den) == demo_cov6.edge(1)
+    assert Fraction(num, den) == demo_cov6.class_edge[demo_cov6.size_class[1]]
 
 
 def test_three_dimensional_covering():
     cov = hl.build_covering(hl.profile_flat(2.0, n=3), depth_max=3)
-    assert Counter(cov.level) == {m: 4 ** m for m in range(4)}
+    assert np.array_equal(np.bincount(cov.tree.depth), 4 ** np.arange(4))
     rep = check_disjoint_and_coverage(cov)
     assert rep["disjoint"] and rep["coverage_exact"]
     pr = hl.weights_from_beta(cov, 0.0, 2.0)
@@ -382,7 +395,7 @@ def test_three_dimensional_holder_covering():
     cov = hl.build_covering(_demo3_profile(), depth_max=3)
     rep = check_disjoint_and_coverage(cov)
     assert rep["disjoint"] and rep["coverage_exact"]
-    assert cov.cube_count > 4 ** 3
+    assert cov.tree.n > 4 ** 3
 
 
 def test_dimension_limit():
@@ -391,11 +404,12 @@ def test_dimension_limit():
 
 
 def test_child_edges_never_grow(demo_cov6):
+    edge = demo_cov6.class_edge
     for t in demo_cov6.tree.gamma_star:
         p = demo_cov6.tree.parent[t]
-        assert demo_cov6.edge(t) in (demo_cov6.edge(p), demo_cov6.edge(p) / 2)
-        # children sit exactly on the parent's top face: k_t h_t = (k_p + 1) h_p
         jt, jp = demo_cov6.size_class[t], demo_cov6.size_class[p]
+        assert edge[jt] in (edge[jp], edge[jp] / 2)
+        # children sit exactly on the parent's top face: k_t h_t = (k_p + 1) h_p
         assert demo_cov6.cell[t, -1] << jp == (demo_cov6.cell[p, -1] + 1) << jt
 
 
@@ -614,9 +628,13 @@ def test_rough_depth8_phi_points(rough_cov8):
 
 
 def _same_covering(got, want):
-    return (tuple(got.tree.parent) == tuple(want.tree.parent) and got.level == want.level
-            and got.size_class == want.size_class and np.array_equal(got.cell, want.cell)
-            and got.inconclusive == want.inconclusive)
+    # want: the level oracle's covering and the breadth-first step of each
+    # cube, which is the tree depth
+    cov = want.covering
+    return (np.array_equal(got.tree.parent, cov.tree.parent)
+            and np.array_equal(got.tree.depth, want.level)
+            and np.array_equal(got.size_class, cov.size_class)
+            and np.array_equal(got.cell, cov.cell) and got.inconclusive == cov.inconclusive)
 
 
 def _column_profile(which):
@@ -711,10 +729,11 @@ def test_columnar_export_reads_back(which, depth, request):
     assert sorted(cubes) == ["cell", "level", "parent", "size_class"]
     assert len(cubes["cell"]) == cov.n
     columns = [cubes["level"], cubes["parent"], cubes["size_class"], *cubes["cell"]]
-    assert all(len(col) == cov.cube_count for col in columns)
+    assert all(len(col) == cov.tree.n for col in columns)
     assert hl.RootedTree(cubes["parent"]) == cov.tree
     assert np.array_equal(np.array(cubes["cell"]).T, cov.cell)
-    assert (tuple(cubes["level"]), tuple(cubes["size_class"])) == (cov.level, cov.size_class)
+    assert np.array_equal(cubes["level"], cov.tree.depth)
+    assert np.array_equal(cubes["size_class"], cov.size_class)
     edges = [Fraction(*e) for e in doc["class_edge"]]
     assert edges == list(cov.class_edge)
     half = Fraction(*doc["ell"]) / 2
@@ -769,7 +788,7 @@ ROUGH8_SHA256 = "e6eef900e467f0e27e172f62a4e7bf6b24eb456090ca0efac312fa05f92a850
 
 
 def test_rough_depth8_covering_pinned(rough_cov8):
-    assert rough_cov8.cube_count == 3165
+    assert rough_cov8.tree.n == 3165
     assert rough_cov8.inconclusive == 114
     doc = json.dumps(row_export(rough_cov8.to_json()), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == ROUGH8_SHA256
@@ -783,9 +802,9 @@ ROUGH10_SHA256 = "6a47c30b98bb128d1b1754aec0b59a70e28dfd8d8485977ad722e21ec9eaad
 def test_rough_depth10_covering_pinned(rough_cov10):
     digest = hashlib.sha256(rough_cov10.cell.tobytes())
     digest.update(np.asarray(rough_cov10.tree.parent, dtype=np.int64).tobytes())
-    digest.update(np.asarray(rough_cov10.level, dtype=np.int64).tobytes())
+    digest.update(rough_cov10.tree.depth.tobytes())      # the level column
     digest.update(str(rough_cov10.inconclusive).encode())
-    assert (rough_cov10.cube_count, rough_cov10.inconclusive) == (22751, 1132)
+    assert (rough_cov10.tree.n, rough_cov10.inconclusive) == (22751, 1132)
     assert digest.hexdigest() == ROUGH10_SHA256
 
 
@@ -832,13 +851,11 @@ def _covering_of(cov, ids, extra=()):
     parent = [new[cov.tree.parent[t]] if t != cov.tree.root else -1 for t in ids]
     size_class = [cov.size_class[t] for t in ids]
     cells = [cov.cell[t] for t in ids]
-    level = [cov.level[t] for t in ids]
     for p, j, cell in extra:
         parent.append(new[p])
         size_class.append(j)
         cells.append(cell)
-        level.append(cov.level[p] + 1)
-    return CubeCovering(cov.profile, hl.RootedTree(parent), tuple(level), tuple(size_class),
+    return CubeCovering(cov.profile, hl.RootedTree(parent), np.array(size_class),
                         np.array(cells), cov.depth_max)
 
 
@@ -849,7 +866,8 @@ def test_disjoint_and_coverage_catch_broken_coverings():
     rep = check_disjoint_and_coverage(_covering_of(cov, everything))
     assert rep["disjoint"] and rep["coverage_exact"]
     # a leaf whose parent split, so the parent stays an inner cube without it
-    leaf = next(t for t in reversed(tree.leaves) if len(tree.children[tree.parent[t]]) > 1)
+    children = children_of(tree)
+    leaf = next(t for t in reversed(tree.leaves) if len(children[tree.parent[t]]) > 1)
     p, j = tree.parent[leaf], cov.size_class[leaf]
 
     duplicated = _covering_of(cov, everything, [(p, j, cov.cell[leaf])])
@@ -864,7 +882,7 @@ def test_disjoint_and_coverage_catch_broken_coverings():
     assert not dropped["coverage_exact"]
     # the leaf's column (edge x top) leaves the column integral, its cube
     # (edge x edge) the volume total
-    e = cov.edge(leaf)
+    e = cov.class_edge[j]
     hi = (int(cov.cell[leaf, -1]) + 1) * e
     assert dropped["covered_volume"] - dropped["column_volume"] == (hi - e) * e
 

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardy_lab as hl
-from hardy_lab.hardy import HardyOperator, _a_tree_terms, _bfs_weights, _pnorm_power
+from hardy_lab import hardy
+from hardy_lab.hardy import _a_tree_terms, _bfs_weights, _pnorm_power
+from hardy_lab.tree import TreeError
 
 from conftest import random_problem
 from oracles import (
+    alpha_K,
     alpha_gram,
     chain_cond2,
     ehp_enumerated,
@@ -302,17 +305,37 @@ def _shuffled_problem(rng, n, p):
     return hl.make_problem(tree, u, v, p)
 
 
-def test_operator_matches_dense_matrix():
+def _operators(monkeypatch, pr, form):
+    """The (apply, apply_t, m, p) that exact_constant hands the power
+    iteration, caught on the way in."""
+    runs = []
+
+    def catch(*run):
+        runs.append(run)
+        return 0.0, 0.0, np.zeros(run[2]), 0
+
+    with monkeypatch.context() as m:
+        m.setattr(hardy, "_pnorm_power", catch)
+        hl.exact_constant(pr, form)
+    return runs[0]
+
+
+def test_operator_matches_dense_matrix(monkeypatch):
     rng = np.random.default_rng(31)
     for n in (2, 3, 17, 40):
         pr = _shuffled_problem(rng, n, 2.0)
-        M = hardy_matrix(pr)
-        op = HardyOperator(pr)
-        M = M[np.ix_(op.kernel.rank, op.kernel.rank)]     # rows and columns in BFS order
-        for shape in ((n - 1,), (n - 1, 3)):
-            X = rng.standard_normal(shape)
-            np.testing.assert_allclose(op.apply(X), M @ X, rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(op.apply_t(X), M.T @ X, rtol=1e-13, atol=1e-13)
+        rank = pr.tree.kernel.rank
+        M = hardy_matrix(pr)[np.ix_(rank, rank)]       # rows and columns in BFS order
+        apply, apply_t, m, p = _operators(monkeypatch, pr, "primal")
+        assert (m, p) == (n - 1, pr.p)
+        X = rng.standard_normal(n - 1)
+        np.testing.assert_allclose(apply(X.copy()), M @ X, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(apply_t(X.copy()), M.T @ X, rtol=1e-13, atol=1e-13)
+        # the dual form iterates M' at the exponent q
+        dual = _operators(monkeypatch, pr, "dual")
+        np.testing.assert_allclose(dual[0](X.copy()), M.T @ X, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(dual[1](X.copy()), M @ X, rtol=1e-13, atol=1e-13)
+        assert dual[2:] == (n - 1, pr.q)
 
 
 def test_exact_constant_maximizer_in_id_order():
@@ -395,7 +418,7 @@ def test_exact_constant_bracket_with_underflowed_maximizer():
         tree = hl.random_tree(int(shapes.integers(16, 29)), shapes)
         u, v = np.exp(weights.uniform(-math.log(10.0), math.log(10.0), (2, tree.n - 1)))
     pr = hl.make_problem(tree, u, v, 2.0)
-    assert tree.n == 25 and len(tree.children[tree.root]) == 3
+    assert tree.n == 25 and np.diff(tree.child_offsets)[tree.root] == 3
     svd = float(np.linalg.svd(hardy_matrix(pr), compute_uv=False)[0])
     for form in ("primal", "dual"):
         got = hl.exact_constant(pr, form)
@@ -414,17 +437,39 @@ def test_pnorm_power_skips_zero_over_zero():
     assert x.tolist() == [1.0, 0.0]
 
 
-# -- alpha_K -------------------------------------------------------------------
+# -- alpha_K (the oracle the enumeration of B runs on) ---------------------------
+
+def _unit_problem(t):
+    ones = np.ones(t.n - 1)
+    return hl.make_problem(t, ones, ones, 2.0)
+
+
+def test_antichain_validation():
+    pr = _unit_problem(hl.chain_tree(2))
+    with pytest.raises(TreeError, match="below"):
+        alpha_K(pr, [1, 2])         # comparable
+    with pytest.raises(TreeError, match="nonempty"):
+        alpha_K(pr, [])
+    with pytest.raises(TreeError, match="root"):
+        alpha_K(pr, [0])
+    with pytest.raises(TreeError, match="lie in"):
+        alpha_K(pr, [3])            # out of range
+    assert np.flatnonzero(alpha_K(pr, [2]).b).tolist() == [1, 2]
+    pr = _unit_problem(hl.build_tree([(1, 0), (2, 0), (3, 1), (4, 1)]))
+    assert alpha_K(pr, [4, 3, 2, 4]).alpha == alpha_K(pr, [2, 3, 4]).alpha
+    with pytest.raises(TreeError, match="boundary vertex 4 lies below"):
+        alpha_K(pr, [2, 4, 1])      # 1 lies above 4
+
 
 def test_alpha_hand_values():
     pr = two_chain()
-    r1 = hl.alpha_K(pr, [1])
+    r1 = alpha_K(pr, [1])
     assert r1.alpha == pytest.approx(1.0, abs=1e-12)
     assert r1.b[1] == pytest.approx(1.0) and r1.b[2] == 0.0
-    r2 = hl.alpha_K(pr, [2])
+    r2 = alpha_K(pr, [2])
     assert r2.alpha == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert r2.b[1] == pytest.approx(0.5) and r2.b[2] == pytest.approx(0.5)
-    r3 = hl.alpha_K(star(), [1, 2])
+    r3 = alpha_K(star(), [1, 2])
     assert r3.alpha == pytest.approx(math.sqrt(2), abs=1e-12)
     assert r3.b[1] == pytest.approx(1.0) and r3.b[2] == pytest.approx(1.0)
 
@@ -432,7 +477,7 @@ def test_alpha_hand_values():
 def test_alpha_general_p_oracle():
     # min b1^3 + b2^3 with b1 + b2 = 1 is attained at b = (1/2, 1/2)
     pr = two_chain(p=3.0)
-    r = hl.alpha_K(pr, [2])
+    r = alpha_K(pr, [2])
     assert r.alpha == pytest.approx(0.25 ** (1 / 3), rel=1e-12)
     assert r.b[1] == pytest.approx(0.5) and r.b[2] == pytest.approx(0.5)
 
@@ -446,7 +491,7 @@ def test_alpha_recursion_matches_closed_form_at_p2():
         for anti in itertools.islice(enumerate_antichains(pr.tree), 25):
             ref_alpha, ref_b = alpha_gram(pr, anti)
             assert ref_b.min() >= -1e-12        # feasible, so the minimiser
-            r = hl.alpha_K(pr, anti)
+            r = alpha_K(pr, anti)
             assert r.alpha == pytest.approx(ref_alpha, rel=1e-10)
             np.testing.assert_allclose(r.b, ref_b, rtol=1e-9, atol=1e-12)
             checked += 1
@@ -459,7 +504,7 @@ def test_alpha_constraints_satisfied_exactly():
         for _ in range(10):
             pr = random_problem(rng, max_vertices=12, p=p)
             anti = max(enumerate_antichains(pr.tree), key=len)
-            r = hl.alpha_K(pr, anti)
+            r = alpha_K(pr, anti)
             assert np.all(r.b >= 0)
             paths = tree_paths(pr.tree)
             for t in anti:
@@ -512,7 +557,7 @@ def test_ehp_matches_enumeration_oracle():
         w[list(tree.gamma_star)] = pr.v[list(tree.gamma_star)] ** pr.p
         svp = shadow_sums(tree, w)
         num = sum(svp[t] for t in got.arg) ** (1.0 / pr.p)
-        assert num / hl.alpha_K(pr, got.arg).alpha == pytest.approx(got.value, rel=1e-12)
+        assert num / alpha_K(pr, got.arg).alpha == pytest.approx(got.value, rel=1e-12)
 
 
 def test_sandwich_small_random():

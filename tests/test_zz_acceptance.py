@@ -139,7 +139,7 @@ def test_criterion_05_hand_oracles():
 
 def test_criterion_06_covering_correctness(demo_cov10):
     t0 = time.monotonic()
-    ok = demo_cov10.cube_count >= 1000
+    ok = demo_cov10.tree.n >= 1000
     struct = hl.check_disjoint_and_coverage(demo_cov10)
     ok &= struct["disjoint"] and struct["coverage_exact"]
     bounds = hl.verify_counting_bounds(demo_cov10)
@@ -147,7 +147,7 @@ def test_criterion_06_covering_correctness(demo_cov10):
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0
     assert _line(6, "covering correctness", ok,
-                 f"{demo_cov10.cube_count} cubes, fits {bounds.c1:.3g}/"
+                 f"{demo_cov10.tree.n} cubes, fits {bounds.c1:.3g}/"
                  f"{bounds.c2:.3g}/{bounds.c3:.3g}, {elapsed:.1f}s")
 
 
@@ -167,7 +167,7 @@ def test_criterion_07_threshold_behavior(rough_cov10):
     pr = hl.weights_from_beta(cov, -0.3, p)
     theta_star = hl.optimize_theta(pr).theta_star
     levels = np.array(hl.a_tree(pr, theta_star,
-                                levels=np.array(cov.size_class)).levels)
+                                levels=cov.size_class).levels)
     div_ratios = (levels[1:] / levels[:-1])[-5:]
     ok = bool(np.all(div_ratios >= 1.05))
     steps = {}
