@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -199,57 +199,190 @@ def _ratio_with_flags(lhs: float, rhs: float) -> tuple[float, tuple[str, ...]]:
     return lhs / rhs, ()
 
 
-# The sampler draws and reduces whole cells in blocks of at most this many
-# points, for every kind; a cell with more points is a block by itself.
+# The sampler draws and reduces cells in units of at most BLOCK_POINTS
+# points, or 128 when BLOCK_POINTS is smaller, for every kind: a block of
+# whole cells, or one leaf of a larger cell's pairwise split (_leaves).
 BLOCK_POINTS = 2 ** 15
 
+# np.add.reduce adds a run of at most this many float64 values in one
+# unrolled loop and splits a longer run in two
+_PAIRWISE_LEAF = 128
 
-def _blocks(cells: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """cells split into consecutive runs of at most BLOCK_POINTS points
-    between them; a cell with more points is a run by itself."""
-    runs, start, size = [], 0, 0
-    for i, m in enumerate(counts[cells].tolist()):
-        if size and size + m > BLOCK_POINTS:
-            runs.append(cells[start:i])
+
+def _split(m: int) -> int | None:
+    """Where np.add.reduce splits a run of m values: at m // 2 rounded down
+    to a multiple of 8 while m > 128. None where the sampler keeps m rows
+    in one unit, at most max(BLOCK_POINTS, 128)."""
+    if m <= max(BLOCK_POINTS, _PAIRWISE_LEAF):
+        return None
+    h = m // 2
+    return h - h % 8
+
+
+def _leaves(m: int) -> list[int]:
+    """Row counts of the leaves a cell of m rows is cut into, in order: the
+    runs numpy's own pairwise split of m values reaches first at or below
+    the unit size, so np.sum of each leaf is a partial sum of the cell's."""
+    h = _split(m)
+    return [m] if h is None else _leaves(h) + _leaves(m - h)
+
+
+def _rejoin(m: int, sums: Iterator[float]) -> float:
+    """np.sum over a cell of m rows, from the np.sum of each of its _leaves
+    in order: the leaf sums added up numpy's split tree, bit for bit."""
+    h = _split(m)
+    return next(sums) if h is None else _rejoin(h, sums) + _rejoin(m - h, sums)
+
+
+def _units(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """The sampler's units in cell id order, as (cells, rows per cell, whole
+    count of a split cell): runs of whole cells with at most BLOCK_POINTS
+    points between them (0), and each of the _leaves of a cell with more
+    than max(BLOCK_POINTS, 128) points on its own (that cell's count). With
+    BLOCK_POINTS below 128, a whole cell of more than BLOCK_POINTS points is
+    a unit by itself."""
+    cells = np.flatnonzero(counts)
+    m = counts[cells]
+    start, size = 0, 0
+    for i, mi in enumerate(m.tolist()):
+        if size and size + mi > BLOCK_POINTS:
+            yield cells[start:i], m[start:i], 0
             start, size = i, 0
-        size += m
-    runs.append(cells[start:])
-    return runs
+        if _split(mi) is None:
+            size += mi
+            continue
+        for rows in _leaves(mi):
+            yield cells[i:i + 1], np.array([rows]), mi
+        start = i + 1
+    if start < len(cells):
+        yield cells[start:], m[start:], 0
+
+
+def _runs(m: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(i, j, a, b) for each maximal run of consecutive cells i..j-1 with
+    m[i] == ... == m[j-1] rows each, stacked as rows a..b-1: the run's
+    rows reshape to (j - i, m[i])."""
+    cuts = (np.flatnonzero(np.diff(m)) + 1).tolist()
+    ends = np.cumsum(m).tolist()
+    return [(i, j, ends[i - 1] if i else 0, ends[j - 1])
+            for i, j in zip([0] + cuts, cuts + [len(m)])]
+
+
+def _leaf_streams(seed: int, cell: int, m: int, n: int):
+    """The (points, u, g) generators of a cell of m points in R^n drawn leaf
+    by leaf: each continues where the cell's one stream stands in a whole
+    cell draw (_draw_cells). A uniform double takes one PCG64 step, so u
+    starts m n steps in and g m n + m steps in."""
+    streams = tuple(_cell_rng(seed, cell) for _ in range(3))
+    streams[1].bit_generator.advance(m * n)
+    streams[2].bit_generator.advance(m * n + m)
+    return streams
 
 
 def _draw_cells(cov: CubeCovering, cells: np.ndarray, m: np.ndarray, seed: int,
-                offsets: bool = False):
+                offsets: bool = False, rngs=None):
     """m[i] uniform points in each cube cells[i], in one (sum m, n) array.
 
-    Each cell draws from its own stream straight into its rows, and the rows
-    are mapped to their cubes one column at a time. With offsets, each cell
-    also draws u (m[i] uniforms) and g (m[i] x n normals) after its points,
-    and (points, u, g) is returned.
+    Each cell draws from its own stream straight into its rows, and each run
+    of equal cells is mapped to its cubes one column at a time. With
+    offsets, each cell also draws u (m[i] uniforms) and g (m[i] x n normals)
+    after its points, and (points, u, g) is returned. rngs, if given, holds
+    each cell's (points, u, g) generators (see _leaf_streams); by default
+    each cell draws all three in turn from a new _cell_rng stream.
     """
     n = cov.n
     ends = np.cumsum(m).tolist()
     pts = np.empty((ends[-1], n))
     if offsets:
         u, g = np.empty(ends[-1]), np.empty((ends[-1], n))
-    for t, a, b in zip(cells.tolist(), [0] + ends[:-1], ends):
-        rng = _cell_rng(seed, t)
-        rng.random(out=pts[a:b])
+    if rngs is None:
+        rngs = [(r, r, r) for r in (_cell_rng(seed, t) for t in cells.tolist())]
+    for (rp, ru, rg), a, b in zip(rngs, [0] + ends[:-1], ends):
+        rp.random(out=pts[a:b])
         if offsets:
-            rng.random(out=u[a:b])
-            rng.standard_normal(out=g[a:b])
+            ru.random(out=u[a:b])
+            rg.standard_normal(out=g[a:b])
     lows, highs = cov.corners
-    for k in range(n):
-        col = pts[:, k]
-        col *= np.repeat(highs[cells, k] - lows[cells, k], m)
-        col += np.repeat(lows[cells, k], m)
+    for i, j, a, b in _runs(m):
+        lo, hi = lows[cells[i:j]], highs[cells[i:j]]
+        for k in range(n):
+            col = pts[a:b, k].reshape(j - i, -1)
+            col *= (hi[:, k] - lo[:, k])[:, None]
+            col += lo[:, k, None]
     return (pts, u, g) if offsets else pts
 
 
-def _cell_terms(w: np.ndarray, ends: list[int], v: np.ndarray) -> list[float]:
-    """w[i] times np.sum of v over the rows of cell i, where ends are the
-    cumulative row counts: one np.sum per cell, since np.add.reduceat adds
-    in another order and so gives other bits."""
-    return [wt * float(np.sum(v[a:b])) for wt, a, b in zip(w, [0] + ends[:-1], ends)]
+def _cell_sums(runs, x: np.ndarray | None = None, c: np.ndarray | None = None) -> np.ndarray:
+    """For each cell, np.sum over its rows of x times the cell's constant c
+    (of x alone without c, of c alone without x).
+
+    Each run of equal cells is one (cells, rows) reshape summed along its
+    rows, which numpy adds pairwise row by row: the bits of one np.sum per
+    cell, where np.add.reduceat adds in another order.
+    """
+    sums = []
+    for i, j, a, b in runs:
+        if x is None:
+            X = np.broadcast_to(c[i:j, None], (j - i, (b - a) // (j - i)))
+        else:
+            X = x[a:b].reshape(j - i, -1)
+            if c is not None:
+                X = X * c[i:j, None]
+        sums.append(np.add.reduce(X, axis=1))
+    return np.concatenate(sums)
+
+
+def _eta_sums(runs, c: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """einsum("i,ijk->jk") of each cell's rows of eta against its constant
+    c, one batched einsum per run of equal cells (the same bits)."""
+    n = eta.shape[1]
+    return np.concatenate([
+        np.einsum("ci,cijk->cjk", np.broadcast_to(c[i:j, None], (j - i, (b - a) // (j - i))),
+                  eta[a:b].reshape(j - i, -1, n, n))
+        for i, j, a, b in runs])
+
+
+def _eta(J: np.ndarray, spare: bool = False) -> np.ndarray:
+    """The antisymmetric part (J - J^T) / 2 of each row of J, built one
+    column at a time (the same bits as J - np.swapaxes(J, 1, 2), halved);
+    with spare, after an unset first row."""
+    n = J.shape[1]
+    eta = np.empty((len(J) + spare, n, n))
+    for j in range(n):
+        for k in range(n):
+            np.subtract(J[:, j, k], J[:, k, j], out=eta[spare:, j, k])
+    eta *= 0.5
+    return eta
+
+
+def _eta_continued(S: np.ndarray | None, c: float, eta: np.ndarray) -> np.ndarray:
+    """einsum("i,ijk->jk") of a split cell's rows so far against its
+    constant c, given S, its value on the leaves before (None at the first
+    leaf), and the leaf's eta after a spare first row: einsum adds the rows
+    in sequence, so S enters as that row with weight 1.0 and the fold goes
+    on where it stopped."""
+    w = np.full(len(eta), c)
+    if S is None:
+        return np.einsum("i,ijk->jk", w[1:], eta[1:])
+    w[0] = 1.0
+    eta[0] = S
+    return np.einsum("i,ijk->jk", w, eta)
+
+
+def _symmetric_columns(J: np.ndarray) -> Iterator[np.ndarray]:
+    """The columns (J[:, j, k] + J[:, k, j]) / 2 of the symmetric part, in
+    (j, k) order; an off-diagonal column is built once for both places."""
+    n = J.shape[1]
+    built = {}
+    for j in range(n):
+        for k in range(n):
+            if k < j:
+                yield built.pop((k, j))
+                continue
+            col = (J[:, j, k] + J[:, k, j]) * 0.5
+            if k > j:
+                built[j, k] = col
+            yield col
 
 
 def _locate_own_first(cov: CubeCovering, own: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -278,11 +411,11 @@ def _locate_own_first(cov: CubeCovering, own: np.ndarray, y: np.ndarray) -> np.n
 _SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
-def _pair_block(f: TestFunction, cov: CubeCovering, block: np.ndarray,
+def _pair_block(f: TestFunction, cov: CubeCovering, cells: np.ndarray,
                 m: np.ndarray, seed: int, p: float, s: float, tau: float,
-                expo: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """f at a block's points x, the rhs integrand of their pairs (x, y) and
-    the number of pairs rejected.
+                expo: float, rngs=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """f at a unit's points x, the rhs integrand of their pairs (x, y) and
+    the number of pairs rejected; rngs as for _draw_cells.
 
     The offset radius is drawn as r = R u^{1/kappa}, kappa = p(1-s), which
     cancels the |x-y| kernel singularity; R = tau d(x) is the tau-ball
@@ -292,8 +425,8 @@ def _pair_block(f: TestFunction, cov: CubeCovering, block: np.ndarray,
     n = cov.n
     kappa = p * (1.0 - s)
     edges = cov.edge_array
-    pts, u, g = _draw_cells(cov, block, m, seed, offsets=True)
-    c = np.repeat(block, m)                         # the cell of x, then of y
+    pts, u, g = _draw_cells(cov, cells, m, seed, offsets=True, rngs=rngs)
+    c = np.repeat(cells, m)                         # the cell of x, then of y
     dx = edges[c]
     R = tau * dx
     r = u
@@ -352,16 +485,21 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     """One quadrature pass: lhs, rhs and, for fractional_poincare, the
     fraction of the points drawn whose pair left the domain.
 
-    Cells are drawn and reduced in blocks of whole cells in id order (see
-    _blocks); only the rhs integrand and the array kept for the lhs, f or
-    J, depend on the kind. The weighted mean (a constant, or Korn's
-    antisymmetric part eta) is taken on the same nodes as the norms, so the
-    side condition holds exactly on the discrete measure; until it is known
-    each block keeps just (w, d^{beta p} once per cell, f or J). math.fsum
-    rounds exactly, so the order of the per-cell terms does not matter; each
-    per-cell sum is np.sum over the cell's own rows and each Korn mean term
-    one einsum over them, as np.add.reduceat or one einsum per block adds
-    the same terms in another order, so gives other bits.
+    Cells are drawn and reduced in units of at most max(BLOCK_POINTS, 128)
+    rows in id order (see _units): blocks of whole cells, and the leaves of
+    any larger cell, each leaf drawn from where the cell's streams stand.
+    Only the rhs integrand and the array kept for the lhs, f or J, depend
+    on the kind. The weighted mean (a constant, or Korn's antisymmetric
+    part eta) is taken on the same nodes as the norms, so the side
+    condition holds exactly on the discrete measure; until it is known the
+    pass keeps just f or J of every point, in one array, and w and
+    d^{beta p} once per cell. math.fsum rounds exactly, so the order of the
+    per-cell terms does not matter. Each per-cell sum has the bits of
+    np.sum over the cell's rows, and each Korn mean term those of one
+    einsum over them: a block sums each run of equal cells row-wise
+    (_cell_sums, _eta_sums), and a split cell adds its leaf sums up numpy's
+    pairwise split tree (_rejoin) and carries its einsum from leaf to leaf
+    (_eta_continued).
     """
     alpha = cov.profile.alpha
     n = cov.n
@@ -370,64 +508,88 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     korn, fractional = kind == "korn", kind == "fractional_poincare"
     rhs_expo = (beta + alpha - 1.0 if korn else beta + alpha) * p
     kept, denom_terms, mean_terms, rhs_terms = [], [], [], []
+    # f or J of every point, unit after unit, in one array for the whole
+    # pass: numpy backs a large one with huge pages where the system allows,
+    # where one array per unit would be faulted in a page at a time
+    total = int(counts.sum())
+    values = np.empty((total, n, n) if korn else total)
+    row = 0
+    term_lists = (denom_terms, rhs_terms) if korn else (denom_terms, mean_terms, rhs_terms)
     A = np.zeros((n, n))
     rejected = 0
+    # the cell being drawn leaf by leaf: its streams, rows so far, per-leaf
+    # sums and Korn's einsum so far
+    streams, done, leaf_sums, S = None, 0, [], None
     # Temporaries are updated in place where that applies the same operation
-    # to the same values (so the same bits): fewer large blocks for the
-    # allocator to hand back and fault in again. d^{beta p} is made only
-    # once the points are dropped, and dropped before the rhs power.
-    for block in _blocks(np.flatnonzero(counts), counts):
-        m = counts[block]
-        ends = np.cumsum(m).tolist()
-        w = vols[block] / m
-        d = edges[block]
+    # to the same values (so the same bits). d^{beta p} is taken once per
+    # cell and broadcast over the cell's rows.
+    for cells, m, split in _units(counts):
+        runs = _runs(m)
+        w = vols[cells] / counts[cells]
+        d = edges[cells]
+        if split and streams is None:
+            streams = _leaf_streams(seed, int(cells[0]), split, n)
+        rngs = [streams] if split else None
         if fractional:
-            v, r, out = _pair_block(f, cov, block, m, seed, p, s, tau,
-                                    (s + beta - alpha + 1.0) * p)
+            v, r, out = _pair_block(f, cov, cells, m, seed, p, s, tau,
+                                    (s + beta - alpha + 1.0) * p, rngs)
             rejected += out
         elif korn:
-            v = f.jacobian(_draw_cells(cov, block, m, seed))
+            v = f.jacobian(_draw_cells(cov, cells, m, seed, rngs=rngs))
         else:
-            pts = _draw_cells(cov, block, m, seed)
+            pts = _draw_cells(cov, cells, m, seed, rngs=rngs)
             v = f.value(pts)
             g = f.gradient(pts)
             del pts
             r = _sum_squares(g.T, n)
             del g
-        # d is constant on a cell: one array power per cell, then repeated
+        a, row = row, row + len(v)
+        values[a:row] = v
+        v = values[a:row]
+        # d is constant on a cell: one array power per cell, then broadcast
         # (never a Python-float pow, whose last bit can differ from numpy's)
         d_beta_p = d ** (beta * p)
-        dbp = np.repeat(d_beta_p, m)
-        denom_terms += _cell_terms(w, ends, dbp)
+        sums = [_cell_sums(runs, c=d_beta_p)]
         if korn:
             # the weighted-mean antisymmetric part of the Jacobian is removed
-            part = v - np.swapaxes(v, 1, 2)
-            part *= 0.5                                 # eta
-            for wt, a, b in zip(w, [0] + ends[:-1], ends):
-                A += wt * np.einsum("i,ijk->jk", dbp[a:b], part[a:b])
-            del part, dbp
-            eps = ((v[:, j, k] + v[:, k, j]) * 0.5 for j in range(n) for k in range(n))
-            r = _sum_squares(eps, n * n)
+            eta = _eta(v, spare=bool(split))
+            if split:
+                S = _eta_continued(S, d_beta_p[0], eta)
+            else:
+                for term in w[:, None, None] * _eta_sums(runs, d_beta_p, eta):
+                    A += term
+            del eta
+            r = _sum_squares(_symmetric_columns(v), n * n)
         else:
-            mean_terms += _cell_terms(w, ends, dbp * v)
-            del dbp
-        if not fractional:                              # r holds |grad f|^2 or |eps|^2
+            sums.append(_cell_sums(runs, v, d_beta_p))
+        if fractional:
+            sums.append(_cell_sums(runs, r))
+        else:                                           # r holds |grad f|^2 or |eps|^2
             np.sqrt(r, out=r)
             r **= p
-            r *= np.repeat(d ** rhs_expo, m)
-        rhs_terms += _cell_terms(w, ends, r)
+            sums.append(_cell_sums(runs, r, d ** rhs_expo))
         del r
-        kept.append((w, ends, d_beta_p, m, v))
+        kept.append((w, runs, d_beta_p, a, row, split))
+        if not split:
+            for terms, x in zip(term_lists, sums):
+                terms += (w * x).tolist()
+            continue
+        leaf_sums.append([float(x[0]) for x in sums])
+        done += int(m[0])
+        if done == split:
+            for terms, x in zip(term_lists, zip(*leaf_sums)):
+                terms.append(w[0] * _rejoin(split, iter(x)))
+            if korn:
+                A += w[0] * S
+            streams, done, leaf_sums, S = None, 0, [], None
     denom = math.fsum(denom_terms)
     if korn:
         A /= denom
     else:
         c = math.fsum(mean_terms) / denom
-    # last block first, each dropped once its terms are taken, so the largest
-    # cell, the root, meets the lhs temporaries alone
     lhs_terms = []
-    while kept:
-        w, ends, d_beta_p, m, v = kept.pop()
+    for w, runs, d_beta_p, a, b, split in kept:
+        v = values[a:b]
         if korn:
             r = _sum_squares((v[:, j, k] - A[j, k] for j in range(n) for k in range(n)),
                              n * n)
@@ -435,12 +597,18 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
         else:
             r = v - c
             np.abs(r, out=r)
-        del v
         r **= p
-        r *= np.repeat(d_beta_p, m)
-        lhs_terms += _cell_terms(w, ends, r)
+        x = _cell_sums(runs, r, d_beta_p)
+        if not split:
+            lhs_terms += (w * x).tolist()
+            continue
+        leaf_sums.append(float(x[0]))
+        done += b - a
+        if done == split:
+            lhs_terms.append(w[0] * _rejoin(split, iter(leaf_sums)))
+            done, leaf_sums = 0, []
     lhs = math.fsum(lhs_terms)
-    frac = rejected / int(counts.sum()) if fractional else None
+    frac = rejected / total if fractional else None
     return lhs ** (1.0 / p), math.fsum(rhs_terms) ** (1.0 / p), frac
 
 

@@ -42,12 +42,21 @@ class RootedTree:
     """
 
     def __init__(self, parent: Iterable[int]):
-        if not (isinstance(parent, np.ndarray) and parent.dtype.kind in "iu"):
+        if not (isinstance(parent, np.ndarray) and parent.dtype.kind == "i"):
             parent = parent.tolist() if isinstance(parent, np.ndarray) else list(parent)
             for t, x in enumerate(parent):
                 if not _is_id(x):
                     raise TreeError(f"parent id {x!r} of vertex {t} is not an integer")
-        parent = np.array(parent, dtype=np.int64)
+        try:
+            parent = np.array(parent, dtype=np.int64)
+        except OverflowError:
+            # an id beyond int64 is out of range: the errors of the checks
+            # below, in their order
+            roots = parent.count(-1)
+            if roots != 1:
+                raise TreeError(f"expected exactly one root, found {roots}") from None
+            t = next(t for t, x in enumerate(parent) if not -1 <= x < len(parent))
+            raise TreeError(f"parent id {parent[t]} of vertex {t} out of range") from None
         n = len(parent)
         if n == 0:
             raise TreeError("empty tree")
@@ -139,7 +148,14 @@ class RootedTree:
 
     @staticmethod
     def from_json(obj: dict) -> "RootedTree":
-        return build_tree([(c, p) for c, p in obj["parents"]])
+        """The tree of a to_json object; TreeError if its "root" is not the
+        root of its (child, parent) pairs."""
+        tree = build_tree([(c, p) for c, p in obj["parents"]])
+        root = obj.get("root", tree.root)
+        if not _is_id(root) or root != tree.root:
+            raise TreeError(f"root {root!r} does not match the root {tree.root} "
+                            "of the parent pairs")
+        return tree
 
 
 def _is_id(x) -> bool:

@@ -60,7 +60,6 @@ from hardy_lab.inequalities import (
     _SPHERE_AREA,
     _allocate,
     _cell_rng,
-    _cell_terms,
     _draw_cells,
     _locate_own_first,
     _sum_squares,
@@ -1088,6 +1087,12 @@ def local_run(kind, f, cov, beta, p, samples, seed):
                             * r[5] ** ((beta + alpha - 1.0) * p)))
         for r in data)
     return lhs ** (1.0 / p), rhs ** (1.0 / p)
+
+
+def _cell_terms(w, ends, v):
+    """w[i] times np.sum of v over the rows of cell i, where ends are the
+    cumulative row counts: one np.sum per cell."""
+    return [wt * float(np.sum(v[a:b])) for wt, a, b in zip(w, [0] + ends[:-1], ends)]
 
 
 def fractional_run(f, cov, beta, p, s, tau, samples, seed):

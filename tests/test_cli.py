@@ -362,6 +362,27 @@ def test_fractional_tree_ids_exit_2(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["fractional_problem.json", "fractional_tree.json"]
 
 
+def test_tree_file_root_mismatch_exits_2(tmp_path, capsys):
+    # the pairs make vertex 0 the root: a file naming root 2 was read as
+    # root 0 and written back as such
+    out = str(tmp_path)
+    tree = os.path.join(out, "root2_tree.json")
+    with open(tree, "w") as fh:
+        json.dump({"root": 2, "parents": [[1, 0]]}, fh)
+    message = "root 2 does not match the root 0 of the parent pairs"
+    assert main(["tree", "--input", tree, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["hardy", "--input", tree, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    problem = os.path.join(out, "root2_problem.json")
+    with open(problem, "w") as fh:
+        json.dump({"tree": {"root": 2, "parents": [[1, 0]]}, "u": [1.0], "v": [1.0],
+                   "p": 2.0}, fh)
+    assert main(["hardy", "--input", problem, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["root2_problem.json", "root2_tree.json"]
+
+
 def test_empty_gamma_star_exits_2(tmp_path, capsys):
     # the flat depth-0 covering is the root cube alone, so no Hardy problem
     out = str(tmp_path)

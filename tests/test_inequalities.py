@@ -138,24 +138,56 @@ def test_local_run_matches_all_cells_kept(local_coverings, name, function, d, be
     assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3)
 
 
+def _check_units(counts):
+    """The sampler's units cover every cell with points once, in id order, a
+    split cell by consecutive leaves whose rows add up to its count."""
+    units = list(ineq._units(counts))
+    order = []
+    for cells, m, split in units:
+        if split:
+            assert len(cells) == 1 and split == counts[cells[0]]
+        else:
+            np.testing.assert_array_equal(m, counts[cells])
+        for t in cells.tolist():
+            if not order or order[-1] != t:
+                order.append(t)
+    assert order == np.flatnonzero(counts).tolist()
+    for t in {int(c[0]) for c, _, split in units if split}:
+        assert sum(int(m[0]) for c, m, split in units if split and c[0] == t) == counts[t]
+    return units
+
+
+def _unit_rows(monkeypatch):
+    """Rows of every unit the sampler draws, recorded as it draws them."""
+    rows, draw = [], ineq._draw_cells
+
+    def record(cov, cells, m, seed, offsets=False, rngs=None):
+        rows.append(int(m.sum()))
+        return draw(cov, cells, m, seed, offsets, rngs)
+
+    monkeypatch.setattr(ineq, "_draw_cells", record)
+    return rows
+
+
 @pytest.mark.parametrize("d", ["cell"])
 @pytest.mark.parametrize("function", LOCAL_FUNCTIONS)
 @pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
 def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monkeypatch,
                                                           name, function, d):
     # 3000 samples fit in one block of the default size; blocks of 64 points
-    # make runs of many cells, block edges, and cells larger than a block
+    # make runs of many cells, block edges, and cells cut into leaves
     monkeypatch.setattr(ineq, "BLOCK_POINTS", 64)
     cov = local_coverings[name]
     counts = ineq._allocate(3000, cov.volume_array)
-    blocks = ineq._blocks(np.flatnonzero(counts), counts)
-    assert max(len(b) for b in blocks) > 1
-    assert any(len(b) == 1 and counts[b[0]] > 64 for b in blocks)
-    assert np.array_equal(np.concatenate(blocks), np.flatnonzero(counts))
+    units = _check_units(counts)
+    assert max(len(c) for c, _, _ in units) > 1
+    assert any(split for _, _, split in units)
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
+    rows = _unit_rows(monkeypatch)
     rep = hl.inequality_ratio(kind, f, cov, 0.3, 3.0, samples=3000, seed=3)
     assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3)
+    assert 0 < max(rows) <= 128
 
 
 # (beta, p, s, tau)
@@ -177,17 +209,19 @@ def test_fractional_blocks_match_all_pairs(local_coverings, monkeypatch, name, c
     monkeypatch.setattr(ineq, "BLOCK_POINTS", block_points)
     cov = local_coverings[name]
     counts = ineq._allocate(max(samples, cov.tree.n), cov.volume_array)
-    blocks = ineq._blocks(np.flatnonzero(counts), counts)
+    units = _check_units(counts)
     if samples == 3000:
-        assert max(len(b) for b in blocks) > 1
+        assert max(len(c) for c, _, _ in units) > 1
     else:
-        assert len(blocks) > 1
+        assert len(units) > 1
     if block_points == 64:
-        assert any(len(b) == 1 and counts[b[0]] > 64 for b in blocks)
+        assert any(split for _, _, split in units)
     beta, p, s, tau = case
     f = getattr(hl, function)()
+    rows = _unit_rows(monkeypatch)
     got = ineq._run("fractional_poincare", f, cov, beta, p, s, tau, samples, 3)
     assert got == fractional_run(f, cov, beta, p, s, tau, samples, 3)
+    assert 0 < max(rows) <= max(block_points, 128)
 
 
 def test_scalar_kinds_share_the_lhs(demo_cov6):
@@ -295,6 +329,95 @@ def test_korn_sampler_memory(demo_cov6):
     finally:
         tracemalloc.stop()
     assert peak < 18 * 2 ** 20
+
+
+def test_poincare_sampler_memory(demo_cov6, flat_cov0):
+    # a cell of more than BLOCK_POINTS points is drawn and reduced leaf by
+    # leaf, so the peak is the kept f plus one unit's temporaries; drawing
+    # each cell whole peaked at 20.9 MiB on demo depth 6 at 10^6 samples
+    # and 19.1 MiB on the flat cell at 5 10^5. The bounds are the measured
+    # 9.4 and 5.0 MiB plus 2 MiB.
+    for cov, f, samples, bound in ((demo_cov6, hl.f_bilinear(), 10 ** 6, 11.5),
+                                   (flat_cov0, hl.f_linear(), 5 * 10 ** 5, 7.0)):
+        hl.inequality_ratio("improved_poincare", f, cov, 0.0, 2.0, samples=1000)
+        tracemalloc.start()
+        try:
+            hl.inequality_ratio("improved_poincare", f, cov, 0.0, 2.0, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2 ** 20
+
+
+# -- the numpy behaviour the sampler's bits rest on ----------------------------------
+# Values over e^{+-20} make the order of every sum show in the bits, so a
+# numpy that sums, folds or reduces in another order fails here first.
+
+def _spread(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+
+
+@pytest.mark.parametrize("cap", [64, 128, 2 ** 15])
+def test_leaf_sums_rejoin_to_numpy_sum(monkeypatch, cap):
+    # np.add.reduce halves a run of more than 128 values at n // 2 rounded
+    # down to a multiple of 8: the leaves of a cell, summed apart and added
+    # back up that tree, give the cell's np.sum
+    monkeypatch.setattr(ineq, "BLOCK_POINTS", cap)
+    lengths = list(range(1, 301)) + [2 ** 15 - 1, 2 ** 15 + 1, 455_922, 10 ** 6 + 1]
+    x = _spread(max(lengths), 11)
+    in_sequence = 0
+    for m in lengths:
+        leaves = ineq._leaves(m)
+        assert sum(leaves) == m and max(leaves) <= max(cap, 128)
+        ends = np.cumsum(leaves).tolist()
+        sums = [float(np.sum(x[b - k:b])) for k, b in zip(leaves, ends)]
+        assert ineq._rejoin(m, iter(sums)) == float(np.add.reduce(x[:m]))
+        in_sequence += sum(sums) == float(np.add.reduce(x[:m]))
+    assert in_sequence < len(lengths)               # the order shows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eta_einsum_continues_across_leaves(n):
+    # einsum("i,ijk->jk") adds the rows in sequence: a cell's mean term
+    # carried from leaf to leaf is the one einsum over its rows
+    J = _spread((1000, n, n), 12)
+    eta = ineq._eta(J)
+    np.testing.assert_array_equal(eta, (J - np.swapaxes(J, 1, 2)) * 0.5)
+    c = 0.7
+    whole = np.einsum("i,ijk->jk", np.full(len(J), c), eta)
+    for leaves in ([1000], [1, 999], [300, 200, 500], [8] * 125, [129, 1, 870]):
+        S, a = None, 0
+        for k in leaves:
+            S = ineq._eta_continued(S, c, ineq._eta(J[a:a + k], spare=True))
+            a += k
+        np.testing.assert_array_equal(S, whole)
+    apart = sum(np.einsum("i,ijk->jk", np.full(k, c), eta[a:a + k])
+                for a, k in ((0, 300), (300, 200), (500, 500)))
+    assert not np.array_equal(apart, whole)         # the order shows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_run_sums_match_per_cell_sums(n):
+    # a run of equal cells reshaped to (cells, rows) and summed along its
+    # rows, or folded by one batched einsum, gives each cell's own np.sum
+    # and einsum
+    m = np.array([5, 5, 5, 130, 130, 1, 8, 8, 9, 300, 300, 300, 1000])
+    runs = ineq._runs(m)
+    assert [(i, j) for i, j, _, _ in runs] == [(0, 3), (3, 5), (5, 6), (6, 8), (8, 9),
+                                               (9, 12), (12, 13)]
+    ends = np.cumsum(m).tolist()
+    rows = list(zip([0] + ends[:-1], ends))
+    x = _spread(ends[-1], 13)
+    c = np.random.default_rng(14).random(len(m))
+    cr = np.repeat(c, m)
+    np.testing.assert_array_equal(ineq._cell_sums(runs, x), [np.sum(x[a:b]) for a, b in rows])
+    np.testing.assert_array_equal(ineq._cell_sums(runs, c=c), [np.sum(cr[a:b]) for a, b in rows])
+    np.testing.assert_array_equal(ineq._cell_sums(runs, x, c),
+                                  [np.sum(cr[a:b] * x[a:b]) for a, b in rows])
+    eta = ineq._eta(_spread((ends[-1], n, n), 15))
+    np.testing.assert_array_equal(ineq._eta_sums(runs, c, eta),
+                                  [np.einsum("i,ijk->jk", cr[a:b], eta[a:b]) for a, b in rows])
 
 
 @pytest.mark.parametrize("m", [1, 7, 10 ** 5])

@@ -255,6 +255,17 @@ def test_json_roundtrip():
     assert hl.RootedTree.from_json(t.to_json()) == t
 
 
+def test_json_root_must_match_the_pairs():
+    # the pairs' root is 0: a file naming another root is refused
+    for root in (2, 1, "0", True, None):
+        with pytest.raises(TreeError) as exc:
+            hl.RootedTree.from_json({"root": root, "parents": [[1, 0], [2, 1]]})
+        assert str(exc.value) == (f"root {root!r} does not match the root 0 "
+                                  "of the parent pairs")
+    assert hl.RootedTree.from_json({"root": 0, "parents": [[1, 0], [2, 1]]}).root == 0
+    assert hl.RootedTree.from_json({"parents": [[0, 1]]}).root == 1
+
+
 # -- the level-vectorised kernel against the per-vertex loops ----------------------
 
 def _kernel_trees(demo_cov6):
@@ -374,6 +385,25 @@ def test_array_tree_error_texts():
                             ([-1, 0, -3], "parent id -3 of vertex 2 out of range"),
                             ([-1, 2, 1, 0], "cycle detected through vertex 1"),
                             ([-1, 0, 2], "cycle detected through vertex 2")):
+        with pytest.raises(TreeError) as exc:
+            hl.RootedTree(parent)
+        assert str(exc.value) == message
+        _assert_matches_loops(parent)
+
+
+def test_ids_beyond_int64_are_out_of_range():
+    # an id no int64 holds is refused as out of range, not by the
+    # OverflowError of the conversion or wrapped around, and after the root
+    # count as usual
+    for parent, message in (([-1, 2 ** 70], f"parent id {2 ** 70} of vertex 1 out of range"),
+                            ([-1, 0, -2 ** 63 - 1],
+                             f"parent id {-2 ** 63 - 1} of vertex 2 out of range"),
+                            ([-1, 5, 2 ** 70], "parent id 5 of vertex 1 out of range"),
+                            ([2 ** 64, 0], "expected exactly one root, found 0"),
+                            ([-1, -1, 2 ** 64], "expected exactly one root, found 2"),
+                            # converted to int64, 2^64 - 1 wrapped to -1, a root
+                            (np.array([2 ** 64 - 1, 0], dtype=np.uint64),
+                             "expected exactly one root, found 0")):
         with pytest.raises(TreeError) as exc:
             hl.RootedTree(parent)
         assert str(exc.value) == message
