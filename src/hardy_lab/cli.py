@@ -39,11 +39,13 @@ from .decomp import decompose, random_mean_zero, space_from_covering, verify_dec
 from .hardy import (
     HardyProblem,
     HullCapExceeded,
+    _check_theta_max,
     hardy_report,
     make_problem,
     optimize_theta,
 )
-from .inequalities import KINDS, f_linear, inequality_ratio, parameter_sweep, u_shear
+from .inequalities import (KINDS, _check_ratio_args, f_linear, inequality_ratio,
+                           parameter_sweep, u_shear)
 from .tree import RootedTree, TreeError, chain_tree, random_tree, star_tree
 
 EXIT_OK = 0
@@ -220,6 +222,7 @@ def cmd_decompose(args) -> int:
     _check_beta_p(args.beta, args.p)        # before the build, which they do not affect
     if not args.p > 1:
         raise ValueError(f"p must lie in (1, inf), got {args.p}")
+    _check_theta_max(args.theta_max)
     cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
     problem = weights_from_beta(cov, args.beta, args.p)
     space = space_from_covering(cov, beta=args.beta)
@@ -234,8 +237,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_ineq(args) -> int:
     grid = [float(b) for b in args.beta_grid.split(",")] if args.beta_grid else None
-    for beta in grid or [args.beta]:
-        _check_beta_p(beta, args.p)         # before the build, which they do not affect
+    for beta in grid or [args.beta]:        # before the build, which they do not affect
+        _check_ratio_args(args.kind, beta, args.p, args.s, args.tau, args.samples)
     cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
     f = u_shear(cov.n) if args.kind == "korn" else f_linear()
     cfg = _config(args)

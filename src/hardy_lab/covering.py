@@ -201,11 +201,16 @@ PROFILES = {"demo": profile_demo, "flat": profile_flat, "rough": profile_rough}
 
 # -- containment test ---------------------------------------------------------
 
+def _split_bits(d: int) -> np.ndarray:
+    """The 2^d half-cell offsets of the split children, one row each, in the
+    order itertools.product takes the halves of each axis."""
+    return (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+
+
 PHI_CHUNK = 1 << 14         # grid points per profile.phi call
 BLOCK_SIDE = {1: 16, 2: 4}  # grid cells per axis of a block: 16 points in 1-D, 4 x 4 in 2-D
 # first cells of a block's 2^d halves, relative to twice its own first cell
-_HALVES = {d: side * ((np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(float)
-           for d, side in BLOCK_SIDE.items()}
+_HALVES = {d: side * _split_bits(d) for d, side in BLOCK_SIDE.items()}
 PRUNE_MARGIN = 1e-9         # relative slack on the threshold before a block is pruned
 
 
@@ -534,12 +539,6 @@ class CubeCovering:
 
 
 COLUMN_BATCH = 16           # thresholds per open column in one containment call
-
-
-def _split_bits(d: int) -> np.ndarray:
-    """The 2^d half-cell offsets of the split children, one row each, in the
-    order itertools.product takes the halves of each axis."""
-    return (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
 
 
 def _test_boxes(L: Fraction, cell: np.ndarray, j) -> tuple[np.ndarray, np.ndarray]:

@@ -283,6 +283,12 @@ class ThetaResult:
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _check_theta_max(theta_max: float) -> None:
+    """ValueError unless 1 < theta_max < inf."""
+    if not 1.0 < theta_max < math.inf:
+        raise ValueError(f"theta_max must be finite and > 1, got {theta_max}")
+
+
 def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResult:
     """Minimize g(theta) = (theta/(theta-1))^{1/q} a_tree(theta).
 
@@ -293,8 +299,7 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
     per block of at most THETA_BLOCK array entries, and each golden-section
     step is one pass. ValueError unless 1 < theta_max < inf.
     """
-    if not 1.0 < theta_max < math.inf:
-        raise ValueError(f"theta_max must be finite and > 1, got {theta_max}")
+    _check_theta_max(theta_max)
     q, p = problem.q, problem.p
     kernel = problem.tree.kernel
     u, v = _bfs_weights(problem)

@@ -234,6 +234,26 @@ def _rejoin(m: int, sums: Iterator[float]) -> float:
     return next(sums) if h is None else _rejoin(h, sums) + _rejoin(m - h, sums)
 
 
+def _cell_terms(kept, unit_sums) -> list[list[float]]:
+    """w times each per-cell sum, one list per quantity, from each unit's
+    kept (w, runs, d^{beta p}, a, b, split) and its sums (_cell_sums); the
+    leaf sums of a split cell are added up numpy's split tree (_rejoin)."""
+    terms = [[] for _ in unit_sums[0]]
+    leaves, done = [], 0
+    for (w, _, _, a, b, split), sums in zip(kept, unit_sums):
+        if not split:
+            for t, x in zip(terms, sums):
+                t += (w * x).tolist()
+            continue
+        leaves.append([float(x[0]) for x in sums])
+        done += b - a
+        if done == split:
+            for t, x in zip(terms, zip(*leaves)):
+                t.append(w[0] * _rejoin(split, iter(x)))
+            leaves, done = [], 0
+    return terms
+
+
 def _units(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """The sampler's units in cell id order, as (cells, rows per cell, whole
     count of a split cell): runs of whole cells with at most BLOCK_POINTS
@@ -332,57 +352,12 @@ def _cell_sums(runs, x: np.ndarray | None = None, c: np.ndarray | None = None) -
     return np.concatenate(sums)
 
 
-def _eta_sums(runs, c: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """einsum("i,ijk->jk") of each cell's rows of eta against its constant
-    c, one batched einsum per run of equal cells (the same bits)."""
-    n = eta.shape[1]
-    return np.concatenate([
-        np.einsum("ci,cijk->cjk", np.broadcast_to(c[i:j, None], (j - i, (b - a) // (j - i))),
-                  eta[a:b].reshape(j - i, -1, n, n))
-        for i, j, a, b in runs])
-
-
-def _eta(J: np.ndarray, spare: bool = False) -> np.ndarray:
-    """The antisymmetric part (J - J^T) / 2 of each row of J, built one
-    column at a time (the same bits as J - np.swapaxes(J, 1, 2), halved);
-    with spare, after an unset first row."""
-    n = J.shape[1]
-    eta = np.empty((len(J) + spare, n, n))
-    for j in range(n):
-        for k in range(n):
-            np.subtract(J[:, j, k], J[:, k, j], out=eta[spare:, j, k])
-    eta *= 0.5
-    return eta
-
-
-def _eta_continued(S: np.ndarray | None, c: float, eta: np.ndarray) -> np.ndarray:
-    """einsum("i,ijk->jk") of a split cell's rows so far against its
-    constant c, given S, its value on the leaves before (None at the first
-    leaf), and the leaf's eta after a spare first row: einsum adds the rows
-    in sequence, so S enters as that row with weight 1.0 and the fold goes
-    on where it stopped."""
-    w = np.full(len(eta), c)
-    if S is None:
-        return np.einsum("i,ijk->jk", w[1:], eta[1:])
-    w[0] = 1.0
-    eta[0] = S
-    return np.einsum("i,ijk->jk", w, eta)
-
-
 def _symmetric_columns(J: np.ndarray) -> Iterator[np.ndarray]:
     """The columns (J[:, j, k] + J[:, k, j]) / 2 of the symmetric part, in
     (j, k) order; an off-diagonal column is built once for both places."""
     n = J.shape[1]
-    built = {}
-    for j in range(n):
-        for k in range(n):
-            if k < j:
-                yield built.pop((k, j))
-                continue
-            col = (J[:, j, k] + J[:, k, j]) * 0.5
-            if k > j:
-                built[j, k] = col
-            yield col
+    half = {(j, k): (J[:, j, k] + J[:, k, j]) * 0.5 for j in range(n) for k in range(j, n)}
+    return (half[min(j, k), max(j, k)] for j in range(n) for k in range(n))
 
 
 def _locate_own_first(cov: CubeCovering, own: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -490,16 +465,14 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     any larger cell, each leaf drawn from where the cell's streams stand.
     Only the rhs integrand and the array kept for the lhs, f or J, depend
     on the kind. The weighted mean (a constant, or Korn's antisymmetric
-    part eta) is taken on the same nodes as the norms, so the side
-    condition holds exactly on the discrete measure; until it is known the
-    pass keeps just f or J of every point, in one array, and w and
-    d^{beta p} once per cell. math.fsum rounds exactly, so the order of the
-    per-cell terms does not matter. Each per-cell sum has the bits of
-    np.sum over the cell's rows, and each Korn mean term those of one
-    einsum over them: a block sums each run of equal cells row-wise
-    (_cell_sums, _eta_sums), and a split cell adds its leaf sums up numpy's
-    pairwise split tree (_rejoin) and carries its einsum from leaf to leaf
-    (_eta_continued).
+    part, one entry above the diagonal at a time) is taken on the same
+    nodes as the norms, so the side condition holds exactly on the discrete
+    measure; until it is known the pass keeps just f or J of every point, in
+    one array, and w and d^{beta p} once per cell. math.fsum rounds
+    exactly, so the order of the per-cell terms does not matter. Each
+    per-cell sum has the bits of np.sum over the cell's rows: a block sums
+    each run of equal cells row-wise (_cell_sums), and a split cell adds
+    its leaf sums up numpy's pairwise split tree (_rejoin).
     """
     alpha = cov.profile.alpha
     n = cov.n
@@ -507,19 +480,19 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     counts = _allocate(max(samples, cov.tree.n), vols)
     korn, fractional = kind == "korn", kind == "fractional_poincare"
     rhs_expo = (beta + alpha - 1.0 if korn else beta + alpha) * p
-    kept, denom_terms, mean_terms, rhs_terms = [], [], [], []
+    upper = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    # per unit: what the lhs pass needs, and the per-cell sums of d^{beta p},
+    # of each mean (f, or twice Korn's antisymmetric part above the
+    # diagonal) and of the rhs integrand
+    kept, unit_sums = [], []
     # f or J of every point, unit after unit, in one array for the whole
     # pass: numpy backs a large one with huge pages where the system allows,
     # where one array per unit would be faulted in a page at a time
     total = int(counts.sum())
     values = np.empty((total, n, n) if korn else total)
     row = 0
-    term_lists = (denom_terms, rhs_terms) if korn else (denom_terms, mean_terms, rhs_terms)
-    A = np.zeros((n, n))
     rejected = 0
-    # the cell being drawn leaf by leaf: its streams, rows so far, per-leaf
-    # sums and Korn's einsum so far
-    streams, done, leaf_sums, S = None, 0, [], None
+    leaf_cell, streams = -1, None               # the split cell being drawn
     # Temporaries are updated in place where that applies the same operation
     # to the same values (so the same bits). d^{beta p} is taken once per
     # cell and broadcast over the cell's rows.
@@ -527,8 +500,9 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
         runs = _runs(m)
         w = vols[cells] / counts[cells]
         d = edges[cells]
-        if split and streams is None:
-            streams = _leaf_streams(seed, int(cells[0]), split, n)
+        if split and cells[0] != leaf_cell:        # its first leaf
+            leaf_cell = int(cells[0])
+            streams = _leaf_streams(seed, leaf_cell, split, n)
         rngs = [streams] if split else None
         if fractional:
             v, r, out = _pair_block(f, cov, cells, m, seed, p, s, tau,
@@ -551,14 +525,7 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
         d_beta_p = d ** (beta * p)
         sums = [_cell_sums(runs, c=d_beta_p)]
         if korn:
-            # the weighted-mean antisymmetric part of the Jacobian is removed
-            eta = _eta(v, spare=bool(split))
-            if split:
-                S = _eta_continued(S, d_beta_p[0], eta)
-            else:
-                for term in w[:, None, None] * _eta_sums(runs, d_beta_p, eta):
-                    A += term
-            del eta
+            sums += [_cell_sums(runs, v[:, j, k] - v[:, k, j], d_beta_p) for j, k in upper]
             r = _sum_squares(_symmetric_columns(v), n * n)
         else:
             sums.append(_cell_sums(runs, v, d_beta_p))
@@ -570,24 +537,18 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             sums.append(_cell_sums(runs, r, d ** rhs_expo))
         del r
         kept.append((w, runs, d_beta_p, a, row, split))
-        if not split:
-            for terms, x in zip(term_lists, sums):
-                terms += (w * x).tolist()
-            continue
-        leaf_sums.append([float(x[0]) for x in sums])
-        done += int(m[0])
-        if done == split:
-            for terms, x in zip(term_lists, zip(*leaf_sums)):
-                terms.append(w[0] * _rejoin(split, iter(x)))
-            if korn:
-                A += w[0] * S
-            streams, done, leaf_sums, S = None, 0, [], None
-    denom = math.fsum(denom_terms)
+        unit_sums.append(sums)
+    terms = _cell_terms(kept, unit_sums)
+    denom = math.fsum(terms[0])
     if korn:
-        A /= denom
+        # the weighted mean of the antisymmetric part, which is removed
+        A = np.zeros((n, n))
+        for (j, k), t in zip(upper, terms[1:-1]):
+            A[j, k] = 0.5 * math.fsum(t) / denom
+            A[k, j] = -A[j, k]
     else:
-        c = math.fsum(mean_terms) / denom
-    lhs_terms = []
+        c = math.fsum(terms[1]) / denom
+    lhs_sums = []
     for w, runs, d_beta_p, a, b, split in kept:
         v = values[a:b]
         if korn:
@@ -598,21 +559,30 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             r = v - c
             np.abs(r, out=r)
         r **= p
-        x = _cell_sums(runs, r, d_beta_p)
-        if not split:
-            lhs_terms += (w * x).tolist()
-            continue
-        leaf_sums.append(float(x[0]))
-        done += b - a
-        if done == split:
-            lhs_terms.append(w[0] * _rejoin(split, iter(leaf_sums)))
-            done, leaf_sums = 0, []
-    lhs = math.fsum(lhs_terms)
+        lhs_sums.append([_cell_sums(runs, r, d_beta_p)])
+    lhs = math.fsum(_cell_terms(kept, lhs_sums)[0])
     frac = rejected / total if fractional else None
-    return lhs ** (1.0 / p), math.fsum(rhs_terms) ** (1.0 / p), frac
+    return lhs ** (1.0 / p), math.fsum(terms[-1]) ** (1.0 / p), frac
 
 
 KINDS = ("improved_poincare", "fractional_poincare", "korn")
+
+
+def _check_ratio_args(kind: str, beta: float, p: float, s: float | None,
+                      tau: float | None, samples: int) -> None:
+    """ValueError unless kind is one of KINDS, p is finite with p >= 1, beta
+    is finite, samples >= 1, and s, tau are given in (0, 1) for
+    fractional_poincare and left unset for the other kinds."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if kind == "fractional_poincare":
+        if s is None or tau is None or not (0 < s < 1 and 0 < tau < 1):
+            raise ValueError("fractional_poincare needs s, tau in (0, 1)")
+    elif s is not None or tau is not None:
+        raise ValueError(f"{kind} takes no s or tau")
+    _check_beta_p(beta, p)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
@@ -622,23 +592,13 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
     """Measured lhs/rhs for one inequality, with a two-seed spread; d is the
     edge l_t of the cell a point lies in.
 
-    ValueError before any drawing unless p is finite with p >= 1, beta is
-    finite, samples >= 1, and s, tau are given in (0, 1) for
-    fractional_poincare and left unset for the other kinds."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    if kind == "fractional_poincare":
-        if s is None or tau is None or not (0 < s < 1 and 0 < tau < 1):
-            raise ValueError("fractional_poincare needs s, tau in (0, 1)")
-    elif s is not None or tau is not None:
-        raise ValueError(f"{kind} takes no s or tau")
+    ValueError before any drawing unless the arguments pass
+    _check_ratio_args and f is a vector field exactly for korn."""
+    _check_ratio_args(kind, beta, p, s, tau, samples)
     if kind == "korn" and not f.vector:
         raise ValueError("korn needs a vector field")
     if kind != "korn" and f.vector:
         raise ValueError(f"{kind} needs a scalar function")
-    _check_beta_p(beta, p)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
 
     lhs, rhs, rejected = _run(kind, f, covering, beta, p, s, tau, samples, seed)
     lhs2, rhs2, _ = _run(kind, f, covering, beta, p, s, tau, samples, seed + 1)

@@ -1061,9 +1061,8 @@ def local_run(kind, f, cov, beta, p, samples, seed):
             gv = np.linalg.norm(f.gradient(pts), axis=1)
             return (w, dbp, fv, gv, d)
         J = f.jacobian(pts)
-        eta = 0.5 * (J - np.swapaxes(J, 1, 2))
         eps = 0.5 * (J + np.swapaxes(J, 1, 2))
-        return (w, dbp, J, eta, eps, d)
+        return (w, dbp, J, eps, d)
 
     data = [r for r in map(work, cells) if r is not None]
     denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
@@ -1075,16 +1074,20 @@ def local_run(kind, f, cov, beta, p, samples, seed):
         rhs = math.fsum(r[0] * float(np.sum(r[3] ** p * r[4] ** ((beta + alpha) * p)))
                         for r in data)
         return lhs ** (1.0 / p), rhs ** (1.0 / p)
+    # the weighted mean of the antisymmetric part (J - J^T) / 2
     A = np.zeros((n, n))
-    for r in data:
-        A += r[0] * np.einsum("i,ijk->jk", r[1], r[3])
-    A /= denom
+    for j in range(n):
+        for k in range(j + 1, n):
+            A[j, k] = 0.5 * math.fsum(
+                r[0] * float(np.sum(r[1] * (r[2][:, j, k] - r[2][:, k, j]))) for r in data
+            ) / denom
+            A[k, j] = -A[j, k]
     lhs = math.fsum(
         r[0] * float(np.sum(np.linalg.norm(r[2] - A, axis=(1, 2)) ** p * r[1]))
         for r in data)
     rhs = math.fsum(
-        r[0] * float(np.sum(np.linalg.norm(r[4], axis=(1, 2)) ** p
-                            * r[5] ** ((beta + alpha - 1.0) * p)))
+        r[0] * float(np.sum(np.linalg.norm(r[3], axis=(1, 2)) ** p
+                            * r[4] ** ((beta + alpha - 1.0) * p)))
         for r in data)
     return lhs ** (1.0 / p), rhs ** (1.0 / p)
 

@@ -270,7 +270,7 @@ def test_missing_tail_decay_is_null(tmp_path, depth):
 
 
 def _no_build(*args, **kwargs):
-    raise AssertionError("the covering was built before beta and p were checked")
+    raise AssertionError("the covering was built before the arguments were checked")
 
 
 @pytest.mark.parametrize("command,argv,message", [
@@ -284,6 +284,15 @@ def _no_build(*args, **kwargs):
     ("ineq", ["--beta", "nan"], "beta must be finite"),
     ("ineq", ["--p", "nan"], "p must be finite and >= 1"),
     ("ineq", ["--beta-grid=0.0,nan"], "beta must be finite"),
+    ("ineq", ["--kind", "fractional_poincare"], "fractional_poincare needs s, tau in (0, 1)"),
+    ("ineq", ["--kind", "fractional_poincare", "--s", "0.5"],
+     "fractional_poincare needs s, tau in (0, 1)"),
+    ("ineq", ["--s", "0.5"], "improved_poincare takes no s or tau"),
+    ("ineq", ["--kind", "korn", "--tau", "0.5"], "korn takes no s or tau"),
+    ("ineq", ["--samples", "0"], "samples must be >= 1"),
+    ("ineq", ["--beta-grid=0.0,0.1", "--samples", "0"], "samples must be >= 1"),
+    ("decompose", ["--theta-max", "1"], "theta_max must be finite and > 1"),
+    ("decompose", ["--theta-max", "inf"], "theta_max must be finite and > 1"),
 ])
 def test_beta_and_p_checked_before_the_build(tmp_path, capsys, monkeypatch,
                                              command, argv, message):
