@@ -18,7 +18,6 @@ from .hardy import (  # noqa: F401
     a_chain,
     a_tree,
     assemble_uv,
-    chain_equivalence_check,
     ehp_B,
     exact_constant,
     hardy_report,
@@ -44,8 +43,6 @@ from .decomp import (  # noqa: F401
     decompose,
     random_mean_zero,
     space_from_covering,
-    split_pair,
-    toy_two_cell_space,
     verify_decomposition,
 )
 from .inequalities import (  # noqa: F401
@@ -53,10 +50,8 @@ from .inequalities import (  # noqa: F401
     TestFunction,
     density_split,
     f_bilinear,
-    f_distance_power,
     f_linear,
     inequality_ratio,
     parameter_sweep,
-    u_rigid_rotation,
     u_shear,
 )

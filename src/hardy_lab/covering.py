@@ -69,9 +69,7 @@ class CubeCapExceeded(CoveringError):
 class HolderProfile:
     """The graph function phi with its Holder data.
 
-    phi maps an (m, n-1) array of physical base coordinates to values;
-    dphi (optional, same signature returning (m, n-1)) is only needed by
-    the distance-power test functions.
+    phi maps an (m, n-1) array of physical base coordinates to values.
     """
 
     alpha: float
@@ -80,7 +78,6 @@ class HolderProfile:
     phi: Callable[[np.ndarray], np.ndarray]
     n: int = 2
     name: str = "user"
-    dphi: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -136,7 +133,6 @@ def profile_flat(height: float = 2.0, ell=1, n: int = 2) -> HolderProfile:
     return HolderProfile(
         alpha=1.0, k_phi=0.0, ell=Fraction(ell),
         phi=lambda x: np.full(np.asarray(x).shape[0], h),
-        dphi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         n=n, name=f"flat{h:g}")
 
 
@@ -146,14 +142,8 @@ def profile_demo(n: int = 2) -> HolderProfile:
         x = np.asarray(x, dtype=float)
         return 2.0 + np.sqrt(np.linalg.norm(x, axis=-1)) / 2.0
 
-    def dphi(x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        r = np.where(r == 0, np.inf, r)
-        return x / (4.0 * r ** 1.5)
-
     return HolderProfile(alpha=0.5, k_phi=0.5, ell=Fraction(1),
-                         phi=phi, dphi=dphi, n=n, name="demo")
+                         phi=phi, n=n, name="demo")
 
 
 def profile_rough(scales: int = 14, amplitude: float = 0.5,

@@ -6,16 +6,16 @@ vertex s has a connector fragment B_s sitting inside the parent's cube, so
 
     U_t = (fragments owned by t)  U  B_t  U  {B_c : c a child of t}.
 
-A CellSpace is three columns over the fragments (volume, owner vertex,
-connector vertex or -1) plus one sorted array of the (vertex, fragment)
-pairs of every U_t; set integrals, overlaps and part values are bincount
-and gather steps over it. Volumes are exact rationals (one Fraction per
-distinct core shape of a covering) or floats, rounded to float once; values,
-integrals and norms are floats, so the decomposition identities hold to
-round-off: verify_decomposition allows 1e-12 of max |g| in the sum of the
-parts and 1e-10 of the integral of |g| in each part's mean. split_pair stays
-exact in Fractions. A decomposition result is three aligned arrays (vertex,
-fragment, value) over the kept U_t pairs.
+A CellSpace is three columns over the fragments (float volume, owner
+vertex, connector vertex or -1) plus one sorted array of the (vertex,
+fragment) pairs of every U_t; set integrals, overlaps and part values are
+bincount and gather steps over it. space_from_covering computes each
+distinct core shape's volume exactly, as a Fraction, and rounds it to float
+once; volumes, values, integrals and norms are floats, so the decomposition
+identities hold to round-off: verify_decomposition allows 1e-12 of max |g|
+in the sum of the parts and 1e-10 of the integral of |g| in each part's
+mean. A decomposition result is three aligned arrays (vertex, fragment,
+value) over the kept U_t pairs.
 
 The construction: f_t = g restricted to the cells owned by t, the shadow
 integrals S_t (f-integrals at and below t) come from the tree kernel,
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable
 
 import numpy as np
 
@@ -70,7 +69,7 @@ def _weight(name: str, values, m: int) -> np.ndarray:
 class CellSpace:
     """A tree covering flattened to disjoint fragments with weight values.
 
-    Per fragment the exact `volume` (as given), its float `vol`, the
+    Per fragment its volume `vol` (each given volume rounded to float), the
     `owner` vertex whose core cell contains it and the `connector` s when
     it is the slab B_s (-1 for none); per vertex `bfrag`, its slab (-1 at
     the root). The sorted pairs `pair_key` = vertex * m + fragment list each
@@ -78,20 +77,17 @@ class CellSpace:
     every U_t. The weights ell, nu, omega hold one positive value per
     fragment (all ones by default)."""
 
-    def __init__(self, tree: RootedTree, volume: Iterable, owner, connector,
-                 ell=None, nu=None, omega=None, meta: dict | None = None, vol=None):
+    def __init__(self, tree: RootedTree, volume, owner, connector,
+                 ell=None, nu=None, omega=None, meta: dict | None = None):
         self.tree = tree
-        self.volume = tuple(volume)
-        n, m = tree.n, len(self.volume)
-        owner = np.array(owner, dtype=np.int64)       # copies: the index is built from them
+        # copies: vol is kept read-only and the index is built from all three
+        vol = np.array(volume, dtype=float)
+        owner = np.array(owner, dtype=np.int64)
         conn = np.array(connector, dtype=np.int64)
-        # `vol`, when given, must be the volumes rounded to float; callers that
-        # hold a few distinct exact volumes round each once and pass it
-        vol = np.array(self.volume if vol is None else vol, dtype=float)
-        if owner.shape != (m,) or conn.shape != (m,):
-            raise DecompositionError("one owner and one connector per fragment required")
-        if vol.shape != (m,):
-            raise DecompositionError("vol must hold one float per volume")
+        if vol.ndim != 1 or owner.shape != vol.shape or conn.shape != vol.shape:
+            raise DecompositionError(
+                "one volume, one owner and one connector per fragment required")
+        n, m = tree.n, len(vol)
         self.ell, self.nu, self.omega = (_weight(name, w, m) for name, w in
                                          (("ell", ell), ("nu", nu), ("omega", omega)))
         self.meta = dict(meta or {})
@@ -131,7 +127,7 @@ class CellSpace:
         return int(np.bincount(self.pair_frag, minlength=1).max())
 
 
-def space_from_covering(cov: CubeCovering, beta: float | None = None) -> CellSpace:
+def space_from_covering(cov: CubeCovering, beta: float) -> CellSpace:
     """Fragments of a cube covering: core cells first (index = vertex id),
     then the connector slabs in Gamma* order. Weight values are the edge
     powers nu = l_t^gamma, omega = l_t^beta at the critical shift
@@ -156,120 +152,47 @@ def space_from_covering(cov: CubeCovering, beta: float | None = None) -> CellSpa
     if (t := _first(np.isin(kind, [k for k, v in enumerate(core) if v <= 0]))) is not None:
         raise DecompositionError("core cell has nonpositive volume", t)
     slab = [edge[j] ** d / 2 for j in range(len(edge))]
-    volume = [*map(core.__getitem__, kind.tolist()), *map(slab.__getitem__, cls[gs].tolist())]
     vol = np.concatenate([np.array(core, dtype=float)[kind],
                           np.array(slab, dtype=float)[cls[gs]]])
     owner = np.concatenate([np.arange(tree.n), up])
     connector = np.concatenate([np.full(tree.n, -1), gs])
     ell_arr = np.concatenate([cov.edge_array, cov.edge_array[gs]])
     alpha = cov.profile.alpha
-    if beta is None:
-        gamma = nu = omega = None
-    else:
-        gamma = beta + alpha - 1.0
-        nu = ell_arr ** gamma
-        omega = ell_arr ** beta
-    return CellSpace(tree, volume, owner, connector, ell=ell_arr, nu=nu, omega=omega,
-                     meta={"alpha": alpha, "beta": beta, "gamma": gamma}, vol=vol)
-
-
-def toy_two_cell_space() -> CellSpace:
-    """The 1-D covering of (0, 2): cores (0,1) and (1,2), connector (1, 5/4)."""
-    return CellSpace(RootedTree([-1, 0]), (Fraction(1), Fraction(1, 4), Fraction(3, 4)),
-                     owner=(0, 1, 1), connector=(-1, 1, -1))
+    gamma = beta + alpha - 1.0
+    return CellSpace(tree, vol, owner, connector, ell=ell_arr, nu=ell_arr ** gamma,
+                     omega=ell_arr ** beta, meta={"alpha": alpha, "beta": beta, "gamma": gamma})
 
 
 @dataclass
 class CellFunction:
-    """Piecewise-constant values on the fragments of a CellSpace.
-
-    Values may be floats or Fractions; integrals stay exact whenever both
-    the values and the volumes are rational.
-    """
+    """Piecewise-constant values on the fragments of a CellSpace: `values`
+    is a read-only float array, one value per fragment."""
 
     space: CellSpace
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != len(self.space.volume):
+        values = np.array(self.values, dtype=float)
+        if values.shape != self.space.vol.shape:
             raise DecompositionError("one value per fragment required")
-        self.values = tuple(self.values)
-
-    def integral(self):
-        return sum(v * w for v, w in zip(self.values, self.space.volume))
-
-    def abs_integral(self):
-        return sum(abs(v) * w for v, w in zip(self.values, self.space.volume))
-
-    def is_mean_zero(self, rel: float = 1e-12) -> bool:
-        scale = self.abs_integral()
-        return scale == 0 or abs(self.integral()) <= rel * scale
-
-    def scaled(self, c) -> "CellFunction":
-        return CellFunction(self.space, tuple(c * v for v in self.values))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        self.values = values
 
 
 def random_mean_zero(space: CellSpace, rng) -> CellFunction:
     vals = rng.standard_normal(len(space.vol))
     vals -= float(vals @ space.vol) / float(space.vol.sum())
-    return CellFunction(space, tuple(vals.tolist()))
+    return CellFunction(space, vals)
 
 
-def weighted_q_norm_q(values, weights: np.ndarray, vol: np.ndarray, q: float) -> float:
+def weighted_q_norm_q(values: np.ndarray, weights: np.ndarray, vol: np.ndarray,
+                      q: float) -> float:
     """sum |f|^q * weights^{-q} * vol over the nonzero values (the q-th
-    power of the weighted norm); all three aligned, e.g. per fragment."""
-    v = np.abs(np.array(values, dtype=float))
+    power of the weighted norm); all three aligned float arrays, e.g. per
+    fragment."""
+    v = np.abs(values)
     nz = v != 0
     return math.fsum(v[nz] ** q * weights[nz] ** (-q) * vol[nz])
-
-
-# -- pairwise splitting --------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitReport:
-    overlap_volume: Fraction
-    norm_constant: float          # (||f_A|| + ||f_B||) / ||f|| in the weighted norm
-    mean_a: object
-    mean_b: object
-
-
-def split_pair(f: CellFunction, A: Iterable[int], B: Iterable[int],
-               q: float = 2.0) -> tuple[CellFunction, CellFunction, SplitReport]:
-    """Split f (mean zero on A u B) into parts supported on A and on B.
-
-    f_A = chi_A f - (chi_{AnB} / |AnB|) int_A f and f_B = f - f_A; the
-    overlap correction uses int_A f in both parts, which is what makes
-    f_A + f_B = f and both means vanish identically. Exact when values and
-    volumes are rational.
-    """
-    space = f.space
-    A = frozenset(A)
-    B = frozenset(B)
-    both = A & B
-    vol_overlap = sum((space.volume[i] for i in both), Fraction(0))
-    if vol_overlap <= 0:
-        raise DecompositionError("the overlap A n B must have positive measure")
-    outside = [i for i, v in enumerate(f.values) if v and i not in A and i not in B]
-    if outside:
-        raise DecompositionError(f"f has mass outside A u B (fragment {outside[0]})")
-    total = f.integral()
-    scale = f.abs_integral()
-    if scale and abs(total) > 1e-12 * scale:
-        raise DecompositionError("f must have vanishing mean on A u B")
-    int_a = sum(f.values[i] * space.volume[i] for i in A)
-    corr = int_a / vol_overlap
-
-    va = [v - corr if i in both else v if i in A else 0 for i, v in enumerate(f.values)]
-    vb = [corr if i in both else v if i in B else 0 for i, v in enumerate(f.values)]
-    fa = CellFunction(space, tuple(va))
-    fb = CellFunction(space, tuple(vb))
-    nf, na, nb = (weighted_q_norm_q(v, space.omega, space.vol, q) ** (1.0 / q)
-                  for v in (f.values, va, vb))
-    c = (na + nb) / nf if nf else 0.0
-    return fa, fb, SplitReport(vol_overlap, c, fa.integral(), fb.integral())
 
 
 # -- the tree decomposition -----------------------------------------------------
@@ -286,7 +209,7 @@ class DecompositionResult:
     rhs_norm: float                          # ||g||^q in the omega weight
     ratio: float
     flags: tuple[str, ...]
-    g_values: tuple
+    g_values: np.ndarray                     # g's values, one per fragment
 
     def to_json(self) -> dict:
         # "parts": vertex -> {fragment: value}, every vertex present
@@ -320,7 +243,7 @@ def decompose(g: CellFunction, problem: HardyProblem | None = None,
     q = 2.0 if q is None else q
     if not 1.0 < q < math.inf:
         raise DecompositionError(f"q must lie in (1, inf), got {q}")
-    gv = g.as_array()
+    gv = g.values
     if (i := _first(~np.isfinite(gv))) is not None:
         raise DecompositionError(f"g is not finite on fragment {i}")
     mass = gv * space.vol
@@ -420,7 +343,7 @@ def verify_decomposition(result: DecompositionResult, hardy: float) -> VerifyRep
     """
     space = result.space
     n, m = space.tree.n, len(space.vol)
-    g = np.array(result.g_values, dtype=float)
+    g = np.asarray(result.g_values, dtype=float)
     gmax = max(float(np.max(np.abs(g), initial=0.0)), 1e-300)
 
     vertex = np.asarray(result.vertex, dtype=np.int64)

@@ -31,8 +31,7 @@ Fixed values: theta* from 64 log-spaced thetas on (1, theta_max], which
 share kernel passes in blocks of at most 2^16 array entries (512 KB per
 float array, two per block, so a block stays within a 2 MB L2 cache),
 refined by golden section to relative width 1e-4; C to a relative bracket
-gap of 1e-10 within 100 000 iterations; the chain checks allow 1e-9
-relative round-off.
+gap of 1e-10 within 100 000 iterations.
 
 Vertex sups break ties to the lowest vertex id. B's antichain is read off
 the first hull vertex after the origin at the root. Sibling hulls merge in
@@ -55,7 +54,6 @@ GROWTH_LEVELS = 5
 THETA_GRID = 64        # log-spaced thetas on (1, theta_max] seeding golden section
 THETA_BLOCK = 1 << 16  # array entries per block of thetas in one kernel pass
 MAX_ITERATIONS = 100_000
-CHAIN_SLACK = 1e-9     # relative round-off allowed by chain_equivalence_check
 
 
 class NonConvergenceError(RuntimeError):
@@ -550,38 +548,6 @@ def ehp_B(problem: HardyProblem, cap: int | None = None) -> EhpResult:
             taken[c] = taken.get(c, 0) + 1
         stack.extend((c, source[c][i]) for c, i in taken.items())
     return EhpResult(float((best_n / best_k) ** (1.0 / p)), tuple(sorted(arg)), count)
-
-
-# -- chain equivalence --------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChainEquivalence:
-    cond2_ok: bool
-    atree_bound_ok: bool
-    worst_margin: float         # min over t of rhs/lhs in the cond2 check
-
-
-def chain_equivalence_check(problem: HardyProblem, theta: float) -> ChainEquivalence:
-    """On chains: the substitution condition
-    shadow(v^p M^{1/theta - 1}) <= theta M^{1/theta} with M = shadow(v^p),
-    and a_tree <= theta^{1/p} a_chain, each up to CHAIN_SLACK relative."""
-    tree, p = problem.tree, problem.p
-    if not tree.is_chain:
-        raise ValueError("chain_equivalence_check requires a chain")
-    if not theta > 1.0:
-        raise ValueError("theta must exceed 1")
-    w_v = _bfs_weights(problem)[1] ** p
-    M = tree.kernel.shadow(w_v.copy()).tolist()
-    # the powers as Python floats (libm pow): numpy's vectorised power can
-    # round differently in the last bit
-    lhs = tree.kernel.shadow(w_v * np.array([m ** (1.0 / theta - 1.0) for m in M]))
-    rhs = theta * np.array([m ** (1.0 / theta) for m in M])
-    cond2_ok = np.all(lhs <= rhs * (1.0 + CHAIN_SLACK))
-    worst = np.min(rhs[lhs > 0] / lhs[lhs > 0], initial=math.inf)
-    ac = a_chain(problem).value
-    at = a_tree(problem, theta).value
-    atree_ok = at <= theta ** (1.0 / p) * ac * (1.0 + CHAIN_SLACK)
-    return ChainEquivalence(bool(cond2_ok), bool(atree_ok), float(worst))
 
 
 # -- full report --------------------------------------------------------------

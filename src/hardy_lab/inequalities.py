@@ -63,42 +63,6 @@ def f_bilinear() -> TestFunction:
     return TestFunction("bilinear", value, gradient)
 
 
-def f_distance_power(profile, gamma: float) -> TestFunction:
-    """(phi(x') - xn)^gamma: a distance-power-type function (the vertical gap
-    to the graph is comparable to the true distance). Needs profile.dphi."""
-    if profile.dphi is None:
-        raise ValueError("profile must provide dphi for distance-power functions")
-
-    def value(x):
-        return (profile.phi(x[:, :-1]) - x[:, -1]) ** gamma
-
-    def gradient(x):
-        gap = profile.phi(x[:, :-1]) - x[:, -1]
-        fac = gamma * gap ** (gamma - 1.0)
-        g = np.empty_like(x)
-        g[:, :-1] = fac[:, None] * profile.dphi(x[:, :-1])
-        g[:, -1] = -fac
-        return g
-
-    return TestFunction(f"dist^{gamma:g}", value, gradient)
-
-
-def u_rigid_rotation(n: int = 2) -> TestFunction:
-    def value(x):
-        out = np.zeros_like(x)
-        out[:, 0] = x[:, 1]
-        out[:, 1] = -x[:, 0]
-        return out
-
-    def jacobian(x):
-        J = np.zeros((len(x), n, n))
-        J[:, 0, 1] = 1.0
-        J[:, 1, 0] = -1.0
-        return J
-
-    return TestFunction("rigid-rotation", value, jacobian=jacobian, vector=True)
-
-
 def u_shear(n: int = 2) -> TestFunction:
     """(xn^2, 0, ...): nonzero symmetric gradient, for nontrivial Korn ratios."""
     def value(x):
@@ -675,8 +639,13 @@ def density_split(F: CellFunction, beta: float, p: float,
     region Omega_eps (smallest D whose outside tail is below epsilon) and
     recentered on the root core cell. The estimate
     ||g|| <= 2 ||g + psi d^{beta p}|| in L^q(d^{-beta q}) is evaluated on
-    the cells.
+    the cells. ValueError before any work unless p is finite with p > 1
+    and beta is finite.
     """
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"p must be finite and > 1, got {p}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     space = F.space
     alpha = space.meta.get("alpha")
     if alpha is None:
@@ -689,7 +658,7 @@ def density_split(F: CellFunction, beta: float, p: float,
     omega = space.ell ** beta
     vols = space.vol
     denom = float(dbp @ vols)
-    Fv = F.as_array()
+    Fv = F.values
     psi = float((Fv * vols).sum()) / denom
     h = Fv - psi * dbp
 
@@ -711,6 +680,5 @@ def density_split(F: CellFunction, beta: float, p: float,
     g[ball] += dbp[ball] / (dbp[ball] * vols[ball]) * tail_int
     lhs = weighted_q_norm_q(g, omega, vols, q) ** (1 / q)
     rhs = weighted_q_norm_q(g + psi * dbp, omega, vols, q) ** (1 / q)
-    gf = CellFunction(space, tuple(g.tolist()))
-    return DensityReport(gf, psi, D, tail_norm(D), lhs, rhs,
+    return DensityReport(CellFunction(space, g), psi, D, tail_norm(D), lhs, rhs,
                          lhs <= 2.0 * rhs * (1 + 1e-12))

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,3 +53,9 @@ def random_problem(rng, max_vertices=40, p=2.0):
     u = np.exp(rng.uniform(lo, hi, n - 1))
     v = np.exp(rng.uniform(lo, hi, n - 1))
     return hl.make_problem(tree, u, v, p)
+
+
+def toy_two_cell_space():
+    """The 1-D covering of (0, 2): cores (0,1) and (1,2), connector (1, 5/4)."""
+    return hl.CellSpace(hl.RootedTree([-1, 0]), (Fraction(1), Fraction(1, 4), Fraction(3, 4)),
+                        owner=(0, 1, 1), connector=(-1, 1, -1))

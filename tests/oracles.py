@@ -31,6 +31,14 @@ tree recursion; only tests call it. It is exact at every p, where the Gram
 solve `alpha_gram` holds at p = 2 only, so the enumeration oracle for B
 uses it.
 
+`split_pair` splits a function that is mean zero on two overlapping sets
+into a mean-zero part on each, exactly on Fraction lists: the pairwise
+step that the tree decomposition chains. `chain_equivalence_check` checks,
+on chains, the substitution condition behind a_tree and the bound
+a_tree <= theta^{1/p} a_chain. The per-vertex decomposition oracles take
+exact fragment volumes from their own source (`covering_fragments`, or
+the Fractions a test drew), not from the space's float column.
+
 The library keeps no per-vertex root paths: `tree_paths` builds them here
 for the dense oracles (`hardy_matrix`, `induced_subtree`, `alpha_gram`).
 `graph_distance` is the grid search for the distance to the graph that the
@@ -62,7 +70,6 @@ from hardy_lab.inequalities import (
     _cell_rng,
     _draw_cells,
     _locate_own_first,
-    _sum_squares,
 )
 
 
@@ -469,6 +476,39 @@ def chain_cond2(problem, theta: float, slack: float = 1e-9) -> tuple[bool, float
         if lhs > 0:
             worst = min(worst, rhs / lhs)
     return bool(cond2_ok), float(worst)
+
+
+CHAIN_SLACK = 1e-9     # relative round-off allowed by chain_equivalence_check
+
+
+@dataclasses.dataclass(frozen=True)
+class ChainEquivalence:
+    cond2_ok: bool
+    atree_bound_ok: bool
+    worst_margin: float         # min over t of rhs/lhs in the cond2 check
+
+
+def chain_equivalence_check(problem, theta: float) -> ChainEquivalence:
+    """On chains: the substitution condition
+    shadow(v^p M^{1/theta - 1}) <= theta M^{1/theta} with M = shadow(v^p),
+    and a_tree <= theta^{1/p} a_chain, each up to CHAIN_SLACK relative."""
+    tree, p = problem.tree, problem.p
+    if not tree.is_chain:
+        raise ValueError("chain_equivalence_check requires a chain")
+    if not theta > 1.0:
+        raise ValueError("theta must exceed 1")
+    w_v = _bfs_weights(problem)[1] ** p
+    M = tree.kernel.shadow(w_v.copy()).tolist()
+    # the powers as Python floats (libm pow): numpy's vectorised power can
+    # round differently in the last bit
+    lhs = tree.kernel.shadow(w_v * np.array([m ** (1.0 / theta - 1.0) for m in M]))
+    rhs = theta * np.array([m ** (1.0 / theta) for m in M])
+    cond2_ok = np.all(lhs <= rhs * (1.0 + CHAIN_SLACK))
+    worst = np.min(rhs[lhs > 0] / lhs[lhs > 0], initial=math.inf)
+    ac = hl.a_chain(problem).value
+    at = hl.a_tree(problem, theta).value
+    atree_ok = at <= theta ** (1.0 / p) * ac * (1.0 + CHAIN_SLACK)
+    return ChainEquivalence(bool(cond2_ok), bool(atree_ok), float(worst))
 
 
 def optimize_theta_per_theta(problem, theta_max: float = 64.0) -> tuple[float, float, float]:
@@ -914,6 +954,46 @@ def covering_fragments(cov) -> tuple[list, list, list]:
     return volume, owner, connector
 
 
+def integral(values, volume):
+    """sum value * volume over the fragments; exact on Fractions."""
+    return sum(v * w for v, w in zip(values, volume))
+
+
+@dataclasses.dataclass(frozen=True)
+class SplitReport:
+    overlap_volume: Fraction
+    mean_a: Fraction
+    mean_b: Fraction
+
+
+def split_pair(values: list, volume: list, A, B) -> tuple[list, list, SplitReport]:
+    """Split f (mean zero on A u B; `values` and `volume` per fragment, as
+    Fractions) into parts supported on A and on B.
+
+    f_A = chi_A f - (chi_{AnB} / |AnB|) int_A f and f_B = f - f_A; the
+    overlap correction uses int_A f in both parts, which is what makes
+    f_A + f_B = f and both means vanish identically. Exact on Fractions.
+    """
+    A = frozenset(A)
+    B = frozenset(B)
+    both = A & B
+    vol_overlap = sum((volume[i] for i in both), Fraction(0))
+    if vol_overlap <= 0:
+        raise hl.DecompositionError("the overlap A n B must have positive measure")
+    outside = [i for i, v in enumerate(values) if v and i not in A and i not in B]
+    if outside:
+        raise hl.DecompositionError(f"f has mass outside A u B (fragment {outside[0]})")
+    total = integral(values, volume)
+    scale = integral(map(abs, values), volume)
+    if scale and abs(total) > 1e-12 * scale:
+        raise hl.DecompositionError("f must have vanishing mean on A u B")
+    corr = sum(values[i] * volume[i] for i in A) / vol_overlap
+
+    va = [v - corr if i in both else v if i in A else 0 for i, v in enumerate(values)]
+    vb = [corr if i in both else v if i in B else 0 for i, v in enumerate(values)]
+    return va, vb, SplitReport(vol_overlap, integral(va, volume), integral(vb, volume))
+
+
 def fragment_maps(space) -> tuple[dict, dict]:
     """owner -> its fragments, and connector vertex -> its slab."""
     owner_frags = {t: [] for t in range(space.tree.n)}
@@ -936,21 +1016,23 @@ def u_frags(space, t: int) -> tuple:
 
 
 def overlap_bound(space) -> int:
-    count = np.zeros(len(space.volume), dtype=int)
+    count = np.zeros(len(space.vol), dtype=int)
     for t in range(space.tree.n):
         for i in u_frags(space, t):
             count[i] += 1
     return int(count.max())
 
 
-def decompose(g, q: float) -> dict:
+def decompose(g, volume: list, q: float) -> dict:
     """The bottom-up fsum recursion for S and the per-vertex assembly of
-    each part g_t = f_t + sum_children h_s - h_t, with sequential norms."""
+    each part g_t = f_t + sum_children h_s - h_t, with sequential norms;
+    `volume` holds the exact fragment volumes, rounded here one by one."""
     space = g.space
     tree = space.tree
+    vol = [float(v) for v in volume]
+    values = g.values.tolist()
     owner_frags, bfrag = fragment_maps(space)
-    fint = {t: math.fsum(float(g.values[i]) * float(space.volume[i])
-                         for i in owner_frags[t])
+    fint = {t: math.fsum(values[i] * vol[i] for i in owner_frags[t])
             for t in range(tree.n)}
     children = children_of(tree)
     S = {}
@@ -960,32 +1042,34 @@ def decompose(g, q: float) -> dict:
     for t in range(tree.n):
         vals = {}
         for i in owner_frags[t]:
-            if g.values[i]:
-                vals[i] = float(g.values[i])
+            if values[i]:
+                vals[i] = values[i]
         for c in children[t]:
             i = bfrag[c]
-            h = S[c] / float(space.volume[i])
+            h = S[c] / vol[i]
             if h:
                 vals[i] = vals.get(i, 0.0) + h
         if t != tree.root:
             i = bfrag[t]
-            h = S[t] / float(space.volume[i])
+            h = S[t] / vol[i]
             if h:
                 vals[i] = vals.get(i, 0.0) - h
         parts[t] = vals
     lhs = 0.0
     for t in range(tree.n):
         for i, v in parts[t].items():
-            lhs += abs(v) ** q * float(space.nu[i]) ** (-q) * float(space.volume[i])
+            lhs += abs(v) ** q * float(space.nu[i]) ** (-q) * vol[i]
     rhs = 0.0
-    for v, vol, w in zip(g.values, space.volume, space.omega):
+    for v, w, vi in zip(values, space.omega.tolist(), vol):
         if v:
-            rhs += abs(float(v)) ** q * float(w) ** (-q) * float(vol)
+            rhs += abs(v) ** q * w ** (-q) * vi
     return {"parts": parts, "S": S, "lhs": lhs, "rhs": rhs}
 
 
-def predicted_constant(space, q: float, hardy_constant: float) -> tuple[float, dict]:
-    """Per-vertex sup of omega over U_t and exact |U_t| / |B_t|."""
+def predicted_constant(space, volume: list, q: float,
+                       hardy_constant: float) -> tuple[float, dict]:
+    """Per-vertex sup of omega over U_t and exact |U_t| / |B_t| from the
+    exact fragment volumes `volume`."""
     _, bfrag = fragment_maps(space)
     p = q / (q - 1.0)
     emb = float(np.max(space.omega / space.nu))
@@ -995,8 +1079,8 @@ def predicted_constant(space, q: float, hardy_constant: float) -> tuple[float, d
         ufr = u_frags(space, t)
         sup_omega = max(float(space.omega[i]) for i in ufr)
         omega_t = float(space.omega[bfrag[t]])
-        uvol = sum((space.volume[i] for i in ufr), Fraction(0))
-        r = float(uvol / space.volume[bfrag[t]])
+        uvol = sum((volume[i] for i in ufr), Fraction(0))
+        r = float(uvol / volume[bfrag[t]])
         ratio_ub = max(ratio_ub, r)
         worst = max(worst, (sup_omega / omega_t) ** q * r ** (q / p))
     N = overlap_bound(space)
@@ -1013,13 +1097,16 @@ def parts(result) -> dict:
     return out
 
 
-def verify_decomposition(result, sum_tol: float = 1e-12, mean_tol: float = 1e-10) -> dict:
-    """The support, sum and mean checks as per-vertex loops; raises
-    AssertionError where the library raises DecompositionError."""
+def verify_decomposition(result, volume: list, sum_tol: float = 1e-12,
+                         mean_tol: float = 1e-10) -> dict:
+    """The support, sum and mean checks as per-vertex loops, with the exact
+    fragment volumes `volume` rounded one by one; raises AssertionError
+    where the library raises DecompositionError."""
     space = result.space
+    vol = [float(v) for v in volume]
     g = np.array([float(v) for v in result.g_values])
     gmax = float(np.max(np.abs(g)))
-    total = np.zeros(len(space.volume))
+    total = np.zeros(len(vol))
     for t, part in parts(result).items():
         allowed = set(u_frags(space, t))
         for i, v in part.items():
@@ -1027,10 +1114,9 @@ def verify_decomposition(result, sum_tol: float = 1e-12, mean_tol: float = 1e-10
             total[i] += v
     err = float(np.max(np.abs(total - g)))
     assert err <= sum_tol * max(gmax, 1e-300), "sum of parts deviates from g"
-    g1 = math.fsum(abs(float(v)) * float(vol)
-                   for v, vol in zip(result.g_values, space.volume))
+    g1 = math.fsum(abs(v) * vi for v, vi in zip(g.tolist(), vol))
     bound = mean_tol * max(g1, 1e-300)
-    means = [math.fsum(v * float(space.volume[i]) for i, v in part.items())
+    means = [math.fsum(v * vol[i] for i, v in part.items())
              for part in parts(result).values()]
     assert max(map(abs, means)) <= bound, "part mean exceeds budget"
     return {"sum_error": err / max(gmax, 1e-300), "max_part_mean": max(map(abs, means)),
@@ -1130,8 +1216,7 @@ def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     r **= 1.0 / kappa
     r *= R
     del u
-    gn = _sum_squares(g.T, n)
-    np.sqrt(gn, out=gn)
+    gn = np.linalg.norm(g, axis=1)
     g /= gn[:, None]
     del gn
     g *= r[:, None]

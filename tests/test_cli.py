@@ -154,6 +154,15 @@ def test_readme_examples_run(tmp_path):
         assert main(argv) == 0, line
 
 
+def test_readme_library_block_runs():
+    # the README's one ```python block (Library entry points), as written
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
+
+
 def test_covering_matches_golden_file(tmp_path):
     out = str(tmp_path)
     assert main(["covering", "--phi", "demo", "--alpha", "0.5", "--depth", "3",

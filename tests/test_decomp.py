@@ -15,96 +15,84 @@ from hardy_lab.decomp import (
     predicted_constant,
     random_mean_zero,
     space_from_covering,
-    split_pair,
-    toy_two_cell_space,
     verify_decomposition,
 )
 from hardy_lab.tree import RootedTree
 
+from conftest import toy_two_cell_space
+from oracles import integral, split_pair
 
-def three_cells():
-    # 1-D unit cells (0,1), (1,2), (2,3) on a chain, all weights 1
-    return CellSpace(RootedTree([-1, 0, 1]), (Fraction(1),) * 3,
-                     owner=(0, 1, 2), connector=(-1, 1, 2))
+# 1-D unit cells (0,1), (1,2), (2,3) on a chain
+THREE_CELLS = [Fraction(1)] * 3
 
 
 # -- split_pair ------------------------------------------------------------------
 
 def test_split_zero():
-    sp = three_cells()
-    f = CellFunction(sp, (0, 0, 0))
-    fa, fb, _ = split_pair(f, {0, 1}, {1, 2})
-    assert all(v == 0 for v in fa.values) and all(v == 0 for v in fb.values)
+    fa, fb, _ = split_pair([0, 0, 0], THREE_CELLS, {0, 1}, {1, 2})
+    assert all(v == 0 for v in fa) and all(v == 0 for v in fb)
 
 
 def test_split_hand_example_exact():
     # A = (0,2), B = (1,3), f = +1 on (0,1), 0 on (1,2), -1 on (2,3)
-    sp = three_cells()
-    f = CellFunction(sp, (Fraction(1), Fraction(0), Fraction(-1)))
-    fa, fb, rep = split_pair(f, {0, 1}, {1, 2})
-    assert fa.values == (Fraction(1), Fraction(-1), 0)
-    assert fb.values == (0, Fraction(1), Fraction(-1))
-    assert fa.integral() == 0 and fb.integral() == 0
+    f = [Fraction(1), Fraction(0), Fraction(-1)]
+    fa, fb, rep = split_pair(f, THREE_CELLS, {0, 1}, {1, 2})
+    assert fa == [Fraction(1), Fraction(-1), 0]
+    assert fb == [0, Fraction(1), Fraction(-1)]
+    assert integral(fa, THREE_CELLS) == 0 and integral(fb, THREE_CELLS) == 0
     assert rep.overlap_volume == 1
 
 
 def test_split_support_inside_a_only():
-    sp = three_cells()
-    # mean-zero f supported on A \ B would need two cells in A \ B; use a
-    # 4-cell space instead
-    tree = RootedTree([-1, 0, 1, 2])
-    sp4 = CellSpace(tree, (Fraction(1),) * 4, owner=range(4), connector=(-1, 1, 2, 3))
-    f = CellFunction(sp4, (Fraction(1), Fraction(-1), 0, 0))
-    fa, fb, _ = split_pair(f, {0, 1, 2}, {2, 3})
-    assert fa.values == f.values
-    assert all(v == 0 for v in fb.values)
+    # mean-zero f supported on A \ B would need two cells in A \ B; use
+    # four cells instead
+    f = [Fraction(1), Fraction(-1), 0, 0]
+    fa, fb, _ = split_pair(f, [Fraction(1)] * 4, {0, 1, 2}, {2, 3})
+    assert fa == f
+    assert all(v == 0 for v in fb)
 
 
 def test_split_errors():
-    sp = three_cells()
     with pytest.raises(DecompositionError, match="overlap"):
-        split_pair(CellFunction(sp, (1, -1, 0)), {0}, {2})
+        split_pair([1, -1, 0], THREE_CELLS, {0}, {2})
     with pytest.raises(DecompositionError, match="mean"):
-        split_pair(CellFunction(sp, (1, 1, 1)), {0, 1}, {1, 2})
+        split_pair([1, 1, 1], THREE_CELLS, {0, 1}, {1, 2})
     with pytest.raises(DecompositionError, match="outside"):
-        split_pair(CellFunction(sp, (1, -1, 5)), {0, 1}, {1, 0})
+        split_pair([1, -1, 5], THREE_CELLS, {0, 1}, {1, 0})
 
 
 def _random_split_case(rng):
     n_cells = int(rng.integers(3, 9))
-    tree = RootedTree([-1] + list(range(n_cells - 1)))
     volume = [Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 4)))
               for _ in range(n_cells)]
-    sp = CellSpace(tree, volume, owner=range(n_cells), connector=[-1, *range(1, n_cells)])
     cut_a = int(rng.integers(1, n_cells - 1))
     cut_b = int(rng.integers(cut_a, n_cells - 1))
     A = set(range(0, cut_b + 1))
     B = set(range(cut_a, n_cells))
     vals = [Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7)))
             for _ in range(n_cells)]
-    total = sum(v * w for v, w in zip(vals, sp.volume))
-    vals[0] -= total / sp.volume[0]
-    return sp, CellFunction(sp, tuple(vals)), A, B
+    vals[0] -= integral(vals, volume) / volume[0]
+    return volume, vals, A, B
 
 
 def test_split_random_identities_exact():
     rng = np.random.default_rng(100)
     for _ in range(100):
-        sp, f, A, B = _random_split_case(rng)
-        fa, fb, _ = split_pair(f, A, B)
+        volume, f, A, B = _random_split_case(rng)
+        fa, fb, _ = split_pair(f, volume, A, B)
         both = A | B
-        assert all(fa.values[i] == 0 for i in range(len(sp.vol)) if i not in A)
-        assert all(fb.values[i] == 0 for i in range(len(sp.vol)) if i not in B)
-        assert all(fa.values[i] + fb.values[i] == f.values[i] for i in both)
-        assert fa.integral() == 0
-        assert fb.integral() == 0
+        assert all(fa[i] == 0 for i in range(len(volume)) if i not in A)
+        assert all(fb[i] == 0 for i in range(len(volume)) if i not in B)
+        assert all(fa[i] + fb[i] == f[i] for i in both)
+        assert integral(fa, volume) == 0
+        assert integral(fb, volume) == 0
 
 
 def test_split_chain_composition_preserves_properties():
     # peel a chain of patches off one by one, as the pairwise argument does
     rng = np.random.default_rng(5)
-    sp, f, _, _ = _random_split_case(rng)
-    n = len(sp.vol)
+    volume, f, _, _ = _random_split_case(rng)
+    n = len(volume)
     remaining = f
     live = set(range(n))
     for cut in range(n - 1, 1, -1):
@@ -112,8 +100,8 @@ def test_split_chain_composition_preserves_properties():
         B = set(range(cut)) & live
         if not (A & B):
             continue
-        fa, remaining, _ = split_pair(remaining, A, B)
-        assert fa.integral() == 0 and remaining.integral() == 0
+        fa, remaining, _ = split_pair(remaining, volume, A, B)
+        assert integral(fa, volume) == 0 and integral(remaining, volume) == 0
         live = B
 
 
@@ -154,8 +142,8 @@ def test_decompose_leaf_supported():
     # balance inside the same core cell is impossible with one fragment;
     # use the leaf's connector (inside U_leaf as well)
     b = sp.bfrag[leaf]
-    vals[b] = -float(sp.volume[frag] / sp.volume[b])
-    res = decompose(CellFunction(sp, tuple(vals)), q=2.0)
+    vals[b] = -sp.vol[frag] / sp.vol[b]
+    res = decompose(CellFunction(sp, vals), q=2.0)
     assert set(res.frag[res.vertex == leaf].tolist()) <= set(oracles.u_frags(sp, leaf))
     assert set(res.vertex.tolist()) <= {leaf, cov.tree.parent[leaf]}
     doc = res.to_json()["parts"]
@@ -174,7 +162,7 @@ def test_decompose_linearity(demo_cov6):
     rng = np.random.default_rng(8)
     g = random_mean_zero(sp, rng)
     r1 = decompose(g, q=2.0)
-    r2 = decompose(g.scaled(2.0), q=2.0)
+    r2 = decompose(CellFunction(sp, 2.0 * g.values), q=2.0)
     assert np.array_equal(r1.vertex, r2.vertex) and np.array_equal(r1.frag, r2.frag)
     assert np.array_equal(r2.value, 2.0 * r1.value)
 
@@ -216,9 +204,10 @@ def test_ratio_growth_across_depths_bounded():
     assert worst[8] <= 4.0 * worst[4]
 
 
-def _random_abstract_space(rng) -> CellSpace:
+def _random_abstract_space(rng) -> tuple[CellSpace, list]:
     # random trees with connectors placed either inside the parent's core
-    # (cube style) or inside the vertex's own core (toy style)
+    # (cube style) or inside the vertex's own core (toy style); the space
+    # and its exact volumes
     n = int(rng.integers(2, 11))
     tree = hl.random_tree(n, rng)
     volume, owner, connector = [], list(range(n)), [-1] * n
@@ -228,30 +217,30 @@ def _random_abstract_space(rng) -> CellSpace:
         owner.append(tree.parent[s] if rng.random() < 0.5 else s)
         connector.append(s)
         volume.append(Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 5))))
-    return CellSpace(tree, volume, owner, connector)
+    return CellSpace(tree, volume, owner, connector), volume
 
 
 def _random_abstract_cases():
     rng = np.random.default_rng(31)
     for _ in range(25):
-        sp = _random_abstract_space(rng)
-        yield sp, random_mean_zero(sp, rng)
+        sp, volume = _random_abstract_space(rng)
+        yield sp, volume, random_mean_zero(sp, rng)
 
 
 def test_decompose_on_random_abstract_spaces():
     # the engine must satisfy the three identities on any valid covering shape
-    for sp, g in _random_abstract_cases():
+    for sp, _, g in _random_abstract_cases():
         res = decompose(g, q=2.0)
         total = np.zeros(len(sp.vol))
         gmax = max(abs(v) for v in g.values)
         for t, part in oracles.parts(res).items():
             allowed = set(oracles.u_frags(sp, t))
             assert set(part) <= allowed
-            mean = sum(v * float(sp.volume[i]) for i, v in part.items())
-            assert abs(mean) <= 1e-10 * float(g.abs_integral())
+            mean = sum(v * sp.vol[i] for i, v in part.items())
+            assert abs(mean) <= 1e-10 * float(np.abs(g.values) @ sp.vol)
             for i, v in part.items():
                 total[i] += v
-        assert np.max(np.abs(total - g.as_array())) <= 1e-12 * gmax
+        assert np.max(np.abs(total - g.values)) <= 1e-12 * gmax
 
 
 def test_verify_raises_on_tampered_parts(demo_cov6):
@@ -300,7 +289,7 @@ def test_verify_fails_on_nan():
     with pytest.raises(DecompositionError, match="sum of parts"):
         verify_decomposition(res, 1.05)
     res = _toy_result()
-    res.g_values = (1.0, float("nan"), -1.0)
+    res.g_values = np.array([1.0, float("nan"), -1.0])
     with pytest.raises(DecompositionError, match="sum of parts"):
         verify_decomposition(res, 1.05)
 
@@ -351,20 +340,22 @@ def test_cell_space_rejects_invalid_fragments(column, i, value, message):
 def test_cell_space_rejects_invalid_weights(weights, message):
     sp = toy_two_cell_space()
     with pytest.raises(DecompositionError, match=message):
-        CellSpace(sp.tree, sp.volume, sp.owner, sp.connector, **weights)
+        CellSpace(sp.tree, sp.vol, sp.owner, sp.connector, **weights)
 
 
 def test_cell_space_rejects_misaligned_columns():
     with pytest.raises(DecompositionError, match="one owner and one connector per fragment"):
         CellSpace(RootedTree([-1, 0, 1]), _VALID["volume"], (0, 1), _VALID["connector"])
+    with pytest.raises(DecompositionError, match="one volume, one owner and one connector"):
+        CellSpace(RootedTree([-1, 0, 1]), [[1.0]] * 3, _VALID["owner"], _VALID["connector"])
 
 
 def test_cell_space_float_volumes_match_exact():
     exact = toy_two_cell_space()
-    sp = CellSpace(exact.tree, [float(v) for v in exact.volume], exact.owner, exact.connector)
+    sp = CellSpace(exact.tree, [1.0, 0.25, 0.75], exact.owner, exact.connector)
     assert np.array_equal(sp.vol, exact.vol) and np.array_equal(sp.pair_key, exact.pair_key)
     g = (1.0, -1.0, -1.0)
-    assert CellFunction(sp, g).integral() == CellFunction(exact, g).integral() == 0.0
+    assert CellFunction(sp, g).values @ sp.vol == CellFunction(exact, g).values @ exact.vol == 0.0
     assert decompose(CellFunction(sp, g), q=2.0).ratio == 4.0
 
 
@@ -378,21 +369,16 @@ def test_space_from_covering_vol_is_exact_volume_rounded(name, request):
         cov = request.getfixturevalue(name)
     sp = space_from_covering(cov, beta=0.0)
     assert sp.vol.dtype == float and not sp.vol.flags.writeable
-    assert np.array_equal(sp.vol, np.array(sp.volume, dtype=float))
-
-
-def test_cell_space_rejects_misaligned_vol():
-    with pytest.raises(DecompositionError, match="vol must hold one float per volume"):
-        CellSpace(RootedTree([-1, 0, 1]), _VALID["volume"], _VALID["owner"],
-                  _VALID["connector"], vol=[1.0])
+    assert np.array_equal(sp.vol, np.array(oracles.covering_fragments(cov)[0], dtype=float))
 
 
 # -- agreement with the per-vertex oracles ------------------------------------------
 
 def _agreement_cases(name, demo_cov6):
-    """(space, g, q) triples: three coverings, or the 25 random abstract spaces."""
+    """(space, exact volumes, g, q): three coverings, or the 25 random
+    abstract spaces."""
     if name == "abstract":
-        return [(sp, g, 2.0) for sp, g in _random_abstract_cases()]
+        return [(sp, volume, g, 2.0) for sp, volume, g in _random_abstract_cases()]
     cov, beta, q = {
         "demo6": (demo_cov6, 0.0, 2.0),
         "rough6": (hl.build_covering(hl.profile_rough(), depth_max=6), -0.2, 3.0),
@@ -400,19 +386,19 @@ def _agreement_cases(name, demo_cov6):
     }[name]
     sp = space_from_covering(cov, beta=beta)
     volume, owner, connector = oracles.covering_fragments(cov)
-    assert sp.volume == tuple(volume)
+    assert np.array_equal(sp.vol, np.array(volume, dtype=float))
     assert sp.owner.tolist() == owner and sp.connector.tolist() == connector
-    return [(sp, random_mean_zero(sp, np.random.default_rng(12)), q)]
+    return [(sp, volume, random_mean_zero(sp, np.random.default_rng(12)), q)]
 
 
 @pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3", "abstract"])
 def test_decomposition_matches_per_vertex_oracle(name, demo_cov6):
-    for sp, g, q in _agreement_cases(name, demo_cov6):
-        gv = g.as_array()
+    for sp, volume, g, q in _agreement_cases(name, demo_cov6):
+        gv = g.values
         gmax = float(np.max(np.abs(gv)))
         g1 = float(np.abs(gv) @ sp.vol)
         res = decompose(g, q=q)
-        ref = oracles.decompose(g, q)
+        ref = oracles.decompose(g, volume, q)
         parts = oracles.parts(res)
         assert parts.keys() == ref["parts"].keys()
         for t, part in parts.items():
@@ -430,7 +416,7 @@ def test_decomposition_matches_per_vertex_oracle(name, demo_cov6):
         assert sp.overlap_bound == oracles.overlap_bound(sp)
 
         c_pred, comp = predicted_constant(sp, q, 3.0)
-        c_ref, comp_ref = oracles.predicted_constant(sp, q, 3.0)
+        c_ref, comp_ref = oracles.predicted_constant(sp, volume, q, 3.0)
         assert comp["overlap"] == comp_ref["overlap"]
         assert comp["ub_ratio"] == comp_ref["ub_ratio"]
         for key in ("embedding", "admissibility_term", "hardy"):
@@ -438,7 +424,7 @@ def test_decomposition_matches_per_vertex_oracle(name, demo_cov6):
         assert c_pred == pytest.approx(c_ref, rel=1e-14)
 
         rep = verify_decomposition(res, 3.0)
-        rep_ref = oracles.verify_decomposition(res)
+        rep_ref = oracles.verify_decomposition(res, volume)
         assert rep.mean_bound == pytest.approx(rep_ref["mean_bound"], rel=1e-14)
         assert rep.sum_error <= 1e-12 and rep_ref["sum_error"] <= 1e-12
 
@@ -458,7 +444,7 @@ def test_verify_rejects_values_outside_u_t(demo_cov6):
     with pytest.raises(DecompositionError, match=f"outside U_t \\(vertex {t}\\)"):
         verify_decomposition(res, 2.0)
     with pytest.raises(AssertionError, match="outside U_t"):
-        oracles.verify_decomposition(res)
+        oracles.verify_decomposition(res, oracles.covering_fragments(demo_cov6)[0])
     # a fragment id past the end must not alias the pair key of the next vertex
     res = decompose(random_mean_zero(sp, np.random.default_rng(11)), q=2.0)
     m = len(sp.vol)

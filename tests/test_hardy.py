@@ -18,6 +18,7 @@ from oracles import (
     alpha_K,
     alpha_gram,
     chain_cond2,
+    chain_equivalence_check,
     ehp_enumerated,
     enumerate_antichains,
     hardy_matrix,
@@ -586,14 +587,14 @@ def test_sandwich_general_p(p):
 
 def test_cond2_length_one_chain():
     pr = hl.make_problem(hl.chain_tree(1), [1.4], [0.7], 2.0)
-    rep = hl.chain_equivalence_check(pr, 2.0)
+    rep = chain_equivalence_check(pr, 2.0)
     assert rep.cond2_ok and rep.atree_bound_ok
 
 
 def test_cond2_hand_value_two_chain():
     # t at the top: lhs = 2^{-1/2} + 1, rhs = 2 * 2^{1/2}
     pr = two_chain()
-    rep = hl.chain_equivalence_check(pr, 2.0)
+    rep = chain_equivalence_check(pr, 2.0)
     assert rep.cond2_ok
     assert rep.atree_bound_ok
     assert rep.worst_margin == pytest.approx(2 * math.sqrt(2) / (2 ** -0.5 + 1),
@@ -603,7 +604,7 @@ def test_cond2_hand_value_two_chain():
 
 def test_chain_equivalence_rejects_non_chain():
     with pytest.raises(ValueError):
-        hl.chain_equivalence_check(star(), 2.0)
+        chain_equivalence_check(star(), 2.0)
 
 
 @given(st.integers(1, 60), st.sampled_from([1.5, 2.0, 4.0, 16.0]),
@@ -614,7 +615,7 @@ def test_chain_equivalence_random(n, theta, seed):
     u = np.exp(rng.uniform(-2, 2, n))
     v = np.exp(rng.uniform(-2, 2, n))
     pr = hl.make_problem(hl.chain_tree(n), u, v, 2.0)
-    rep = hl.chain_equivalence_check(pr, theta)
+    rep = chain_equivalence_check(pr, theta)
     assert rep.cond2_ok and rep.atree_bound_ok
 
 
@@ -628,7 +629,7 @@ def test_chain_cond2_matches_per_vertex_loop():
         u, v = np.exp(rng.uniform(-3, 3, (2, n)))
         pr = hl.make_problem(tree, u, v, float(rng.choice([1.5, 2.0, 3.0])))
         theta = float(rng.choice([1.01, 2.0, 16.0]))
-        rep = hl.chain_equivalence_check(pr, theta)
+        rep = chain_equivalence_check(pr, theta)
         assert (rep.cond2_ok, rep.worst_margin) == chain_cond2(pr, theta)
 
 

