@@ -21,7 +21,9 @@ quantities are computed here:
   c_exact   the lp operator norm of M[s,t] = v_s / u_t on pairs t <= s,
             by power iteration from all ones, as a bracket: ||M x||_p <= C
             <= a Collatz-Wielandt bound certified up to rounding (see
-            exact_constant); M x = v prefix(x/u), M'y = shadow(v y)/u
+            exact_constant); M x = v prefix(x/u), M'y = shadow(v y)/u. The
+            primal run is made once per problem and cached on it; the dual
+            bracket starts from Phi_p(M x) at its maximizer x
 
 The path-prefix and shadow sums behind all of these run on the tree's
 level-vectorised kernel (tree.TreeKernel): one numpy step per depth level,
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +72,8 @@ class HardyProblem:
     """A tree plus weights u, v on Gamma* and the exponent p.
 
     u and v are full-length arrays with nan in the root slot; q is always
-    derived from p. Gamma* must not be empty.
+    derived from p. Gamma* must not be empty. make_problem hands them over
+    read-only, so the primal bracket cached on the problem cannot go stale.
     """
 
     tree: RootedTree
@@ -93,6 +97,14 @@ class HardyProblem:
     @property
     def q(self) -> float:
         return self.p / (self.p - 1.0)
+
+    @cached_property
+    def _primal(self) -> "ExactConstant":
+        """exact_constant(self, "primal"): the run from all ones, made once;
+        the dual starts from its maximizer."""
+        m = self.tree.kernel.m
+        x = np.full(m, float(m) ** (-1.0 / self.p))
+        return _bracket(self, "primal", *_pnorm_power(*_operators(self), x, self.p))
 
     def to_json(self) -> dict:
         gs = self.tree.gamma_star
@@ -119,6 +131,7 @@ def make_problem(tree: RootedTree, u_star, v_star, p: float,
     v = np.full(tree.n, np.nan)
     u[gs] = np.asarray(u_star, dtype=float)
     v[gs] = np.asarray(v_star, dtype=float)
+    u.flags.writeable = v.flags.writeable = False
     return HardyProblem(tree, u, v, float(p), flags)
 
 
@@ -295,7 +308,8 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
     width 1e-4. The bound g(theta*) always dominates the exact constant.
     The path sums are hoisted; the grid shares kernel shadow passes, one
     per block of at most THETA_BLOCK array entries, and each golden-section
-    step is one pass. ValueError unless 1 < theta_max < inf.
+    step is one pass. a_tree at theta* is the sup the last guard pass or
+    the grid already computed. ValueError unless 1 < theta_max < inf.
     """
     _check_theta_max(theta_max)
     q, p = problem.q, problem.p
@@ -319,7 +333,8 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
         return bound(theta, *sups((theta,)))
 
     thetas = [theta_max ** (i / THETA_GRID) for i in range(1, THETA_GRID + 1)]
-    vals = [bound(t, s) for t, s in zip(thetas, sups(thetas))]
+    grid = sups(thetas)
+    vals = [bound(t, s) for t, s in zip(thetas, grid)]
     i = int(np.argmin(vals))
     lo = thetas[i - 1] if i > 0 else 1.0 + 0.5 * (thetas[0] - 1.0)
     hi = thetas[i + 1] if i + 1 < len(thetas) else thetas[-1]
@@ -338,9 +353,9 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
             d = a + _INV_GOLDEN * (b - a)
             fd = g(d)
     theta_star = 0.5 * (a + b)
-    if vals[i] < g(theta_star):         # golden section never loses to its grid seed
-        theta_star = thetas[i]
     sup, = sups((theta_star,))
+    if vals[i] < bound(theta_star, sup):    # golden section never loses to its grid seed
+        theta_star, sup = thetas[i], grid[i]
     return ThetaResult(theta_star, bound(theta_star, sup), sup)
 
 
@@ -350,18 +365,17 @@ def optimize_theta(problem: HardyProblem, theta_max: float = 64.0) -> ThetaResul
 class ExactConstant:
     value: float                # c_lower = ||M x||_p at the unit maximizer x
     c_upper: float              # Collatz-Wielandt bound, certified up to rounding
-    maximizer: np.ndarray       # Gamma* id order, unit lp norm, nonnegative
+    maximizer: np.ndarray       # Gamma* id order, unit lp norm, nonnegative, read-only
     form: str
     iterations: int
 
 
-def _pnorm_power(apply, apply_t, m: int, p: float) -> tuple[float, float, np.ndarray, int]:
+def _pnorm_power(apply, apply_t, x: np.ndarray, p: float) -> tuple[float, float, np.ndarray, int]:
     """(c_lower, c_upper, x, steps) for the lp -> lp norm of a nonnegative
     m x m operator A (apply: x -> A x, apply_t: y -> A' y), iterated from
-    all ones as exact_constant describes. Every iterate is >= 0, so
-    Phi_r(z) = z^{r-1}, and np.fmax skips the 0/0 entries of F(x)/x."""
+    the unit start x >= 0 as exact_constant describes. Every iterate is >= 0,
+    so Phi_r(z) = z^{r-1}, and np.fmax skips the 0/0 entries of F(x)/x."""
     q = p / (p - 1.0)
-    x = np.full(m, float(m) ** (-1.0 / p))
     lower = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERATIONS + 1):
@@ -375,6 +389,30 @@ def _pnorm_power(apply, apply_t, m: int, p: float) -> tuple[float, float, np.nda
     raise NonConvergenceError(lower, MAX_ITERATIONS)
 
 
+def _operators(problem: HardyProblem):
+    """M x = v prefix(x/u) and M' y = shadow(v y)/u in the kernel's BFS order."""
+    kernel = problem.tree.kernel
+    u, v = _bfs_weights(problem)
+
+    def apply(x: np.ndarray) -> np.ndarray:       # M x
+        return v * kernel.prefix(x / u)            # the kernel overwrites x / u
+
+    def apply_t(y: np.ndarray) -> np.ndarray:     # M' y
+        return kernel.shadow(v * y) / u
+
+    return apply, apply_t
+
+
+def _bracket(problem: HardyProblem, form: str, lower: float, upper: float,
+             x: np.ndarray, it: int) -> ExactConstant:
+    """_pnorm_power's result, with the iterate x moved to id order."""
+    kernel = problem.tree.kernel
+    by_id = np.empty(kernel.m)
+    by_id[kernel.rank] = x
+    by_id.flags.writeable = False
+    return ExactConstant(lower, upper, by_id, form, it)
+
+
 def exact_constant(problem: HardyProblem, form: str = "primal") -> ExactConstant:
     """Best constant C of the Hardy inequality (primal and dual agree), as a
     bracket value = c_lower <= C <= c_upper with c_upper - c_lower <= 1e-10 c_lower.
@@ -383,6 +421,15 @@ def exact_constant(problem: HardyProblem, form: str = "primal") -> ExactConstant
     M is applied matrix-free in the kernel's BFS order, M x = v prefix(x/u)
     and M' y = shadow(v y)/u, one kernel pass, O(|Gamma*|), each; so there
     is no size cap, and the maximizer is returned in Gamma* id order.
+
+    The primal iterates from all ones. It runs once per problem: the result
+    is cached on the problem and every primal call returns it, with a
+    read-only maximizer. The dual iterates M' at q from
+    y0 = Phi_p(M x)/||Phi_p(M x)||_q, x the primal maximizer. At an exact
+    maximizer that is the dual maximizer, so the dual bracket mostly closes
+    in one step. It is still certified on its own: the bound below holds
+    from any start, and c_lower is attained by the unit y returned. A dual
+    call gives the same bits whether or not the primal was asked for first.
 
     Lower side: c_lower = ||M x||_p is attained by the unit x returned.
     Upper side (Collatz-Wielandt): F(x) = Phi_q(M' Phi_p(M x)) is
@@ -398,31 +445,23 @@ def exact_constant(problem: HardyProblem, form: str = "primal") -> ExactConstant
     x > 0, so from all ones every iterate is positive in exact arithmetic.
     But M is block diagonal over the subtrees of the root's children, and
     a maximizer vanishes on blocks of smaller norm; there the iterate
-    decays geometrically and can underflow. Entries with x_i = F(x)_i = 0
-    are skipped, and x_i = 0 < F(x)_i gives c_upper = inf (the loop goes
-    on), so the bound is never nan. An entry is skipped only after the
-    iteration has driven it below the least float, and all sums are
-    floating point: c_upper is certified up to rounding.
+    decays geometrically and can underflow. The dual start is zero only
+    where Phi_p(M x) underflows, on such decayed blocks. Entries with
+    x_i = F(x)_i = 0 are skipped, and x_i = 0 < F(x)_i gives c_upper = inf
+    (the loop goes on), so the bound is never nan. An entry is skipped only
+    after an iteration (the primal's, for a zero of the dual start) has
+    driven it below the least float, and all sums are floating point:
+    c_upper is certified up to rounding.
     """
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be primal or dual, got {form!r}")
-    kernel = problem.tree.kernel
-    u, v = _bfs_weights(problem)
-
-    def apply(x: np.ndarray) -> np.ndarray:       # M x
-        return v * kernel.prefix(x / u)            # the kernel overwrites x / u
-
-    def apply_t(y: np.ndarray) -> np.ndarray:     # M' y
-        return kernel.shadow(v * y) / u
-
     if form == "primal":
-        run = (apply, apply_t, kernel.m, problem.p)
-    else:
-        run = (apply_t, apply, kernel.m, problem.q)
-    lower, upper, x, it = _pnorm_power(*run)
-    by_id = np.empty(kernel.m)
-    by_id[kernel.rank] = x
-    return ExactConstant(lower, upper, by_id, form, it)
+        return problem._primal
+    apply, apply_t = _operators(problem)
+    p, q = problem.p, problem.q
+    z = apply(problem._primal.maximizer[problem.tree.kernel.rank]) ** (p - 1.0)
+    y = z / np.add.reduce(z ** q) ** (1.0 / q)
+    return _bracket(problem, "dual", *_pnorm_power(apply_t, apply, y, q))
 
 
 # -- the EHP quantity ---------------------------------------------------------
@@ -595,7 +634,12 @@ def hardy_report(problem: HardyProblem, theta_max: float = 64.0,
     """Compute all four constants plus the internal consistency checks.
 
     Each check against C uses the side of the primal bracket that proves
-    it: c_upper for upper bounds on C, c_lower for lower bounds.
+    it: c_upper for upper bounds on C, c_lower for lower bounds. The
+    primal bracket is the one cached on the problem, and c_dual comes from
+    the dual bracket started at the primal maximizer (see exact_constant),
+    so the duality check compares two brackets each certified on its own,
+    not two runs from all ones; a second report on the same problem reuses
+    the primal and gives the same bytes.
     b_cap optionally bounds the hull points ehp_B may evaluate
     (HullCapExceeded past it).
 

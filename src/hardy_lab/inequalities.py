@@ -639,13 +639,16 @@ def density_split(F: CellFunction, beta: float, p: float,
     region Omega_eps (smallest D whose outside tail is below epsilon) and
     recentered on the root core cell. The estimate
     ||g|| <= 2 ||g + psi d^{beta p}|| in L^q(d^{-beta q}) is evaluated on
-    the cells. ValueError before any work unless p is finite with p > 1
-    and beta is finite.
+    the cells. ValueError before any work unless p is finite with p > 1,
+    beta is finite and epsilon >= 0; epsilon = 0 admits no depth, so it
+    raises DecompositionError.
     """
     if not (math.isfinite(p) and p > 1):
         raise ValueError(f"p must be finite and > 1, got {p}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     space = F.space
     alpha = space.meta.get("alpha")
     if alpha is None:

@@ -1,22 +1,23 @@
 """Per-vertex reference implementations that the library replaced.
 
 The library computes path-prefix and shadow sums with a level-vectorised
-kernel, applies the Hardy operator matrix-free, brackets its norm C from one
-positive start, computes the EHP constant B with an upper-hull tree DP,
-decides cube containment once per column of stacked cubes,
-fits the counting constants per size class, sweeps the sampled Holder
-quotient in row blocks, stores cubes as integer dyadic cells and checks
-their disjointness by cell-key lookups, runs the decomposition on one
-(vertex, fragment) pair index of the U_t sets, and reduces each Monte Carlo
-cell, fractional pairs included, block by block as it is drawn; the loops,
-the dense matrices, the antichain enumeration, the Gram solve, the per-cube
-test, the Fraction covering build, the covering build with one containment
-call per breadth-first level, the pairwise box scan, the per-vertex
-decomposition, the all-cells-kept sampler and the all-pairs fractional
-sampler below are the straightforward forms they are
-checked against, as is the multistart power iteration with its
-ratio-change stop rule, and the theta search that ran one kernel pass per
-theta where the library shares one pass among a block of thetas.
+kernel, applies the Hardy operator matrix-free, brackets its norm C from
+all ones and starts the dual bracket from the primal maximizer, computes
+the EHP constant B with an upper-hull tree DP, decides cube containment
+once per column of stacked cubes, fits the counting constants per size
+class, sweeps the sampled Holder quotient in row blocks, stores cubes as
+integer dyadic cells and checks their disjointness by cell-key lookups,
+runs the decomposition on one (vertex, fragment) pair index of the U_t
+sets, and reduces each Monte Carlo cell, fractional pairs included, block
+by block as it is drawn; the loops, the dense matrices, the antichain
+enumeration, the Gram solve, the per-cube test, the Fraction covering
+build, the covering build with one containment call per breadth-first
+level, the pairwise box scan, the per-vertex decomposition, the
+all-cells-kept sampler and the all-pairs fractional sampler below are the
+straightforward forms they are checked against, as are the multistart power
+iteration with its ratio-change stop rule, the bracket from all ones for
+either form, and the theta search that ran one kernel pass per theta where
+the library shares one pass among a block of thetas.
 
 `tree_by_loops` is the rooted-tree constructor that checked and indexed
 the parent list in per-vertex Python loops, before the tree was built from
@@ -214,6 +215,40 @@ def multistart_pnorm(problem, form="primal", rtol=1e-10, maxiter=100_000,
     if active.any():
         raise NonConvergenceError(float(ratios.max()), it)
     return float(ratios.max())
+
+
+def cold_bracket(problem, form="primal") -> tuple[float, float, np.ndarray, int]:
+    """(c_lower, c_upper, maximizer in Gamma* id order, iterations) of
+    exact_constant's power iteration started from all ones, for either
+    form: the dual bracket as it was computed before it started from the
+    primal maximizer, and the primal as it still is."""
+    kernel = problem.tree.kernel
+    u, v = _bfs_weights(problem)
+
+    def apply(x):                   # M x
+        return v * kernel.prefix(x / u)
+
+    def apply_t(y):                 # M' y
+        return kernel.shadow(v * y) / u
+
+    p = problem.p
+    if form == "dual":
+        apply, apply_t, p = apply_t, apply, problem.q
+    q = p / (p - 1.0)
+    m = kernel.m
+    x = np.full(m, float(m) ** (-1.0 / p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, 100_001):
+            y = apply(x)
+            lower = float(np.add.reduce(y ** p) ** (1.0 / p))
+            fx = apply_t(y ** (p - 1.0)) ** (q - 1.0)
+            upper = float(np.fmax.reduce(fx / x)) ** (1.0 / q)
+            if upper - lower <= 1e-10 * lower:
+                by_id = np.empty(m)
+                by_id[kernel.rank] = x
+                return lower, upper, by_id, it
+            x = fx / np.add.reduce(fx ** p) ** (1.0 / p)
+    raise NonConvergenceError(lower, it)
 
 
 class AntichainCapExceeded(RuntimeError):

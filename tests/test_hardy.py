@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from oracles import (
     alpha_gram,
     chain_cond2,
     chain_equivalence_check,
+    cold_bracket,
     ehp_enumerated,
     enumerate_antichains,
     hardy_matrix,
@@ -308,17 +310,19 @@ def _shuffled_problem(rng, n, p):
 
 def _operators(monkeypatch, pr, form):
     """The (apply, apply_t, m, p) that exact_constant hands the power
-    iteration, caught on the way in."""
+    iteration for `form`, caught on the way in; m is the length of the
+    start vector. The caught runs return their start as the iterate, and
+    run on a copy of pr, so no caught primal stays cached on pr."""
     runs = []
 
-    def catch(*run):
-        runs.append(run)
-        return 0.0, 0.0, np.zeros(run[2]), 0
+    def catch(apply, apply_t, x, p):
+        runs.append((apply, apply_t, len(x), p))
+        return 1.0, 1.0, x, 0
 
     with monkeypatch.context() as m:
         m.setattr(hardy, "_pnorm_power", catch)
-        hl.exact_constant(pr, form)
-    return runs[0]
+        hl.exact_constant(dataclasses.replace(pr), form)
+    return runs[-1]
 
 
 def test_operator_matches_dense_matrix(monkeypatch):
@@ -433,9 +437,77 @@ def test_pnorm_power_skips_zero_over_zero():
     # A = diag(1, 0): the second entry of x is 0 after one step, and so is
     # that of F(x); the bound skips it instead of returning nan
     A = np.diag([1.0, 0.0])
-    lower, upper, x, it = _pnorm_power(lambda x: A @ x, lambda y: A.T @ y, 2, 3.0)
+    ones = np.full(2, 2.0 ** (-1.0 / 3.0))
+    lower, upper, x, it = _pnorm_power(lambda x: A @ x, lambda y: A.T @ y, ones, 3.0)
     assert (lower, upper, it) == (1.0, 1.0, 2)
     assert x.tolist() == [1.0, 0.0]
+
+
+# -- the cached primal and the dual started from it ------------------------------
+
+def _fan_problems():
+    # the fan trees of test_optimize_theta_matches_per_theta_loop
+    rng = np.random.default_rng(11)
+
+    def fan(k):
+        return hl.build_tree([(1, 0)] + [(c, 1) for c in range(2, k + 2)])
+
+    wide = [hl.make_problem(fan(k), *np.exp(rng.normal(0, 1.5, (2, k + 1))), p)
+            for k, p in ((8, 2.0), (9, 1.5), (40, 3.0))]
+    two_fans = hl.build_tree([(1, 0)] + [(c, 1) for c in range(2, 14)]
+                             + [(c, 2) for c in range(14, 31)])
+    wide.append(hl.make_problem(two_fans, np.ones(30), np.exp(rng.normal(0, 1.0, 30)), 2.0))
+    return wide
+
+
+def _bracket_problems(rough_cov8, demo_cov8):
+    """Fresh problems, none with a primal cached yet."""
+    return (_corpus_problems() + _fan_problems()
+            + [hl.weights_from_beta(rough_cov8, b, p) for b, p in ((-0.2, 2.0), (0.0, 3.0))]
+            + [hl.weights_from_beta(demo_cov8, b, p) for b, p in ((0.0, 1.5), (0.5, 3.0))])
+
+
+def _fields(got):
+    return got.value, got.c_upper, got.maximizer.tobytes(), got.form, got.iterations
+
+
+def test_primal_bracket_equals_cold_oracle_bit_for_bit(rough_cov8, demo_cov8):
+    for pr in _bracket_problems(rough_cov8, demo_cov8):
+        lower, upper, x, it = cold_bracket(pr, "primal")
+        assert _fields(hl.exact_constant(pr, "primal")) == \
+            (lower, upper, x.tobytes(), "primal", it)
+
+
+def test_warm_dual_bracket_overlaps_cold_oracle(rough_cov8, demo_cov8):
+    for pr in _bracket_problems(rough_cov8, demo_cov8):
+        warm = hl.exact_constant(pr, "dual")
+        lower, upper, _, _ = cold_bracket(pr, "dual")
+        assert max(warm.value, lower) <= min(warm.c_upper, upper) * (1 + 1e-12)
+        assert warm.c_upper - warm.value <= 1e-10 * warm.value
+        assert upper - lower <= 1e-10 * lower
+
+
+def test_dual_bits_do_not_depend_on_the_primal_call(rough_cov8, demo_cov8):
+    fresh = _bracket_problems(rough_cov8, demo_cov8)
+    after = _bracket_problems(rough_cov8, demo_cov8)
+    for a, b in zip(fresh, after):
+        primal = hl.exact_constant(b, "primal")
+        assert hl.exact_constant(b, "primal") is primal       # run once, then shared
+        assert _fields(hl.exact_constant(a, "dual")) == _fields(hl.exact_constant(b, "dual"))
+    # the shared arrays cannot be written through
+    pr = fresh[0]
+    for w in (pr.u, pr.v, hl.exact_constant(pr).maximizer,
+              hl.exact_constant(pr, "dual").maximizer):
+        assert not w.flags.writeable
+    # a second report reuses the cached primal and gives the same bytes
+    tree = hl.random_tree(24, np.random.default_rng(3))
+    pr = hl.make_problem(tree, np.ones(tree.n - 1), np.ones(tree.n - 1), 3.0)
+    assert _report_sha256(hl.hardy_report(pr)) == _report_sha256(hl.hardy_report(pr))
+
+
+def test_warm_dual_closes_within_three_steps():
+    for pr in _corpus_problems():
+        assert hl.exact_constant(pr, "dual").iterations <= 3
 
 
 # -- alpha_K (the oracle the enumeration of B runs on) ---------------------------
@@ -674,7 +746,7 @@ def test_diverging_flag_on_growing_chain():
 
 # -- the Hardy report, pinned ---------------------------------------------------
 
-SMOKE_P3_REPORT_SHA256 = "d9c4e32422dbe25c2513aafda932f2b7df0614bb47c60cd7ba901e791d7e5632"
+SMOKE_P3_REPORT_SHA256 = "7047ec763f79746f104a440a4dc938eb1c222b7489c7bfd4e371568b2b5618b4"
 GROWING_CHAIN_REPORT_SHA256 = "17df4c3d3cc3b98a3aff5067121bbf3d8b88efb00fa98d492acbed6aa043821e"
 
 

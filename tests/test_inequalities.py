@@ -634,15 +634,21 @@ def test_density_split_epsilon_too_small(demo_cov6):
         hl.density_split(F, -0.2, 2.0, epsilon=0.0)
 
 
-@pytest.mark.parametrize("beta, p, name", [
-    (float("nan"), 2.0, "beta"), (float("inf"), 2.0, "beta"), (float("-inf"), 2.0, "beta"),
-    (-0.2, 1.0, "p"), (-0.2, 0.5, "p"), (-0.2, float("inf"), "p"), (-0.2, float("nan"), "p"),
-], ids=["beta-nan", "beta-inf", "beta-neg-inf", "p-one", "p-half", "p-inf", "p-nan"])
-def test_density_split_rejects_bad_arguments(demo_cov6, beta, p, name):
+@pytest.mark.parametrize("beta, p, epsilon, message", [
+    (float("nan"), 2.0, 1e-3, "beta must be finite"),
+    (float("inf"), 2.0, 1e-3, "beta must be finite"),
+    (float("-inf"), 2.0, 1e-3, "beta must be finite"),
+    (-0.2, 1.0, 1e-3, "p must be finite"), (-0.2, 0.5, 1e-3, "p must be finite"),
+    (-0.2, float("inf"), 1e-3, "p must be finite"), (-0.2, float("nan"), 1e-3, "p must be finite"),
+    (-0.2, 2.0, float("nan"), "epsilon must be >= 0"), (-0.2, 2.0, -1e-3, "epsilon must be >= 0"),
+    (-0.2, 2.0, float("-inf"), "epsilon must be >= 0"),
+], ids=["beta-nan", "beta-inf", "beta-neg-inf", "p-one", "p-half", "p-inf", "p-nan",
+        "epsilon-nan", "epsilon-negative", "epsilon-neg-inf"])
+def test_density_split_rejects_bad_arguments(demo_cov6, beta, p, epsilon, message):
     sp = space_from_covering(demo_cov6, beta=-0.2)
     F = hl.random_mean_zero(sp, np.random.default_rng(12))
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        hl.density_split(F, beta, p, epsilon=1e-3)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        hl.density_split(F, beta, p, epsilon=epsilon)
 
 
 def test_density_split_noninteger_weight_rejected(demo_cov6):
