@@ -232,13 +232,24 @@ def decompose(g: CellFunction, problem: HardyProblem | None = None,
     S is one tree-kernel pass; on each U_t pair the part's value is the
     g-term if t owns the fragment, +h_s if t is parent(s) of its slab s, or
     -h_t on B_t, kept iff a term is nonzero. The norms use the space's
-    nu/omega weights with q taken from `problem` (or given directly).
+    nu/omega weights with q taken from `problem` (or given directly). On a
+    space from a covering (meta has "beta") the problem's v on Gamma* must
+    be the slab weight |B_t|^{1/p} omega_t of weights_from_beta, up to
+    1e-12 relative, so that a problem from another beta is refused.
     """
     space = g.space
     tree = space.tree
     if problem is not None:
         if problem.tree != tree:
             raise DecompositionError("problem tree does not match the covering")
+        if "beta" in space.meta:
+            gs = tree.gamma_star
+            b = space.bfrag[gs]
+            slab = space.vol[b] ** (1.0 / problem.p) * space.omega[b]
+            if not np.all(np.abs(problem.v[gs] - slab) <= 1e-12 * slab):
+                raise DecompositionError(
+                    "problem weights do not match the space's beta "
+                    f"{space.meta['beta']}")
         q = problem.q
     q = 2.0 if q is None else q
     if not 1.0 < q < math.inf:

@@ -427,12 +427,15 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     Cells are drawn and reduced in units of at most max(BLOCK_POINTS, 128)
     rows in id order (see _units): blocks of whole cells, and the leaves of
     any larger cell, each leaf drawn from where the cell's streams stand.
-    Only the rhs integrand and the array kept for the lhs, f or J, depend
-    on the kind. The weighted mean (a constant, or Korn's antisymmetric
-    part, one entry above the diagonal at a time) is taken on the same
-    nodes as the norms, so the side condition holds exactly on the discrete
-    measure; until it is known the pass keeps just f or J of every point, in
-    one array, and w and d^{beta p} once per cell. math.fsum rounds
+    Only the rhs integrand and the rows kept for the lhs depend on the
+    kind. The weighted mean (a constant, or Korn's antisymmetric part, one
+    entry above the diagonal at a time) is taken on the same nodes as the
+    norms, so the side condition holds exactly on the discrete measure;
+    until it is known the pass keeps, in one array, f of every point, or
+    for Korn |eps|^2 and the differences D = J - J^T above the diagonal,
+    and w and d^{beta p} once per cell. Korn's lhs integrand comes from
+    these through |J - A|^2 = |eps|^2 + sum_{j<k} (D_jk - 2 A_jk)^2 / 2,
+    so J itself is dropped once its unit is done. math.fsum rounds
     exactly, so the order of the per-cell terms does not matter. Each
     per-cell sum has the bits of np.sum over the cell's rows: a block sums
     each run of equal cells row-wise (_cell_sums), and a split cell adds
@@ -449,11 +452,13 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     # of each mean (f, or twice Korn's antisymmetric part above the
     # diagonal) and of the rhs integrand
     kept, unit_sums = [], []
-    # f or J of every point, unit after unit, in one array for the whole
-    # pass: numpy backs a large one with huge pages where the system allows,
-    # where one array per unit would be faulted in a page at a time
+    # what the lhs pass reads of every point, unit after unit, in one array
+    # for the whole pass: f, or for Korn a row of |eps|^2 and one row of
+    # J[:, j, k] - J[:, k, j] for each pair (j, k) of upper. numpy backs a
+    # large array with huge pages where the system allows, where one array
+    # per unit would be faulted in a page at a time
     total = int(counts.sum())
-    values = np.empty((total, n, n) if korn else total)
+    values = np.empty((1 + len(upper), total) if korn else total)
     row = 0
     rejected = 0
     leaf_cell, streams = -1, None               # the split cell being drawn
@@ -473,7 +478,7 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
                                     (s + beta - alpha + 1.0) * p, rngs)
             rejected += out
         elif korn:
-            v = f.jacobian(_draw_cells(cov, cells, m, seed, rngs=rngs))
+            J = f.jacobian(_draw_cells(cov, cells, m, seed, rngs=rngs))
         else:
             pts = _draw_cells(cov, cells, m, seed, rngs=rngs)
             v = f.value(pts)
@@ -481,17 +486,22 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             del pts
             r = _sum_squares(g.T, n)
             del g
-        a, row = row, row + len(v)
-        values[a:row] = v
-        v = values[a:row]
+        a, row = row, row + int(m.sum())
         # d is constant on a cell: one array power per cell, then broadcast
         # (never a Python-float pow, whose last bit can differ from numpy's)
         d_beta_p = d ** (beta * p)
         sums = [_cell_sums(runs, c=d_beta_p)]
         if korn:
-            sums += [_cell_sums(runs, v[:, j, k] - v[:, k, j], d_beta_p) for j, k in upper]
-            r = _sum_squares(_symmetric_columns(v), n * n)
+            eps2, *skew = values[:, a:row]
+            for (j, k), D in zip(upper, skew):
+                np.subtract(J[:, j, k], J[:, k, j], out=D)
+                sums.append(_cell_sums(runs, D, d_beta_p))
+            r = _sum_squares(_symmetric_columns(J), n * n)
+            del J
+            eps2[:] = r
         else:
+            values[a:row] = v
+            v = values[a:row]
             sums.append(_cell_sums(runs, v, d_beta_p))
         if fractional:
             sums.append(_cell_sums(runs, r))
@@ -505,22 +515,25 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     terms = _cell_terms(kept, unit_sums)
     denom = math.fsum(terms[0])
     if korn:
-        # the weighted mean of the antisymmetric part, which is removed
-        A = np.zeros((n, n))
-        for (j, k), t in zip(upper, terms[1:-1]):
-            A[j, k] = 0.5 * math.fsum(t) / denom
-            A[k, j] = -A[j, k]
+        # the weighted mean of each D above the diagonal: 2 A_jk for the
+        # mean A of the antisymmetric part (J - J^T) / 2, which is removed
+        mean = [math.fsum(t) / denom for t in terms[1:-1]]
     else:
         c = math.fsum(terms[1]) / denom
     lhs_sums = []
+    # each kept row is read once, so the lhs integrand is built in place
     for w, runs, d_beta_p, a, b, split in kept:
-        v = values[a:b]
         if korn:
-            r = _sum_squares((v[:, j, k] - A[j, k] for j in range(n) for k in range(n)),
-                             n * n)
+            r, *skew = values[:, a:b]
+            for D, twice_a in zip(skew, mean):
+                D -= twice_a
+                np.square(D, out=D)
+                D *= 0.5
+                r += D
             np.sqrt(r, out=r)
         else:
-            r = v - c
+            r = values[a:b]
+            r -= c
             np.abs(r, out=r)
         r **= p
         lhs_sums.append([_cell_sums(runs, r, d_beta_p)])

@@ -1158,10 +1158,15 @@ def verify_decomposition(result, volume: list, sum_tol: float = 1e-12,
             "mean_bound": bound}
 
 
-def local_run(kind, f, cov, beta, p, samples, seed):
+def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
     """The improved Poincare / Korn quadrature pass with every cell's
     arrays kept until the end: draw all cells, then take each sum over the
-    kept data."""
+    kept data.
+
+    Korn's lhs integrand is |J - A| as np.linalg.norm takes it, or with
+    identity the root of |eps|^2 + sum_{j<k} (D_jk - 2 A_jk)^2 / 2 for
+    D = J - J^T, added in that order: the same number in another rounding,
+    the one the sampler uses."""
     alpha = cov.profile.alpha
     n = cov.n
     cells = list(range(cov.tree.n))
@@ -1203,9 +1208,17 @@ def local_run(kind, f, cov, beta, p, samples, seed):
                 r[0] * float(np.sum(r[1] * (r[2][:, j, k] - r[2][:, k, j]))) for r in data
             ) / denom
             A[k, j] = -A[j, k]
-    lhs = math.fsum(
-        r[0] * float(np.sum(np.linalg.norm(r[2] - A, axis=(1, 2)) ** p * r[1]))
-        for r in data)
+
+    def norm(J, eps):
+        if not identity:
+            return np.linalg.norm(J - A, axis=(1, 2))
+        r = np.add.reduce(eps * eps, axis=(1, 2))
+        for j in range(n):
+            for k in range(j + 1, n):
+                r += 0.5 * (J[:, j, k] - J[:, k, j] - 2.0 * A[j, k]) ** 2
+        return np.sqrt(r)
+
+    lhs = math.fsum(r[0] * float(np.sum(norm(r[2], r[3]) ** p * r[1])) for r in data)
     rhs = math.fsum(
         r[0] * float(np.sum(np.linalg.norm(r[3], axis=(1, 2)) ** p
                             * r[4] ** ((beta + alpha - 1.0) * p)))

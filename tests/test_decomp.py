@@ -182,6 +182,18 @@ def test_decompose_exactness_random(demo_cov6):
         assert rep.measured_ratio <= rep.predicted_bound
 
 
+def test_decompose_refuses_problem_from_another_beta():
+    # the beta = 0 problem on a beta = 0.5 space would be verified against
+    # the beta = 0 suff_bound; the matched problem at any p is accepted
+    cov = hl.build_covering(hl.profile_demo(), depth_max=4)
+    sp = space_from_covering(cov, beta=0.5)
+    g = random_mean_zero(sp, np.random.default_rng(0))
+    with pytest.raises(DecompositionError, match="beta 0.5"):
+        decompose(g, hl.weights_from_beta(cov, 0.0, 2.0))
+    for p in (2.0, 3.0):
+        assert decompose(g, hl.weights_from_beta(cov, 0.5, p)).q == p / (p - 1.0)
+
+
 def test_predicted_constant_components(demo_cov6):
     sp = space_from_covering(demo_cov6, beta=0.0)
     c, parts = predicted_constant(sp, q=2.0, hardy_constant=2.0)

@@ -147,16 +147,25 @@ def test_optimize_theta_g_equals_a_tree_exactly():
                 assert float(np.max(vals[:, j])) == hl.a_tree(pr, theta).value
 
 
-def _corpus_problems(count=24):
-    # the benchmark corpus's recipe: random recursive trees of 16-28
-    # vertices, weights log-uniform in [1/10, 10], p cycling 1.5, 2, 3
-    rng = np.random.default_rng(20210826)
+def _corpus_problems(count=24, seed=None):
+    # random recursive trees of 16-28 vertices, weights log-uniform in
+    # [1/10, 10], p cycling 1.5, 2, 3. Without a seed, shapes and weights
+    # come from one stream; with one, as in the benchmark corpus, shapes
+    # come from that stream and weights from default_rng([seed, 0])
+    shapes = np.random.default_rng(20210826)
+    weights = shapes if seed is None else np.random.default_rng([seed, 0])
     out = []
     for i in range(count):
-        tree = hl.random_tree(int(rng.integers(16, 29)), rng)
-        u, v = np.exp(rng.uniform(-math.log(10.0), math.log(10.0), (2, tree.n - 1)))
+        tree = hl.random_tree(int(shapes.integers(16, 29)), shapes)
+        u, v = np.exp(weights.uniform(-math.log(10.0), math.log(10.0), (2, tree.n - 1)))
         out.append(hl.make_problem(tree, u, v, (1.5, 2.0, 3.0)[i % 3]))
     return out
+
+
+def test_benchmark_corpus_seed2_holds_the_near_tie():
+    # problem 19's two largest root blocks have nearly the same norm, so
+    # the primal power iteration converges slowly
+    assert hl.exact_constant(_corpus_problems(seed=2)[19]).iterations > 2000
 
 
 def test_optimize_theta_matches_per_theta_loop(rough_cov8, demo_cov8, monkeypatch):
@@ -462,7 +471,7 @@ def _fan_problems():
 
 def _bracket_problems(rough_cov8, demo_cov8):
     """Fresh problems, none with a primal cached yet."""
-    return (_corpus_problems() + _fan_problems()
+    return (_corpus_problems() + _corpus_problems(seed=2) + _fan_problems()
             + [hl.weights_from_beta(rough_cov8, b, p) for b, p in ((-0.2, 2.0), (0.0, 3.0))]
             + [hl.weights_from_beta(demo_cov8, b, p) for b, p in ((0.0, 1.5), (0.5, 3.0))])
 
@@ -506,7 +515,7 @@ def test_dual_bits_do_not_depend_on_the_primal_call(rough_cov8, demo_cov8):
 
 
 def test_warm_dual_closes_within_three_steps():
-    for pr in _corpus_problems():
+    for pr in _corpus_problems() + _corpus_problems(seed=2):
         assert hl.exact_constant(pr, "dual").iterations <= 3
 
 

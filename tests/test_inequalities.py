@@ -150,7 +150,23 @@ def test_local_run_matches_all_cells_kept(local_coverings, name, function, d, be
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
     rep = hl.inequality_ratio(kind, f, cov, beta, p, samples=3000, seed=3)
-    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3)
+    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3, identity=True)
+
+
+# the Korn cases of test_local_run_matches_all_cells_kept
+@pytest.mark.parametrize("beta,p", [(0.0, 2.0), (0.3, 3.0), (-0.2, 1.5)])
+@pytest.mark.parametrize("function", [k for k, (kind, _) in LOCAL_FUNCTIONS.items()
+                                      if kind == "korn"])
+@pytest.mark.parametrize("name", ["demo6", "rough6", "demo3d3"])
+def test_korn_lhs_matches_norm_of_j_minus_mean(local_coverings, name, function, beta, p):
+    # the sampler takes |J - A|^2 as |eps|^2 plus half the squared skew
+    # differences less 2A; the direct np.linalg.norm(J - A) rounds otherwise
+    cov = local_coverings[name]
+    f = LOCAL_FUNCTIONS[function][1](cov.n)
+    rep = hl.inequality_ratio("korn", f, cov, beta, p, samples=3000, seed=3)
+    lhs, rhs = local_run("korn", f, cov, beta, p, 3000, 3)
+    assert rep.rhs == rhs
+    assert rep.lhs == pytest.approx(lhs, rel=1e-13, abs=0.0)
 
 
 def _check_units(counts):
@@ -201,7 +217,7 @@ def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monke
     f = make(cov.n)
     rows = _unit_rows(monkeypatch)
     rep = hl.inequality_ratio(kind, f, cov, 0.3, 3.0, samples=3000, seed=3)
-    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3)
+    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3, identity=True)
     assert 0 < max(rows) <= 128
 
 
@@ -333,9 +349,10 @@ def test_locate_own_first_matches_locate_and_tree_walk(local_coverings, monkeypa
 
 
 def test_korn_sampler_memory(demo_cov6):
-    # each block of cells is reduced as it is drawn and keeps only
-    # (w, d^{beta p}, J) for the mean projection; keeping every cell's arrays
-    # peaked at 27.9 MB
+    # each block of cells is reduced as it is drawn and keeps only w and
+    # d^{beta p} per cell and |eps|^2 and J - J^T above the diagonal per
+    # point for the mean projection; keeping every cell's arrays peaked at
+    # 27.9 MB
     f = hl.u_shear()
     tracemalloc.start()
     try:
@@ -344,6 +361,21 @@ def test_korn_sampler_memory(demo_cov6):
     finally:
         tracemalloc.stop()
     assert peak < 18 * 2 ** 20
+
+
+def test_korn_sampler_keeps_two_numbers_per_point(demo_cov6):
+    # in the plane the pass keeps |eps|^2 and J[0, 1] - J[1, 0] of every
+    # point, 16 MB at 10^6 samples; it peaked at 17.6 MiB, and at 32.3 MiB
+    # when it kept J
+    f = hl.u_shear()
+    hl.inequality_ratio("korn", f, demo_cov6, 0.0, 2.0, samples=1000)
+    tracemalloc.start()
+    try:
+        hl.inequality_ratio("korn", f, demo_cov6, 0.0, 2.0, samples=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
 
 
 def test_poincare_sampler_memory(demo_cov6, flat_cov0):
