@@ -218,6 +218,25 @@ def _cell_terms(kept, unit_sums) -> list[list[float]]:
     return terms
 
 
+def _relative_sd(total: float, terms: list[float], squares: list[float],
+                 vols: np.ndarray, counts: np.ndarray) -> float:
+    """The standard error of a stratified estimate total = fsum(terms) over
+    the non-empty cells, relative to it; 0 when total is 0.
+
+    A cell of volume vol and n points adds a = w sum x and b = w sum x^2
+    (w = vol / n, x the integrand): with n >= 2 the unbiased
+    max(0, vol b - a^2) / (n - 1) = vol^2 s^2 / n (Cochran, Sampling
+    Techniques, ch. 5), with one point a^2, whose mean is the cell's
+    variance plus its squared integral.
+    """
+    if total == 0.0:
+        return 0.0
+    a, b = np.array(terms), np.array(squares)
+    var = np.where(counts > 1,
+                   np.maximum(vols * b - a * a, 0.0) / np.maximum(counts - 1, 1), a * a)
+    return math.sqrt(math.fsum(var.tolist())) / total
+
+
 def _units(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """The sampler's units in cell id order, as (cells, rows per cell, whole
     count of a split cell): runs of whole cells with at most BLOCK_POINTS
@@ -503,23 +522,27 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             values[a:row] = v
             v = values[a:row]
             sums.append(_cell_sums(runs, v, d_beta_p))
+        # the rhs integrand and its square: r times the cell constant dr
         if fractional:
-            sums.append(_cell_sums(runs, r))
+            dr = None
         else:                                           # r holds |grad f|^2 or |eps|^2
             np.sqrt(r, out=r)
             r **= p
-            sums.append(_cell_sums(runs, r, d ** rhs_expo))
+            dr = d ** rhs_expo
+        sums.append(_cell_sums(runs, r, dr))
+        np.square(r, out=r)
+        sums.append(_cell_sums(runs, r, None if dr is None else dr * dr))
         del r
         kept.append((w, runs, d_beta_p, a, row, split))
         unit_sums.append(sums)
-    terms = _cell_terms(kept, unit_sums)
-    denom = math.fsum(terms[0])
+    weights, *means, rhs_terms, rhs_squares = _cell_terms(kept, unit_sums)
+    denom = math.fsum(weights)
     if korn:
         # the weighted mean of each D above the diagonal: 2 A_jk for the
         # mean A of the antisymmetric part (J - J^T) / 2, which is removed
-        mean = [math.fsum(t) / denom for t in terms[1:-1]]
+        mean = [math.fsum(t) / denom for t in means]
     else:
-        c = math.fsum(terms[1]) / denom
+        c = math.fsum(means[0]) / denom
     lhs_sums = []
     # each kept row is read once, so the lhs integrand is built in place
     for w, runs, d_beta_p, a, b, split in kept:
@@ -536,10 +559,17 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             r -= c
             np.abs(r, out=r)
         r **= p
-        lhs_sums.append([_cell_sums(runs, r, d_beta_p)])
-    lhs = math.fsum(_cell_terms(kept, lhs_sums)[0])
+        first = _cell_sums(runs, r, d_beta_p)
+        np.square(r, out=r)
+        lhs_sums.append([first, _cell_sums(runs, r, d_beta_p * d_beta_p)])
+    lhs_terms, lhs_squares = _cell_terms(kept, lhs_sums)
+    lhs, rhs = math.fsum(lhs_terms), math.fsum(rhs_terms)
+    cells = np.flatnonzero(counts)
+    strata = (vols[cells], counts[cells])
+    spread = (_relative_sd(lhs, lhs_terms, lhs_squares, *strata)
+              + _relative_sd(rhs, rhs_terms, rhs_squares, *strata)) / p
     frac = rejected / total if fractional else None
-    return lhs ** (1.0 / p), math.fsum(terms[-1]) ** (1.0 / p), frac
+    return lhs ** (1.0 / p), rhs ** (1.0 / p), frac, spread
 
 
 KINDS = ("improved_poincare", "fractional_poincare", "korn")
@@ -577,15 +607,12 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
     if kind != "korn" and f.vector:
         raise ValueError(f"{kind} needs a scalar function")
 
-    lhs, rhs, rejected = _run(kind, f, covering, beta, p, s, tau, samples, seed)
-    lhs2, rhs2, _ = _run(kind, f, covering, beta, p, s, tau, samples, seed + 1)
+    lhs, rhs, rejected, spread = _run(kind, f, covering, beta, p, s, tau, samples, seed)
     ratio, flags = _ratio_with_flags(lhs, rhs)
-    ratio2, _ = _ratio_with_flags(lhs2, rhs2)
-    if ratio == ratio2 == 0.0 or (math.isinf(ratio) and math.isinf(ratio2)):
+    if ratio == 0.0 or math.isinf(ratio):
         spread = 0.0
-    else:
-        mid = 0.5 * (ratio + ratio2)
-        spread = abs(ratio - ratio2) / mid if mid > 0 and math.isfinite(mid) else math.inf
+    elif math.isnan(spread):                        # a NaN side is never confident
+        spread = math.inf
     params = {"beta": beta, "p": p, "s": s, "tau": tau,
               "alpha": covering.profile.alpha, "function": f.name}
     # every kind shares max(samples, cells) points out by volume (_allocate),

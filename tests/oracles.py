@@ -1158,10 +1158,25 @@ def verify_decomposition(result, volume: list, sum_tol: float = 1e-12,
             "mean_bound": bound}
 
 
+def stratified_spread(p, sides):
+    """The sum over sides (total, vols, per-cell integrands) of the
+    stratified standard error over total, divided by p; a side whose total
+    is 0 adds 0. A cell of n >= 2 points adds vol^2 np.var(x, ddof=1) / n
+    to the variance, a one-point cell (vol x)^2."""
+    out = 0.0
+    for total, vols, xs in sides:
+        if total == 0.0:
+            continue
+        var = [v * v * float(np.var(x, ddof=1)) / len(x) if len(x) > 1
+               else (v * float(x[0])) ** 2 for v, x in zip(vols, xs)]
+        out += math.sqrt(math.fsum(var)) / total
+    return out / p
+
+
 def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
     """The improved Poincare / Korn quadrature pass with every cell's
     arrays kept until the end: draw all cells, then take each sum over the
-    kept data.
+    kept data. Returns lhs, rhs and the spread (stratified_spread).
 
     Korn's lhs integrand is |J - A| as np.linalg.norm takes it, or with
     identity the root of |eps|^2 + sum_{j<k} (D_jk - 2 A_jk)^2 / 2 for
@@ -1191,15 +1206,20 @@ def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
         return (w, dbp, J, eps, d)
 
     data = [r for r in map(work, cells) if r is not None]
+    kept = [vols[t] for t in cells if counts[t]]
+
+    def sides(lhs_x, rhs_x):
+        lhs = math.fsum(r[0] * float(np.sum(x)) for r, x in zip(data, lhs_x))
+        rhs = math.fsum(r[0] * float(np.sum(x)) for r, x in zip(data, rhs_x))
+        spread = stratified_spread(p, [(lhs, kept, lhs_x), (rhs, kept, rhs_x)])
+        return lhs ** (1.0 / p), rhs ** (1.0 / p), spread
+
     denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
     if kind == "improved_poincare":
         num = math.fsum(r[0] * float(np.sum(r[1] * r[2])) for r in data)
         c = num / denom
-        lhs = math.fsum(r[0] * float(np.sum(np.abs(r[2] - c) ** p * r[1]))
-                        for r in data)
-        rhs = math.fsum(r[0] * float(np.sum(r[3] ** p * r[4] ** ((beta + alpha) * p)))
-                        for r in data)
-        return lhs ** (1.0 / p), rhs ** (1.0 / p)
+        return sides([np.abs(r[2] - c) ** p * r[1] for r in data],
+                     [r[3] ** p * r[4] ** ((beta + alpha) * p) for r in data])
     # the weighted mean of the antisymmetric part (J - J^T) / 2
     A = np.zeros((n, n))
     for j in range(n):
@@ -1218,12 +1238,9 @@ def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
                 r += 0.5 * (J[:, j, k] - J[:, k, j] - 2.0 * A[j, k]) ** 2
         return np.sqrt(r)
 
-    lhs = math.fsum(r[0] * float(np.sum(norm(r[2], r[3]) ** p * r[1])) for r in data)
-    rhs = math.fsum(
-        r[0] * float(np.sum(np.linalg.norm(r[3], axis=(1, 2)) ** p
-                            * r[4] ** ((beta + alpha - 1.0) * p)))
-        for r in data)
-    return lhs ** (1.0 / p), rhs ** (1.0 / p)
+    return sides([norm(r[2], r[3]) ** p * r[1] for r in data],
+                 [np.linalg.norm(r[3], axis=(1, 2)) ** p * r[4] ** ((beta + alpha - 1.0) * p)
+                  for r in data])
 
 
 def _cell_terms(w, ends, v):
@@ -1244,7 +1261,8 @@ def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     Each cell draws x, u and the direction from its own stream; the pairs of
     all cells are then located, each in its own cell first, and evaluated in
     one pass, and the sums are taken per cell. Each per-pair array is
-    dropped once used. Returns lhs, rhs and the fraction of rejected pairs.
+    dropped once used. Returns lhs, rhs, the fraction of rejected pairs and
+    the spread (stratified_spread).
     """
     alpha = cov.profile.alpha
     n = cov.n
@@ -1315,10 +1333,12 @@ def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     denom = math.fsum(_cell_terms(w, ends, dbp))
     mean = math.fsum(_cell_terms(w, ends, dbp * fv)) / denom
     rhs = math.fsum(_cell_terms(w, ends, contrib))
-    del contrib
     fv -= mean
     np.abs(fv, out=fv)
     fv **= p
     fv *= dbp
     lhs = math.fsum(_cell_terms(w, ends, fv))
-    return lhs ** (1.0 / p), rhs ** (1.0 / p), rejected
+    per_cell = list(zip([0] + ends[:-1], ends))
+    spread = stratified_spread(p, [(total, vols[cells], [x[a:b] for a, b in per_cell])
+                                   for total, x in ((lhs, fv), (rhs, contrib))])
+    return lhs ** (1.0 / p), rhs ** (1.0 / p), rejected, spread

@@ -150,7 +150,10 @@ def test_local_run_matches_all_cells_kept(local_coverings, name, function, d, be
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
     rep = hl.inequality_ratio(kind, f, cov, beta, p, samples=3000, seed=3)
-    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, beta, p, 3000, 3, identity=True)
+    lhs, rhs, spread = local_run(kind, f, cov, beta, p, 3000, 3, identity=True)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    # the one-pass spread from per-cell sums of x and x^2 is np.var's
+    assert rep.spread == pytest.approx(spread, rel=1e-12, abs=0.0)
 
 
 # the Korn cases of test_local_run_matches_all_cells_kept
@@ -164,7 +167,7 @@ def test_korn_lhs_matches_norm_of_j_minus_mean(local_coverings, name, function, 
     cov = local_coverings[name]
     f = LOCAL_FUNCTIONS[function][1](cov.n)
     rep = hl.inequality_ratio("korn", f, cov, beta, p, samples=3000, seed=3)
-    lhs, rhs = local_run("korn", f, cov, beta, p, 3000, 3)
+    lhs, rhs, _ = local_run("korn", f, cov, beta, p, 3000, 3)
     assert rep.rhs == rhs
     assert rep.lhs == pytest.approx(lhs, rel=1e-13, abs=0.0)
 
@@ -217,7 +220,9 @@ def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monke
     f = make(cov.n)
     rows = _unit_rows(monkeypatch)
     rep = hl.inequality_ratio(kind, f, cov, 0.3, 3.0, samples=3000, seed=3)
-    assert (rep.lhs, rep.rhs) == local_run(kind, f, cov, 0.3, 3.0, 3000, 3, identity=True)
+    lhs, rhs, spread = local_run(kind, f, cov, 0.3, 3.0, 3000, 3, identity=True)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    assert rep.spread == pytest.approx(spread, rel=1e-12, abs=0.0)
     assert 0 < max(rows) <= 128
 
 
@@ -251,7 +256,9 @@ def test_fractional_blocks_match_all_pairs(local_coverings, monkeypatch, name, c
     f = getattr(hl, function)()
     rows = _unit_rows(monkeypatch)
     got = ineq._run("fractional_poincare", f, cov, beta, p, s, tau, samples, 3)
-    assert got == fractional_run(f, cov, beta, p, s, tau, samples, 3)
+    want = fractional_run(f, cov, beta, p, s, tau, samples, 3)
+    assert got[:3] == want[:3]                      # lhs, rhs, rejected_frac
+    assert got[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
     assert 0 < max(rows) <= max(block_points, 128)
 
 
@@ -327,7 +334,7 @@ def test_locate_own_first_matches_locate_and_tree_walk(local_coverings, monkeypa
     monkeypatch.setattr(ineq, "_locate_own_first", record)
     hl.inequality_ratio("fractional_poincare", hl.f_linear(), cov, 0.0, 2.0,
                         s=0.5, tau=0.9, samples=3000, seed=2)
-    assert len(seen) == 2                       # one block per seed at 3000 samples
+    assert len(seen) == 1                       # one pass of one block at 3000 samples
     home, y, cells = seen[0]
     assert 0.0 < home.mean() < 1.0              # both paths are taken
 
