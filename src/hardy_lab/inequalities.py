@@ -519,8 +519,9 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             del J
             eps2[:] = r
         else:
-            values[a:row] = v
-            v = values[a:row]
+            if not a:
+                f0 = float(v[0])                        # the pass's first f value
+            v = np.subtract(v, f0, out=values[a:row])
             sums.append(_cell_sums(runs, v, d_beta_p))
         # the rhs integrand and its square: r times the cell constant dr
         if fractional:
@@ -542,6 +543,9 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
         # mean A of the antisymmetric part (J - J^T) / 2, which is removed
         mean = [math.fsum(t) / denom for t in means]
     else:
+        # the weighted mean of f less f0, which the kept rows hold: exactly
+        # 0 for a constant f, where sum f d^{beta p} / sum d^{beta p} need
+        # not round to f
         c = math.fsum(means[0]) / denom
     lhs_sums = []
     # each kept row is read once, so the lhs integrand is built in place

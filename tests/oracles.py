@@ -1216,9 +1216,11 @@ def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
 
     denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
     if kind == "improved_poincare":
-        num = math.fsum(r[0] * float(np.sum(r[1] * r[2])) for r in data)
+        # the mean is taken of f less its first value f0, as the sampler does
+        f0 = float(data[0][2][0])
+        num = math.fsum(r[0] * float(np.sum(r[1] * (r[2] - f0))) for r in data)
         c = num / denom
-        return sides([np.abs(r[2] - c) ** p * r[1] for r in data],
+        return sides([np.abs((r[2] - f0) - c) ** p * r[1] for r in data],
                      [r[3] ** p * r[4] ** ((beta + alpha) * p) for r in data])
     # the weighted mean of the antisymmetric part (J - J^T) / 2
     A = np.zeros((n, n))
@@ -1331,6 +1333,7 @@ def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     w = vols[cells] / m
     ends = np.cumsum(m).tolist()
     denom = math.fsum(_cell_terms(w, ends, dbp))
+    fv -= float(fv[0])                              # the mean of f less its first value
     mean = math.fsum(_cell_terms(w, ends, dbp * fv)) / denom
     rhs = math.fsum(_cell_terms(w, ends, contrib))
     fv -= mean

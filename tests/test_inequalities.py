@@ -49,12 +49,20 @@ def test_check_gradient_catches_wrong_derivative():
 
 # -- improved Poincare -------------------------------------------------------------
 
-def test_poincare_constant_function_zero(flat_cov0):
+def test_poincare_constant_function_zero(flat_cov0, demo_cov6):
     const = hl.TestFunction("const", lambda x: np.full(len(x), 5.0),
                             lambda x: np.zeros_like(x))
     rep = hl.inequality_ratio("improved_poincare", const, flat_cov0, 0.0, 2.0,
                               samples=5000, seed=1)
     assert rep.ratio == 0.0 and not rep.flags
+    # with unequal weights d^{beta p}, sum 5 d^{beta p} / sum d^{beta p} need
+    # not round to 5: the mean is taken of f less its first value, which is
+    # exactly 0 here, where lhs came out 9.9e-16 against rhs 0 (ratio inf)
+    for kind, extra in (("improved_poincare", {}),
+                        ("fractional_poincare", {"s": 0.5, "tau": 0.5})):
+        rep = hl.inequality_ratio(kind, const, demo_cov6, 0.3, 3.0,
+                                  samples=10 ** 5, seed=3, **extra)
+        assert (rep.lhs, rep.ratio, rep.flags) == (0.0, 0.0, ())
 
 
 def test_poincare_unit_square_oracle(flat_cov0):
