@@ -5,7 +5,8 @@ These measure lhs/rhs ratios for concrete functions; the inequalities hold
 with finite constants, so the checkers report trends, never proofs. Quadrature is
 stratified Monte Carlo over the covering cells with per-cell counter-based
 seeding: results are deterministic given (seed, sample count), and every
-report carries a two-run spread obtained from an independent seed.
+report carries a spread, the relative standard error of its ratio taken in
+the same pass from per-cell second moments.
 
 Distance to the boundary is the per-cell edge surrogate d = l_t (constant
 on each cube), the same essentially-constant equivalence d(x) ~ l(Q_t) the
@@ -138,8 +139,8 @@ class RatioReport:
     lhs: float
     rhs: float
     ratio: float
-    sample_count: int                       # points drawn per pass: max(samples, cells),
-                                            # by volume; small cells may draw none
+    sample_count: int                       # points drawn: max(samples, cells), by
+                                            # volume; small cells may draw none
     spread: float
     low_confidence: bool
     seed: int
@@ -439,9 +440,10 @@ def _pair_block(f: TestFunction, cov: CubeCovering, cells: np.ndarray,
 
 def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
          s: float | None, tau: float | None, samples: int,
-         seed: int) -> tuple[float, float, float | None]:
-    """One quadrature pass: lhs, rhs and, for fractional_poincare, the
-    fraction of the points drawn whose pair left the domain.
+         seed: int) -> tuple[float, float, float | None, float]:
+    """One quadrature pass: lhs, rhs, for fractional_poincare the fraction
+    of the points drawn whose pair left the domain (else None), and the
+    spread.
 
     Cells are drawn and reduced in units of at most max(BLOCK_POINTS, 128)
     rows in id order (see _units): blocks of whole cells, and the leaves of
@@ -450,7 +452,8 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     kind. The weighted mean (a constant, or Korn's antisymmetric part, one
     entry above the diagonal at a time) is taken on the same nodes as the
     norms, so the side condition holds exactly on the discrete measure;
-    until it is known the pass keeps, in one array, f of every point, or
+    until it is known the pass keeps, in one array, f - f0 of every point
+    (f0 the pass's first f value, so a constant f has mean 0 exactly), or
     for Korn |eps|^2 and the differences D = J - J^T above the diagonal,
     and w and d^{beta p} once per cell. Korn's lhs integrand comes from
     these through |J - A|^2 = |eps|^2 + sum_{j<k} (D_jk - 2 A_jk)^2 / 2,
@@ -459,6 +462,14 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     per-cell sum has the bits of np.sum over the cell's rows: a block sums
     each run of equal cells row-wise (_cell_sums), and a split cell adds
     its leaf sums up numpy's pairwise split tree (_rejoin).
+
+    Each side X (lhs^p or rhs^p) also gets the per-cell sums of its
+    integrand squared, the square of the row's term times the square of the
+    cell constant, taken one unit at a time. The spread is
+    (sigma_L / L + sigma_R / R) / p from their stratified standard errors
+    (_relative_sd): to first order an upper bound on the relative standard
+    error of (L / R)^{1/p}, which drops the covariance of the sides. Cells
+    that draw no point add nothing to it.
     """
     alpha = cov.profile.alpha
     n = cov.n
@@ -468,8 +479,8 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     rhs_expo = (beta + alpha - 1.0 if korn else beta + alpha) * p
     upper = [(j, k) for j in range(n) for k in range(j + 1, n)]
     # per unit: what the lhs pass needs, and the per-cell sums of d^{beta p},
-    # of each mean (f, or twice Korn's antisymmetric part above the
-    # diagonal) and of the rhs integrand
+    # of each mean (f - f0, or twice Korn's antisymmetric part above the
+    # diagonal), of the rhs integrand and of its square
     kept, unit_sums = [], []
     # what the lhs pass reads of every point, unit after unit, in one array
     # for the whole pass: f, or for Korn a row of |eps|^2 and one row of
@@ -600,8 +611,9 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
                      beta: float, p: float, s: float | None = None,
                      tau: float | None = None, samples: int = 10 ** 5,
                      seed: int = 0) -> RatioReport:
-    """Measured lhs/rhs for one inequality, with a two-seed spread; d is the
-    edge l_t of the cell a point lies in.
+    """Measured lhs/rhs for one inequality from one pass, with its spread
+    (see _run), 0 when the ratio is 0 or inf; d is the edge l_t of the cell
+    a point lies in. low_confidence is spread > 0.10.
 
     ValueError before any drawing unless the arguments pass
     _check_ratio_args and f is a vector field exactly for korn."""

@@ -44,7 +44,9 @@ The library keeps no per-vertex root paths: `tree_paths` builds them here
 for the dense oracles (`hardy_matrix`, `induced_subtree`, `alpha_gram`).
 `graph_distance` is the grid search for the distance to the graph that the
 samplers' former "graph" mode used; it now only checks that the cube edge
-is comparable to that distance.
+is comparable to that distance. `poincare_f_linear_exact` is no replaced
+code but the value the improved Poincare sampler estimates for `f_linear`,
+in closed form.
 """
 
 import dataclasses
@@ -1243,6 +1245,29 @@ def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
     return sides([norm(r[2], r[3]) ** p * r[1] for r in data],
                  [np.linalg.norm(r[3], axis=(1, 2)) ** p * r[4] ** ((beta + alpha - 1.0) * p)
                   for r in data])
+
+
+def poincare_f_linear_exact(cov, beta, p):
+    """The exact lhs and rhs the improved Poincare sampler estimates for
+    f = x0 - 1/2 with d = l(Q) on each cube Q.
+
+    |grad f| = 1, so rhs^p = sum_Q l^{(beta + alpha) p} |Q|. With c the
+    weighted mean sum_Q l^{beta p} |Q| (mid0 - 1/2) / sum_Q l^{beta p} |Q|,
+    lhs^p = sum_Q l^{beta p} |Q| / h0 * int_{lo0}^{hi0} |t - 1/2 - c|^p dt,
+    h0 = hi0 - lo0, and int_a^b |t|^p dt = F(b) - F(a) for
+    F(t) = sign(t) |t|^{p+1} / (p + 1).
+    """
+    lo, hi = (c[:, 0] for c in cov.corners)
+    vols, edges = cov.volume_array, cov.edge_array
+    weight = edges ** (beta * p) * vols
+    c = math.fsum((weight * (0.5 * (lo + hi) - 0.5)).tolist()) / math.fsum(weight.tolist())
+
+    def F(t):
+        return np.sign(t) * np.abs(t) ** (p + 1.0) / (p + 1.0)
+
+    lhs = math.fsum((weight / (hi - lo) * (F(hi - 0.5 - c) - F(lo - 0.5 - c))).tolist())
+    rhs = math.fsum((edges ** ((beta + cov.profile.alpha) * p) * vols).tolist())
+    return lhs ** (1.0 / p), rhs ** (1.0 / p)
 
 
 def _cell_terms(w, ends, v):

@@ -9,7 +9,8 @@ import hardy_lab as hl
 import hardy_lab.inequalities as ineq
 from hardy_lab.decomp import CellFunction, DecompositionError, space_from_covering
 
-from oracles import FractionCovering, check_gradient, fractional_run, local_run
+from oracles import (FractionCovering, check_gradient, fractional_run, local_run,
+                     poincare_f_linear_exact)
 
 
 # -- test function catalog --------------------------------------------------------
@@ -70,6 +71,8 @@ def test_poincare_unit_square_oracle(flat_cov0):
                               beta=0.0, p=2.0, samples=200_000, seed=0)
     assert rep.ratio == pytest.approx(math.sqrt(1 / 12), rel=0.02)
     assert rep.spread < 0.02
+    lhs, rhs = poincare_f_linear_exact(flat_cov0, 0.0, 2.0)
+    assert lhs / rhs == pytest.approx(math.sqrt(1 / 12), rel=1e-14)
 
 
 def test_poincare_scaling_invariance(flat_cov0):
@@ -86,8 +89,8 @@ def test_poincare_scaling_invariance(flat_cov0):
 
 
 def test_ratio_reproduced_within_recorded_spread(flat_cov0):
-    # deterministic seeds: an independent third seed lands within the
-    # two-run spread recorded by the report
+    # deterministic seeds: the ratio at an independent seed lands within the
+    # spread the report records, its one-pass relative standard error
     f = hl.f_linear()
     rep = hl.inequality_ratio("improved_poincare", f, flat_cov0, 0.0, 2.0,
                               samples=50_000, seed=20)
@@ -95,6 +98,50 @@ def test_ratio_reproduced_within_recorded_spread(flat_cov0):
                                 samples=50_000, seed=22)
     assert abs(rep.ratio - other.ratio) / rep.ratio <= rep.spread
     assert not rep.low_confidence
+
+
+@pytest.mark.parametrize("beta,p", [(0.0, 2.0), (-0.2, 2.0), (0.3, 2.0),
+                                    (0.0, 3.0), (-0.2, 3.0), (0.3, 3.0)])
+@pytest.mark.parametrize("name", ["demo6", "rough6"])
+def test_poincare_f_linear_matches_exact(local_coverings, name, beta, p):
+    # at 10^5 samples every cell draws at least 10 points, so no stratum is
+    # left out and the ratio is off the closed form by sampling error only
+    cov = local_coverings[name]
+    assert ineq._allocate(10 ** 5, cov.volume_array).min() >= 10
+    rep = hl.inequality_ratio("improved_poincare", hl.f_linear(), cov, beta, p,
+                              samples=10 ** 5, seed=0)
+    lhs, rhs = poincare_f_linear_exact(cov, beta, p)
+    exact = lhs / rhs
+    assert rep.spread <= 0.01
+    assert abs(rep.ratio - exact) <= 4.0 * rep.spread * exact
+
+
+# (kind, function, covering, beta, p, keyword arguments)
+CALIBRATION = [
+    ("improved_poincare", hl.f_linear, "flat0", 0.0, 2.0, {}),
+    ("improved_poincare", hl.f_bilinear, "demo6", 0.0, 2.0, {}),
+    ("improved_poincare", hl.f_bilinear, "demo6", 0.3, 3.0, {}),
+    ("improved_poincare", hl.f_linear, "rough6", -0.2, 1.5, {}),
+    ("korn", hl.u_shear, "demo6", 0.0, 2.0, {}),
+    ("korn", hl.u_shear, "demo6", 0.0, 3.0, {}),
+    ("fractional_poincare", hl.f_linear, "demo6", 0.0, 2.0, dict(s=0.5, tau=0.5)),
+    ("fractional_poincare", hl.f_bilinear, "demo6", -0.2, 2.0, dict(s=0.4, tau=0.9)),
+]
+
+
+@pytest.mark.parametrize("kind,make,name,beta,p,kw", CALIBRATION,
+                         ids=[f"{c[0]}-{c[1].__name__}-{c[2]}-{c[3]}-{c[4]}" for c in CALIBRATION])
+def test_spread_covers_seed_to_seed_scatter(flat_cov0, local_coverings, kind, make, name,
+                                            beta, p, kw):
+    # spread drops the covariance of the two sides, so it may overstate the
+    # scatter (Korn's sides move together), but it must not understate it:
+    # the relative sd of the ratio over 40 seeds is at most 1.5 times the
+    # median spread
+    cov = flat_cov0 if name == "flat0" else local_coverings[name]
+    reps = [hl.inequality_ratio(kind, make(), cov, beta, p, samples=5000, seed=seed, **kw)
+            for seed in range(40)]
+    ratios = np.array([r.ratio for r in reps])
+    assert np.std(ratios, ddof=1) / np.mean(ratios) <= 1.5 * np.median([r.spread for r in reps])
 
 
 # (kind, function, beta, keyword arguments, lhs, rhs) on demo_cov6 at p = 2,
