@@ -336,6 +336,14 @@ def _cell_sums(runs, x: np.ndarray | None = None, c: np.ndarray | None = None) -
     return np.concatenate(sums)
 
 
+def _with_squares(runs, x: np.ndarray, c: np.ndarray | None = None) -> list[np.ndarray]:
+    """The per-cell sums of x c and of its square, taken as x^2 c^2 (see
+    _cell_sums); x is squared in place."""
+    first = _cell_sums(runs, x, c)
+    np.square(x, out=x)
+    return [first, _cell_sums(runs, x, None if c is None else c * c)]
+
+
 def _symmetric_columns(J: np.ndarray) -> Iterator[np.ndarray]:
     """The columns (J[:, j, k] + J[:, k, j]) / 2 of the symmetric part, in
     (j, k) order; an off-diagonal column is built once for both places."""
@@ -534,16 +542,12 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
                 f0 = float(v[0])                        # the pass's first f value
             v = np.subtract(v, f0, out=values[a:row])
             sums.append(_cell_sums(runs, v, d_beta_p))
-        # the rhs integrand and its square: r times the cell constant dr
         if fractional:
-            dr = None
+            sums += _with_squares(runs, r)
         else:                                           # r holds |grad f|^2 or |eps|^2
             np.sqrt(r, out=r)
             r **= p
-            dr = d ** rhs_expo
-        sums.append(_cell_sums(runs, r, dr))
-        np.square(r, out=r)
-        sums.append(_cell_sums(runs, r, None if dr is None else dr * dr))
+            sums += _with_squares(runs, r, d ** rhs_expo)
         del r
         kept.append((w, runs, d_beta_p, a, row, split))
         unit_sums.append(sums)
@@ -574,9 +578,7 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             r -= c
             np.abs(r, out=r)
         r **= p
-        first = _cell_sums(runs, r, d_beta_p)
-        np.square(r, out=r)
-        lhs_sums.append([first, _cell_sums(runs, r, d_beta_p * d_beta_p)])
+        lhs_sums.append(_with_squares(runs, r, d_beta_p))
     lhs_terms, lhs_squares = _cell_terms(kept, lhs_sums)
     lhs, rhs = math.fsum(lhs_terms), math.fsum(rhs_terms)
     cells = np.flatnonzero(counts)
