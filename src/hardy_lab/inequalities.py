@@ -3,10 +3,11 @@ domain: improved Poincare, fractional Poincare, and Korn.
 
 These measure lhs/rhs ratios for concrete functions; the inequalities hold
 with finite constants, so the checkers report trends, never proofs. Quadrature is
-stratified Monte Carlo over the covering cells with per-cell counter-based
-seeding: results are deterministic given (seed, sample count), and every
-report carries a spread, the relative standard error of its ratio taken in
-the same pass from per-cell second moments.
+stratified Monte Carlo over the covering cells: every cell draws at least
+one point, in strata of at most BLOCK_POINTS points that each draw from a
+stream seeded by (seed, cell, stratum), so results are deterministic given
+(seed, sample count). Every report carries a spread, the relative standard
+error of its ratio taken in the same pass from per-stratum second moments.
 
 Distance to the boundary is the per-cell edge surrogate d = l_t (constant
 on each cube), the same essentially-constant equivalence d(x) ~ l(Q_t) the
@@ -82,17 +83,49 @@ def u_shear(n: int = 2) -> TestFunction:
 # -- stratified sampling --------------------------------------------------------
 
 def _allocate(samples: int, vols: np.ndarray) -> np.ndarray:
-    """Largest-remainder proportional allocation; the total is exact."""
-    raw = samples * vols / vols.sum()
+    """One point for every cell, and the other max(samples, cells) - cells
+    shared by volume with largest remainders; the total is exact."""
+    extra = max(samples, len(vols)) - len(vols)
+    raw = extra * vols / vols.sum()
     counts = np.floor(raw).astype(int)
-    short = samples - counts.sum()
-    if short > 0:
-        order = np.argsort(-(raw - counts), kind="stable")
-        counts[order[:short]] += 1
-    return counts
+    short = extra - counts.sum()
+    counts[np.argsort(counts - raw, kind="stable")[:short]] += 1
+    return counts + 1
 
-def _cell_rng(seed: int, cell: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, cell)))
+
+# The sampler draws and reduces in units of at most BLOCK_POINTS points for
+# every kind, and no stratum is larger (_strata).
+BLOCK_POINTS = 2 ** 15
+
+
+def _strata(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cell, k, rows) of every stratum, in cell id order: a cell of m <=
+    BLOCK_POINTS points is one stratum (k = 0), a larger one ceil(m /
+    BLOCK_POINTS) strata k = 0, 1, ... whose rows differ by at most 1."""
+    q = -(-counts // BLOCK_POINTS)
+    cell = np.repeat(np.arange(len(counts)), q)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(q) - q, q)
+    m, q = counts[cell], q[cell]
+    return cell, k, m // q + (k < m % q)
+
+
+def _cell_rng(seed: int, cell: int, k: int) -> np.random.Generator:
+    """The stream of stratum k of a cell. SeedSequence pads its entropy with
+    zeros to four words, so k = 0 is the stream of (seed, cell)."""
+    return np.random.default_rng(np.random.SeedSequence((seed, cell, k)))
+
+
+def _units(rows: np.ndarray) -> Iterator[slice]:
+    """The sampler's units: runs of whole strata, in order, with at most
+    BLOCK_POINTS rows between them."""
+    start, size = 0, 0
+    for i, m in enumerate(rows.tolist()):
+        if size + m > BLOCK_POINTS:
+            yield slice(start, i)
+            start, size = i, 0
+        size += m
+    yield slice(start, len(rows))
+
 
 def _sum_squares(cols: Iterable[np.ndarray], count: int) -> np.ndarray:
     """c_0^2 + ... + c_{count-1}^2 over equal-length columns, added in the
@@ -139,8 +172,8 @@ class RatioReport:
     lhs: float
     rhs: float
     ratio: float
-    sample_count: int                       # points drawn: max(samples, cells), by
-                                            # volume; small cells may draw none
+    sample_count: int                       # points drawn: max(samples, cells), one
+                                            # in every cell and the rest by volume
     spread: float
     low_confidence: bool
     seed: int
@@ -164,70 +197,15 @@ def _ratio_with_flags(lhs: float, rhs: float) -> tuple[float, tuple[str, ...]]:
     return lhs / rhs, ()
 
 
-# The sampler draws and reduces cells in units of at most BLOCK_POINTS
-# points, or 128 when BLOCK_POINTS is smaller, for every kind: a block of
-# whole cells, or one leaf of a larger cell's pairwise split (_leaves).
-BLOCK_POINTS = 2 ** 15
-
-# np.add.reduce adds a run of at most this many float64 values in one
-# unrolled loop and splits a longer run in two
-_PAIRWISE_LEAF = 128
-
-
-def _split(m: int) -> int | None:
-    """Where np.add.reduce splits a run of m values: at m // 2 rounded down
-    to a multiple of 8 while m > 128. None where the sampler keeps m rows
-    in one unit, at most max(BLOCK_POINTS, 128)."""
-    if m <= max(BLOCK_POINTS, _PAIRWISE_LEAF):
-        return None
-    h = m // 2
-    return h - h % 8
-
-
-def _leaves(m: int) -> list[int]:
-    """Row counts of the leaves a cell of m rows is cut into, in order: the
-    runs numpy's own pairwise split of m values reaches first at or below
-    the unit size, so np.sum of each leaf is a partial sum of the cell's."""
-    h = _split(m)
-    return [m] if h is None else _leaves(h) + _leaves(m - h)
-
-
-def _rejoin(m: int, sums: Iterator[float]) -> float:
-    """np.sum over a cell of m rows, from the np.sum of each of its _leaves
-    in order: the leaf sums added up numpy's split tree, bit for bit."""
-    h = _split(m)
-    return next(sums) if h is None else _rejoin(h, sums) + _rejoin(m - h, sums)
-
-
-def _cell_terms(kept, unit_sums) -> list[list[float]]:
-    """w times each per-cell sum, one list per quantity, from each unit's
-    kept (w, runs, d^{beta p}, a, b, split) and its sums (_cell_sums); the
-    leaf sums of a split cell are added up numpy's split tree (_rejoin)."""
-    terms = [[] for _ in unit_sums[0]]
-    leaves, done = [], 0
-    for (w, _, _, a, b, split), sums in zip(kept, unit_sums):
-        if not split:
-            for t, x in zip(terms, sums):
-                t += (w * x).tolist()
-            continue
-        leaves.append([float(x[0]) for x in sums])
-        done += b - a
-        if done == split:
-            for t, x in zip(terms, zip(*leaves)):
-                t.append(w[0] * _rejoin(split, iter(x)))
-            leaves, done = [], 0
-    return terms
-
-
 def _relative_sd(total: float, terms: list[float], squares: list[float],
                  vols: np.ndarray, counts: np.ndarray) -> float:
     """The standard error of a stratified estimate total = fsum(terms) over
-    the non-empty cells, relative to it; 0 when total is 0.
+    the strata, relative to it; 0 when total is 0.
 
-    A cell of volume vol and n points adds a = w sum x and b = w sum x^2
+    A stratum of volume vol and n points adds a = w sum x and b = w sum x^2
     (w = vol / n, x the integrand): with n >= 2 the unbiased
     max(0, vol b - a^2) / (n - 1) = vol^2 s^2 / n (Cochran, Sampling
-    Techniques, ch. 5), with one point a^2, whose mean is the cell's
+    Techniques, ch. 5), with one point a^2, whose mean is the stratum's
     variance plus its squared integral.
     """
     if total == 0.0:
@@ -238,110 +216,41 @@ def _relative_sd(total: float, terms: list[float], squares: list[float],
     return math.sqrt(math.fsum(var.tolist())) / total
 
 
-def _units(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """The sampler's units in cell id order, as (cells, rows per cell, whole
-    count of a split cell): runs of whole cells with at most BLOCK_POINTS
-    points between them (0), and each of the _leaves of a cell with more
-    than max(BLOCK_POINTS, 128) points on its own (that cell's count). With
-    BLOCK_POINTS below 128, a whole cell of more than BLOCK_POINTS points is
-    a unit by itself."""
-    cells = np.flatnonzero(counts)
-    m = counts[cells]
-    start, size = 0, 0
-    for i, mi in enumerate(m.tolist()):
-        if size and size + mi > BLOCK_POINTS:
-            yield cells[start:i], m[start:i], 0
-            start, size = i, 0
-        if _split(mi) is None:
-            size += mi
-            continue
-        for rows in _leaves(mi):
-            yield cells[i:i + 1], np.array([rows]), mi
-        start = i + 1
-    if start < len(cells):
-        yield cells[start:], m[start:], 0
-
-
-def _runs(m: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """(i, j, a, b) for each maximal run of consecutive cells i..j-1 with
-    m[i] == ... == m[j-1] rows each, stacked as rows a..b-1: the run's
-    rows reshape to (j - i, m[i])."""
-    cuts = (np.flatnonzero(np.diff(m)) + 1).tolist()
-    ends = np.cumsum(m).tolist()
-    return [(i, j, ends[i - 1] if i else 0, ends[j - 1])
-            for i, j in zip([0] + cuts, cuts + [len(m)])]
-
-
-def _leaf_streams(seed: int, cell: int, m: int, n: int):
-    """The (points, u, g) generators of a cell of m points in R^n drawn leaf
-    by leaf: each continues where the cell's one stream stands in a whole
-    cell draw (_draw_cells). A uniform double takes one PCG64 step, so u
-    starts m n steps in and g m n + m steps in."""
-    streams = tuple(_cell_rng(seed, cell) for _ in range(3))
-    streams[1].bit_generator.advance(m * n)
-    streams[2].bit_generator.advance(m * n + m)
-    return streams
-
-
-def _draw_cells(cov: CubeCovering, cells: np.ndarray, m: np.ndarray, seed: int,
-                offsets: bool = False, rngs=None):
-    """m[i] uniform points in each cube cells[i], in one (sum m, n) array.
-
-    Each cell draws from its own stream straight into its rows, and each run
-    of equal cells is mapped to its cubes one column at a time. With
-    offsets, each cell also draws u (m[i] uniforms) and g (m[i] x n normals)
-    after its points, and (points, u, g) is returned. rngs, if given, holds
-    each cell's (points, u, g) generators (see _leaf_streams); by default
-    each cell draws all three in turn from a new _cell_rng stream.
+def _draw(cov: CubeCovering, cells: np.ndarray, ks: np.ndarray, m: np.ndarray,
+          seed: int, offsets: bool = False):
+    """m[i] uniform points in cube cells[i] for each stratum (cells[i],
+    ks[i]), in one (sum m, n) array; each stratum draws from its own stream
+    straight into its rows, which are then mapped into the cubes one column
+    at a time. With offsets, each stratum also draws u (m[i] uniforms) and
+    g (m[i] x n normals) after its points, and (points, u, g) is returned.
     """
-    n = cov.n
     ends = np.cumsum(m).tolist()
-    pts = np.empty((ends[-1], n))
+    pts = np.empty((ends[-1], cov.n))
     if offsets:
-        u, g = np.empty(ends[-1]), np.empty((ends[-1], n))
-    if rngs is None:
-        rngs = [(r, r, r) for r in (_cell_rng(seed, t) for t in cells.tolist())]
-    for (rp, ru, rg), a, b in zip(rngs, [0] + ends[:-1], ends):
-        rp.random(out=pts[a:b])
+        u, g = np.empty(ends[-1]), np.empty_like(pts)
+    for t, k, a, b in zip(cells.tolist(), ks.tolist(), [0] + ends[:-1], ends):
+        rng = _cell_rng(seed, t, k)
+        rng.random(out=pts[a:b])
         if offsets:
-            ru.random(out=u[a:b])
-            rg.standard_normal(out=g[a:b])
-    lows, highs = cov.corners
-    for i, j, a, b in _runs(m):
-        lo, hi = lows[cells[i:j]], highs[cells[i:j]]
-        for k in range(n):
-            col = pts[a:b, k].reshape(j - i, -1)
-            col *= (hi[:, k] - lo[:, k])[:, None]
-            col += lo[:, k, None]
+            rng.random(out=u[a:b])
+            rng.standard_normal(out=g[a:b])
+    lows, highs = (x[cells] for x in cov.corners)
+    # by columns: a row-wise broadcast runs numpy's inner loop n values at a time
+    for k in range(cov.n):
+        col = pts[:, k]
+        col *= np.repeat(highs[:, k] - lows[:, k], m)
+        col += np.repeat(lows[:, k], m)
     return (pts, u, g) if offsets else pts
 
 
-def _cell_sums(runs, x: np.ndarray | None = None, c: np.ndarray | None = None) -> np.ndarray:
-    """For each cell, np.sum over its rows of x times the cell's constant c
-    (of x alone without c, of c alone without x).
-
-    Each run of equal cells is one (cells, rows) reshape summed along its
-    rows, which numpy adds pairwise row by row: the bits of one np.sum per
-    cell, where np.add.reduceat adds in another order.
-    """
-    sums = []
-    for i, j, a, b in runs:
-        if x is None:
-            X = np.broadcast_to(c[i:j, None], (j - i, (b - a) // (j - i)))
-        else:
-            X = x[a:b].reshape(j - i, -1)
-            if c is not None:
-                X = X * c[i:j, None]
-        sums.append(np.add.reduce(X, axis=1))
-    return np.concatenate(sums)
-
-
-def _with_squares(runs, x: np.ndarray, c: np.ndarray | None = None) -> list[np.ndarray]:
-    """The per-cell sums of x c and of its square, taken as x^2 c^2 (see
-    _cell_sums); x is squared in place."""
-    first = _cell_sums(runs, x, c)
+def _with_squares(x: np.ndarray, starts: np.ndarray, c) -> list[np.ndarray]:
+    """For each stratum, from its first row starts[i], the sum of x times
+    its constant c[i] and the sum of x^2 times c[i]^2; x is squared in
+    place. Each sum is one segment of np.add.reduceat, which adds the
+    segment's first value to np.sum of the rest, whatever the unit."""
+    first = np.add.reduceat(x, starts) * c
     np.square(x, out=x)
-    return [first, _cell_sums(runs, x, None if c is None else c * c)]
+    return [first, np.add.reduceat(x, starts) * (c * c)]
 
 
 def _symmetric_columns(J: np.ndarray) -> Iterator[np.ndarray]:
@@ -379,10 +288,10 @@ _SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def _pair_block(f: TestFunction, cov: CubeCovering, cells: np.ndarray,
-                m: np.ndarray, seed: int, p: float, s: float, tau: float,
-                expo: float, rngs=None) -> tuple[np.ndarray, np.ndarray, int]:
+                ks: np.ndarray, m: np.ndarray, seed: int, p: float, s: float,
+                tau: float, expo: float) -> tuple[np.ndarray, np.ndarray, int]:
     """f at a unit's points x, the rhs integrand of their pairs (x, y) and
-    the number of pairs rejected; rngs as for _draw_cells.
+    the number of pairs rejected; the unit's strata as for _draw.
 
     The offset radius is drawn as r = R u^{1/kappa}, kappa = p(1-s), which
     cancels the |x-y| kernel singularity; R = tau d(x) is the tau-ball
@@ -392,7 +301,7 @@ def _pair_block(f: TestFunction, cov: CubeCovering, cells: np.ndarray,
     n = cov.n
     kappa = p * (1.0 - s)
     edges = cov.edge_array
-    pts, u, g = _draw_cells(cov, cells, m, seed, offsets=True, rngs=rngs)
+    pts, u, g = _draw(cov, cells, ks, m, seed, offsets=True)
     c = np.repeat(cells, m)                         # the cell of x, then of y
     dx = edges[c]
     R = tau * dx
@@ -446,6 +355,12 @@ def _pair_block(f: TestFunction, cov: CubeCovering, cells: np.ndarray,
     return fv, contrib, rejected
 
 
+def _terms(w: np.ndarray, unit_sums: list[list[np.ndarray]]) -> list[list[float]]:
+    """w times each per-stratum sum, one list per quantity, from the sums of
+    every unit in order."""
+    return [(w * np.concatenate(col)).tolist() for col in zip(*unit_sums)]
+
+
 def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
          s: float | None, tau: float | None, samples: int,
          seed: int) -> tuple[float, float, float | None, float]:
@@ -453,42 +368,51 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     of the points drawn whose pair left the domain (else None), and the
     spread.
 
-    Cells are drawn and reduced in units of at most max(BLOCK_POINTS, 128)
-    rows in id order (see _units): blocks of whole cells, and the leaves of
-    any larger cell, each leaf drawn from where the cell's streams stand.
-    Only the rhs integrand and the rows kept for the lhs depend on the
-    kind. The weighted mean (a constant, or Korn's antisymmetric part, one
-    entry above the diagonal at a time) is taken on the same nodes as the
-    norms, so the side condition holds exactly on the discrete measure;
-    until it is known the pass keeps, in one array, f - f0 of every point
-    (f0 the pass's first f value, so a constant f has mean 0 exactly), or
-    for Korn |eps|^2 and the differences D = J - J^T above the diagonal,
-    and w and d^{beta p} once per cell. Korn's lhs integrand comes from
-    these through |J - A|^2 = |eps|^2 + sum_{j<k} (D_jk - 2 A_jk)^2 / 2,
-    so J itself is dropped once its unit is done. math.fsum rounds
-    exactly, so the order of the per-cell terms does not matter. Each
-    per-cell sum has the bits of np.sum over the cell's rows: a block sums
-    each run of equal cells row-wise (_cell_sums), and a split cell adds
-    its leaf sums up numpy's pairwise split tree (_rejoin).
+    Every cell draws at least one point (_allocate), in strata of at most
+    BLOCK_POINTS points that each draw from their own stream (_strata,
+    _cell_rng); the strata are drawn and reduced in units of at most
+    BLOCK_POINTS rows in cell id order (_units). Only the rhs integrand and
+    the rows kept for the lhs depend on the kind. The weighted mean (a
+    constant, or Korn's antisymmetric part, one entry above the diagonal at
+    a time) is taken on the same nodes as the norms, so the side condition
+    holds exactly on the discrete measure; until it is known the pass
+    keeps, in one array, f - f0 of every point (f0 the pass's first f
+    value, so a constant f has mean 0 exactly), or for Korn |eps|^2 and the
+    differences D = J - J^T above the diagonal. Korn's lhs integrand comes
+    from these through |J - A|^2 = |eps|^2 + sum_{j<k} (D_jk - 2 A_jk)^2 / 2,
+    so J itself is dropped once its unit is done.
 
-    Each side X (lhs^p or rhs^p) also gets the per-cell sums of its
-    integrand squared, the square of the row's term times the square of the
-    cell constant, taken one unit at a time. The spread is
-    (sigma_L / L + sigma_R / R) / p from their stratified standard errors
+    A stratum of m rows adds w (S c) to a side: w = vol / count of its
+    cell, S the reduceat sum of the integrand over its rows (_with_squares)
+    and c its constant, d^{beta p} or the rhs power of d. The weights
+    d^{beta p} add w (m c), so a constant J gives skew sums of exactly
+    twice theirs and a rigid rotation has lhs 0. math.fsum rounds exactly,
+    so the results depend on (seed, samples) and BLOCK_POINTS alone, not on
+    how strata are grouped into units.
+
+    Each side X (lhs^p or rhs^p) also gets the per-stratum sums of its
+    integrand squared. The spread is (sigma_L / L + sigma_R / R) / p from
+    their stratified standard errors over strata of volume w m
     (_relative_sd): to first order an upper bound on the relative standard
-    error of (L / R)^{1/p}, which drops the covariance of the sides. Cells
-    that draw no point add nothing to it.
+    error of (L / R)^{1/p}, which drops the covariance of the sides.
     """
     alpha = cov.profile.alpha
     n = cov.n
-    vols, edges = cov.volume_array, cov.edge_array
-    counts = _allocate(max(samples, cov.tree.n), vols)
+    counts = _allocate(samples, cov.volume_array)
+    cells, ks, rows = _strata(counts)
+    w = cov.volume_array[cells] / counts[cells]
+    d = cov.edge_array[cells]
     korn, fractional = kind == "korn", kind == "fractional_poincare"
-    rhs_expo = (beta + alpha - 1.0 if korn else beta + alpha) * p
+    # one array power per stratum (never a Python-float pow, whose last bit
+    # can differ from numpy's); the fractional rhs integrand holds its own
+    d_beta_p = d ** (beta * p)
+    rhs_c = (np.ones_like(d) if fractional
+             else d ** ((beta + alpha - 1.0 if korn else beta + alpha) * p))
     upper = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    # per unit: what the lhs pass needs, and the per-cell sums of d^{beta p},
-    # of each mean (f - f0, or twice Korn's antisymmetric part above the
-    # diagonal), of the rhs integrand and of its square
+    # per unit: its slice of the strata, where their rows start and its
+    # slice of the kept rows; and its per-stratum sums of each mean (f - f0,
+    # or twice Korn's antisymmetric part above the diagonal), of the rhs
+    # integrand and of its square
     kept, unit_sums = [], []
     # what the lhs pass reads of every point, unit after unit, in one array
     # for the whole pass: f, or for Korn a row of |eps|^2 and one row of
@@ -497,43 +421,33 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
     # per unit would be faulted in a page at a time
     total = int(counts.sum())
     values = np.empty((1 + len(upper), total) if korn else total)
-    row = 0
-    rejected = 0
-    leaf_cell, streams = -1, None               # the split cell being drawn
+    row = rejected = 0
     # Temporaries are updated in place where that applies the same operation
-    # to the same values (so the same bits). d^{beta p} is taken once per
-    # cell and broadcast over the cell's rows.
-    for cells, m, split in _units(counts):
-        runs = _runs(m)
-        w = vols[cells] / counts[cells]
-        d = edges[cells]
-        if split and cells[0] != leaf_cell:        # its first leaf
-            leaf_cell = int(cells[0])
-            streams = _leaf_streams(seed, leaf_cell, split, n)
-        rngs = [streams] if split else None
+    # to the same values (so the same bits).
+    for unit in _units(rows):
+        m = rows[unit]
+        starts = np.cumsum(m) - m
         if fractional:
-            v, r, out = _pair_block(f, cov, cells, m, seed, p, s, tau,
-                                    (s + beta - alpha + 1.0) * p, rngs)
+            v, r, out = _pair_block(f, cov, cells[unit], ks[unit], m, seed, p, s,
+                                    tau, (s + beta - alpha + 1.0) * p)
             rejected += out
         elif korn:
-            J = f.jacobian(_draw_cells(cov, cells, m, seed, rngs=rngs))
+            J = f.jacobian(_draw(cov, cells[unit], ks[unit], m, seed))
         else:
-            pts = _draw_cells(cov, cells, m, seed, rngs=rngs)
+            pts = _draw(cov, cells[unit], ks[unit], m, seed)
             v = f.value(pts)
             g = f.gradient(pts)
             del pts
             r = _sum_squares(g.T, n)
             del g
         a, row = row, row + int(m.sum())
-        # d is constant on a cell: one array power per cell, then broadcast
-        # (never a Python-float pow, whose last bit can differ from numpy's)
-        d_beta_p = d ** (beta * p)
-        sums = [_cell_sums(runs, c=d_beta_p)]
+        dbp = d_beta_p[unit]
+        sums = []
         if korn:
             eps2, *skew = values[:, a:row]
             for (j, k), D in zip(upper, skew):
                 np.subtract(J[:, j, k], J[:, k, j], out=D)
-                sums.append(_cell_sums(runs, D, d_beta_p))
+                sums.append(np.add.reduceat(D, starts) * dbp)
             r = _sum_squares(_symmetric_columns(J), n * n)
             del J
             eps2[:] = r
@@ -541,18 +455,16 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             if not a:
                 f0 = float(v[0])                        # the pass's first f value
             v = np.subtract(v, f0, out=values[a:row])
-            sums.append(_cell_sums(runs, v, d_beta_p))
-        if fractional:
-            sums += _with_squares(runs, r)
-        else:                                           # r holds |grad f|^2 or |eps|^2
+            sums.append(np.add.reduceat(v, starts) * dbp)
+        if not fractional:                              # r holds |grad f|^2 or |eps|^2
             np.sqrt(r, out=r)
             r **= p
-            sums += _with_squares(runs, r, d ** rhs_expo)
+        sums += _with_squares(r, starts, rhs_c[unit])
         del r
-        kept.append((w, runs, d_beta_p, a, row, split))
+        kept.append((unit, starts, a, row))
         unit_sums.append(sums)
-    weights, *means, rhs_terms, rhs_squares = _cell_terms(kept, unit_sums)
-    denom = math.fsum(weights)
+    *means, rhs_terms, rhs_squares = _terms(w, unit_sums)
+    denom = math.fsum((w * (rows * d_beta_p)).tolist())
     if korn:
         # the weighted mean of each D above the diagonal: 2 A_jk for the
         # mean A of the antisymmetric part (J - J^T) / 2, which is removed
@@ -564,7 +476,7 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
         c = math.fsum(means[0]) / denom
     lhs_sums = []
     # each kept row is read once, so the lhs integrand is built in place
-    for w, runs, d_beta_p, a, b, split in kept:
+    for unit, starts, a, b in kept:
         if korn:
             r, *skew = values[:, a:b]
             for D, twice_a in zip(skew, mean):
@@ -578,13 +490,11 @@ def _run(kind: str, f: TestFunction, cov: CubeCovering, beta: float, p: float,
             r -= c
             np.abs(r, out=r)
         r **= p
-        lhs_sums.append(_with_squares(runs, r, d_beta_p))
-    lhs_terms, lhs_squares = _cell_terms(kept, lhs_sums)
+        lhs_sums.append(_with_squares(r, starts, d_beta_p[unit]))
+    lhs_terms, lhs_squares = _terms(w, lhs_sums)
     lhs, rhs = math.fsum(lhs_terms), math.fsum(rhs_terms)
-    cells = np.flatnonzero(counts)
-    strata = (vols[cells], counts[cells])
-    spread = (_relative_sd(lhs, lhs_terms, lhs_squares, *strata)
-              + _relative_sd(rhs, rhs_terms, rhs_squares, *strata)) / p
+    spread = (_relative_sd(lhs, lhs_terms, lhs_squares, w * rows, rows)
+              + _relative_sd(rhs, rhs_terms, rhs_squares, w * rows, rows)) / p
     frac = rejected / total if fractional else None
     return lhs ** (1.0 / p), rhs ** (1.0 / p), frac, spread
 
@@ -633,8 +543,8 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
         spread = math.inf
     params = {"beta": beta, "p": p, "s": s, "tau": tau,
               "alpha": covering.profile.alpha, "function": f.name}
-    # every kind shares max(samples, cells) points out by volume (_allocate),
-    # which leaves the smallest cells without a point when samples are few
+    # every kind draws max(samples, cells) points: one in every cell, and the
+    # rest shared out by volume (_allocate)
     drawn = max(samples, covering.tree.n)
     return RatioReport(kind, lhs, rhs, ratio, drawn, spread,
                        spread > 0.10, seed, flags, params, rejected)

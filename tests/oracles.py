@@ -71,8 +71,8 @@ from hardy_lab.inequalities import (
     _SPHERE_AREA,
     _allocate,
     _cell_rng,
-    _draw_cells,
     _locate_own_first,
+    _strata,
 )
 
 
@@ -1161,10 +1161,10 @@ def verify_decomposition(result, volume: list, sum_tol: float = 1e-12,
 
 
 def stratified_spread(p, sides):
-    """The sum over sides (total, vols, per-cell integrands) of the
+    """The sum over sides (total, vols, per-stratum integrands) of the
     stratified standard error over total, divided by p; a side whose total
-    is 0 adds 0. A cell of n >= 2 points adds vol^2 np.var(x, ddof=1) / n
-    to the variance, a one-point cell (vol x)^2."""
+    is 0 adds 0. A stratum of n >= 2 points adds vol^2 np.var(x, ddof=1) / n
+    to the variance, a one-point stratum (vol x)^2."""
     out = 0.0
     for total, vols, xs in sides:
         if total == 0.0:
@@ -1175,10 +1175,47 @@ def stratified_spread(p, sides):
     return out / p
 
 
+def _segment_sum(x):
+    """The sum np.add.reduceat takes over one segment x: its first value
+    plus np.sum of the rest."""
+    return float(x[0] + np.sum(x[1:]))
+
+
+class _Strata:
+    """The strata of a pass (hardy_lab.inequalities._strata) with what each
+    adds to a side: w = vol / count of its cell, its rows m, and its
+    constants as array powers of the cell edge d over all strata."""
+
+    def __init__(self, cov, samples):
+        counts = _allocate(samples, cov.volume_array)
+        self.cells, self.ks, rows = _strata(counts)
+        self.w = (cov.volume_array[self.cells] / counts[self.cells]).tolist()
+        self.m = rows.tolist()
+        self.vols = [w * m for w, m in zip(self.w, self.m)]
+        self.d = cov.edge_array[self.cells]
+
+    def power(self, e):
+        return (self.d ** e).tolist()
+
+    def total(self, xs, c):
+        """fsum of w (S c) over the strata, S the segment sum of x."""
+        return math.fsum(w * (_segment_sum(x) * ci) for w, x, ci in zip(self.w, xs, c))
+
+    def weight(self, c):
+        """fsum of w (m c), the strata's sums of the constant c."""
+        return math.fsum(w * (m * ci) for w, m, ci in zip(self.w, self.m, c))
+
+    def spread(self, p, sides):
+        """stratified_spread of (total, per-stratum integrands, constants)."""
+        return stratified_spread(p, [(total, self.vols, [x * ci for x, ci in zip(xs, c)])
+                                     for total, xs, c in sides])
+
+
 def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
-    """The improved Poincare / Korn quadrature pass with every cell's
-    arrays kept until the end: draw all cells, then take each sum over the
-    kept data. Returns lhs, rhs and the spread (stratified_spread).
+    """The improved Poincare / Korn quadrature pass with every stratum's
+    arrays kept until the end: draw all strata, each from its own stream,
+    then take each sum over the kept data (_Strata). Returns lhs, rhs and
+    the spread (stratified_spread).
 
     Korn's lhs integrand is |J - A| as np.linalg.norm takes it, or with
     identity the root of |eps|^2 + sum_{j<k} (D_jk - 2 A_jk)^2 / 2 for
@@ -1186,51 +1223,36 @@ def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
     the one the sampler uses."""
     alpha = cov.profile.alpha
     n = cov.n
-    cells = list(range(cov.tree.n))
-    vols = cov.volume_array
-    counts = _allocate(max(samples, len(cells)), vols)
+    st = _Strata(cov, samples)
 
-    def work(t):
-        m = int(counts[t])
-        if m == 0:
-            return None
+    def draw(t, k, m):
         lo, hi = cov.corners[0][t], cov.corners[1][t]
-        pts = lo + _cell_rng(seed, t).random((m, n)) * (hi - lo)
-        w = vols[t] / m
-        d = np.full(m, cov.edge_array[t])
-        dbp = d ** (beta * p)
-        if kind == "improved_poincare":
-            fv = f.value(pts)
-            gv = np.linalg.norm(f.gradient(pts), axis=1)
-            return (w, dbp, fv, gv, d)
-        J = f.jacobian(pts)
-        eps = 0.5 * (J + np.swapaxes(J, 1, 2))
-        return (w, dbp, J, eps, d)
+        return lo + _cell_rng(seed, t, k).random((m, n)) * (hi - lo)
 
-    data = [r for r in map(work, cells) if r is not None]
-    kept = [vols[t] for t in cells if counts[t]]
+    pts = [draw(*s) for s in zip(st.cells.tolist(), st.ks.tolist(), st.m)]
+    dbp = st.power(beta * p)
+    denom = st.weight(dbp)
 
-    def sides(lhs_x, rhs_x):
-        lhs = math.fsum(r[0] * float(np.sum(x)) for r, x in zip(data, lhs_x))
-        rhs = math.fsum(r[0] * float(np.sum(x)) for r, x in zip(data, rhs_x))
-        spread = stratified_spread(p, [(lhs, kept, lhs_x), (rhs, kept, rhs_x)])
+    def sides(lhs_x, rhs_x, rhs_c):
+        lhs, rhs = st.total(lhs_x, dbp), st.total(rhs_x, rhs_c)
+        spread = st.spread(p, [(lhs, lhs_x, dbp), (rhs, rhs_x, rhs_c)])
         return lhs ** (1.0 / p), rhs ** (1.0 / p), spread
 
-    denom = math.fsum(r[0] * float(np.sum(r[1])) for r in data)
     if kind == "improved_poincare":
         # the mean is taken of f less its first value f0, as the sampler does
-        f0 = float(data[0][2][0])
-        num = math.fsum(r[0] * float(np.sum(r[1] * (r[2] - f0))) for r in data)
-        c = num / denom
-        return sides([np.abs((r[2] - f0) - c) ** p * r[1] for r in data],
-                     [r[3] ** p * r[4] ** ((beta + alpha) * p) for r in data])
+        fv = [f.value(x) for x in pts]
+        f0 = float(fv[0][0])
+        fv = [v - f0 for v in fv]
+        c = st.total(fv, dbp) / denom
+        return sides([np.abs(v - c) ** p for v in fv],
+                     [np.linalg.norm(f.gradient(x), axis=1) ** p for x in pts],
+                     st.power((beta + alpha) * p))
     # the weighted mean of the antisymmetric part (J - J^T) / 2
+    Js = [f.jacobian(x) for x in pts]
     A = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
-            A[j, k] = 0.5 * math.fsum(
-                r[0] * float(np.sum(r[1] * (r[2][:, j, k] - r[2][:, k, j]))) for r in data
-            ) / denom
+            A[j, k] = 0.5 * st.total([J[:, j, k] - J[:, k, j] for J in Js], dbp) / denom
             A[k, j] = -A[j, k]
 
     def norm(J, eps):
@@ -1242,9 +1264,10 @@ def local_run(kind, f, cov, beta, p, samples, seed, identity=False):
                 r += 0.5 * (J[:, j, k] - J[:, k, j] - 2.0 * A[j, k]) ** 2
         return np.sqrt(r)
 
-    return sides([norm(r[2], r[3]) ** p * r[1] for r in data],
-                 [np.linalg.norm(r[3], axis=(1, 2)) ** p * r[4] ** ((beta + alpha - 1.0) * p)
-                  for r in data])
+    eps = [0.5 * (J + np.swapaxes(J, 1, 2)) for J in Js]
+    return sides([norm(J, e) ** p for J, e in zip(Js, eps)],
+                 [np.linalg.norm(e, axis=(1, 2)) ** p for e in eps],
+                 st.power((beta + alpha - 1.0) * p))
 
 
 def poincare_f_linear_exact(cov, beta, p):
@@ -1270,12 +1293,6 @@ def poincare_f_linear_exact(cov, beta, p):
     return lhs ** (1.0 / p), rhs ** (1.0 / p)
 
 
-def _cell_terms(w, ends, v):
-    """w[i] times np.sum of v over the rows of cell i, where ends are the
-    cumulative row counts: one np.sum per cell."""
-    return [wt * float(np.sum(v[a:b])) for wt, a, b in zip(w, [0] + ends[:-1], ends)]
-
-
 def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     """The fractional Poincare quadrature pass with every pair drawn at
     once: stratified pair sampling for the fractional seminorm.
@@ -1285,23 +1302,31 @@ def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     singularity; the tau-ball restriction enters through R = tau d(x) and
     pairs leaving the truncated domain are rejected with weight zero.
 
-    Each cell draws x, u and the direction from its own stream; the pairs of
-    all cells are then located, each in its own cell first, and evaluated in
-    one pass, and the sums are taken per cell. Each per-pair array is
-    dropped once used. Returns lhs, rhs, the fraction of rejected pairs and
-    the spread (stratified_spread).
+    Each stratum draws x, u and the direction from its own stream; the
+    pairs of all strata are then located, each in its own cell first, and
+    evaluated in one pass, and the sums are taken per stratum (_Strata).
+    Each per-pair array is dropped once used. Returns lhs, rhs, the
+    fraction of rejected pairs and the spread (stratified_spread).
     """
     alpha = cov.profile.alpha
     n = cov.n
     kappa = p * (1.0 - s)
-    vols, edges = cov.volume_array, cov.edge_array
-    counts = _allocate(max(samples, cov.tree.n), vols)
-    cells = np.flatnonzero(counts)
-    m = counts[cells]
+    edges = cov.edge_array
+    st = _Strata(cov, samples)
     surf = _SPHERE_AREA[n]
     expo = (s + beta - alpha + 1.0) * p
-    pts, u, g = _draw_cells(cov, cells, m, seed, offsets=True)
-    c = np.repeat(cells, m)                         # the cell of x, then of y
+    ends = np.cumsum(st.m).tolist()
+    per = list(zip([0] + ends[:-1], ends))
+    pts, u, g = np.empty((ends[-1], n)), np.empty(ends[-1]), np.empty((ends[-1], n))
+    for t, k, (a, b) in zip(st.cells.tolist(), st.ks.tolist(), per):
+        rng = _cell_rng(seed, t, k)
+        pts[a:b] = rng.random((b - a, n))
+        u[a:b] = rng.random(b - a)
+        g[a:b] = rng.standard_normal((b - a, n))
+    c = np.repeat(st.cells, st.m)                   # the cell of x, then of y
+    lo, hi = cov.corners[0][c], cov.corners[1][c]
+    pts = lo + pts * (hi - lo)
+    del lo, hi
 
     dx = edges[c]
     R = tau * dx
@@ -1336,7 +1361,7 @@ def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     del r
     kern /= ro ** (n + s * p)
     delta = np.minimum(dx[ok], dy[ok])
-    del dy
+    del dx, dy
     delta **= expo
     kern *= delta
     del delta
@@ -1352,21 +1377,18 @@ def fractional_run(f, cov, beta, p, s, tau, samples, seed):
     contrib = np.zeros(len(fv))
     contrib[ok] = kern
     del kern, ok
-    dbp = dx ** (beta * p)
-    del dx
 
-    w = vols[cells] / m
-    ends = np.cumsum(m).tolist()
-    denom = math.fsum(_cell_terms(w, ends, dbp))
+    dbp = st.power(beta * p)
+    ones = [1.0] * len(per)
+    denom = st.weight(dbp)
     fv -= float(fv[0])                              # the mean of f less its first value
-    mean = math.fsum(_cell_terms(w, ends, dbp * fv)) / denom
-    rhs = math.fsum(_cell_terms(w, ends, contrib))
+    mean = st.total([fv[a:b] for a, b in per], dbp) / denom
+    rhs_x = [contrib[a:b] for a, b in per]
+    rhs = st.total(rhs_x, ones)
     fv -= mean
     np.abs(fv, out=fv)
     fv **= p
-    fv *= dbp
-    lhs = math.fsum(_cell_terms(w, ends, fv))
-    per_cell = list(zip([0] + ends[:-1], ends))
-    spread = stratified_spread(p, [(total, vols[cells], [x[a:b] for a, b in per_cell])
-                                   for total, x in ((lhs, fv), (rhs, contrib))])
+    lhs_x = [fv[a:b] for a, b in per]
+    lhs = st.total(lhs_x, dbp)
+    spread = st.spread(p, [(lhs, lhs_x, dbp), (rhs, rhs_x, ones)])
     return lhs ** (1.0 / p), rhs ** (1.0 / p), rejected, spread

@@ -100,16 +100,26 @@ def test_ratio_reproduced_within_recorded_spread(flat_cov0):
     assert not rep.low_confidence
 
 
-@pytest.mark.parametrize("beta,p", [(0.0, 2.0), (-0.2, 2.0), (0.3, 2.0),
-                                    (0.0, 3.0), (-0.2, 3.0), (0.3, 3.0)])
-@pytest.mark.parametrize("name", ["demo6", "rough6"])
+# (covering, beta, p): at 10^5 samples every depth-6 cell draws at least 10
+# points; rough depth 10 runs at 10^6 samples, where many cells draw only
+# the one point every cell gets and, near beta = -alpha / p, those small
+# cells near the cusp weigh most
+EXACT_CASES = ([(name, beta, p) for name in ("demo6", "rough6")
+                for beta, p in [(0.0, 2.0), (-0.2, 2.0), (0.3, 2.0),
+                                (0.0, 3.0), (-0.2, 3.0), (0.3, 3.0)]]
+               + [("rough10", beta, 2.0) for beta in (0.0, -0.2, -0.3)])
+
+
+@pytest.mark.parametrize("name,beta,p", EXACT_CASES)
 def test_poincare_f_linear_matches_exact(local_coverings, name, beta, p):
-    # at 10^5 samples every cell draws at least 10 points, so no stratum is
-    # left out and the ratio is off the closed form by sampling error only
+    # no stratum is left out, so the ratio is off the closed form by
+    # sampling error only
     cov = local_coverings[name]
-    assert ineq._allocate(10 ** 5, cov.volume_array).min() >= 10
+    samples = 10 ** 6 if name == "rough10" else 10 ** 5
+    fewest = ineq._allocate(samples, cov.volume_array).min()
+    assert fewest == 1 if name == "rough10" else fewest >= 10
     rep = hl.inequality_ratio("improved_poincare", hl.f_linear(), cov, beta, p,
-                              samples=10 ** 5, seed=0)
+                              samples=samples, seed=0)
     lhs, rhs = poincare_f_linear_exact(cov, beta, p)
     exact = lhs / rhs
     assert rep.spread <= 0.01
@@ -145,18 +155,18 @@ def test_spread_covers_seed_to_seed_scatter(flat_cov0, local_coverings, kind, ma
 
 
 # (kind, function, beta, keyword arguments, lhs, rhs) on demo_cov6 at p = 2,
-# as computed by the per-cell sampler that located each pair by a tree walk
+# as computed by the per-stratum sampler that gives every cell a point
 PINNED = [
     ("fractional_poincare", hl.f_linear, 0.0,
      dict(s=0.5, tau=0.5, samples=10 ** 5, seed=1),
-     0.43462343403944315, 1.1049646312020638),
+     0.4350033034356064, 1.103584281154206),
     ("fractional_poincare", hl.f_bilinear, -0.2,
      dict(s=0.4, tau=0.9, samples=20_000, seed=7),
-     0.8816948258782631, 0.9779718441434285),
+     0.8819033300458036, 0.9740846274948525),
     ("improved_poincare", hl.f_bilinear, 0.0, dict(samples=20_000, seed=4),
-     0.58080043989088, 1.2628969719325163),
+     0.5809306275512011, 1.2638153985807496),
     ("korn", hl.u_shear, 0.0, dict(samples=20_000, seed=0),
-     2.9738841458317324, 9.218376629409157),
+     2.973960515956374, 9.218109607568035),
 ]
 
 
@@ -187,6 +197,7 @@ def test_fractional_vectorised_matches_tree_walk(demo_cov6):
 def local_coverings(demo_cov6):
     return {"demo6": demo_cov6,
             "rough6": hl.build_covering(hl.profile_rough(), depth_max=6),
+            "rough10": hl.build_covering(hl.profile_rough(), depth_max=10),
             "demo3d3": hl.build_covering(hl.profile_demo(n=3), depth_max=3)}
 
 
@@ -228,33 +239,26 @@ def test_korn_lhs_matches_norm_of_j_minus_mean(local_coverings, name, function, 
 
 
 def _check_units(counts):
-    """The sampler's units cover every cell with points once, in id order, a
-    split cell by consecutive leaves whose rows add up to its count."""
-    units = list(ineq._units(counts))
-    order = []
-    for cells, m, split in units:
-        if split:
-            assert len(cells) == 1 and split == counts[cells[0]]
-        else:
-            np.testing.assert_array_equal(m, counts[cells])
-        for t in cells.tolist():
-            if not order or order[-1] != t:
-                order.append(t)
-    assert order == np.flatnonzero(counts).tolist()
-    for t in {int(c[0]) for c, _, split in units if split}:
-        assert sum(int(m[0]) for c, m, split in units if split and c[0] == t) == counts[t]
-    return units
+    """The sampler's units: runs of whole strata that cover every stratum
+    once, in order, with at most BLOCK_POINTS rows each. Returns them with
+    the strata's k."""
+    _, ks, rows = ineq._strata(counts)
+    units = list(ineq._units(rows))
+    assert [u.start for u in units] == [0] + [u.stop for u in units[:-1]]
+    assert units[-1].stop == len(rows)
+    assert all(0 < rows[u].sum() <= ineq.BLOCK_POINTS for u in units)
+    return units, ks
 
 
 def _unit_rows(monkeypatch):
     """Rows of every unit the sampler draws, recorded as it draws them."""
-    rows, draw = [], ineq._draw_cells
+    rows, draw = [], ineq._draw
 
-    def record(cov, cells, m, seed, offsets=False, rngs=None):
+    def record(cov, cells, ks, m, seed, offsets=False):
         rows.append(int(m.sum()))
-        return draw(cov, cells, m, seed, offsets, rngs)
+        return draw(cov, cells, ks, m, seed, offsets)
 
-    monkeypatch.setattr(ineq, "_draw_cells", record)
+    monkeypatch.setattr(ineq, "_draw", record)
     return rows
 
 
@@ -264,13 +268,13 @@ def _unit_rows(monkeypatch):
 def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monkeypatch,
                                                           name, function, d):
     # 3000 samples fit in one block of the default size; blocks of 64 points
-    # make runs of many cells, block edges, and cells cut into leaves
+    # make runs of many strata, block edges, and cells cut into strata
     monkeypatch.setattr(ineq, "BLOCK_POINTS", 64)
     cov = local_coverings[name]
     counts = ineq._allocate(3000, cov.volume_array)
-    units = _check_units(counts)
-    assert max(len(c) for c, _, _ in units) > 1
-    assert any(split for _, _, split in units)
+    units, ks = _check_units(counts)
+    assert max(u.stop - u.start for u in units) > 1
+    assert ks.max() > 0
     kind, make = LOCAL_FUNCTIONS[function]
     f = make(cov.n)
     rows = _unit_rows(monkeypatch)
@@ -278,7 +282,7 @@ def test_local_run_in_small_blocks_matches_all_cells_kept(local_coverings, monke
     lhs, rhs, spread = local_run(kind, f, cov, 0.3, 3.0, 3000, 3, identity=True)
     assert (rep.lhs, rep.rhs) == (lhs, rhs)
     assert rep.spread == pytest.approx(spread, rel=1e-12, abs=0.0)
-    assert 0 < max(rows) <= 128
+    assert 0 < max(rows) <= 64
 
 
 # (beta, p, s, tau)
@@ -294,19 +298,19 @@ FRACTIONAL_CASES = [(0.0, 2.0, 0.5, 0.5), (0.3, 3.0, 0.4, 0.9),
 def test_fractional_blocks_match_all_pairs(local_coverings, monkeypatch, name, case,
                                            function, samples, block_points):
     # the block-wise pass gives the bits of the pass that draws every pair
-    # at once: 3000 samples make blocks of many cells, 70 000 more than one
-    # block of the default size, and blocks of 64 points hold cells larger
-    # than a block
+    # at once: 3000 samples make blocks of many strata, 70 000 more than
+    # one block of the default size, and blocks of 64 points cut cells
+    # larger than a block into strata
     monkeypatch.setattr(ineq, "BLOCK_POINTS", block_points)
     cov = local_coverings[name]
-    counts = ineq._allocate(max(samples, cov.tree.n), cov.volume_array)
-    units = _check_units(counts)
+    counts = ineq._allocate(samples, cov.volume_array)
+    units, ks = _check_units(counts)
     if samples == 3000:
-        assert max(len(c) for c, _, _ in units) > 1
+        assert max(u.stop - u.start for u in units) > 1
     else:
         assert len(units) > 1
     if block_points == 64:
-        assert any(split for _, _, split in units)
+        assert ks.max() > 0
     beta, p, s, tau = case
     f = getattr(hl, function)()
     rows = _unit_rows(monkeypatch)
@@ -314,7 +318,7 @@ def test_fractional_blocks_match_all_pairs(local_coverings, monkeypatch, name, c
     want = fractional_run(f, cov, beta, p, s, tau, samples, 3)
     assert got[:3] == want[:3]                      # lhs, rhs, rejected_frac
     assert got[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
-    assert 0 < max(rows) <= max(block_points, 128)
+    assert 0 < max(rows) <= block_points
 
 
 def test_scalar_kinds_share_the_lhs(demo_cov6):
@@ -441,8 +445,8 @@ def test_korn_sampler_keeps_two_numbers_per_point(demo_cov6):
 
 
 def test_poincare_sampler_memory(demo_cov6, flat_cov0):
-    # a cell of more than BLOCK_POINTS points is drawn and reduced leaf by
-    # leaf, so the peak is the kept f plus one unit's temporaries; drawing
+    # a cell of more than BLOCK_POINTS points is drawn and reduced stratum
+    # by stratum, so the peak is the kept f plus one unit's temporaries; drawing
     # each cell whole peaked at 20.9 MiB on demo depth 6 at 10^6 samples
     # and 19.1 MiB on the flat cell at 5 10^5. The bounds are the measured
     # 9.4 and 5.0 MiB plus 2 MiB.
@@ -467,41 +471,45 @@ def _spread(shape, seed):
     return rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
 
 
-@pytest.mark.parametrize("cap", [64, 128, 2 ** 15])
-def test_leaf_sums_rejoin_to_numpy_sum(monkeypatch, cap):
-    # np.add.reduce halves a run of more than 128 values at n // 2 rounded
-    # down to a multiple of 8: the leaves of a cell, summed apart and added
-    # back up that tree, give the cell's np.sum
-    monkeypatch.setattr(ineq, "BLOCK_POINTS", cap)
-    lengths = list(range(1, 301)) + [2 ** 15 - 1, 2 ** 15 + 1, 455_922, 10 ** 6 + 1]
-    x = _spread(max(lengths), 11)
-    in_sequence = 0
-    for m in lengths:
-        leaves = ineq._leaves(m)
-        assert sum(leaves) == m and max(leaves) <= max(cap, 128)
-        ends = np.cumsum(leaves).tolist()
-        sums = [float(np.sum(x[b - k:b])) for k, b in zip(leaves, ends)]
-        assert ineq._rejoin(m, iter(sums)) == float(np.add.reduce(x[:m]))
-        in_sequence += sum(sums) == float(np.add.reduce(x[:m]))
-    assert in_sequence < len(lengths)               # the order shows
+def test_reduceat_segment_is_first_value_plus_sum_of_rest():
+    # each per-stratum sum is one np.add.reduceat segment: the segment's
+    # first value plus np.sum of the rest, wherever the segment starts and
+    # whatever segments surround it, so grouping strata into units leaves
+    # the bits as they are; np.sum of the whole segment adds in another order
+    lengths = list(range(1, 301)) + [2 ** 15 - 1, 2 ** 15]
+    x = _spread(sum(lengths), 11)
+    starts = np.cumsum(lengths) - lengths
+    want = [x[a] + np.sum(x[a + 1:a + m]) for a, m in zip(starts.tolist(), lengths)]
+    np.testing.assert_array_equal(np.add.reduceat(x, starts), want)
+    for shift in (1, 5):                            # the same segments in another unit
+        sub = starts[shift:] - starts[shift]
+        np.testing.assert_array_equal(np.add.reduceat(x[starts[shift]:], sub), want[shift:])
+    whole = [np.sum(x[a:a + m]) for a, m in zip(starts.tolist(), lengths)]
+    assert whole != want                            # the order shows
 
 
-def test_run_sums_match_per_cell_sums():
-    # a run of equal cells reshaped to (cells, rows) and summed along its
-    # rows gives each cell's own np.sum
-    m = np.array([5, 5, 5, 130, 130, 1, 8, 8, 9, 300, 300, 300, 1000])
-    runs = ineq._runs(m)
-    assert [(i, j) for i, j, _, _ in runs] == [(0, 3), (3, 5), (5, 6), (6, 8), (8, 9),
-                                               (9, 12), (12, 13)]
-    ends = np.cumsum(m).tolist()
-    rows = list(zip([0] + ends[:-1], ends))
-    x = _spread(ends[-1], 13)
-    c = np.random.default_rng(14).random(len(m))
-    cr = np.repeat(c, m)
-    np.testing.assert_array_equal(ineq._cell_sums(runs, x), [np.sum(x[a:b]) for a, b in rows])
-    np.testing.assert_array_equal(ineq._cell_sums(runs, c=c), [np.sum(cr[a:b]) for a, b in rows])
-    np.testing.assert_array_equal(ineq._cell_sums(runs, x, c),
-                                  [np.sum(cr[a:b] * x[a:b]) for a, b in rows])
+def test_strata_cut_cells_evenly_from_the_cell_stream(monkeypatch):
+    # a cell of m points is one stratum up to BLOCK_POINTS, else
+    # ceil(m / BLOCK_POINTS) strata k = 0, 1, ... of near-equal rows; stratum
+    # 0 draws the stream of (seed, cell), as every cell did before it was cut
+    counts = np.array([1, 63, 64, 65, 127, 128, 129, 1000, 2 ** 15 - 1, 2 ** 15,
+                       2 ** 15 + 1, 10 ** 5, 455_922])
+    for block in (64, 2 ** 15):
+        monkeypatch.setattr(ineq, "BLOCK_POINTS", block)
+        cells, ks, rows = ineq._strata(counts)
+        assert np.all(np.diff(cells) >= 0) and rows.max() <= block
+        for t, m in enumerate(counts.tolist()):
+            mine = rows[cells == t]
+            assert len(mine) == -(-m // block) and mine.sum() == m
+            assert mine.max() - mine.min() <= 1
+            assert ks[cells == t].tolist() == list(range(len(mine)))
+    for seed, t in ((0, 0), (3, 304), (2 ** 40, 22750)):
+        ours = ineq._cell_rng(seed, t, 0)
+        before = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        assert (ours.random(7).tolist(), ours.standard_normal(3).tolist()) == \
+            (before.random(7).tolist(), before.standard_normal(3).tolist())
+        assert ineq._cell_rng(seed, t, 1).random() != np.random.default_rng(
+            np.random.SeedSequence((seed, t))).random()
 
 
 @pytest.mark.parametrize("m", [1, 7, 10 ** 5])
@@ -537,7 +545,7 @@ BAD_INPUTS = {
 
 @pytest.fixture
 def no_drawing(monkeypatch):
-    def refuse(seed, cell):
+    def refuse(seed, cell, k):
         raise AssertionError("a sample stream was opened")
     monkeypatch.setattr(ineq, "_cell_rng", refuse)
 
@@ -572,7 +580,7 @@ def test_p_one_accepted(demo_cov6):
 
 # -- Korn ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("samples", [3000, 10 ** 5, 10 ** 6])     # 10^6 cuts cells into leaves
+@pytest.mark.parametrize("samples", [3000, 10 ** 5, 10 ** 6])     # 10^6 cuts cells into strata
 @pytest.mark.parametrize("beta,p", [(0.0, 2.0), (0.3, 3.0), (-0.2, 1.5)])
 @pytest.mark.parametrize("name", ["flat0", "demo6", "demo3d3"])
 def test_korn_rigid_rotation_in_kernel(flat_cov0, local_coverings, name, beta, p, samples):
@@ -631,11 +639,12 @@ def test_fractional_rejected_fraction_unit_square(flat_cov0):
 
 
 def test_sample_count_reports_points_drawn(demo_cov6):
-    # both samplers draw max(samples, cells) points, shared out by volume:
-    # with 300 or 3000 samples most of the 305 cells draw none
+    # both samplers draw max(samples, cells) points, one in every cell and
+    # the rest by volume, so with 300 or 3000 samples none of the 305 cells
+    # is empty
     assert demo_cov6.tree.n == 305
-    for samples, empty in ((300, 252), (3000, 168)):
-        counts = ineq._allocate(max(samples, 305), demo_cov6.volume_array)
+    for samples, empty in ((300, 0), (3000, 0)):
+        counts = ineq._allocate(samples, demo_cov6.volume_array)
         assert (counts.sum(), np.count_nonzero(counts == 0)) == (max(samples, 305), empty)
     for kind, extra in (("fractional_poincare", {"s": 0.5, "tau": 0.5}),
                         ("improved_poincare", {})):
