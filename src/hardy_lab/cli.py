@@ -137,10 +137,16 @@ def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
-def _profile(args):
+def _covering(args):
+    """The covering of the --phi/--depth/--cap options; CoveringError for an
+    unknown profile, or an --alpha (covering only) that is not its alpha."""
     if args.phi not in PROFILES:
         raise CoveringError(f"unknown profile {args.phi!r}: choose from {sorted(PROFILES)}")
-    return PROFILES[args.phi]()
+    profile = PROFILES[args.phi]()
+    if getattr(args, "alpha", None) not in (None, profile.alpha):
+        raise CoveringError(f"--alpha {args.alpha:g} does not match the {args.phi} "
+                            f"profile's alpha = {profile.alpha:g}")
+    return build_covering(profile, args.depth, cube_cap=args.cap)
 
 
 def _load_json(path: str) -> dict:
@@ -192,12 +198,8 @@ def cmd_hardy(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    profile = _profile(args)
-    if args.alpha is not None and args.alpha != profile.alpha:
-        raise CoveringError(f"--alpha {args.alpha:g} does not match the {args.phi} "
-                            f"profile's alpha = {profile.alpha:g}")
     _check_beta_p(args.beta, args.p)        # before the build, which they do not affect
-    cov = build_covering(profile, args.depth, cube_cap=args.cap)
+    cov = _covering(args)
     struct = check_disjoint_and_coverage(cov)
     bounds = verify_counting_bounds(cov)
     tail = tail_integrability(cov, args.beta, args.p)
@@ -223,7 +225,7 @@ def cmd_decompose(args) -> int:
     if not args.p > 1:
         raise ValueError(f"p must lie in (1, inf), got {args.p}")
     _check_theta_max(args.theta_max)
-    cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
+    cov = _covering(args)
     problem = weights_from_beta(cov, args.beta, args.p)
     space = space_from_covering(cov, beta=args.beta)
     bound = optimize_theta(problem, theta_max=args.theta_max).suff_bound
@@ -239,7 +241,7 @@ def cmd_ineq(args) -> int:
     grid = [float(b) for b in args.beta_grid.split(",")] if args.beta_grid else None
     for beta in grid or [args.beta]:        # before the build, which they do not affect
         _check_ratio_args(args.kind, beta, args.p, args.s, args.tau, args.samples)
-    cov = build_covering(_profile(args), args.depth, cube_cap=args.cap)
+    cov = _covering(args)
     f = u_shear(cov.n) if args.kind == "korn" else f_linear()
     cfg = _config(args)
     if grid:
@@ -273,7 +275,13 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hardy-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    phi_help = "profile: " + " | ".join(PROFILES)
+    def covering_options(sp, depth: int):
+        # the options of the covering every covering subcommand builds (_covering)
+        sp.add_argument("--phi", default="demo", help="profile: " + " | ".join(PROFILES))
+        sp.add_argument("--depth", type=int, default=depth)
+        sp.add_argument("--beta", type=float, default=0.0)
+        sp.add_argument("--p", type=float, default=2.0)
+        sp.add_argument("--cap", type=int, default=10 ** 6)
 
     def common(sp, seed: bool = False, fmt: bool = False):
         # only the options the subcommand reads, so its config has no dead keys
@@ -302,39 +310,27 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_hardy)
 
     sp = sub.add_parser("covering", help="build a cube covering and verify it")
-    sp.add_argument("--phi", default="demo", help=phi_help)
     sp.add_argument("--alpha", type=float, default=None,
                     help="must match the profile's own alpha")
-    sp.add_argument("--depth", type=int, default=6)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    covering_options(sp, depth=6)
     common(sp)
     sp.set_defaults(func=cmd_covering)
 
     sp = sub.add_parser("decompose", help="decompose a random mean-zero function")
-    sp.add_argument("--phi", default="demo", help=phi_help)
-    sp.add_argument("--depth", type=int, default=5)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--p", type=float, default=2.0)
+    covering_options(sp, depth=5)
     sp.add_argument("--theta-max", type=float, default=64.0)
-    sp.add_argument("--cap", type=int, default=10 ** 6)
     common(sp, seed=True)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("ineq", help="inequality ratio checkers and sweeps")
     sp.add_argument("--kind", choices=KINDS, default="improved_poincare")
-    sp.add_argument("--phi", default="demo", help=phi_help)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--beta", type=float, default=0.0)
+    covering_options(sp, depth=4)
     sp.add_argument("--beta-grid", default=None,
                     help="comma-separated betas; on Python 3.10 and 3.11 a grid whose "
                     "first beta is negative must be written --beta-grid=-0.2,0.0")
-    sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--s", type=float, default=None)
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--samples", type=int, default=10 ** 5)
-    sp.add_argument("--cap", type=int, default=10 ** 6)
     common(sp, seed=True, fmt=True)
     sp.set_defaults(func=cmd_ineq)
     return ap

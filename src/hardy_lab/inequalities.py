@@ -17,12 +17,12 @@ covering machinery relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .covering import CubeCovering, _check_beta_p
+from .covering import CubeCovering, _check_beta_p, _check_edge_powers
 from .decomp import CellFunction, DecompositionError, weighted_q_norm_q
 
 
@@ -30,13 +30,13 @@ from .decomp import CellFunction, DecompositionError, weighted_q_norm_q
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Closed-form scalar function or vector field with its derivatives."""
+    """Closed-form scalar function with its gradient, or vector field with
+    its Jacobian: a function is a vector field when it has a Jacobian."""
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    vector: bool = False
 
 
 def f_linear(axis: int = 0, shift: float = 0.5) -> TestFunction:
@@ -77,7 +77,7 @@ def u_shear(n: int = 2) -> TestFunction:
         J[:, 0, -1] = 2.0 * x[:, -1]
         return J
 
-    return TestFunction("shear", value, jacobian=jacobian, vector=True)
+    return TestFunction("shear", value, jacobian=jacobian)
 
 
 # -- stratified sampling --------------------------------------------------------
@@ -182,11 +182,7 @@ class RatioReport:
     rejected_frac: float | None = None      # fractional: pairs with y outside
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "lhs": self.lhs, "rhs": self.rhs,
-                "ratio": self.ratio, "sample_count": self.sample_count,
-                "spread": self.spread, "low_confidence": self.low_confidence,
-                "seed": self.seed, "flags": list(self.flags),
-                "params": self.params, "rejected_frac": self.rejected_frac}
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def _ratio_with_flags(lhs: float, rhs: float) -> tuple[float, tuple[str, ...]]:
@@ -528,12 +524,13 @@ def inequality_ratio(kind: str, f: TestFunction, covering: CubeCovering,
     a point lies in. low_confidence is spread > 0.10.
 
     ValueError before any drawing unless the arguments pass
-    _check_ratio_args and f is a vector field exactly for korn."""
+    _check_ratio_args and _check_edge_powers and f is a vector field (has a
+    Jacobian) exactly for korn."""
     _check_ratio_args(kind, beta, p, s, tau, samples)
-    if kind == "korn" and not f.vector:
-        raise ValueError("korn needs a vector field")
-    if kind != "korn" and f.vector:
-        raise ValueError(f"{kind} needs a scalar function")
+    _check_edge_powers(covering, beta, p)
+    if (kind == "korn") != (f.jacobian is not None):
+        raise ValueError("korn needs a vector field" if kind == "korn"
+                         else f"{kind} needs a scalar function")
 
     lhs, rhs, rejected, spread = _run(kind, f, covering, beta, p, s, tau, samples, seed)
     ratio, flags = _ratio_with_flags(lhs, rhs)

@@ -442,7 +442,8 @@ def check_gradient(f, points: np.ndarray, d: np.ndarray, rtol: float = 1e-6) -> 
     differences with step 1e-5 * d(x). Raises when it exceeds rtol."""
     x = np.atleast_2d(points)
     h = 1e-5 * np.asarray(d, dtype=float)
-    deriv = f.jacobian(x) if f.vector else f.gradient(x)
+    vector = f.jacobian is not None
+    deriv = f.jacobian(x) if vector else f.gradient(x)
     worst = 0.0
     for k in range(x.shape[1]):
         xp = x.copy()
@@ -450,7 +451,7 @@ def check_gradient(f, points: np.ndarray, d: np.ndarray, rtol: float = 1e-6) -> 
         xp[:, k] += h
         xm[:, k] -= h
         diff = f.value(xp) - f.value(xm)
-        if f.vector:
+        if vector:
             fd = diff / (2.0 * h)[:, None]
             exact = deriv[:, :, k]
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -263,6 +264,26 @@ def test_covering_bad_input_exits_2(tmp_path, argv):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("argv", [["covering", "--phi", "rough", "--depth", "8", "--beta", "-400"],
+                                  ["ineq", "--phi", "rough", "--depth", "6", "--beta", "-400"]])
+def test_overflowing_weight_exits_2_naming_beta_and_p(tmp_path, capsys, argv):
+    # on the smallest edge 2^-j (j = 8 or 6) d^(beta p) = 2^(800 j) overflows a
+    # float: refused by name, with no traceback and no numpy warning (both
+    # are errors here)
+    out = str(tmp_path)
+    assert main([*argv, "--out", out]) == 2
+    assert "beta = -400 and p = 2" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_underflowing_tail_runs_cleanly(tmp_path):
+    # d^(beta p) underflows to 0 on the small edges: the tail's decay is 0,
+    # taken without a divide-by-zero warning
+    out = str(tmp_path)
+    assert main(["covering", "--beta", "400", "--out", out]) == 0
+    assert read(os.path.join(out, "covering.json"))["report"]["tail"]["decay"] == 0.0
+
+
 def _refuse_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -360,6 +381,31 @@ def test_reports_embed_config_and_version(tmp_path):
     doc = read(os.path.join(out, "tree.json"))
     assert doc["config"]["star"] == 3
     assert doc["version"].count(".") == 2
+
+
+def _five_reports():
+    cov = hl.build_covering(hl.profile_demo(), depth_max=3)
+    problem = hl.weights_from_beta(cov, -0.2, 2.0)
+    g = hl.random_mean_zero(hl.space_from_covering(cov, beta=-0.2), np.random.default_rng(0))
+    chain = hl.make_problem(hl.chain_tree(3), [1.0] * 3, [1.0] * 3, 2.0)
+    return [hl.hardy_report(chain),
+            hl.verify_decomposition(hl.decompose(g, problem), 1.0),
+            hl.inequality_ratio("improved_poincare", hl.f_linear(), cov, -0.2, 2.0, samples=500),
+            hl.verify_counting_bounds(cov),
+            hl.tail_integrability(cov, -0.2, 2.0)]
+
+
+# the keys a report writes besides its fields; anything else is a report change
+REPORT_EXTRAS = {"VerifyReport": {"sum_ok", "means_ok", "estimate_ok"}}
+
+
+def test_report_keys_are_the_dataclass_fields():
+    reports = _five_reports()
+    assert [type(r).__name__ for r in reports] == [
+        "HardyReport", "VerifyReport", "RatioReport", "BoundsReport", "TailReport"]
+    for rep in reports:
+        fields = {f.name for f in dataclasses.fields(rep)}
+        assert set(rep.to_json()) == fields | REPORT_EXTRAS.get(type(rep).__name__, set())
 
 
 def test_fractional_tree_ids_exit_2(tmp_path, capsys):

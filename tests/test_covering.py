@@ -14,6 +14,7 @@ import pytest
 import hardy_lab as hl
 from hardy_lab import covering
 from hardy_lab.covering import (
+    BLOCK_SIDE,
     CoveringError,
     CubeCapExceeded,
     CubeCovering,
@@ -527,6 +528,9 @@ def test_pruned_decision_at_grid_value_thresholds(which):
     contained, unresolved = got = _min_phi_decisions(profile, lo, hi, thr, _max_points(profile))
     assert _same(got, _per_cube(profile, lo, hi, thr, _max_points(profile)))
     assert contained.any() and (~contained & ~unresolved).any()
+    # a budget whose every round runs while each box is still one block
+    got = _min_phi_decisions(profile, lo, hi, thr, BLOCK_SIDE[d] ** d)
+    assert _same(got, _per_cube(profile, lo, hi, thr, BLOCK_SIDE[d] ** d))
 
 
 @pytest.mark.parametrize("which", ["demo", "rough", "demo3"])
@@ -614,6 +618,9 @@ def test_pruned_decision_keeps_nan_samples():
     got = _min_phi_decisions(profile, lo, hi, thr)
     assert _same(got, _per_cube(profile, lo, hi, thr))
     assert got[1].tolist() == [True, True, False, True]
+    # a budget whose every round runs while each box is still one block
+    got = _min_phi_decisions(profile, lo, hi, thr, BLOCK_SIDE[1])
+    assert _same(got, _per_cube(profile, lo, hi, thr, BLOCK_SIDE[1]))
 
 
 def test_rough_depth8_phi_points(rough_cov8):

@@ -29,7 +29,7 @@ def u_rigid_rotation(n: int = 2) -> hl.TestFunction:
         J[:, 1, 0] = -1.0
         return J
 
-    return hl.TestFunction("rigid-rotation", value, jacobian=jacobian, vector=True)
+    return hl.TestFunction("rigid-rotation", value, jacobian=jacobian)
 
 
 def test_gradients_match_finite_differences():
